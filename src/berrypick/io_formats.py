@@ -75,14 +75,23 @@ def read_ply(path: str) -> PointCloud:
         tokens = line.split()
         if not tokens or tokens[0] == "comment":
             continue
+        malformed = InputError(f"{path}: malformed PLY header line {i + 1}: {line.strip()!r}")
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise malformed
             if tokens[1] != "ascii":
                 raise InputError(f"{path}: only ascii PLY is supported")
         elif tokens[0] == "element":
+            if len(tokens) != 3:
+                raise malformed
             if tokens[1] != "vertex":
                 raise InputError(f"{path}: unsupported element {tokens[1]}")
+            if not tokens[2].isdigit():
+                raise malformed
             n_vertex = int(tokens[2])
         elif tokens[0] == "property":
+            if len(tokens) < 3:
+                raise malformed
             properties.append(tokens[2])
         elif tokens[0] == "end_header":
             body_at = i + 1
@@ -129,7 +138,10 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise InputError(f"{path}: malformed header field {token[:16]!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     return fields[0], fields[1], fields[2], pos
 
@@ -217,9 +229,11 @@ def read_mask(path: str) -> InstanceMask:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mask sidecar {path}.json: {exc}") from exc
-    return InstanceMask(
-        bits=bits, instance_id=int(meta["instance_id"]), ripeness=Ripeness(meta["ripeness"])
-    )
+    try:
+        instance_id, ripeness = int(meta["instance_id"]), Ripeness(meta["ripeness"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InputError(f"mask sidecar {path}.json needs instance_id and ripeness: {exc!r}") from exc
+    return InstanceMask(bits=bits, instance_id=instance_id, ripeness=ripeness)
 
 
 # -- JSON documents -----------------------------------------------------------

@@ -137,7 +137,10 @@ def build_occupancy(
             ii, jj, kk = np.meshgrid(*axes, indexing="ij")
             sub = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
             centers = lo + (sub + 0.5) * resolution
-            dist, _ = cKDTree(pts).query(centers)
+            # cells beyond the inflation radius read inf, without a full search
+            dist, _ = cKDTree(pts).query(
+                centers, distance_upper_bound=np.nextafter(inflation, np.inf)
+            )
             near = sub[dist <= inflation]
             occupied[near[:, 0], near[:, 1], near[:, 2]] = True
 

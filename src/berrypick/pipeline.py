@@ -51,6 +51,7 @@ from .prior import StrawberryPrior
 from .render import GroundTruth, RenderParams, render_rgbd, sample_ground_truth
 from .scene import SceneConfig, SceneTemplate, generate_scene
 from .types import (
+    CameraIntrinsics,
     DepthImage,
     InstanceMask,
     LossWeights,
@@ -69,10 +70,31 @@ class FailureReason(str, enum.Enum):
     MISSED_GRASP = "missed_grasp"
 
 
-def _strict_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+def _check_like(value, default, where: str) -> None:
+    """Reject a JSON value whose shape or type differs from the default's:
+    objects may hold only the default's keys, a float field also takes an
+    int, and booleans never count as numbers."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise InputError(f"{where} must be a JSON object")
+        unknown = set(value) - set(default)
+        if unknown:
+            raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+        for key, item in value.items():
+            _check_like(item, default[key], f"{where}.{key}")
+    elif isinstance(default, list):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise InputError(f"{where} must be a list of {len(default)} numbers")
+        for item, item_default in zip(value, default):
+            _check_like(item, item_default, where)
+    elif isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise InputError(f"{where} must be true or false")
+    else:
+        integer = isinstance(default, int)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise InputError(f"{where} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -132,40 +154,20 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
-        """Strict parse: unknown keys anywhere in the document are rejected."""
-        if not isinstance(obj, dict):
-            raise InputError("config must be a JSON object")
-        _strict_keys(obj, set(cls().to_json()), "config")
-        kwargs: dict = {}
+        """Strict parse: unknown keys and mistyped values anywhere in the
+        document are rejected."""
+        _check_like(obj, cls().to_json(), "config")
+        sections = {
+            "voxel": VoxelParams,
+            "outliers": OutlierParams,
+            "weights": LossWeights,
+            "icp": IcpParams,
+        }
         try:
-            if "voxel" in obj:
-                _strict_keys(obj["voxel"], {"voxel_size", "min_points"}, "voxel")
-                kwargs["voxel"] = VoxelParams(**obj["voxel"])
-            if "outliers" in obj:
-                _strict_keys(obj["outliers"], {"k_neighbors", "std_ratio"}, "outliers")
-                kwargs["outliers"] = OutlierParams(**obj["outliers"])
-            if "weights" in obj:
-                _strict_keys(obj["weights"], {"lambda0", "lambda1", "lambda2"}, "weights")
-                kwargs["weights"] = LossWeights(**obj["weights"])
-            if "icp" in obj:
-                _strict_keys(
-                    obj["icp"],
-                    {"max_iterations", "convergence_tol", "max_correspondence_dist", "restart_count"},
-                    "icp",
-                )
-                kwargs["icp"] = IcpParams(**obj["icp"])
-            for key in (
-                "grid_resolution",
-                "inflation",
-                "gripper_radius",
-                "use_completion",
-                "use_obstacles",
-                "rng_seed",
-                "p_ee",
-            ):
-                if key in obj:
-                    kwargs[key] = obj[key]
-            return cls(**kwargs)
+            return cls(**{
+                key: sections[key](**value) if key in sections else value
+                for key, value in obj.items()
+            })
         except ParameterError as exc:
             raise InputError(f"invalid config value: {exc}") from exc
 
@@ -240,44 +242,88 @@ class Perception:
     cd_mm: tuple[float, ...]
 
 
-def perceive(
+# median_filter's window; its radius is the margin a crop needs to filter
+# every masked pixel exactly
+_MEDIAN_WINDOW = 5
+
+
+def extract_partials(
+    rgb: RgbImage,
+    depth: DepthImage,
+    intrinsics: CameraIntrinsics,
+    masks: list[InstanceMask],
+    cfg: PipelineConfig,
+) -> list[tuple[InstanceMask, PointCloud]]:
+    """Each mask's denoised partial cloud: median filter, back-projection,
+    mask extraction, voxel downsampling and outlier removal.
+
+    Only the union bounding box of the masks, grown by the filter radius, is
+    filtered and projected. Every masked pixel's window lies inside that crop
+    or meets the image edge, where the crop replicates the same edge pixels,
+    and projection keeps row-major pixel order, so each cloud equals the one
+    a whole-frame pass would give.
+    """
+    union = np.zeros(depth.values.shape, dtype=bool)
+    for mask in masks:
+        union |= mask.bits
+    rows = np.flatnonzero(union.any(axis=1))
+    cols = np.flatnonzero(union.any(axis=0))
+    if not len(rows):
+        return [(mask, PointCloud.empty()) for mask in masks]
+    r = _MEDIAN_WINDOW // 2
+    v0, v1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, depth.height)
+    u0, u1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, depth.width)
+    filtered = median_filter(DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW)
+    cloud = project_point_cloud(
+        RgbImage(rgb.values[v0:v1, u0:u1]), filtered, intrinsics, origin=(int(u0), int(v0))
+    )
+    partials = []
+    for mask in masks:
+        partial = voxel_downsample(extract_masked(cloud, mask), cfg.voxel)
+        partials.append((mask, remove_outliers(partial, cfg.outliers)))
+    return partials
+
+
+def _detect(
+    artifacts: SceneArtifacts, cfg: PipelineConfig
+) -> tuple[list[InstanceMask], list[tuple[InstanceMask, PointCloud]]]:
+    """The detected masks, and the non-empty partial cloud of each. With no
+    ripe berry in view perception stops here, before any filtering."""
+    detections = [m for m in artifacts.masks if m.pixel_count() > 0]
+    if not any(m.ripeness is Ripeness.RIPE for m in detections):
+        return detections, []
+    partials = extract_partials(
+        artifacts.rgb, artifacts.depth, artifacts.scene.intrinsics, detections, cfg
+    )
+    return detections, [(m, c) for m, c in partials if len(c)]
+
+
+def _complete(
     artifacts: SceneArtifacts,
+    detections: list[InstanceMask],
+    partials: list[tuple[InstanceMask, PointCloud]],
     cfg: PipelineConfig,
     prior: StrawberryPrior,
 ) -> Perception:
-    """Detections through completion: produce one planning cloud per berry."""
-    detections = [m for m in artifacts.masks if m.pixel_count() > 0]
-    ripe_detected = any(m.ripeness is Ripeness.RIPE for m in detections)
-    if not ripe_detected:
+    """Planning clouds from partials: completed ones, or the partials as-is."""
+    if not any(m.ripeness is Ripeness.RIPE for m in detections):
         return Perception(len(detections), False, (), (), ())
-
-    filtered = median_filter(artifacts.depth)
-    full = project_point_cloud(artifacts.rgb, filtered, artifacts.scene.intrinsics)
-
-    partials: list[tuple[InstanceMask, PointCloud]] = []
-    for mask in detections:
-        cloud = extract_masked(full, mask)
-        cloud = voxel_downsample(cloud, cfg.voxel)
-        cloud = remove_outliers(cloud, cfg.outliers)
-        if len(cloud):
-            partials.append((mask, cloud))
+    if not cfg.use_completion:
+        candidates = tuple(Candidate(m.instance_id, m.ripeness, c) for m, c in partials)
+        return Perception(len(detections), True, candidates, (), ())
 
     candidates: list[Candidate] = []
     leftovers: list[Candidate] = []
     cds: list[float] = []
-    if cfg.use_completion:
-        for mask, cloud in partials:
-            try:
-                completed = complete_cloud(cloud, prior, cfg.icp)
-            except (InsufficientDataError, RegistrationError):
-                leftovers.append(Candidate(mask.instance_id, mask.ripeness, cloud))
-                continue
-            candidates.append(Candidate(mask.instance_id, mask.ripeness, completed.p2))
-            truth_s2 = artifacts.truth.instance(mask.instance_id).surfaces[2]
-            cds.append(chamfer_metric_mm(completed.p2, truth_s2))
-    else:
-        candidates = [Candidate(m.instance_id, m.ripeness, c) for m, c in partials]
-
+    for mask, cloud in partials:
+        try:
+            completed = complete_cloud(cloud, prior, cfg.icp)
+        except (InsufficientDataError, RegistrationError):
+            leftovers.append(Candidate(mask.instance_id, mask.ripeness, cloud))
+            continue
+        candidates.append(Candidate(mask.instance_id, mask.ripeness, completed.p2))
+        truth_s2 = artifacts.truth.instance(mask.instance_id).surfaces[2]
+        cds.append(chamfer_metric_mm(completed.p2, truth_s2))
     return Perception(
         detections=len(detections),
         ripe_detected=True,
@@ -285,6 +331,15 @@ def perceive(
         leftovers=tuple(leftovers),
         cd_mm=tuple(cds),
     )
+
+
+def perceive(
+    artifacts: SceneArtifacts,
+    cfg: PipelineConfig,
+    prior: StrawberryPrior,
+) -> Perception:
+    """Detections through completion: produce one planning cloud per berry."""
+    return _complete(artifacts, *_detect(artifacts, cfg), cfg, prior)
 
 
 def _finish_trial(
@@ -446,7 +501,8 @@ def run_ablation(
 
     Equivalent to three run_benchmark calls with the same seed (the scene
     stream only depends on template and seed), but each scene is rendered
-    once and each perception mode computed once, then reused across variants.
+    and its partial clouds extracted once, and each perception mode is
+    computed once, then reused across variants.
     """
     prior = prior or StrawberryPrior.builtin()
     variants = {
@@ -461,9 +517,10 @@ def run_ablation(
             template, prior, np.random.Generator(np.random.Philox(gen_ss))
         )
         artifacts = render_scene_artifacts(scene, prior, render_params, render_ss, truth_ss)
+        found = _detect(artifacts, cfg)
         perceptions = {
-            True: perceive(artifacts, replace(cfg, use_completion=True), prior),
-            False: perceive(artifacts, replace(cfg, use_completion=False), prior),
+            mode: _complete(artifacts, *found, replace(cfg, use_completion=mode), prior)
+            for mode in (True, False)
         }
         for name, variant in variants.items():
             results[name].append(
@@ -504,17 +561,17 @@ def run_completion_benchmark(
             template, prior, np.random.Generator(np.random.Philox(gen_ss))
         )
         rendered = render_rgbd(scene, prior, render_params, render_ss)
+        eligible = [
+            m for m in rendered.masks
+            if rendered.visibility.get(m.instance_id, 0.0) >= min_visibility
+        ][: n_berries - len(cds)]
+        if not eligible:
+            continue  # ground truth draws from its own stream, so skipping it is safe
         truth = sample_ground_truth(scene, prior, truth_ss)
-        filtered = median_filter(rendered.depth)
-        full = project_point_cloud(rendered.rgb, filtered, scene.intrinsics)
-        for mask in rendered.masks:
-            if len(cds) >= n_berries:
-                break
-            if rendered.visibility.get(mask.instance_id, 0.0) < min_visibility:
-                continue
-            cloud = extract_masked(full, mask)
-            cloud = voxel_downsample(cloud, cfg.voxel)
-            cloud = remove_outliers(cloud, cfg.outliers)
+        partials = extract_partials(
+            rendered.rgb, rendered.depth, scene.intrinsics, eligible, cfg
+        )
+        for mask, cloud in partials:
             try:
                 completed = complete_cloud(cloud, prior, cfg.icp)
             except (InsufficientDataError, RegistrationError):

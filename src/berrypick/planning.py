@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,8 +144,10 @@ def astar_grid(
     index, making expansion order and the returned path deterministic.
 
     The search runs on flat indices into a one-cell-padded copy of the
-    occupancy array whose border reads occupied, which removes per-neighbor
-    bounds checks from the inner loop.
+    occupancy array whose border reads blocked, which removes per-neighbor
+    bounds checks from the inner loop. Interior flat indices sort like the
+    unpadded linear indices, so the flat index itself is the tie key.
+    Heuristic values come from a table built once per call.
     """
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.in_bounds(cell):
@@ -157,36 +160,28 @@ def astar_grid(
     py, pz = ny + 2, nz + 2
     padded = np.ones((nx + 2, py, pz), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = grid.occupied
-    occ = padded.ravel().tobytes()  # byte lookup beats ndarray indexing here
+    # one byte per cell: nonzero once a cell is occupied or closed
+    blocked = bytearray(padded.ravel().tobytes())
+
+    # squared cell distances are small integers, exact in float64, and sqrt
+    # is correctly rounded, so each entry equals a per-cell math.sqrt
+    gx, gy, gz = (np.arange(n + 2.0) - (g + 1) for n, g in zip(grid.dims, goal))
+    dist = np.sqrt(gx[:, None, None] ** 2 + gy[None, :, None] ** 2 + gz[None, None, :] ** 2)
+    heuristic = array("d", (dist * res).ravel().tobytes())
 
     def flat(cell: tuple[int, int, int]) -> int:
         return ((cell[0] + 1) * py + cell[1] + 1) * pz + cell[2] + 1
-
-    sxy = py * pz
-    gx, gy, gz = goal[0] + 1, goal[1] + 1, goal[2] + 1
-
-    def heuristic(f: int) -> float:
-        x, rem = divmod(f, sxy)
-        y, z = divmod(rem, pz)
-        return math.sqrt((x - gx) ** 2 + (y - gy) ** 2 + (z - gz) ** 2) * res
-
-    # tie-break key: the cell's linearized index in the unpadded grid
-    def tie(f: int) -> int:
-        x, rem = divmod(f, sxy)
-        y, z = divmod(rem, pz)
-        return ((x - 1) * ny + (y - 1)) * nz + (z - 1)
 
     moves = [((di * py + dj) * pz + dk, step * res) for di, dj, dk, step in _NEIGHBOR_STEPS]
     start_f, goal_f = flat(start), flat(goal)
 
     g_cost: dict[int, float] = {start_f: 0.0}
     parent: dict[int, int] = {}
-    closed: set[int] = set()
-    frontier: list[tuple[float, int, int]] = [(heuristic(start_f), tie(start_f), start_f)]
+    frontier: list[tuple[float, int]] = [(heuristic[start_f], start_f)]
 
     while frontier:
-        _, _, cell = heapq.heappop(frontier)
-        if cell in closed:
+        _, cell = heapq.heappop(frontier)
+        if blocked[cell]:
             continue
         if cell == goal_f:
             flats = [cell]
@@ -195,21 +190,21 @@ def astar_grid(
             flats.reverse()
             path = []
             for f in flats:
-                x, rem = divmod(f, sxy)
+                x, rem = divmod(f, py * pz)
                 y, z = divmod(rem, pz)
                 path.append((x - 1, y - 1, z - 1))
             return path, g_cost[goal_f]
-        closed.add(cell)
+        blocked[cell] = 1
         base = g_cost[cell]
         for off, step in moves:
             nxt = cell + off
-            if occ[nxt] or nxt in closed:
+            if blocked[nxt]:
                 continue
             cand = base + step
             if cand < g_cost.get(nxt, math.inf) - 1e-15:
                 g_cost[nxt] = cand
                 parent[nxt] = cell
-                heapq.heappush(frontier, (cand + heuristic(nxt), tie(nxt), nxt))
+                heapq.heappush(frontier, (cand + heuristic[nxt], nxt))
     return None
 
 
@@ -255,6 +250,16 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     return np.linalg.norm(points - proj, axis=1)
 
 
+def _point_segments_distances(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from one point to each segment a[i]-b[i]."""
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.zeros(len(a))
+    np.divide(np.einsum("ij,ij->i", point - a, ab), denom, out=t, where=denom >= 1e-18)
+    t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm(point - (a + t[:, None] * ab), axis=1)
+
+
 def simulate_execution(
     trajectory: Trajectory,
     truth: GroundTruth,
@@ -266,6 +271,11 @@ def simulate_execution(
     Success means the final waypoint lands within 1 cm of the target's true
     center. Hits are the non-target berries whose true surface comes within
     the gripper radius of any swept trajectory segment.
+
+    A broad phase keeps the exact surface test to segments that pass within
+    reach of a berry's center: its farthest surface point plus the gripper
+    radius. By the triangle inequality no other segment can come within the
+    gripper radius of the surface; a 1e-9 m slack absorbs rounding.
     """
     if not trajectory.feasible or len(trajectory.waypoints) == 0:
         raise ParameterError("execution requires a feasible trajectory")
@@ -276,14 +286,17 @@ def simulate_execution(
     )
 
     hits = set()
-    segments = list(zip(trajectory.waypoints[:-1], trajectory.waypoints[1:]))
-    if not segments:
-        segments = [(trajectory.waypoints[0], trajectory.waypoints[0])]
+    starts, ends = trajectory.waypoints[:-1], trajectory.waypoints[1:]
+    if not len(starts):
+        starts = ends = trajectory.waypoints[:1]
     for inst in truth.instances:
         if inst.instance_id == target_id:
             continue
+        center = inst.pose.translation
         surface = inst.surfaces[2].xyz
-        for a, b in segments:
+        reach = np.linalg.norm(surface - center, axis=1).max() + state.gripper_radius
+        near = _point_segments_distances(center, starts, ends) <= reach + 1e-9
+        for a, b in zip(starts[near], ends[near]):
             if _segment_distances(surface, a, b).min() <= state.gripper_radius:
                 hits.add(inst.instance_id)
                 break

@@ -33,27 +33,43 @@ def median_filter(depth: DepthImage, window: int = 5) -> DepthImage:
     return DepthImage(values=filtered)
 
 
-def project_point_cloud(rgb: RgbImage, depth: DepthImage, k: CameraIntrinsics) -> PointCloud:
+def project_point_cloud(
+    rgb: RgbImage,
+    depth: DepthImage,
+    k: CameraIntrinsics,
+    origin: tuple[int, int] | None = None,
+) -> PointCloud:
     """Back-project every valid depth pixel through the pinhole model.
 
     For pixel (u, v) with depth d mm: z = d/1000, x = (u-cx)*z/fx,
     y = (v-cy)*z/fy. Each point carries its RGB color and source pixel.
+    Points come out in row-major pixel order.
+
+    The images may be a crop of the frame k describes: origin is then the
+    frame pixel (u, v) of the crop's top-left corner, and pixel coordinates,
+    source pixels included, stay frame coordinates. Only a whole frame
+    (origin None) is checked against k.
     """
     if (rgb.height, rgb.width) != (depth.height, depth.width):
         raise ParameterError(
             f"rgb {rgb.width}x{rgb.height} and depth {depth.width}x{depth.height} differ"
         )
-    k.validate_for(depth.width, depth.height)
+    if origin is None:
+        k.validate_for(depth.width, depth.height)
+        origin = (0, 0)
 
     vs, us = np.nonzero(depth.values)
     if len(us) == 0:
         return PointCloud.empty()
     z = depth.values[vs, us].astype(np.float64) / 1000.0
+    colors = rgb.values[vs, us]
+    us = us + origin[0]
+    vs = vs + origin[1]
     x = (us.astype(np.float64) - k.cx) * z / k.fx
     y = (vs.astype(np.float64) - k.cy) * z / k.fy
     return PointCloud(
         xyz=np.column_stack([x, y, z]),
-        colors=rgb.values[vs, us],
+        colors=colors,
         source_pixels=np.column_stack([us, vs]).astype(np.int32),
     )
 

@@ -141,3 +141,41 @@ def test_cli_error_codes(tmp_path, template_path, prior, capsys):
                "--out", str(blocker / "sub")])
     capsys.readouterr()
     assert rc == 2
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"voxel": 3}, "config.voxel must be a JSON object"),
+        ({"icp": "fast"}, "config.icp must be a JSON object"),
+        ({"voxel": {"voxel_size": "small"}}, "config.voxel.voxel_size must be a number"),
+        ({"icp": {"restart_count": 1.5}}, "config.icp.restart_count must be an integer"),
+        ({"use_obstacles": "no"}, "config.use_obstacles must be true or false"),
+        ({"p_ee": [0, 0]}, "config.p_ee must be a list of 3 numbers"),
+    ],
+)
+def test_mistyped_config_is_one_clean_error(tmp_path, template_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    rc = main(["bench", "--template", template_path, "--config", str(path),
+               "--n", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "header", ["ply\nformat\n", "ply\nformat ascii 1.0\nelement vertex x\nend_header\n"]
+)
+def test_malformed_ply_header_is_one_clean_error(tmp_path, capsys, header):
+    bad = tmp_path / "bad.ply"
+    bad.write_text(header)
+    good = tmp_path / "good.ply"
+    write_ply(str(good), PointCloud(xyz=np.zeros((1, 3))))
+    assert main(["eval-cd", "--pred", str(bad), "--truth", str(good)]) == 1
+    assert "malformed PLY header line" in _single_error_line(capsys)

@@ -94,6 +94,22 @@ def test_ply_malformed_inputs(tmp_path, text):
         read_ply(str(path))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "ply\nformat\n",  # cut off after the format keyword
+        "ply\nformat ascii 1.0\nelement vertex x\nend_header\n",
+        "ply\nformat ascii 1.0\nelement vertex\nend_header\n",
+        "ply\nformat ascii 1.0\nelement vertex 1\nproperty double\nend_header\n0\n",
+    ],
+)
+def test_ply_malformed_header_lines(tmp_path, header):
+    path = tmp_path / "bad.ply"
+    path.write_text(header)
+    with pytest.raises(InputError, match="malformed PLY header line"):
+        read_ply(str(path))
+
+
 def test_ply_missing_file(tmp_path):
     with pytest.raises(InputError):
         read_ply(str(tmp_path / "nope.ply"))
@@ -125,6 +141,14 @@ def test_pgm16_rejects_wrong_depth_and_truncation(tmp_path):
     short.write_bytes(b"P5\n2 2\n65535\n\x00\x01")
     with pytest.raises(InputError):
         read_pgm16(str(short))
+
+
+@pytest.mark.parametrize("data", [b"P5", b"P5\n", b"P5\n4 x\n65535\n", b"P5\n-1 1\n65535\n"])
+def test_pgm16_malformed_header(tmp_path, data):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match="malformed header field"):
+        read_pgm16(str(path))
 
 
 def test_ppm_round_trip(tmp_path):
@@ -162,6 +186,19 @@ def test_mask_missing_sidecar(tmp_path):
     write_mask(stem, InstanceMask(bits=bits, instance_id=0, ripeness=Ripeness.RIPE))
     (tmp_path / "m.json").unlink()
     with pytest.raises(InputError):
+        read_mask(stem)
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    ['{"ripeness": "ripe"}', '{"instance_id": 1}', '{"instance_id": "a", "ripeness": "ripe"}',
+     '{"instance_id": 1, "ripeness": "green"}', "[1, 2]"],
+)
+def test_mask_malformed_sidecar(tmp_path, sidecar):
+    stem = str(tmp_path / "m")
+    write_mask(stem, InstanceMask(bits=np.ones((2, 2), bool), instance_id=0, ripeness=Ripeness.RIPE))
+    (tmp_path / "m.json").write_text(sidecar)
+    with pytest.raises(InputError, match="needs instance_id and ripeness"):
         read_mask(stem)
 
 
