@@ -3,27 +3,36 @@ every version of the code, not only within one process.
 
 Each digest is a sha256 over per-trial tuples (scene id, detections,
 attempted, success, sorted hit ids, failure reason, completion distances
-rounded to 1e-6 mm). Change a pin only for an intended behaviour change and
-record why in CHANGES.md.
+rounded to 1e-6 mm). The render digest covers every output of
+``render_rgbd`` bit for bit. Change a pin only for an intended behaviour
+change and record why in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
+
+import numpy as np
 
 from berrypick import (
     PipelineConfig,
     RenderParams,
     SceneConfig,
+    generate_scene,
+    render_rgbd,
     run_ablation,
     run_completion_benchmark,
 )
+
+TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 RENDER = RenderParams(noise_sigma_mm=2.0, dropout_rate=0.05)
 
 ABLATION_PIN = "aee9bce6d7efc05f960ee7545f46a1562d88562e29a64dbeb91c478f1f496b27"
 COMPLETION_PIN = "50ca39c8e5440f4e809ed313fafc6617f9553d9cd901855657df32338c72cad9"
+RENDER_PIN = "3ead8cbe809fc14a8b92c461864d9cb87f7def1928c914d550d0ae659d763283"
 
 
 def _sha256(obj) -> str:
@@ -67,9 +76,36 @@ def completion_digest(prior) -> str:
     return _sha256([round(cd, 6) for cd in cds])
 
 
+def render_digest(prior) -> str:
+    """rgb, noisy and clean depth, mask ids and bits, and visibility of ten
+    scenes per shipped template, with and without sensor noise."""
+    h = hashlib.sha256()
+    for name in ("cluttered.json", "single_berry.json"):
+        template = SceneConfig.from_json(json.loads((TEMPLATES / name).read_text()))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4242)))
+        for i in range(10):
+            scene = generate_scene(template, prior, rng)
+            for params in (RENDER, RenderParams(noise_sigma_mm=0.0, dropout_rate=0.0)):
+                # a fresh SeedSequence per render: spawn() advances its state
+                out = render_rgbd(scene, prior, params, np.random.SeedSequence([i, 31]))
+                for image in (out.rgb, out.depth, out.clean_depth):
+                    h.update(image.values.tobytes())
+                for mask in out.masks:
+                    h.update(str(mask.instance_id).encode())
+                    h.update(mask.bits.tobytes())
+                h.update(
+                    json.dumps({k: float.hex(v) for k, v in sorted(out.visibility.items())}).encode()
+                )
+    return h.hexdigest()
+
+
 def test_ablation_outcomes_are_pinned(prior):
     assert ablation_digest(prior) == ABLATION_PIN
 
 
 def test_completion_distances_are_pinned(prior):
     assert completion_digest(prior) == COMPLETION_PIN
+
+
+def test_render_outputs_are_pinned(prior):
+    assert render_digest(prior) == RENDER_PIN
