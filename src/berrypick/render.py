@@ -4,12 +4,19 @@ Rendering casts one ray per pixel against every triangle of every object. For
 a triangle fully in front of the camera this reduces to a screen-space
 point-in-triangle test on the projected vertices plus a ray-plane
 intersection, so the implementation below is exact ray casting, not an
-approximate rasterizer. Each object gets its own depth buffer; the composite
-keeps the nearest surface per pixel. Instance masks and visibility fractions
-come from the composite before sensor noise is applied.
+approximate rasterizer. Each triangle tests only the pixels of its clipped
+screen bounding box with edge functions (Pineda 1988), and each object's
+depth comes back as a crop: the union of its triangles' boxes plus that
+box's corner. The crops are composited in object order into one frame of
+nearest depths and one of winning object indices; a surface takes a pixel
+only when strictly nearer, so a tie stays with the lower index. Instance
+masks and visibility fractions come from the composite before sensor noise
+is applied.
 
 Depth corruption mimics a structured-light sensor: quantize to millimeters,
 add Gaussian noise, re-quantize, then drop pixels to zero at a fixed rate.
+The noise and dropout draws always cover the full frame, so a pixel's draw
+does not depend on what the scene puts elsewhere.
 """
 
 from __future__ import annotations
@@ -74,19 +81,23 @@ def rasterize(
     k: CameraIntrinsics,
     width: int,
     height: int,
-) -> np.ndarray:
-    """Depth buffer (meters) for one mesh; np.inf where no surface is hit.
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Depth (meters) of one mesh over its on-screen box, and that box's
+    top-left pixel (row, col); np.inf where no surface is hit.
 
-    All faces are processed in one flattened batch: every face contributes its
-    screen bounding-box pixels to a single candidate list, candidates failing
-    the in-triangle test or behind the camera are masked out, and surviving
-    ray-plane depths are scattered into the buffer with a running minimum.
+    The box is the union of the kept faces' clipped pixel boxes. A mesh with
+    no face on screen gives a (0, 0) array. All faces are processed in one
+    flattened batch: every face contributes its screen bounding-box pixels to
+    a single candidate list, candidates failing the in-triangle test or
+    behind the camera are masked out, and surviving ray-plane depths are
+    scattered into the box with a running minimum.
     """
     v = np.asarray(vertices, dtype=np.float64)
     f = np.asarray(faces, dtype=np.int64)
+    if not np.isfinite(v).all():
+        raise GeometryError("mesh has non-finite vertices")
     if (v[:, 2] <= 1e-6).any():
         raise GeometryError("mesh extends behind the camera")
-    depth = np.full((height, width), np.inf)
 
     z = v[:, 2]
     us = k.fx * v[:, 0] / z + k.cx
@@ -94,64 +105,73 @@ def rasterize(
     pu = us[f]  # (F, 3) screen coordinates per face corner
     pv = vs[f]
 
-    u0 = np.maximum(np.ceil(pu.min(axis=1)), 0).astype(np.int64)
-    u1 = np.minimum(np.floor(pu.max(axis=1)), width - 1).astype(np.int64)
-    v0 = np.maximum(np.ceil(pv.min(axis=1)), 0).astype(np.int64)
-    v1 = np.minimum(np.floor(pv.max(axis=1)), height - 1).astype(np.int64)
+    # clip in float so the int64 cast is always defined; a box clipped to
+    # nothing stays empty (u1 < u0)
+    u0 = np.clip(np.ceil(pu.min(axis=1)), 0, width).astype(np.int64)
+    u1 = np.clip(np.floor(pu.max(axis=1)), -1, width - 1).astype(np.int64)
+    v0 = np.clip(np.ceil(pv.min(axis=1)), 0, height).astype(np.int64)
+    v1 = np.clip(np.floor(pv.max(axis=1)), -1, height - 1).astype(np.int64)
     wbox = u1 - u0 + 1
     hbox = v1 - v0 + 1
     area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
         pu[:, 2] - pu[:, 0]
     )
-    keep = (wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12)
-    if not keep.any():
-        return depth
+    keep = np.flatnonzero((wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12))
+    if not len(keep):
+        return np.full((0, 0), np.inf), (0, 0)
 
-    tri = v[f[keep]]
     pu, pv = pu[keep], pv[keep]
-    u0, v0 = u0[keep], v0[keep]
+    u0, v0, u1, v1 = u0[keep], v0[keep], u1[keep], v1[keep]
     wbox, hbox = wbox[keep], hbox[keep]
     sign = np.where(area2[keep] > 0, 1.0, -1.0)
+    row0, col0 = int(v0.min()), int(u0.min())
+    depth = np.full((int(v1.max()) - row0 + 1, int(u1.max()) - col0 + 1), np.inf)
 
-    # flatten every face's bbox pixels into one candidate array
-    box = wbox * hbox
-    rep = np.repeat(np.arange(len(box)), box)
-    offset = np.arange(box.sum()) - np.repeat(np.cumsum(box) - box, box)
-    gu = u0[rep] + offset % wbox[rep]
-    gv = v0[rep] + offset // wbox[rep]
+    # Each face's box as rows (face, v) and columns (face, u); a candidate
+    # pixel is a row and a column of the same face, row by row.
+    n_faces = len(keep)
+    row_face = np.repeat(np.arange(n_faces), hbox)
+    col_face = np.repeat(np.arange(n_faces), wbox)
+    gv = v0[row_face] + np.arange(len(row_face)) - np.repeat(np.cumsum(hbox) - hbox, hbox)
+    gu = u0[col_face] + np.arange(len(col_face)) - np.repeat(np.cumsum(wbox) - wbox, wbox)
+    gv, gu = gv.astype(np.float64), gu.astype(np.float64)
+    span = wbox[row_face]  # candidates per row
+    n_cand = int(span.sum())
+    cand_col = np.repeat(
+        np.cumsum(wbox)[row_face] - span - (np.cumsum(span) - span), span
+    ) + np.arange(n_cand)
 
-    w0 = (pu[rep, 1] - pu[rep, 0]) * (gv - pv[rep, 0]) - (pv[rep, 1] - pv[rep, 0]) * (
-        gu - pu[rep, 0]
-    )
-    w1 = (pu[rep, 2] - pu[rep, 1]) * (gv - pv[rep, 1]) - (pv[rep, 2] - pv[rep, 1]) * (
-        gu - pu[rep, 1]
-    )
-    w2 = (pu[rep, 0] - pu[rep, 2]) * (gv - pv[rep, 2]) - (pv[rep, 0] - pv[rep, 2]) * (
-        gu - pu[rep, 2]
-    )
-    s = sign[rep]
-    inside = (s * w0 >= 0) & (s * w1 >= 0) & (s * w2 >= 0)
-    if not inside.any():
-        return depth
+    # Edge function du * (v - pv) - dv * (u - pu): its first product depends
+    # only on the row and its second only on the column, so each is computed
+    # once and gathered per candidate, the same float operations as per pixel.
+    # Negating a clockwise face's differences negates the edge function
+    # exactly, so the inside test is a plain >= 0.
+    inside = np.ones(n_cand, dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        du = sign * (pu[:, b] - pu[:, a])
+        dv = sign * (pv[:, b] - pv[:, a])
+        row_term = du[row_face] * (gv - pv[row_face, a])
+        col_term = dv[col_face] * (gu - pu[col_face, a])
+        inside &= np.repeat(row_term, span) - col_term[cand_col] >= 0
+    idx = np.flatnonzero(inside)
+    if not len(idx):
+        return depth, (row0, col0)
 
-    rep = rep[inside]
-    gu, gv = gu[inside], gv[inside]
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    n = np.cross(e1, e2)
-    n_rep = n[rep]
+    cand_row = np.repeat(np.arange(len(row_face)), span)[idx]
+    face = row_face[cand_row]
+    gu, gv = gu[cand_col[idx]], gv[cand_row]
+    tri = v[f[keep]]
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     # pixel ray (du, dv, 1): the intersection parameter equals z-depth
-    denom = (
-        n_rep[:, 0] * (gu - k.cx) / k.fx + n_rep[:, 1] * (gv - k.cy) / k.fy + n_rep[:, 2]
-    )
-    plane = np.einsum("ij,ij->i", n, tri[:, 0])[rep]
+    denom = n[face, 0] * (gu - k.cx) / k.fx + n[face, 1] * (gv - k.cy) / k.fy + n[face, 2]
+    plane = np.einsum("ij,ij->i", n, tri[:, 0])[face]
     safe = np.abs(denom) > 1e-15
     t = np.where(safe, plane / np.where(safe, denom, 1.0), np.inf)
     hit = safe & (t > 1e-6)
-    if not hit.any():
-        return depth
-    np.minimum.at(depth, (gv[hit], gu[hit]), t[hit])
-    return depth
+    if hit.any():
+        cell = (gv[hit] - row0) * depth.shape[1] + (gu[hit] - col0)
+        np.minimum.at(depth.reshape(-1), cell.astype(np.int64), t[hit])
+    return depth, (row0, col0)
 
 
 def render_rgbd(
@@ -164,55 +184,54 @@ def render_rgbd(
     h, w = scene.height, scene.width
     k = scene.intrinsics
 
-    meshes: list[tuple[np.ndarray, np.ndarray, tuple[int, int, int]]] = []
+    meshes: list[tuple[np.ndarray, np.ndarray]] = []
+    colors: list[tuple[int, int, int]] = []
     for berry in scene.berries:
-        color = RIPE_COLOR if berry.ripeness is Ripeness.RIPE else UNRIPE_COLOR
-        meshes.append((berry.pose.apply(prior.vertices), prior.faces, color))
+        meshes.append((berry.pose.apply(prior.vertices), prior.faces))
+        colors.append(RIPE_COLOR if berry.ripeness is Ripeness.RIPE else UNRIPE_COLOR)
     for occ in scene.occluders:
-        ov, of = occ.mesh()
-        meshes.append((ov, of, LEAF_COLOR))
+        meshes.append(occ.mesh())
+        colors.append(LEAF_COLOR)
+
+    # composite mesh by mesh, in index order, each inside its own window; the
+    # strict < leaves a tie with the lower index, as an argmin would
+    nearest = np.full((h, w), np.inf)
+    winner = np.full((h, w), -1, dtype=np.int32)
+    windows = []
+    solo = []
+    for i, (mv, mf) in enumerate(meshes):
+        crop, (r0, c0) = rasterize(mv, mf, k, w, h)
+        win = (slice(r0, r0 + crop.shape[0]), slice(c0, c0 + crop.shape[1]))
+        closer = crop < nearest[win]
+        np.copyto(nearest[win], crop, where=closer)
+        np.copyto(winner[win], i, where=closer)
+        windows.append(win)
+        solo.append(int(np.isfinite(crop).sum()))
+    valid = winner >= 0
 
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
-    clean_mm = np.zeros((h, w), dtype=np.uint16)
+    rgb[valid] = np.array(colors, dtype=np.uint8).reshape(-1, 3)[winner[valid]]
     masks = []
     visibility: dict[int, float] = {}
+    for i, berry in enumerate(scene.berries):
+        own = winner[windows[i]] == i
+        bits = np.zeros((h, w), dtype=bool)
+        bits[windows[i]] = own
+        masks.append(
+            InstanceMask(bits=bits, instance_id=berry.instance_id, ripeness=berry.ripeness)
+        )
+        visibility[berry.instance_id] = float(own.sum()) / solo[i] if solo[i] else 0.0
 
-    if meshes:
-        buffers = np.stack([rasterize(mv, mf, k, w, h) for mv, mf, _ in meshes])
-        nearest = buffers.min(axis=0)
-        winner = buffers.argmin(axis=0)  # ties resolve to the lower index
-        valid = np.isfinite(nearest)
-
-        for i, (_, _, color) in enumerate(meshes):
-            rgb[valid & (winner == i)] = color
-        for i, berry in enumerate(scene.berries):
-            bits = valid & (winner == i)
-            masks.append(
-                InstanceMask(bits=bits, instance_id=berry.instance_id, ripeness=berry.ripeness)
-            )
-            solo = int(np.isfinite(buffers[i]).sum())
-            visibility[berry.instance_id] = float(bits.sum()) / solo if solo else 0.0
-
-        mm = np.rint(nearest[valid] * 1000.0)
-        clean_mm[valid] = np.clip(mm, 0, 65535).astype(np.uint16)
-    else:
-        for berry in scene.berries:
-            masks.append(
-                InstanceMask(
-                    bits=np.zeros((h, w), dtype=bool),
-                    instance_id=berry.instance_id,
-                    ripeness=berry.ripeness,
-                )
-            )
-            visibility[berry.instance_id] = 0.0
+    clean_mm = np.zeros((h, w), dtype=np.uint16)
+    mm = np.rint(nearest[valid] * 1000.0)
+    clean_mm[valid] = np.clip(mm, 0, 65535).astype(np.uint16)
 
     noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
-    noisy = clean_mm.astype(np.float64)
+    noisy = clean_mm.copy()
     live = clean_mm > 0
     if params.noise_sigma_mm > 0:
         jitter = _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=(h, w))
-        noisy[live] += jitter[live]
-    noisy = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
+        noisy[live] = np.clip(np.rint(clean_mm[live] + jitter[live]), 0, 65535).astype(np.uint16)
     if params.dropout_rate > 0:
         dropped = _stream(drop_ss).random((h, w)) < params.dropout_rate
         noisy[dropped & live] = 0

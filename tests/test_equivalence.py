@@ -1,7 +1,8 @@
 """Each fast path against a reference copy of the straightforward code it
 replaced: the broad-phase execution check against testing every segment,
-table-driven A* against per-push heuristic and tie functions, and cropped
-perception against a whole-frame pass. Outputs must match exactly.
+table-driven A* against per-push heuristic and tie functions, cropped
+perception against a whole-frame pass, and the per-mesh crop renderer against
+a full-frame depth stack composited with argmin. Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -14,28 +15,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berrypick import (
+    BerryInstance,
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
+    Occluder,
     OccupancyGrid,
     OutlierParams,
     PipelineConfig,
     PointCloud,
     Ripeness,
+    RenderParams,
     RobotState,
+    SceneConfig,
+    SceneTemplate,
     Trajectory,
     VoxelParams,
     astar_grid,
     extract_masked,
+    generate_scene,
     median_filter,
     project_point_cloud,
     remove_outliers,
+    render_rgbd,
     simulate_execution,
     voxel_downsample,
 )
 from berrypick.pipeline import extract_partials
 from berrypick.planning import _NEIGHBOR_STEPS, _segment_distances
-from berrypick.render import GroundTruth, GroundTruthInstance
+from berrypick.render import (
+    LEAF_COLOR,
+    RIPE_COLOR,
+    UNRIPE_COLOR,
+    GroundTruth,
+    GroundTruthInstance,
+    _as_seedseq,
+    _stream,
+)
 from berrypick.types import Pose, RgbImage
 
 # ---------------------------------------------------------------- execution
@@ -268,3 +284,168 @@ def test_partials_of_empty_masks_are_empty():
     rgb = RgbImage(values=np.zeros(shape + (3,), dtype=np.uint8))
     partials = extract_partials(rgb, depth, CameraIntrinsics(cx=5.5, cy=4.5), masks, PipelineConfig())
     assert [len(c) for _, c in partials] == [0]
+
+
+# ---------------------------------------------------------------- render
+
+
+def reference_rasterize(vertices, faces, k, width, height):
+    """Full-frame depth buffer of one mesh, every candidate gathered per pixel."""
+    v = np.asarray(vertices, dtype=np.float64)
+    f = np.asarray(faces, dtype=np.int64)
+    depth = np.full((height, width), np.inf)
+    z = v[:, 2]
+    us = k.fx * v[:, 0] / z + k.cx
+    vs = k.fy * v[:, 1] / z + k.cy
+    pu, pv = us[f], vs[f]
+    u0 = np.maximum(np.ceil(pu.min(axis=1)), 0).astype(np.int64)
+    u1 = np.minimum(np.floor(pu.max(axis=1)), width - 1).astype(np.int64)
+    v0 = np.maximum(np.ceil(pv.min(axis=1)), 0).astype(np.int64)
+    v1 = np.minimum(np.floor(pv.max(axis=1)), height - 1).astype(np.int64)
+    wbox, hbox = u1 - u0 + 1, v1 - v0 + 1
+    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
+        pu[:, 2] - pu[:, 0]
+    )
+    keep = (wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12)
+    if not keep.any():
+        return depth
+    tri = v[f[keep]]
+    pu, pv = pu[keep], pv[keep]
+    u0, v0, wbox, hbox = u0[keep], v0[keep], wbox[keep], hbox[keep]
+    sign = np.where(area2[keep] > 0, 1.0, -1.0)
+    box = wbox * hbox
+    rep = np.repeat(np.arange(len(box)), box)
+    offset = np.arange(box.sum()) - np.repeat(np.cumsum(box) - box, box)
+    gu = u0[rep] + offset % wbox[rep]
+    gv = v0[rep] + offset // wbox[rep]
+    s = sign[rep]
+    inside = np.ones(len(rep), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        e = (pu[rep, b] - pu[rep, a]) * (gv - pv[rep, a]) - (pv[rep, b] - pv[rep, a]) * (
+            gu - pu[rep, a]
+        )
+        inside &= s * e >= 0
+    rep, gu, gv = rep[inside], gu[inside], gv[inside]
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    n_rep = n[rep]
+    denom = n_rep[:, 0] * (gu - k.cx) / k.fx + n_rep[:, 1] * (gv - k.cy) / k.fy + n_rep[:, 2]
+    plane = np.einsum("ij,ij->i", n, tri[:, 0])[rep]
+    safe = np.abs(denom) > 1e-15
+    t = np.where(safe, plane / np.where(safe, denom, 1.0), np.inf)
+    hit = safe & (t > 1e-6)
+    np.minimum.at(depth, (gv[hit], gu[hit]), t[hit])
+    return depth
+
+
+def reference_render(scene, prior, params, seed):
+    """Stack every mesh's full-frame buffer, then min and argmin over the stack."""
+    h, w = scene.height, scene.width
+    meshes = [
+        (b.pose.apply(prior.vertices), prior.faces,
+         RIPE_COLOR if b.ripeness is Ripeness.RIPE else UNRIPE_COLOR)
+        for b in scene.berries
+    ] + [(*o.mesh(), LEAF_COLOR) for o in scene.occluders]
+    rgb = np.zeros((h, w, 3), dtype=np.uint8)
+    clean_mm = np.zeros((h, w), dtype=np.uint16)
+    masks, visibility = [], {}
+    if meshes:
+        buffers = np.stack(
+            [reference_rasterize(mv, mf, scene.intrinsics, w, h) for mv, mf, _ in meshes]
+        )
+        nearest = buffers.min(axis=0)
+        winner = buffers.argmin(axis=0)
+        valid = np.isfinite(nearest)
+        for i, (_, _, color) in enumerate(meshes):
+            rgb[valid & (winner == i)] = color
+        for i, berry in enumerate(scene.berries):
+            bits = valid & (winner == i)
+            masks.append((berry.instance_id, bits))
+            solo = int(np.isfinite(buffers[i]).sum())
+            visibility[berry.instance_id] = float(bits.sum()) / solo if solo else 0.0
+        clean_mm[valid] = np.clip(np.rint(nearest[valid] * 1000.0), 0, 65535).astype(np.uint16)
+    noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
+    noisy = clean_mm.astype(np.float64)
+    live = clean_mm > 0
+    if params.noise_sigma_mm > 0:
+        noisy[live] += _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=(h, w))[live]
+    noisy = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
+    if params.dropout_rate > 0:
+        noisy[(_stream(drop_ss).random((h, w)) < params.dropout_rate) & live] = 0
+    return rgb, noisy, clean_mm, masks, visibility
+
+
+def _posed_berry(instance_id, center, ripeness=Ripeness.RIPE):
+    return BerryInstance(
+        instance_id=instance_id, pose=Pose(translation=np.asarray(center, float)), ripeness=ripeness
+    )
+
+
+def _leaf(center, semi_major=0.02):
+    return Occluder(center=np.asarray(center, float), normal=np.array([0.1, -0.2, 1.0]),
+                    semi_major=semi_major, semi_minor=0.6 * semi_major, roll_rad=0.4)
+
+
+def _edge_case_scenes(prior):
+    k = CameraIntrinsics()
+    twins = SceneTemplate(  # identical berries and identical leaves: exact depth ties
+        berries=(_posed_berry(0, (0.01, 0.0, 0.35)), _posed_berry(1, (0.01, 0.0, 0.35))),
+        occluders=(_leaf((0.0, 0.0, 0.25)), _leaf((0.0, 0.0, 0.25))),
+        intrinsics=k,
+    )
+    cut = SceneTemplate(  # one berry cut by each image edge, one leaf across a corner
+        berries=tuple(
+            _posed_berry(i, c, Ripeness.UNRIPE if i % 2 else Ripeness.RIPE)
+            for i, c in enumerate(
+                [(-0.135, 0.0, 0.33), (0.135, 0.0, 0.33), (0.0, -0.1, 0.33), (0.0, 0.1, 0.33)]
+            )
+        ),
+        occluders=(_leaf((0.12, 0.09, 0.3), 0.03),),
+        intrinsics=k,
+    )
+    offscreen = SceneTemplate(
+        berries=(_posed_berry(0, (0.5, 0.0, 0.33)), _posed_berry(1, (0.0, 0.0, 0.36))),
+        occluders=(_leaf((0.0, 0.6, 0.3)),),
+        intrinsics=k,
+    )
+    leaves_only = SceneTemplate(
+        berries=(), occluders=(_leaf((0.0, 0.0, 0.3)), _leaf((0.01, 0.005, 0.28))), intrinsics=k
+    )
+    small = SceneTemplate(  # a frame narrower than the berry's on-screen box
+        berries=(_posed_berry(0, (0.0, 0.0, 0.33)),),
+        intrinsics=CameraIntrinsics(fx=800.0, fy=800.0, cx=9.5, cy=7.5),
+        width=20,
+        height=16,
+    )
+    return [twins, cut, offscreen, leaves_only, small]
+
+
+def test_crop_render_matches_full_frame_reference(prior):
+    scenes = _edge_case_scenes(prior)
+    template = SceneConfig(n_ripe=2, n_unripe=3, n_occluders=3, clutter_spacing=0.002,
+                           workspace_lo=(-0.05, -0.04, 0.31), workspace_hi=(0.05, 0.04, 0.40))
+    rng = np.random.Generator(np.random.Philox(3))
+    scenes += [generate_scene(template, prior, rng) for _ in range(4)]
+    for i, scene in enumerate(scenes):
+        for params in (RenderParams(2.0, 0.05), RenderParams(0.0, 0.0)):
+            out = render_rgbd(scene, prior, params, np.random.SeedSequence(i))
+            rgb, noisy, clean, masks, visibility = reference_render(
+                scene, prior, params, np.random.SeedSequence(i)
+            )
+            assert np.array_equal(out.rgb.values, rgb)
+            assert np.array_equal(out.depth.values, noisy)
+            assert np.array_equal(out.clean_depth.values, clean)
+            assert [m.instance_id for m in out.masks] == [mid for mid, _ in masks]
+            for m, (_, bits) in zip(out.masks, masks):
+                assert np.array_equal(m.bits, bits)
+            assert out.visibility == visibility
+
+    # the edge cases do what they claim
+    twins, cut, offscreen, leaves_only, small = (
+        render_rgbd(s, prior, RenderParams(0.0, 0.0)) for s in scenes[:5]
+    )
+    assert twins.masks[0].bits.any() and not twins.masks[1].bits.any()
+    bits = [m.bits for m in cut.masks]
+    assert bits[0][:, 0].any() and bits[1][:, -1].any() and bits[2][0].any() and bits[3][-1].any()
+    assert offscreen.visibility[0] == 0.0 and offscreen.visibility[1] > 0.9
+    assert not leaves_only.masks and (leaves_only.rgb.values == LEAF_COLOR).all(axis=2).any()
+    assert small.masks[0].bits.all()

@@ -48,13 +48,21 @@ def _single_berry_scene(z=0.36, ripeness=Ripeness.RIPE):
 # ---------------------------------------------------------------- rasterize
 
 
+def _frame(depth, corner, w, h):
+    """Paste a rasterized crop into an otherwise empty (inf) frame."""
+    frame = np.full((h, w), np.inf)
+    r0, c0 = corner
+    frame[r0 : r0 + depth.shape[0], c0 : c0 + depth.shape[1]] = depth
+    return frame
+
+
 def test_rasterize_constant_depth_triangle():
     k = CameraIntrinsics()
     vertices = np.array(
         [[-0.06, -0.06, 0.5], [0.06, -0.06, 0.5], [0.0, 0.08, 0.5]]
     )
     faces = np.array([[0, 1, 2]])
-    depth = rasterize(vertices, faces, k, 640, 480)
+    depth = _frame(*rasterize(vertices, faces, k, 640, 480), 640, 480)
     hit = np.isfinite(depth)
     assert hit.any()
     # constant-z plane: every intersection parameter is exactly 0.5
@@ -66,7 +74,7 @@ def test_rasterize_sloped_triangle_matches_plane_equation():
     a = np.array([-0.05, -0.05, 0.40])
     b = np.array([0.05, -0.05, 0.50])
     c = np.array([0.0, 0.05, 0.45])
-    depth = rasterize(np.stack([a, b, c]), np.array([[0, 1, 2]]), k, 640, 480)
+    depth = _frame(*rasterize(np.stack([a, b, c]), np.array([[0, 1, 2]]), k, 640, 480), 640, 480)
 
     u, v = 320, 240
     assert np.isfinite(depth[v, u])
@@ -82,7 +90,7 @@ def test_rasterize_keeps_nearest_of_overlapping_faces():
     quad_far = np.array([[-0.05, -0.05, 0.6], [0.05, -0.05, 0.6], [0.0, 0.05, 0.6]])
     vertices = np.vstack([quad_near, quad_far])
     faces = np.array([[3, 4, 5], [0, 1, 2]])  # far face listed first
-    depth = rasterize(vertices, faces, k, 640, 480)
+    depth = _frame(*rasterize(vertices, faces, k, 640, 480), 640, 480)
     assert depth[240, 320] == pytest.approx(0.4)
 
 
@@ -92,10 +100,17 @@ def test_rasterize_rejects_geometry_behind_camera():
         rasterize(vertices, np.array([[0, 1, 2]]), CameraIntrinsics(), 640, 480)
 
 
+def test_rasterize_rejects_non_finite_vertices():
+    vertices = np.array([[0.0, 0.0, 0.5], [np.nan, 0.0, 0.5], [0.0, 0.1, np.inf]])
+    with pytest.raises(GeometryError):
+        rasterize(vertices, np.array([[0, 1, 2]]), CameraIntrinsics(), 640, 480)
+
+
 def test_rasterize_offscreen_mesh_leaves_buffer_empty():
     vertices = np.array([[10.0, 10.0, 0.5], [10.1, 10.0, 0.5], [10.0, 10.1, 0.5]])
-    depth = rasterize(vertices, np.array([[0, 1, 2]]), CameraIntrinsics(), 640, 480)
-    assert not np.isfinite(depth).any()
+    depth, corner = rasterize(vertices, np.array([[0, 1, 2]]), CameraIntrinsics(), 640, 480)
+    assert depth.shape == (0, 0)
+    assert not np.isfinite(_frame(depth, corner, 640, 480)).any()
 
 
 # ---------------------------------------------------------------- render
