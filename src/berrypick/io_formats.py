@@ -303,4 +303,24 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
         if name.startswith("mask_") and name.endswith(".pgm")
     )
     masks = tuple(read_mask(os.path.join(scene_dir, stem)) for stem in stems)
+
+    # the files must describe one scene: one frame size, berries both know
+    h, w = scene.height, scene.width
+    images = [("rgb.ppm", rgb.values.shape[:2]), ("depth.pgm", depth.values.shape)]
+    images += [(f"{stem}.pgm", mask.bits.shape) for stem, mask in zip(stems, masks)]
+    for name, (ih, iw) in images:
+        if (ih, iw) != (h, w):
+            raise InputError(
+                f"{os.path.join(scene_dir, name)}: {iw}x{ih} image does not match "
+                f"the scene's {w}x{h}"
+            )
+    berry_ids = {b.instance_id for b in scene.berries}
+    truth_ids = {inst.instance_id for inst in truth.instances}
+    for stem, mask in zip(stems, masks):
+        for ids, doc in ((berry_ids, "scene.json"), (truth_ids, "ground_truth.json")):
+            if mask.instance_id not in ids:
+                raise InputError(
+                    f"{os.path.join(scene_dir, stem)}.json: instance {mask.instance_id} "
+                    f"is not a berry in {doc}"
+                )
     return SceneArtifacts(scene=scene, rgb=rgb, depth=depth, masks=masks, truth=truth)

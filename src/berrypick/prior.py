@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .types import PointCloud, Pose
 
 DEFAULT_DENSITIES = (256, 1024, 4096)
@@ -131,17 +131,34 @@ class StrawberryPrior:
         area-weighted surface centroid."""
         vertices: list[list[float]] = []
         faces: list[list[int]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read prior mesh {path}: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split()
+            if not parts or parts[0] not in ("v", "f"):
+                continue
+            try:
+                if len(parts) < 4:
+                    raise ValueError("expected at least 3 values")
                 if parts[0] == "v":
                     vertices.append([float(x) for x in parts[1:4]])
-                elif parts[0] == "f":
+                    if not np.isfinite(vertices[-1]).all():
+                        raise ValueError("vertex coordinates must be finite")
+                else:
                     idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
-                    for k in range(1, len(idx) - 1):  # fan-triangulate polygons
-                        faces.append([idx[0], idx[k], idx[k + 1]])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: malformed {parts[0]!r} line: {exc}") from exc
+            if parts[0] == "f":
+                # faces refer to vertices defined above them
+                if not all(0 <= i < len(vertices) for i in idx):
+                    raise InputError(
+                        f"{path}:{lineno}: face index out of range 1..{len(vertices)}"
+                    )
+                for k in range(1, len(idx) - 1):  # fan-triangulate polygons
+                    faces.append([idx[0], idx[k], idx[k + 1]])
         if not vertices or not faces:
             raise ParameterError(f"no mesh data in {path}")
         v = np.asarray(vertices)
@@ -196,8 +213,10 @@ class StrawberryPrior:
     ) -> tuple[np.ndarray, np.ndarray]:
         if n < 1:
             raise ParameterError("sample count must be positive")
-        areas = self.triangle_areas()
-        probs = areas / areas.sum()
+        if "face_probabilities" not in self._sample_cache:
+            areas = self.triangle_areas()
+            self._sample_cache["face_probabilities"] = areas / areas.sum()
+        probs = self._sample_cache["face_probabilities"]
         chosen = rng.choice(len(self.faces), size=n, p=probs)
         tri = self.vertices[self.faces[chosen]]
         u = rng.random(n)

@@ -33,6 +33,10 @@ class BerryInstance:
     pose: Pose
     ripeness: Ripeness
 
+    def __post_init__(self):
+        if not np.isfinite(self.pose.translation).all():
+            raise ParameterError("berry translation must be finite")
+
     def to_json(self) -> dict:
         return {
             "instance_id": self.instance_id,
@@ -65,13 +69,20 @@ class Occluder:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64)
+        center = np.asarray(self.center, dtype=np.float64)
+        if not (np.isfinite(center).all() and np.isfinite(n).all()):
+            raise ParameterError("occluder center and normal must be finite")
         norm = np.linalg.norm(n)
         if norm < 1e-12:
             raise ParameterError("occluder normal must be nonzero")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "normal", n / norm)
+        if not (np.isfinite(self.semi_major) and np.isfinite(self.semi_minor)):
+            raise ParameterError("occluder semi-axes must be finite")
         if self.semi_major <= 0 or self.semi_minor <= 0:
             raise ParameterError("occluder semi-axes must be positive")
+        if not np.isfinite(self.roll_rad):
+            raise ParameterError("occluder roll must be finite")
 
     def mesh(self, segments: int = 24) -> tuple[np.ndarray, np.ndarray]:
         """Triangle fan tessellating the ellipse, in the camera frame."""

@@ -179,3 +179,92 @@ def test_malformed_ply_header_is_one_clean_error(tmp_path, capsys, header):
     write_ply(str(good), PointCloud(xyz=np.zeros((1, 3))))
     assert main(["eval-cd", "--pred", str(bad), "--truth", str(good)]) == 1
     assert "malformed PLY header line" in _single_error_line(capsys)
+
+
+@pytest.fixture()
+def rendered_dir(tmp_path, template_path):
+    scene_dir = tmp_path / "scene"
+    art_dir = tmp_path / "artifacts"
+    assert main(["gen-scene", "--template", template_path, "--seed", "1",
+                 "--out", str(scene_dir)]) == 0
+    assert main(["render", "--scene", str(scene_dir / "scene.json"), "--out", str(art_dir)]) == 0
+    return art_dir
+
+
+def _small_mask(art_dir):
+    (art_dir / "mask_000.pgm").write_bytes(b"P5\n320 240\n255\n" + bytes(320 * 240))
+
+
+def _foreign_mask_id(art_dir):
+    (art_dir / "mask_000.json").write_text(json.dumps({"instance_id": 100, "ripeness": "ripe"}))
+
+
+def _berry_missing_from_truth(art_dir):
+    path = art_dir / "ground_truth.json"
+    path.write_text(json.dumps({"instances": []}))
+
+
+def _small_rgb(art_dir):
+    (art_dir / "rgb.ppm").write_bytes(b"P6\n320 240\n255\n" + bytes(320 * 240 * 3))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_small_mask, "mask_000.pgm: 320x240 image does not match the scene's 640x480"),
+        (_small_rgb, "rgb.ppm: 320x240 image does not match the scene's 640x480"),
+        (_foreign_mask_id, "instance 100 is not a berry in scene.json"),
+        (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
+    ],
+    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth"],
+)
+def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
+    corrupt(rendered_dir)
+    capsys.readouterr()
+    rc = main(["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("berries", "translation", [float("nan"), 0.0, 0.36], "berry translation must be finite"),
+        ("occluders", "center", [0.0, float("inf"), 0.2], "occluder center and normal must be finite"),
+        ("occluders", "normal", [0.0, 0.0, float("nan")], "occluder center and normal must be finite"),
+        ("occluders", "semi_major", float("inf"), "occluder semi-axes must be finite"),
+    ],
+    ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf"],
+)
+def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps(SceneConfig(n_ripe=1, n_unripe=0, n_occluders=1).to_json()))
+    scene_dir = tmp_path / "scene"
+    assert main(["gen-scene", "--template", str(template), "--out", str(scene_dir)]) == 0
+    path = scene_dir / "scene.json"
+    doc = json.loads(path.read_text())
+    doc[section][0][key] = value
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+    capsys.readouterr()
+    rc = main(["render", "--scene", str(path), "--out", str(tmp_path / "art")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n", "bad.obj:2: malformed 'v' line"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 2 4\n", "bad.obj:5: face index out of range 1..3"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", "bad.obj:4: malformed 'f' line"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 b 3\n", "bad.obj:4: malformed 'f' line"),
+    ],
+    ids=["bad-vertex", "face-index-past-end", "short-face", "bad-face-index"],
+)
+def test_malformed_obj_prior_is_one_clean_error(tmp_path, prior, capsys, body, message):
+    bad = tmp_path / "bad.obj"
+    bad.write_text(body)
+    rc = main(["complete", "--partial", _partial_ply(tmp_path, prior), "--prior", str(bad),
+               "--out", str(tmp_path / "c")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
