@@ -127,19 +127,20 @@ def rasterize(
     row0, col0 = int(v0.min()), int(u0.min())
     depth = np.full((int(v1.max()) - row0 + 1, int(u1.max()) - col0 + 1), np.inf)
 
-    # Each face's box as rows (face, v) and columns (face, u); a candidate
-    # pixel is a row and a column of the same face, row by row.
+    # Each face's box as rows and columns: gv holds the pixel row of every
+    # (face, row), gu the pixel column of every (face, column). A candidate
+    # pixel pairs a row with each column of the same face, row by row.
     n_faces = len(keep)
     row_face = np.repeat(np.arange(n_faces), hbox)
     col_face = np.repeat(np.arange(n_faces), wbox)
+    col_start = np.cumsum(wbox) - wbox
     gv = v0[row_face] + np.arange(len(row_face)) - np.repeat(np.cumsum(hbox) - hbox, hbox)
-    gu = u0[col_face] + np.arange(len(col_face)) - np.repeat(np.cumsum(wbox) - wbox, wbox)
+    gu = u0[col_face] + np.arange(len(col_face)) - np.repeat(col_start, wbox)
     gv, gu = gv.astype(np.float64), gu.astype(np.float64)
     span = wbox[row_face]  # candidates per row
+    row_start = np.cumsum(span) - span
     n_cand = int(span.sum())
-    cand_col = np.repeat(
-        np.cumsum(wbox)[row_face] - span - (np.cumsum(span) - span), span
-    ) + np.arange(n_cand)
+    cand_col = np.repeat(col_start[row_face] - row_start, span) + np.arange(n_cand)
 
     # Edge function du * (v - pv) - dv * (u - pu): its first product depends
     # only on the row and its second only on the column, so each is computed
