@@ -50,8 +50,8 @@ class RenderParams:
     dropout_rate: float = 0.02
 
     def __post_init__(self):
-        if self.noise_sigma_mm < 0:
-            raise ParameterError("noise sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma_mm < np.inf:
+            raise ParameterError("noise sigma must be finite and nonnegative")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ParameterError("dropout rate must lie in [0, 1)")
 
@@ -195,7 +195,7 @@ def render_rgbd(
         colors.append(LEAF_COLOR)
 
     # composite mesh by mesh, in index order, each inside its own window; the
-    # strict < leaves a tie with the lower index, as an argmin would
+    # strict < leaves an exact tie with the lower mesh index
     nearest = np.full((h, w), np.inf)
     winner = np.full((h, w), -1, dtype=np.int32)
     windows = []

@@ -142,11 +142,27 @@ class SceneConfig:
     def __post_init__(self):
         if self.n_ripe < 0 or self.n_unripe < 0 or self.n_occluders < 0:
             raise ParameterError("object counts must be nonnegative")
+        values = [
+            self.clutter_spacing,
+            self.max_tilt_rad,
+            self.occluder_lateral_sigma,
+            *self.occluder_fraction_range,
+            *self.occluder_semi_axis_range,
+            *self.workspace_lo,
+            *self.workspace_hi,
+        ]
+        if not np.isfinite(values).all():
+            raise ParameterError("scene config values must be finite")
         if self.clutter_spacing < 0:
             raise ParameterError("clutter_spacing must be nonnegative")
+        if self.max_tilt_rad < 0 or self.occluder_lateral_sigma < 0:
+            raise ParameterError("max_tilt_rad and occluder_lateral_sigma must be nonnegative")
         lo, hi = self.occluder_fraction_range
         if not (0.0 < lo <= hi < 1.0):
             raise ParameterError("occluder fractions must lie strictly inside (0, 1)")
+        lo, hi = self.occluder_semi_axis_range
+        if not (0.0 < lo <= hi):
+            raise ParameterError("occluder semi-axis range must satisfy 0 < lo <= hi")
         object.__setattr__(self, "workspace_lo", tuple(float(v) for v in self.workspace_lo))
         object.__setattr__(self, "workspace_hi", tuple(float(v) for v in self.workspace_hi))
         if any(a >= b for a, b in zip(self.workspace_lo, self.workspace_hi)):

@@ -31,6 +31,8 @@ class CameraIntrinsics:
     cy: float = 239.5
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ParameterError("camera intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ParameterError("focal lengths must be positive")
 

@@ -233,8 +233,9 @@ def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, cap
         ("occluders", "center", [0.0, float("inf"), 0.2], "occluder center and normal must be finite"),
         ("occluders", "normal", [0.0, 0.0, float("nan")], "occluder center and normal must be finite"),
         ("occluders", "semi_major", float("inf"), "occluder semi-axes must be finite"),
+        ("intrinsics", "fx", float("inf"), "camera intrinsics must be finite"),
     ],
-    ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf"],
+    ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf"],
 )
 def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):
     template = tmp_path / "template.json"
@@ -243,7 +244,7 @@ def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, sect
     assert main(["gen-scene", "--template", str(template), "--out", str(scene_dir)]) == 0
     path = scene_dir / "scene.json"
     doc = json.loads(path.read_text())
-    doc[section][0][key] = value
+    (doc[section][0] if isinstance(doc[section], list) else doc[section])[key] = value
     path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
     capsys.readouterr()
     rc = main(["render", "--scene", str(path), "--out", str(tmp_path / "art")])
@@ -268,3 +269,28 @@ def test_malformed_obj_prior_is_one_clean_error(tmp_path, prior, capsys, body, m
                "--out", str(tmp_path / "c")])
     assert rc == 1
     assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ('{"workspace_lo": [NaN, -0.06, 0.3]}', "scene config values must be finite"),
+        ('{"occluder_lateral_sigma": -1}', "must be nonnegative"),
+        ('{"occluder_semi_axis_range": [0.03, -0.01]}', "occluder semi-axis range"),
+    ],
+    ids=["workspace-nan", "negative-sigma", "reversed-semi-axes"],
+)
+def test_malformed_template_values_are_one_clean_error(tmp_path, capsys, template, message):
+    path = tmp_path / "template.json"
+    path.write_text(template)
+    rc = main(["gen-scene", "--template", str(path), "--out", str(tmp_path / "scene")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
+
+
+def test_non_finite_noise_sigma_is_one_clean_error(tmp_path, rendered_dir, capsys):
+    capsys.readouterr()
+    rc = main(["render", "--scene", str(rendered_dir / "scene.json"), "--sigma-mm", "nan",
+               "--out", str(tmp_path / "again")])
+    assert rc == 1
+    assert "noise sigma must be finite and nonnegative" in _single_error_line(capsys)

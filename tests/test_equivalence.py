@@ -318,13 +318,17 @@ def reference_rasterize(vertices, faces, k, width, height):
     offset = np.arange(box.sum()) - np.repeat(np.cumsum(box) - box, box)
     gu = u0[rep] + offset % wbox[rep]
     gv = v0[rep] + offset // wbox[rep]
+    w0 = (pu[rep, 1] - pu[rep, 0]) * (gv - pv[rep, 0]) - (pv[rep, 1] - pv[rep, 0]) * (
+        gu - pu[rep, 0]
+    )
+    w1 = (pu[rep, 2] - pu[rep, 1]) * (gv - pv[rep, 1]) - (pv[rep, 2] - pv[rep, 1]) * (
+        gu - pu[rep, 1]
+    )
+    w2 = (pu[rep, 0] - pu[rep, 2]) * (gv - pv[rep, 2]) - (pv[rep, 0] - pv[rep, 2]) * (
+        gu - pu[rep, 2]
+    )
     s = sign[rep]
-    inside = np.ones(len(rep), dtype=bool)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        e = (pu[rep, b] - pu[rep, a]) * (gv - pv[rep, a]) - (pv[rep, b] - pv[rep, a]) * (
-            gu - pu[rep, a]
-        )
-        inside &= s * e >= 0
+    inside = (s * w0 >= 0) & (s * w1 >= 0) & (s * w2 >= 0)
     rep, gu, gv = rep[inside], gu[inside], gv[inside]
     n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     n_rep = n[rep]

@@ -233,6 +233,9 @@ def test_render_params_validation():
         RenderParams(noise_sigma_mm=-1.0)
     with pytest.raises(ParameterError):
         RenderParams(dropout_rate=1.0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            RenderParams(noise_sigma_mm=sigma)
 
 
 # ---------------------------------------------------------------- ground truth

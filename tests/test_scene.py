@@ -120,6 +120,16 @@ def test_config_validation():
         SceneConfig(workspace_lo=(0.1, -0.06, 0.30), workspace_hi=(0.09, 0.06, 0.42))
     with pytest.raises(ParameterError):
         SceneConfig(workspace_lo=(-0.09, -0.06, -0.1), workspace_hi=(0.09, 0.06, 0.42))
+    for bad in (
+        {"workspace_lo": (float("nan"), -0.06, 0.30)},
+        {"max_tilt_rad": float("nan")},
+        {"max_tilt_rad": -0.1},
+        {"occluder_lateral_sigma": -1.0},
+        {"occluder_semi_axis_range": (0.03, -0.01)},
+        {"clutter_spacing": float("inf")},
+    ):
+        with pytest.raises(ParameterError):
+            SceneConfig(**bad)
 
 
 def test_config_json_round_trip():
