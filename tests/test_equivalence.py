@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -38,6 +39,10 @@ from berrypick import (
     project_point_cloud,
     remove_outliers,
     render_rgbd,
+    render_scene_artifacts,
+    run_ablation,
+    run_benchmark,
+    run_pipeline,
     simulate_execution,
     voxel_downsample,
 )
@@ -453,3 +458,34 @@ def test_crop_render_matches_full_frame_reference(prior):
     assert offscreen.visibility[0] == 0.0 and offscreen.visibility[1] > 0.9
     assert not leaves_only.masks and (leaves_only.rgb.values == LEAF_COLOR).all(axis=2).any()
     assert small.masks[0].bits.all()
+
+
+# ---------------------------------------------------------------- runners
+
+
+def test_runners_match_per_scene_reference(prior):
+    """Every ablation variant and run_benchmark against a hand loop that
+    generates, renders and runs each scene of SeedSequence(seed).spawn(n)
+    on its own."""
+    template = SceneConfig(n_ripe=2, n_unripe=3, n_occluders=3, clutter_spacing=0.002,
+                           workspace_lo=(-0.05, -0.04, 0.31), workspace_hi=(0.05, 0.04, 0.40))
+    params = RenderParams(2.0, 0.05)
+    cfg = PipelineConfig(inflation=0.018)
+    variants = {
+        "full": cfg,
+        "no_obstacles": replace(cfg, use_obstacles=False),
+        "no_completion": replace(cfg, use_completion=False),
+    }
+    n, seed = 4, 20260816
+    expected = {name: [] for name in variants}
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
+        gen_ss, render_ss, truth_ss = child.spawn(3)
+        scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(gen_ss)))
+        artifacts = render_scene_artifacts(scene, prior, params, render_ss, truth_ss)
+        for name, variant in variants.items():
+            expected[name].append(run_pipeline(artifacts, variant, prior, scene_id=i))
+    assert any(t.attempted for t in expected["full"])
+
+    assert run_ablation(template, n, cfg, seed, params, prior) == expected
+    for name, variant in variants.items():
+        assert run_benchmark(template, n, variant, seed, params, prior) == expected[name]

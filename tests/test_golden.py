@@ -23,6 +23,7 @@ from berrypick import (
     generate_scene,
     render_rgbd,
     run_ablation,
+    run_benchmark,
     run_completion_benchmark,
 )
 
@@ -33,6 +34,7 @@ RENDER = RenderParams(noise_sigma_mm=2.0, dropout_rate=0.05)
 ABLATION_PIN = "aee9bce6d7efc05f960ee7545f46a1562d88562e29a64dbeb91c478f1f496b27"
 COMPLETION_PIN = "50ca39c8e5440f4e809ed313fafc6617f9553d9cd901855657df32338c72cad9"
 RENDER_PIN = "3ead8cbe809fc14a8b92c461864d9cb87f7def1928c914d550d0ae659d763283"
+BENCHMARK_PIN = "0c1567971661a2dade95f0ea277c462cabb36045877582174a3ca8e791906fad"
 
 
 def _sha256(obj) -> str:
@@ -51,8 +53,8 @@ def _trial_tuple(t) -> list:
     ]
 
 
-def ablation_digest(prior) -> str:
-    template = SceneConfig(
+def _cluttered_template() -> SceneConfig:
+    return SceneConfig(
         n_ripe=2,
         n_unripe=3,
         n_occluders=3,
@@ -60,10 +62,27 @@ def ablation_digest(prior) -> str:
         workspace_lo=(-0.05, -0.04, 0.31),
         workspace_hi=(0.05, 0.04, 0.40),
     )
+
+
+def ablation_digest(prior) -> str:
     runs = run_ablation(
-        template, 20, PipelineConfig(inflation=0.018), seed=20260816,
+        _cluttered_template(), 20, PipelineConfig(inflation=0.018), seed=20260816,
         render_params=RENDER, prior=prior,
     )
+    return _sha256({name: [_trial_tuple(t) for t in trials] for name, trials in sorted(runs.items())})
+
+
+def benchmark_digest(prior) -> str:
+    """run_benchmark on the ablation template, with and without obstacles."""
+    runs = {
+        name: run_benchmark(
+            _cluttered_template(), 10, cfg, seed=20260816, render_params=RENDER, prior=prior
+        )
+        for name, cfg in (
+            ("full", PipelineConfig(inflation=0.018)),
+            ("no_obstacles", PipelineConfig(inflation=0.018, use_obstacles=False)),
+        )
+    }
     return _sha256({name: [_trial_tuple(t) for t in trials] for name, trials in sorted(runs.items())})
 
 
@@ -101,6 +120,10 @@ def render_digest(prior) -> str:
 
 def test_ablation_outcomes_are_pinned(prior):
     assert ablation_digest(prior) == ABLATION_PIN
+
+
+def test_benchmark_outcomes_are_pinned(prior):
+    assert benchmark_digest(prior) == BENCHMARK_PIN
 
 
 def test_completion_distances_are_pinned(prior):
