@@ -72,7 +72,6 @@ from .types import (
     InstanceMask,
     LossWeights,
     OutlierParams,
-    Point,
     PointCloud,
     Pose,
     RgbImage,

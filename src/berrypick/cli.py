@@ -25,7 +25,7 @@ from .io_formats import (
     write_ply,
     _write_text,
 )
-from .metrics import compute_metrics, emit_report, load_metrics
+from .metrics import comparison_csv, compute_metrics, emit_report, load_metrics
 from .pipeline import (
     PipelineConfig,
     plan_scene,
@@ -176,16 +176,11 @@ def _cmd_report(args) -> int:
     lines = [json.dumps(ours.to_json(), indent=2, sort_keys=True)]
     if args.baseline:
         baseline = load_metrics(os.path.join(args.baseline, "metrics.json"))
-        rows = ["metric,baseline,ours,delta"]
-        for name in ("rho_a", "rho_s", "rho_s_over_a", "rho_h"):
-            b = getattr(baseline, name)
-            o = getattr(ours, name)
-            rows.append(f"{name},{b:.4f},{o:.4f},{o - b:.4f}")
-        table = "\n".join(rows)
+        table = comparison_csv(ours, baseline)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            _write_text(os.path.join(args.out, "comparison.csv"), table + "\n")
-        lines.append(table)
+            _write_text(os.path.join(args.out, "comparison.csv"), table)
+        lines.append(table.rstrip("\n"))
     print("\n".join(lines))
     return 0
 

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from .errors import InsufficientDataError, ParameterError, RegistrationError
 from .prior import StrawberryPrior
 from .types import LossWeights, PointCloud, Pose, rotation_about_axis, rotation_aligning
-from .chamfer import chamfer_loss, chamfer_metric_mm
+from .chamfer import chamfer_metric_mm, hierarchical_loss
 
 _MIN_PARTIAL_POINTS = 10
 
@@ -54,10 +54,6 @@ class IcpResult:
     residual_history_mm: tuple[float, ...]
     converged: bool
     restart_index: int
-
-    def __iter__(self):
-        # allows `pose, fitness = icp_refine(...)`
-        return iter((self.pose, self.fitness_mm))
 
 
 @dataclass(frozen=True)
@@ -297,10 +293,7 @@ def evaluate_completion(
             raise ParameterError(
                 f"density mismatch: predicted {len(p)} points vs truth {len(s)}"
             )
-    hierarchical = sum(
-        w * chamfer_loss(p, s) for w, p, s in zip(weights.as_tuple(), preds, truth)
-    )
     return {
-        "hierarchical": float(hierarchical),
+        "hierarchical": float(hierarchical_loss(preds, truth, weights)),
         "metric_mm": [chamfer_metric_mm(p, s) for p, s in zip(preds, truth)],
     }

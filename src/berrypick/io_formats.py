@@ -23,11 +23,16 @@ from .scene import SceneTemplate
 from .types import DepthImage, InstanceMask, PointCloud, RgbImage, Ripeness
 
 
-def _wrap_write(path: str, fn):
+def _write_bytes(path: str, data: bytes) -> None:
     try:
-        return fn()
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise StorageError(f"failed writing {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_bytes(path, text.encode("utf-8"))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -55,12 +60,7 @@ def write_ply(path: str, cloud: PointCloud) -> None:
             r, g, b = (int(v) for v in cloud.colors[i])
             row += f" {r} {g} {b}"
         lines.append(row)
-
-    def do():
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    _wrap_write(path, do)
+    _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_ply(path: str) -> PointCloud:
@@ -146,84 +146,51 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int
     return fields[0], fields[1], fields[2], pos
 
 
+def _read_netpbm(path: str, magic: bytes, maxval: int, dtype, channels: int) -> np.ndarray:
+    """The (H, W) or (H, W, channels) samples of a binary PGM or PPM file
+    whose maxval must be `maxval`."""
+    data = _read_bytes(path)
+    w, h, found, offset = _parse_netpbm_header(data, magic, path)
+    if found != maxval:
+        raise InputError(f"{path}: expected maxval {maxval}, got {found}")
+    shape = (h, w, channels) if channels > 1 else (h, w)
+    expected = w * h * channels * np.dtype(dtype).itemsize
+    body = data[offset : offset + expected]
+    if len(body) != expected:
+        raise InputError(f"{path}: truncated {magic.decode()} payload")
+    return np.frombuffer(body, dtype=dtype).reshape(shape)
+
+
 def write_pgm16(path: str, depth: DepthImage) -> None:
     header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
-    payload = depth.values.astype(">u2").tobytes()
-
-    def do():
-        with open(path, "wb") as fh:
-            fh.write(header + payload)
-
-    _wrap_write(path, do)
+    _write_bytes(path, header + depth.values.astype(">u2").tobytes())
 
 
 def read_pgm16(path: str) -> DepthImage:
-    data = _read_bytes(path)
-    w, h, maxval, offset = _parse_netpbm_header(data, b"P5", path)
-    if maxval != 65535:
-        raise InputError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval}")
-    expected = w * h * 2
-    body = data[offset : offset + expected]
-    if len(body) != expected:
-        raise InputError(f"{path}: truncated PGM payload")
-    values = np.frombuffer(body, dtype=">u2").reshape(h, w).astype(np.uint16)
-    return DepthImage(values=values)
+    return DepthImage(values=_read_netpbm(path, b"P5", 65535, ">u2", 1).astype(np.uint16))
 
 
 def write_ppm(path: str, rgb: RgbImage) -> None:
     h, w = rgb.values.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-
-    def do():
-        with open(path, "wb") as fh:
-            fh.write(header + rgb.values.tobytes())
-
-    _wrap_write(path, do)
+    _write_bytes(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.values.tobytes())
 
 
 def read_ppm(path: str) -> RgbImage:
-    data = _read_bytes(path)
-    w, h, maxval, offset = _parse_netpbm_header(data, b"P6", path)
-    if maxval != 255:
-        raise InputError(f"{path}: expected 8-bit PPM, got maxval {maxval}")
-    expected = w * h * 3
-    body = data[offset : offset + expected]
-    if len(body) != expected:
-        raise InputError(f"{path}: truncated PPM payload")
-    values = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).copy()
-    return RgbImage(values=values)
+    return RgbImage(values=_read_netpbm(path, b"P6", 255, np.uint8, 3).copy())
 
 
 def write_mask(path: str, mask: InstanceMask) -> None:
     """Writes <path>.pgm plus a <path>.json sidecar."""
     h, w = mask.bits.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    payload = np.where(mask.bits, 255, 0).astype(np.uint8).tobytes()
-
-    def do():
-        with open(path + ".pgm", "wb") as fh:
-            fh.write(header + payload)
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"instance_id": mask.instance_id, "ripeness": mask.ripeness.value},
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-
-    _wrap_write(path, do)
+    _write_bytes(path + ".pgm", header + np.where(mask.bits, 255, 0).astype(np.uint8).tobytes())
+    meta = {"instance_id": mask.instance_id, "ripeness": mask.ripeness.value}
+    _write_text(path + ".json", json.dumps(meta, sort_keys=True) + "\n")
 
 
 def read_mask(path: str) -> InstanceMask:
     """path without extension; reads <path>.pgm and <path>.json."""
-    data = _read_bytes(path + ".pgm")
-    w, h, maxval, offset = _parse_netpbm_header(data, b"P5", path + ".pgm")
-    if maxval != 255:
-        raise InputError(f"{path}.pgm: expected 8-bit mask PGM")
-    body = data[offset : offset + w * h]
-    if len(body) != w * h:
-        raise InputError(f"{path}.pgm: truncated payload")
-    bits = np.frombuffer(body, dtype=np.uint8).reshape(h, w) > 0
+    bits = _read_netpbm(path + ".pgm", b"P5", 255, np.uint8, 1) > 0
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -237,14 +204,6 @@ def read_mask(path: str) -> InstanceMask:
 
 
 # -- JSON documents -----------------------------------------------------------
-
-
-def _write_text(path: str, text: str) -> None:
-    def do():
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    _wrap_write(path, do)
 
 
 def save_scene(path: str, scene: SceneTemplate) -> None:

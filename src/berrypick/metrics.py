@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, StorageError
+from .errors import InputError, ParameterError, StorageError
 
 
 @dataclass(frozen=True)
@@ -43,23 +44,32 @@ class MetricsReport:
             raise ParameterError("success rate cannot exceed attempt rate")
 
     def to_json(self) -> dict:
-        return {
-            "rho_a": self.rho_a,
-            "rho_s": self.rho_s,
-            "rho_s_over_a": self.rho_s_over_a,
-            "rho_h": self.rho_h,
-            "cd_mean_mm": self.cd_mean_mm,
-            "cd_median_mm": self.cd_median_mm,
-            "n_trials": self.n_trials,
-            "n_detections": self.n_detections,
-            "n_attempts": self.n_attempts,
-            "n_successes": self.n_successes,
-            "n_hit_trials": self.n_hit_trials,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "MetricsReport":
-        return cls(**obj)
+    def from_json(cls, obj) -> "MetricsReport":
+        """Strict parse: exactly the report's keys, counts as integers, the
+        ratios as finite numbers and the CD statistics as numbers or null."""
+        if not isinstance(obj, dict):
+            raise InputError("a metrics report must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        if set(obj) != names:
+            raise InputError(
+                f"metrics keys missing: {sorted(names - set(obj))}, "
+                f"unknown: {sorted(set(obj) - names)}"
+            )
+        for name, value in obj.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if name.startswith("n_"):
+                ok = number and isinstance(value, int) and value >= 0
+            else:
+                ok = (number and math.isfinite(value)) or (name.startswith("cd_") and value is None)
+            if not ok:
+                raise InputError(f"metrics field {name} has invalid value {value!r}")
+        try:
+            return cls(**obj)
+        except ParameterError as exc:
+            raise InputError(f"invalid metrics report: {exc}") from exc
 
 
 def compute_metrics(results) -> MetricsReport:
@@ -137,12 +147,7 @@ def emit_report(
         if baseline is not None:
             comparison_path = os.path.join(out_dir, "comparison.csv")
             with open(comparison_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["metric", "baseline", "ours", "delta"])
-                for name in ("rho_a", "rho_s", "rho_s_over_a", "rho_h"):
-                    b = getattr(baseline, name)
-                    o = getattr(report, name)
-                    writer.writerow([name, f"{b:.4f}", f"{o:.4f}", f"{o - b:.4f}"])
+                fh.write(comparison_csv(report, baseline))
             paths["comparison"] = comparison_path
 
         return paths
@@ -150,9 +155,25 @@ def emit_report(
         raise StorageError(f"failed writing report to {out_dir}: {exc}") from exc
 
 
+def comparison_csv(report: MetricsReport, baseline: MetricsReport) -> str:
+    """The four ratios side by side with their deltas, as CSV text."""
+    rows = ["metric,baseline,ours,delta"]
+    for name in ("rho_a", "rho_s", "rho_s_over_a", "rho_h"):
+        b = getattr(baseline, name)
+        o = getattr(report, name)
+        rows.append(f"{name},{b:.4f},{o:.4f},{o - b:.4f}")
+    return "\n".join(rows) + "\n"
+
+
 def load_metrics(path: str) -> MetricsReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return MetricsReport.from_json(json.load(fh))
+            obj = json.load(fh)
     except OSError as exc:
-        raise StorageError(f"failed reading metrics from {path}: {exc}") from exc
+        raise InputError(f"cannot read metrics {path}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return MetricsReport.from_json(obj)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc

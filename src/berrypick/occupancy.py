@@ -73,10 +73,6 @@ class OccupancyGrid:
     def is_occupied(self, cell: tuple[int, int, int]) -> bool:
         return bool(self.occupied[cell])
 
-    def linear_index(self, cell: tuple[int, int, int]) -> int:
-        i, j, k = cell
-        return (i * self.dims[1] + j) * self.dims[2] + k
-
     @property
     def occupied_count(self) -> int:
         return int(self.occupied.sum())

@@ -10,12 +10,18 @@ algorithmic failure, so batches always run to completion.
 Two ablation switches mirror the evaluation design: use_completion=False
 feeds the denoised partial clouds straight to planning, and
 use_obstacles=False plans through an empty occupancy map.
+
+Every benchmark draws scene i of a seed from one function, _scene, so each
+scene is built from its index alone. run_benchmark and run_ablation share
+one trial runner, _run_variants; run_completion_benchmark takes the same
+scenes and scores completion only.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +60,6 @@ from .types import (
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
-    LossWeights,
     OutlierParams,
     PointCloud,
     RgbImage,
@@ -73,7 +78,8 @@ class FailureReason(str, enum.Enum):
 def _check_like(value, default, where: str) -> None:
     """Reject a JSON value whose shape or type differs from the default's:
     objects may hold only the default's keys, a float field also takes an
-    int, and booleans never count as numbers."""
+    int, booleans never count as numbers, and NaN and infinities are
+    refused."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise InputError(f"{where} must be a JSON object")
@@ -95,13 +101,14 @@ def _check_like(value, default, where: str) -> None:
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a number"
             raise InputError(f"{where} must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{where} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     voxel: VoxelParams = field(default_factory=VoxelParams)
     outliers: OutlierParams = field(default_factory=OutlierParams)
-    weights: LossWeights = field(default_factory=LossWeights)
     icp: IcpParams = field(default_factory=IcpParams)
     grid_resolution: float = 0.005
     inflation: float = 0.015
@@ -126,31 +133,7 @@ class PipelineConfig:
         return RobotState(p_ee=np.array(self.p_ee), gripper_radius=self.gripper_radius)
 
     def to_json(self) -> dict:
-        return {
-            "voxel": {"voxel_size": self.voxel.voxel_size, "min_points": self.voxel.min_points},
-            "outliers": {
-                "k_neighbors": self.outliers.k_neighbors,
-                "std_ratio": self.outliers.std_ratio,
-            },
-            "weights": {
-                "lambda0": self.weights.lambda0,
-                "lambda1": self.weights.lambda1,
-                "lambda2": self.weights.lambda2,
-            },
-            "icp": {
-                "max_iterations": self.icp.max_iterations,
-                "convergence_tol": self.icp.convergence_tol,
-                "max_correspondence_dist": self.icp.max_correspondence_dist,
-                "restart_count": self.icp.restart_count,
-            },
-            "grid_resolution": self.grid_resolution,
-            "inflation": self.inflation,
-            "gripper_radius": self.gripper_radius,
-            "use_completion": self.use_completion,
-            "use_obstacles": self.use_obstacles,
-            "rng_seed": self.rng_seed,
-            "p_ee": list(self.p_ee),
-        }
+        return {**asdict(self), "p_ee": list(self.p_ee)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
@@ -160,7 +143,6 @@ class PipelineConfig:
         sections = {
             "voxel": VoxelParams,
             "outliers": OutlierParams,
-            "weights": LossWeights,
             "icp": IcpParams,
         }
         try:
@@ -460,6 +442,56 @@ def plan_scene(
     }
 
 
+def _scene(template: SceneConfig, seed, index: int, prior: StrawberryPrior,
+           render_params: RenderParams):
+    """Scene `index` of a seed's stream: the scene, its render, and the seed
+    of its ground truth, which the caller samples only when it needs it.
+
+    The scene draws from child `index` of SeedSequence(seed), whose three
+    children feed generation, rendering and ground truth. So each scene can
+    be built on its own, and toggling pipeline flags replays the same scenes.
+    """
+    gen_ss, render_ss, truth_ss = np.random.SeedSequence(seed, spawn_key=(index,)).spawn(3)
+    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(gen_ss)))
+    return scene, render_rgbd(scene, prior, render_params, render_ss), truth_ss
+
+
+def _run_variants(
+    template: SceneConfig,
+    n_scenes: int,
+    variants: dict[str, PipelineConfig],
+    cfg: PipelineConfig,
+    seed,
+    render_params: RenderParams,
+    prior: StrawberryPrior | None,
+) -> dict[str, list[TrialResult]]:
+    """Each variant's trials over the same n_scenes scenes.
+
+    A scene is rendered and its partial clouds extracted once, with cfg's
+    perception settings; each completion mode the variants use is computed
+    once and shared by them.
+    """
+    if n_scenes < 1:
+        raise ParameterError("n_scenes must be at least 1")
+    prior = prior or StrawberryPrior.builtin()
+    modes = dict.fromkeys(v.use_completion for v in variants.values())
+    results: dict[str, list[TrialResult]] = {name: [] for name in variants}
+    for i in range(n_scenes):
+        scene, rendered, truth_ss = _scene(template, seed, i, prior, render_params)
+        truth = sample_ground_truth(scene, prior, truth_ss)
+        artifacts = SceneArtifacts(scene, rendered.rgb, rendered.depth, rendered.masks, truth)
+        found = _detect(artifacts, cfg)
+        perceptions = {
+            mode: _complete(artifacts, *found, replace(cfg, use_completion=mode), prior)
+            for mode in modes
+        }
+        for name, variant in variants.items():
+            results[name].append(
+                _finish_trial(artifacts, perceptions[variant.use_completion], variant, prior, i)
+            )
+    return results
+
+
 def run_benchmark(
     template: SceneConfig,
     n_scenes: int,
@@ -468,24 +500,9 @@ def run_benchmark(
     render_params: RenderParams = RenderParams(),
     prior: StrawberryPrior | None = None,
 ) -> list[TrialResult]:
-    """n_scenes seeded trials; (template, cfg, seed) determines every result.
-
-    Scene generation, rendering noise and ground-truth sampling each draw
-    from independent child streams of one root seed, so toggling pipeline
-    flags replays the exact same scenes.
-    """
-    if n_scenes < 1:
-        raise ParameterError("n_scenes must be at least 1")
-    prior = prior or StrawberryPrior.builtin()
-    results = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_scenes)):
-        gen_ss, render_ss, truth_ss = child.spawn(3)
-        scene = generate_scene(
-            template, prior, np.random.Generator(np.random.Philox(gen_ss))
-        )
-        artifacts = render_scene_artifacts(scene, prior, render_params, render_ss, truth_ss)
-        results.append(run_pipeline(artifacts, cfg, prior, scene_id=i))
-    return results
+    """n_scenes seeded trials; (template, cfg, seed) determines every result."""
+    runs = _run_variants(template, n_scenes, {"trials": cfg}, cfg, seed, render_params, prior)
+    return runs["trials"]
 
 
 def run_ablation(
@@ -497,38 +514,14 @@ def run_ablation(
     prior: StrawberryPrior | None = None,
 ) -> dict[str, list[TrialResult]]:
     """The three pipeline variants over identical scenes: full, obstacles
-    disabled, completion disabled.
-
-    Equivalent to three run_benchmark calls with the same seed (the scene
-    stream only depends on template and seed), but each scene is rendered
-    and its partial clouds extracted once, and each perception mode is
-    computed once, then reused across variants.
-    """
-    prior = prior or StrawberryPrior.builtin()
+    disabled, completion disabled. Each list equals run_benchmark with that
+    variant's config and the same seed."""
     variants = {
         "full": replace(cfg, use_completion=True, use_obstacles=True),
         "no_obstacles": replace(cfg, use_completion=True, use_obstacles=False),
         "no_completion": replace(cfg, use_completion=False, use_obstacles=True),
     }
-    results: dict[str, list[TrialResult]] = {name: [] for name in variants}
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_scenes)):
-        gen_ss, render_ss, truth_ss = child.spawn(3)
-        scene = generate_scene(
-            template, prior, np.random.Generator(np.random.Philox(gen_ss))
-        )
-        artifacts = render_scene_artifacts(scene, prior, render_params, render_ss, truth_ss)
-        found = _detect(artifacts, cfg)
-        perceptions = {
-            mode: _complete(artifacts, *found, replace(cfg, use_completion=mode), prior)
-            for mode in (True, False)
-        }
-        for name, variant in variants.items():
-            results[name].append(
-                _finish_trial(
-                    artifacts, perceptions[variant.use_completion], variant, prior, i
-                )
-            )
-    return results
+    return _run_variants(template, n_scenes, variants, cfg, seed, render_params, prior)
 
 
 def run_completion_benchmark(
@@ -551,16 +544,11 @@ def run_completion_benchmark(
     if n_berries < 1:
         raise ParameterError("n_berries must be at least 1")
     prior = prior or StrawberryPrior.builtin()
-    root = np.random.SeedSequence(seed)
     cds: list[float] = []
-    for _ in range(20 * n_berries):  # generous budget for visibility rejections
+    for i in range(20 * n_berries):  # generous budget for visibility rejections
         if len(cds) >= n_berries:
             break
-        gen_ss, render_ss, truth_ss = root.spawn(1)[0].spawn(3)
-        scene = generate_scene(
-            template, prior, np.random.Generator(np.random.Philox(gen_ss))
-        )
-        rendered = render_rgbd(scene, prior, render_params, render_ss)
+        scene, rendered, truth_ss = _scene(template, seed, i, prior, render_params)
         eligible = [
             m for m in rendered.masks
             if rendered.visibility.get(m.instance_id, 0.0) >= min_visibility

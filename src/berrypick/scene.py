@@ -9,7 +9,7 @@ geometry is in the camera frame, meters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -171,18 +171,7 @@ class SceneConfig:
             raise ParameterError("workspace must sit in front of the camera")
 
     def to_json(self) -> dict:
-        return {
-            "n_ripe": self.n_ripe,
-            "n_unripe": self.n_unripe,
-            "n_occluders": self.n_occluders,
-            "clutter_spacing": self.clutter_spacing,
-            "max_tilt_rad": self.max_tilt_rad,
-            "occluder_fraction_range": list(self.occluder_fraction_range),
-            "occluder_lateral_sigma": self.occluder_lateral_sigma,
-            "occluder_semi_axis_range": list(self.occluder_semi_axis_range),
-            "workspace_lo": list(self.workspace_lo),
-            "workspace_hi": list(self.workspace_hi),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SceneConfig":
@@ -214,26 +203,11 @@ class SceneTemplate:
             raise ParameterError("duplicate berry instance ids")
         self.intrinsics.validate_for(self.width, self.height)
 
-    @property
-    def ripe_ids(self) -> tuple[int, ...]:
-        return tuple(b.instance_id for b in self.berries if b.ripeness is Ripeness.RIPE)
-
-    def berry(self, instance_id: int) -> BerryInstance:
-        for b in self.berries:
-            if b.instance_id == instance_id:
-                return b
-        raise KeyError(instance_id)
-
     def to_json(self) -> dict:
         return {
             "width": self.width,
             "height": self.height,
-            "intrinsics": {
-                "fx": self.intrinsics.fx,
-                "fy": self.intrinsics.fy,
-                "cx": self.intrinsics.cx,
-                "cy": self.intrinsics.cy,
-            },
+            "intrinsics": asdict(self.intrinsics),
             "berries": [b.to_json() for b in self.berries],
             "occluders": [o.to_json() for o in self.occluders],
         }
@@ -274,9 +248,6 @@ def generate_scene(
     config: SceneConfig,
     prior: StrawberryPrior,
     rng: np.random.Generator,
-    intrinsics: CameraIntrinsics | None = None,
-    width: int = 640,
-    height: int = 480,
 ) -> SceneTemplate:
     """Rejection-sample berry centers with a minimum mutual distance, then hang
     leaves on the sight lines of randomly chosen berries.
@@ -284,7 +255,6 @@ def generate_scene(
     Raises SceneGenerationError when the workspace cannot fit the requested
     clutter within the retry budget.
     """
-    intrinsics = intrinsics or CameraIntrinsics()
     min_dist = 2 * prior.bounding_radius_m + config.clutter_spacing
     ws_lo = np.asarray(config.workspace_lo, dtype=float)
     ws_hi = np.asarray(config.workspace_hi, dtype=float)
@@ -337,10 +307,4 @@ def generate_scene(
             )
         )
 
-    return SceneTemplate(
-        berries=berries,
-        occluders=tuple(occluders),
-        intrinsics=intrinsics,
-        width=width,
-        height=height,
-    )
+    return SceneTemplate(berries=berries, occluders=tuple(occluders))

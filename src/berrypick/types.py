@@ -93,22 +93,6 @@ class RgbImage:
 
 
 @dataclass(frozen=True)
-class Point:
-    """Single point view; convenience accessor over PointCloud rows."""
-
-    x: float
-    y: float
-    z: float
-    color: tuple[int, int, int] | None = None
-    source_pixel: tuple[int, int] | None = None
-    instance_id: int | None = None
-
-    @property
-    def xyz(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
 class PointCloud:
     """Ordered point container with optional per-point provenance.
 
@@ -168,17 +152,6 @@ class PointCloud:
             colors=None if self.colors is None else self.colors[index],
             source_pixels=None if self.source_pixels is None else self.source_pixels[index],
             instance_ids=None if self.instance_ids is None else self.instance_ids[index],
-        )
-
-    def point(self, i: int) -> Point:
-        x, y, z = self.xyz[i]
-        return Point(
-            x=float(x),
-            y=float(y),
-            z=float(z),
-            color=None if self.colors is None else tuple(int(v) for v in self.colors[i]),
-            source_pixel=None if self.source_pixels is None else tuple(int(v) for v in self.source_pixels[i]),
-            instance_id=None if self.instance_ids is None else int(self.instance_ids[i]),
         )
 
     def with_instance_id(self, instance_id: int) -> "PointCloud":
@@ -309,21 +282,6 @@ class Pose:
 
     def apply(self, xyz: np.ndarray) -> np.ndarray:
         return np.asarray(xyz) @ self.rotation.T + self.translation
-
-    def apply_cloud(self, cloud: PointCloud) -> PointCloud:
-        return PointCloud(
-            xyz=self.apply(cloud.xyz),
-            colors=cloud.colors,
-            source_pixels=cloud.source_pixels,
-            instance_ids=cloud.instance_ids,
-        )
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self after other: result.apply(p) == self.apply(other.apply(p))."""
-        return Pose(
-            rotation=self.rotation @ other.rotation,
-            translation=self.rotation @ other.translation + self.translation,
-        )
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T

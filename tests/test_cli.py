@@ -158,6 +158,12 @@ def _single_error_line(capsys) -> str:
         ({"icp": {"restart_count": 1.5}}, "config.icp.restart_count must be an integer"),
         ({"use_obstacles": "no"}, "config.use_obstacles must be true or false"),
         ({"p_ee": [0, 0]}, "config.p_ee must be a list of 3 numbers"),
+        ({"grid_resolution": float("nan")}, "config.grid_resolution must be finite"),
+        ({"inflation": float("inf")}, "config.inflation must be finite"),
+        ({"p_ee": [0, 0, float("nan")]}, "config.p_ee must be finite"),
+        ({"gripper_radius": float("nan")}, "config.gripper_radius must be finite"),
+        ({"icp": {"convergence_tol": float("nan")}}, "config.icp.convergence_tol must be finite"),
+        ({"weights": {"lambda0": 1.0}}, "unknown config keys: ['weights']"),
     ],
 )
 def test_mistyped_config_is_one_clean_error(tmp_path, template_path, capsys, config, message):
@@ -167,6 +173,36 @@ def test_mistyped_config_is_one_clean_error(tmp_path, template_path, capsys, con
                "--n", "1", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert message in _single_error_line(capsys)
+
+
+_METRICS = dict(
+    rho_a=50.0, rho_s=40.0, rho_s_over_a=80.0, rho_h=10.0, cd_mean_mm=1.0, cd_median_mm=1.0,
+    n_trials=2, n_detections=2, n_attempts=1, n_successes=1, n_hit_trials=0,
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read metrics"),
+        ("{bad", "is not valid JSON"),
+        ('{"x": 1}', "metrics keys missing"),
+        ("[1]", "must be a JSON object"),
+        (json.dumps({**_METRICS, "rho_a": "high"}), "metrics field rho_a has invalid value"),
+        (json.dumps({**_METRICS, "rho_h": float("nan")}), "metrics field rho_h has invalid value"),
+        (json.dumps({**_METRICS, "n_trials": 2.5}), "metrics field n_trials has invalid value"),
+    ],
+    ids=["missing", "invalid-json", "unknown-key", "not-an-object", "string-ratio", "nan-ratio",
+         "float-count"],
+)
+def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
+    results = tmp_path / "results"
+    results.mkdir()
+    if text is not None:
+        (results / "metrics.json").write_text(text)
+    assert main(["report", "--results", str(results)]) == 1
+    line = _single_error_line(capsys)
+    assert message in line and str(results / "metrics.json") in line
 
 
 @pytest.mark.parametrize(

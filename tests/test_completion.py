@@ -99,10 +99,10 @@ def test_icp_recovers_small_perturbation(prior):
         rotation=_rotation([0.0, 1.0, 0.0], 5.0) @ true.rotation,
         translation=true.translation + np.array([0.002, 0.002, -0.001]),
     )
-    pose, fitness = icp_refine(partial, prior, init)
-    assert _axis_error_deg(pose, true) < 2.0
-    assert np.linalg.norm(pose.translation - true.translation) < 0.001
-    assert fitness < 1.5
+    result = icp_refine(partial, prior, init)
+    assert _axis_error_deg(result.pose, true) < 2.0
+    assert np.linalg.norm(result.pose.translation - true.translation) < 0.001
+    assert result.fitness_mm < 1.5
 
 
 def test_icp_aligned_input_is_a_fixed_point(prior):
@@ -110,9 +110,10 @@ def test_icp_aligned_input_is_a_fixed_point(prior):
     partial = _full_sample(prior, true, n=1500)
     result = icp_refine(partial, prior, true)
     assert result.converged
+    assert isinstance(result.pose, Pose)
     assert _axis_error_deg(result.pose, true) < 0.5
     assert np.linalg.norm(result.pose.translation - true.translation) < 5e-4
-    assert result.fitness_mm < 1.0
+    assert 0.0 <= result.fitness_mm < 1.0
 
 
 def test_icp_gives_up_when_nothing_is_in_range(prior):
@@ -135,14 +136,6 @@ def test_icp_residual_history_never_worsens(prior):
     assert len(history) >= 1
     assert all(b <= a for a, b in zip(history, history[1:]))
     assert result.fitness_mm == pytest.approx(history[-1])
-
-
-def test_icp_result_unpacks_to_pose_and_fitness(prior):
-    true = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.36]))
-    partial = _full_sample(prior, true, n=400)
-    pose, fitness = icp_refine(partial, prior, true)
-    assert isinstance(pose, Pose)
-    assert fitness >= 0.0
 
 
 def test_icp_needs_three_points(prior):

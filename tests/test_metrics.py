@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from berrypick import (
     FailureReason,
     MetricsReport,
+    InputError,
     ParameterError,
     StorageError,
     compute_metrics,
@@ -180,5 +181,5 @@ def test_emit_report_unwritable_path(tmp_path):
 
 
 def test_load_metrics_missing_file(tmp_path):
-    with pytest.raises(StorageError):
+    with pytest.raises(InputError):
         load_metrics(str(tmp_path / "absent.json"))

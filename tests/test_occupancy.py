@@ -167,16 +167,6 @@ def test_grid_validation():
         )
 
 
-def test_grid_linear_index_is_row_major():
-    grid = OccupancyGrid(
-        origin=np.zeros(3), resolution=0.01, dims=(3, 4, 5),
-        occupied=np.zeros((3, 4, 5), dtype=bool),
-    )
-    assert grid.linear_index((0, 0, 0)) == 0
-    assert grid.linear_index((1, 2, 3)) == (1 * 4 + 2) * 5 + 3
-    assert grid.linear_index((2, 3, 4)) == 3 * 4 * 5 - 1
-
-
 # ---------------------------------------------------------------- obstacle set
 
 

@@ -118,6 +118,8 @@ def test_benchmark_is_deterministic(prior):
 def test_benchmark_validates_scene_count(prior):
     with pytest.raises(ParameterError):
         run_benchmark(_small_template(), 0, prior=prior)
+    with pytest.raises(ParameterError):
+        run_ablation(_small_template(), 0, prior=prior)
 
 
 def test_ablation_full_variant_matches_plain_benchmark(prior):
