@@ -4,7 +4,8 @@ every version of the code, not only within one process.
 Each digest is a sha256 over per-trial tuples (scene id, detections,
 attempted, success, sorted hit ids, failure reason, completion distances
 rounded to 1e-6 mm). The render digest covers every output of
-``render_rgbd`` bit for bit. Change a pin only for an intended behaviour
+``render_rgbd`` bit for bit, and the partials digest every denoised partial
+cloud that ``extract_partials`` hands to completion. Change a pin only for an intended behaviour
 change and record why in CHANGES.md.
 """
 
@@ -26,6 +27,7 @@ from berrypick import (
     run_benchmark,
     run_completion_benchmark,
 )
+from berrypick.pipeline import _scene, extract_partials
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
@@ -35,6 +37,7 @@ ABLATION_PIN = "aee9bce6d7efc05f960ee7545f46a1562d88562e29a64dbeb91c478f1f496b27
 COMPLETION_PIN = "50ca39c8e5440f4e809ed313fafc6617f9553d9cd901855657df32338c72cad9"
 RENDER_PIN = "3ead8cbe809fc14a8b92c461864d9cb87f7def1928c914d550d0ae659d763283"
 BENCHMARK_PIN = "0c1567971661a2dade95f0ea277c462cabb36045877582174a3ca8e791906fad"
+PARTIALS_PIN = "2ff51aa66ccc141f43008c66a261944b0cd63edf1cbd2c43e6028d85f727999a"
 
 
 def _sha256(obj) -> str:
@@ -118,6 +121,19 @@ def render_digest(prior) -> str:
     return h.hexdigest()
 
 
+def partials_digest(prior) -> str:
+    """Mask id and point coordinates of every partial cloud of the first ten
+    ablation-template scenes."""
+    h = hashlib.sha256()
+    cfg = PipelineConfig()
+    for i in range(10):
+        scene, out, _ = _scene(_cluttered_template(), 20260816, i, prior, RENDER)
+        for mask, cloud in extract_partials(out.rgb, out.depth, scene.intrinsics, out.masks, cfg):
+            h.update(str(mask.instance_id).encode())
+            h.update(cloud.xyz.tobytes())
+    return h.hexdigest()
+
+
 def test_ablation_outcomes_are_pinned(prior):
     assert ablation_digest(prior) == ABLATION_PIN
 
@@ -132,3 +148,7 @@ def test_completion_distances_are_pinned(prior):
 
 def test_render_outputs_are_pinned(prior):
     assert render_digest(prior) == RENDER_PIN
+
+
+def test_partial_clouds_are_pinned(prior):
+    assert partials_digest(prior) == PARTIALS_PIN
