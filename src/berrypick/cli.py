@@ -77,6 +77,13 @@ def _load_prior(spec: str) -> StrawberryPrior:
     return StrawberryPrior.from_obj(spec)
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: SeedSequence takes non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _render_params(args) -> RenderParams:
     return RenderParams(noise_sigma_mm=args.sigma_mm, dropout_rate=args.dropout)
 
@@ -191,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-scene", help="instantiate a random scene from a template")
     p.add_argument("--template", required=True, help="SceneConfig JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_gen_scene)
 
     p = sub.add_parser("render", help="render RGB-D artifacts for a scene")
     p.add_argument("--scene", required=True, help="scene.json path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--sigma-mm", type=float, default=1.0, help="depth noise sigma")
     p.add_argument("--dropout", type=float, default=0.02, help="depth dropout rate")
     p.add_argument("--out", required=True)
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a multi-scene benchmark")
     p.add_argument("--template", required=True)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--sigma-mm", type=float, default=1.0)
     p.add_argument("--dropout", type=float, default=0.02)

@@ -248,35 +248,17 @@ def complete_cloud(
     prior: StrawberryPrior,
     params: IcpParams = IcpParams(),
 ) -> CompletionResult:
-    """Register the prior to the partial scan and emit its posed samplings.
-
-    The partial cloud's instance id (when present) is stamped onto all output
-    points so downstream planning can track identity.
-    """
+    """Register the prior to the partial scan and emit its posed samplings."""
     if len(partial) < _MIN_PARTIAL_POINTS:
         raise InsufficientDataError(
             f"completion needs at least {_MIN_PARTIAL_POINTS} points, got {len(partial)}"
         )
     init = init_pose(partial, prior)
     result = icp_refine(partial, prior, init, params)
-
-    instance_id = None
-    if partial.instance_ids is not None and len(partial):
-        instance_id = int(partial.instance_ids[0])
-
-    clouds = []
-    for n in prior.densities:
-        posed = PointCloud(xyz=result.pose.apply(prior.canonical_samples(n)))
-        if instance_id is not None:
-            posed = posed.with_instance_id(instance_id)
-        clouds.append(posed)
-    return CompletionResult(
-        p0=clouds[0],
-        p1=clouds[1],
-        p2=clouds[2],
-        pose=result.pose,
-        fitness=result.fitness_mm,
+    p0, p1, p2 = (
+        PointCloud(xyz=result.pose.apply(prior.canonical_samples(n))) for n in prior.densities
     )
+    return CompletionResult(p0=p0, p1=p1, p2=p2, pose=result.pose, fitness=result.fitness_mm)
 
 
 def evaluate_completion(

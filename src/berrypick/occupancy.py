@@ -19,16 +19,16 @@ from .types import PointCloud
 
 @dataclass(frozen=True)
 class ObstacleSet:
-    """Union of the non-target clouds, tagged with the id they exclude."""
+    """Union of the non-target clouds: the ids of the berries it holds, and
+    the id it excludes."""
 
     points: PointCloud
     excluded_id: int | None = None
+    member_ids: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        ids = self.points.instance_ids
-        if self.excluded_id is not None and ids is not None and len(self.points):
-            if (ids == self.excluded_id).any():
-                raise ParameterError("obstacle set contains the target instance")
+        if self.excluded_id in self.member_ids:
+            raise ParameterError("obstacle set contains the target instance")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -39,10 +39,14 @@ def build_obstacles(candidates, target_id: int) -> ObstacleSet:
 
     candidates: iterable of objects with .instance_id and .cloud (PointCloud).
     """
-    clouds = [c.cloud for c in candidates if c.instance_id != target_id]
-    if not clouds:
+    others = [c for c in candidates if c.instance_id != target_id]
+    if not others:
         return ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
-    return ObstacleSet(points=PointCloud.concatenate(clouds), excluded_id=target_id)
+    return ObstacleSet(
+        points=PointCloud(xyz=np.concatenate([c.cloud.xyz for c in others])),
+        excluded_id=target_id,
+        member_ids=frozenset(c.instance_id for c in others),
+    )
 
 
 @dataclass(frozen=True)

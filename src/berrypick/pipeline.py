@@ -125,6 +125,8 @@ class PipelineConfig:
             raise ParameterError("inflation must be nonnegative")
         if self.gripper_radius <= 0:
             raise ParameterError("gripper_radius must be positive")
+        if self.rng_seed < 0:
+            raise ParameterError("rng_seed must be non-negative")
         object.__setattr__(self, "p_ee", tuple(float(v) for v in self.p_ee))
         if len(self.p_ee) != 3:
             raise ParameterError("p_ee must be a 3-vector")

@@ -74,74 +74,29 @@ def project_point_cloud(
     )
 
 
-def _majority_row(rows: np.ndarray) -> np.ndarray:
-    """Most frequent row; ties broken by the lexicographically smallest row."""
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    return uniq[int(np.argmax(counts))]
-
-
 def voxel_downsample(cloud: PointCloud, params: VoxelParams) -> PointCloud:
     """Bin points into cubes of edge voxel_size; every bin holding at least
     min_points members emits its centroid. Sparser bins are dropped as noise.
 
-    Emitted points inherit the majority source pixel / instance id of their
-    members and the mean member color.
+    The output carries positions only: no later stage reads a voxel's color
+    or source pixel.
     """
-    n = len(cloud)
-    if n == 0:
+    if len(cloud) == 0:
         return PointCloud.empty()
 
     keys = np.floor(cloud.xyz / params.voxel_size).astype(np.int64)
-    uniq_keys, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     keep = counts >= params.min_points
     if not keep.any():
         return PointCloud.empty()
 
-    n_vox = len(uniq_keys)
-    sums = np.zeros((n_vox, 3))
+    sums = np.zeros((len(counts), 3))
     np.add.at(sums, inverse, cloud.xyz)
-    centroids = sums[keep] / counts[keep, None]
-
-    colors = None
-    if cloud.colors is not None:
-        csums = np.zeros((n_vox, 3))
-        np.add.at(csums, inverse, cloud.colors.astype(np.float64))
-        colors = np.rint(csums[keep] / counts[keep, None]).astype(np.uint8)
-
-    # majority votes need per-voxel member lists: group indices via argsort
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(n_vox))
-    boundaries = np.append(boundaries, n)
-    kept_voxels = np.nonzero(keep)[0]
-
-    source_pixels = None
-    if cloud.source_pixels is not None:
-        source_pixels = np.empty((len(kept_voxels), 2), dtype=np.int32)
-        for out_i, vox in enumerate(kept_voxels):
-            members = order[boundaries[vox]:boundaries[vox + 1]]
-            source_pixels[out_i] = _majority_row(cloud.source_pixels[members])
-
-    instance_ids = None
-    if cloud.instance_ids is not None:
-        instance_ids = np.empty(len(kept_voxels), dtype=np.int32)
-        for out_i, vox in enumerate(kept_voxels):
-            members = order[boundaries[vox]:boundaries[vox + 1]]
-            ids, id_counts = np.unique(cloud.instance_ids[members], return_counts=True)
-            instance_ids[out_i] = ids[int(np.argmax(id_counts))]
-
-    return PointCloud(
-        xyz=centroids,
-        colors=colors,
-        source_pixels=source_pixels,
-        instance_ids=instance_ids,
-    )
+    return PointCloud(xyz=sums[keep] / counts[keep, None])
 
 
 def extract_masked(cloud: PointCloud, mask: InstanceMask) -> PointCloud:
-    """Keep points whose source pixel lies inside the mask; stamp them with
-    the mask's instance id."""
+    """Keep the points whose source pixel lies inside the mask."""
     if len(cloud) == 0:
         return PointCloud.empty()
     if cloud.source_pixels is None:
@@ -150,8 +105,7 @@ def extract_masked(cloud: PointCloud, mask: InstanceMask) -> PointCloud:
     vs = cloud.source_pixels[:, 1]
     if (us < 0).any() or (us >= mask.width).any() or (vs < 0).any() or (vs >= mask.height).any():
         raise ParameterError("source pixels fall outside mask dimensions")
-    selected = mask.bits[vs, us]
-    return cloud.take(selected).with_instance_id(mask.instance_id)
+    return cloud.take(mask.bits[vs, us])
 
 
 def remove_outliers(cloud: PointCloud, params: OutlierParams) -> PointCloud:

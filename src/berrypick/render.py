@@ -255,6 +255,12 @@ class GroundTruthInstance:
     pose: Pose
     surfaces: tuple[PointCloud, PointCloud, PointCloud]
 
+    def __post_init__(self):
+        if len(self.surfaces) != 3:
+            raise ParameterError(
+                f"instance {self.instance_id} has {len(self.surfaces)} surfaces, expected 3"
+            )
+
     def to_json(self) -> dict:
         return {
             "instance_id": self.instance_id,

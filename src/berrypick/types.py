@@ -99,15 +99,15 @@ class PointCloud:
     xyz           (N, 3) float64 meters, camera frame
     colors        (N, 3) uint8 or None
     source_pixels (N, 2) int32 (u, v) pixel coordinates or None
-    instance_ids  (N,)   int32 or None
 
+    Which berry a cloud belongs to is not stored per point: masks and
+    planning candidates carry the instance id.
     Treated as immutable after construction; operations return new clouds.
     """
 
     xyz: np.ndarray
     colors: np.ndarray | None = None
     source_pixels: np.ndarray | None = None
-    instance_ids: np.ndarray | None = None
 
     def __post_init__(self):
         xyz = np.asarray(self.xyz, dtype=np.float64)
@@ -127,11 +127,6 @@ class PointCloud:
             if sp.shape != (n, 2):
                 raise ParameterError("source_pixels must have shape (N, 2)")
             object.__setattr__(self, "source_pixels", sp)
-        if self.instance_ids is not None:
-            ids = np.asarray(self.instance_ids, dtype=np.int32)
-            if ids.shape != (n,):
-                raise ParameterError("instance_ids must have shape (N,)")
-            object.__setattr__(self, "instance_ids", ids)
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -151,32 +146,6 @@ class PointCloud:
             xyz=self.xyz[index],
             colors=None if self.colors is None else self.colors[index],
             source_pixels=None if self.source_pixels is None else self.source_pixels[index],
-            instance_ids=None if self.instance_ids is None else self.instance_ids[index],
-        )
-
-    def with_instance_id(self, instance_id: int) -> "PointCloud":
-        return PointCloud(
-            xyz=self.xyz,
-            colors=self.colors,
-            source_pixels=self.source_pixels,
-            instance_ids=np.full(len(self), instance_id, dtype=np.int32),
-        )
-
-    @staticmethod
-    def concatenate(clouds: list["PointCloud"]) -> "PointCloud":
-        clouds = [c for c in clouds if len(c) > 0]
-        if not clouds:
-            return PointCloud.empty()
-        def _merge(attr):
-            parts = [getattr(c, attr) for c in clouds]
-            if any(p is None for p in parts):
-                return None
-            return np.concatenate(parts, axis=0)
-        return PointCloud(
-            xyz=np.concatenate([c.xyz for c in clouds], axis=0),
-            colors=_merge("colors"),
-            source_pixels=_merge("source_pixels"),
-            instance_ids=_merge("instance_ids"),
         )
 
 

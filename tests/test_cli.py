@@ -175,6 +175,42 @@ def test_mistyped_config_is_one_clean_error(tmp_path, template_path, capsys, con
     assert message in _single_error_line(capsys)
 
 
+def _negative_seed_flag(tmp_path):
+    return ["--seed", "-1"]
+
+
+def _negative_seed_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"rng_seed": -1}))
+    # --seed overrides the config's seed, but the config is still checked
+    return ["--config", str(path), "--seed", "3"]
+
+
+_NEGATIVE_FLAG = "argument --seed: must be a non-negative integer, got '-1'"
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("gen-scene", _negative_seed_flag, _NEGATIVE_FLAG),
+        ("render", _negative_seed_flag, _NEGATIVE_FLAG),
+        ("bench", _negative_seed_flag, _NEGATIVE_FLAG),
+        ("bench", _negative_seed_config, "rng_seed must be non-negative"),
+    ],
+    ids=["gen-scene", "render", "bench", "bench-config"],
+)
+def test_negative_seed_is_one_clean_error(tmp_path, template_path, capsys, command, extra, message):
+    inputs = {
+        "gen-scene": ["--template", template_path],
+        "render": ["--scene", str(tmp_path / "scene.json")],
+        "bench": ["--template", template_path, "--n", "1"],
+    }[command]
+    rc = main([command, *inputs, *extra(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 _METRICS = dict(
     rho_a=50.0, rho_s=40.0, rho_s_over_a=80.0, rho_h=10.0, cd_mean_mm=1.0, cd_median_mm=1.0,
     n_trials=2, n_detections=2, n_attempts=1, n_successes=1, n_hit_trials=0,
@@ -240,6 +276,14 @@ def _berry_missing_from_truth(art_dir):
     path.write_text(json.dumps({"instances": []}))
 
 
+def _two_surfaces(art_dir):
+    path = art_dir / "ground_truth.json"
+    doc = json.loads(path.read_text())
+    for instance in doc["instances"]:
+        instance["surfaces"] = instance["surfaces"][:2]
+    path.write_text(json.dumps(doc))
+
+
 def _small_rgb(art_dir):
     (art_dir / "rgb.ppm").write_bytes(b"P6\n320 240\n255\n" + bytes(320 * 240 * 3))
 
@@ -251,8 +295,9 @@ def _small_rgb(art_dir):
         (_small_rgb, "rgb.ppm: 320x240 image does not match the scene's 640x480"),
         (_foreign_mask_id, "instance 100 is not a berry in scene.json"),
         (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
+        (_two_surfaces, "ground_truth.json: instance 0 has 2 surfaces, expected 3"),
     ],
-    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth"],
+    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "two-surfaces"],
 )
 def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)

@@ -180,16 +180,6 @@ def test_complete_output_densities_ascend(prior):
     assert np.linalg.norm(result.centroid() - true.translation) < 0.002
 
 
-def test_complete_stamps_the_instance_id(prior):
-    true = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.36]))
-    partial = _full_sample(prior, true, n=800)
-    tagged = partial.with_instance_id(7)
-    result = complete_cloud(tagged, prior)
-    for cloud in result.clouds:
-        assert cloud.instance_ids is not None
-        assert (cloud.instance_ids == 7).all()
-
-
 def test_complete_needs_ten_points(prior):
     with pytest.raises(InsufficientDataError):
         complete_cloud(PointCloud(xyz=np.zeros((4, 3)) + [0, 0, 0.3]), prior)

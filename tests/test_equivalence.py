@@ -240,7 +240,7 @@ def reference_partials(rgb, depth, k, masks, cfg):
 
 def _assert_same_cloud(a: PointCloud, b: PointCloud):
     assert len(a) == len(b)
-    for attr in ("xyz", "colors", "source_pixels", "instance_ids"):
+    for attr in ("xyz", "colors", "source_pixels"):
         x, y = getattr(a, attr), getattr(b, attr)
         assert (x is None) == (y is None), attr
         if x is not None:

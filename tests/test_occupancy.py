@@ -171,23 +171,25 @@ def test_grid_validation():
 
 
 def test_obstacle_set_rejects_target_points():
-    cloud = PointCloud(xyz=np.zeros((5, 3))).with_instance_id(3)
+    cloud = PointCloud(xyz=np.zeros((5, 3)))
     with pytest.raises(ParameterError):
-        ObstacleSet(points=cloud, excluded_id=3)
+        ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({3}))
+    assert ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({2})).member_ids == {2}
 
 
 def test_build_obstacles_unions_everything_but_the_target():
     candidates = [
         SimpleNamespace(
             instance_id=i,
-            cloud=PointCloud(xyz=np.full((4, 3), float(i))).with_instance_id(i),
+            cloud=PointCloud(xyz=np.full((4, 3), float(i))),
         )
         for i in range(3)
     ]
     obstacles = build_obstacles(candidates, target_id=1)
     assert len(obstacles) == 8
     assert obstacles.excluded_id == 1
-    assert set(np.unique(obstacles.points.instance_ids)) == {0, 2}
+    assert obstacles.member_ids == {0, 2}
+    assert set(np.unique(obstacles.points.xyz)) == {0.0, 2.0}
 
 
 def test_build_obstacles_with_only_the_target_is_empty():

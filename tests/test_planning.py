@@ -166,7 +166,7 @@ def _candidate(instance_id, center, ripeness=Ripeness.RIPE):
     xyz = np.asarray(center, dtype=float) + np.zeros((4, 3))
     return Candidate(
         instance_id=instance_id, ripeness=ripeness,
-        cloud=PointCloud(xyz=xyz).with_instance_id(instance_id),
+        cloud=PointCloud(xyz=xyz),
     )
 
 

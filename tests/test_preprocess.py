@@ -171,17 +171,21 @@ def test_voxel_negative_coordinates_bin_by_floor():
     assert len(out) == 2
 
 
-def test_voxel_majority_vote_provenance():
-    xyz = np.zeros((5, 3))
-    ids = np.array([4, 4, 4, 9, 9], dtype=np.int32)
-    pix = np.array([[1, 1], [1, 1], [2, 2], [2, 2], [2, 2]], dtype=np.int32)
+def test_voxel_downsample_emits_positions_only():
+    # eighths are exact in binary, so the hand-computed mean is exact too
+    xyz = np.array([[1, 2, 4], [3, 4, 5], [4, 0, 7], [6, 6, 2]]) / 8.0
     out = voxel_downsample(
-        PointCloud(xyz=xyz, source_pixels=pix, instance_ids=ids),
+        PointCloud(
+            xyz=xyz,
+            colors=np.array([[10, 20, 30]] * 4, dtype=np.uint8),
+            source_pixels=np.array([[1, 1], [1, 2], [2, 2], [3, 3]], dtype=np.int32),
+        ),
         VoxelParams(voxel_size=1.0, min_points=1),
     )
     assert len(out) == 1
-    assert out.instance_ids[0] == 4
-    assert tuple(out.source_pixels[0]) == (2, 2)
+    assert np.array_equal(out.xyz, [[0.4375, 0.375, 0.5625]])
+    assert out.colors is None
+    assert out.source_pixels is None
 
 
 @given(seed=st.integers(0, 2**32 - 1), min_points=st.integers(1, 6))
@@ -214,13 +218,13 @@ def _cloud_on_grid(h, w):
     )
 
 
-def test_extract_masked_selects_and_stamps():
+def test_extract_masked_selects_the_masked_pixels():
     cloud = _cloud_on_grid(4, 4)
     bits = np.zeros((4, 4), dtype=bool)
     bits[0, :2] = True
     out = extract_masked(cloud, InstanceMask(bits=bits, instance_id=3, ripeness=Ripeness.RIPE))
     assert len(out) == 2
-    assert (out.instance_ids == 3).all()
+    assert out.source_pixels.tolist() == [[0, 0], [1, 0]]
 
 
 def test_extract_masked_requires_provenance():
