@@ -100,9 +100,9 @@ class PointCloud:
     colors        (N, 3) uint8 or None
     source_pixels (N, 2) int32 (u, v) pixel coordinates or None
 
+    Treated as immutable after construction; operations return new clouds.
     Which berry a cloud belongs to is not stored per point: masks and
     planning candidates carry the instance id.
-    Treated as immutable after construction; operations return new clouds.
     """
 
     xyz: np.ndarray
