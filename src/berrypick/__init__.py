@@ -1,13 +1,12 @@
 """Occlusion-aware strawberry perception-to-grasp pipeline with a built-in
 synthetic RGB-D scene simulator."""
 
-from .chamfer import chamfer_loss, chamfer_loss_brute, chamfer_metric_mm, hierarchical_loss
+from .chamfer import chamfer_loss, chamfer_loss_brute, chamfer_metric_mm
 from .completion import (
     CompletionResult,
     IcpParams,
     IcpResult,
     complete_cloud,
-    evaluate_completion,
     icp_refine,
     init_pose,
 )
@@ -70,7 +69,6 @@ from .types import (
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
-    LossWeights,
     OutlierParams,
     PointCloud,
     Pose,

@@ -1,5 +1,5 @@
 """Chamfer distance in its two roles: an unnormalized squared-sum loss and a
-millimeter-scale symmetric mean metric, plus the multi-resolution weighted loss.
+millimeter-scale symmetric mean metric.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError
-from .types import LossWeights, PointCloud
+from .types import PointCloud
 
 
 def _as_xyz(cloud: PointCloud | np.ndarray) -> np.ndarray:
@@ -61,17 +61,3 @@ def chamfer_metric_mm(p: PointCloud | np.ndarray, q: PointCloud | np.ndarray) ->
     d_pq, _ = cKDTree(qa).query(pa)
     d_qp, _ = cKDTree(pa).query(qa)
     return float(0.5 * (d_pq.mean() + d_qp.mean()) * 1000.0)
-
-
-def hierarchical_loss(
-    preds: tuple[PointCloud, PointCloud, PointCloud],
-    truths: tuple[PointCloud, PointCloud, PointCloud],
-    weights: LossWeights = LossWeights(),
-) -> float:
-    """Weighted sum of chamfer losses across the three output resolutions."""
-    if len(preds) != 3 or len(truths) != 3:
-        raise ParameterError("hierarchical loss expects three prediction/truth pairs")
-    total = 0.0
-    for w, pred, truth in zip(weights.as_tuple(), preds, truths):
-        total += w * chamfer_loss(pred, truth)
-    return total

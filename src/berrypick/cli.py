@@ -19,6 +19,7 @@ from .completion import complete_cloud
 from .errors import BerrypickError, InputError, StorageError
 from .io_formats import (
     load_artifacts,
+    load_scene,
     read_ply,
     save_artifacts,
     save_scene,
@@ -100,8 +101,6 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .io_formats import load_scene
-
     scene = load_scene(args.scene)
     prior = StrawberryPrior.builtin()
     render_ss, truth_ss = np.random.SeedSequence(args.seed).spawn(2)
@@ -119,11 +118,7 @@ def _cmd_complete(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for name, part in (("p0", result.p0), ("p1", result.p1), ("p2", result.p2)):
         write_ply(os.path.join(args.out, f"{name}.ply"), part)
-    report = {
-        "rotation": result.pose.rotation.tolist(),
-        "translation": result.pose.translation.tolist(),
-        "fitness_mm": result.fitness,
-    }
+    report = {**result.pose.to_json(), "fitness_mm": result.fitness}
     _write_text(
         os.path.join(args.out, "completion.json"),
         json.dumps(report, indent=2, sort_keys=True) + "\n",

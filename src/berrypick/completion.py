@@ -19,8 +19,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InsufficientDataError, ParameterError, RegistrationError
 from .prior import StrawberryPrior
-from .types import LossWeights, PointCloud, Pose, rotation_about_axis, rotation_aligning
-from .chamfer import chamfer_metric_mm, hierarchical_loss
+from .types import PointCloud, Pose, rotation_about_axis, rotation_aligning
 
 _MIN_PARTIAL_POINTS = 10
 
@@ -69,10 +68,6 @@ class CompletionResult:
     def __post_init__(self):
         if not len(self.p0) < len(self.p1) < len(self.p2):
             raise ParameterError("completion densities must be strictly ascending")
-
-    @property
-    def clouds(self) -> tuple[PointCloud, PointCloud, PointCloud]:
-        return (self.p0, self.p1, self.p2)
 
     def centroid(self) -> np.ndarray:
         return self.p2.centroid()
@@ -259,23 +254,3 @@ def complete_cloud(
         PointCloud(xyz=result.pose.apply(prior.canonical_samples(n))) for n in prior.densities
     )
     return CompletionResult(p0=p0, p1=p1, p2=p2, pose=result.pose, fitness=result.fitness_mm)
-
-
-def evaluate_completion(
-    result: CompletionResult,
-    truth: tuple[PointCloud, PointCloud, PointCloud],
-    weights: LossWeights = LossWeights(),
-) -> dict:
-    """Weighted multi-density loss plus a per-level metric in millimeters."""
-    preds = result.clouds
-    if len(truth) != 3:
-        raise ParameterError("truth must provide three density levels")
-    for p, s in zip(preds, truth):
-        if len(p) != len(s):
-            raise ParameterError(
-                f"density mismatch: predicted {len(p)} points vs truth {len(s)}"
-            )
-    return {
-        "hierarchical": float(hierarchical_loss(preds, truth, weights)),
-        "metric_mm": [chamfer_metric_mm(p, s) for p, s in zip(preds, truth)],
-    }

@@ -47,19 +47,10 @@ def _read_bytes(path: str) -> bytes:
 
 
 def write_ply(path: str, cloud: PointCloud) -> None:
-    has_color = cloud.colors is not None
     lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
     lines += [f"property double {axis}" for axis in "xyz"]
-    if has_color:
-        lines += [f"property uchar {c}" for c in ("red", "green", "blue")]
     lines.append("end_header")
-    for i in range(len(cloud)):
-        x, y, z = (float(v) for v in cloud.xyz[i])
-        row = f"{x!r} {y!r} {z!r}"
-        if has_color:
-            r, g, b = (int(v) for v in cloud.colors[i])
-            row += f" {r} {g} {b}"
-        lines.append(row)
+    lines += [" ".join(repr(float(v)) for v in row) for row in cloud.xyz]
     _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -109,14 +100,11 @@ def read_ply(path: str) -> PointCloud:
         return PointCloud.empty()
     try:
         xyz = np.array([[float(r[0]), float(r[1]), float(r[2])] for r in rows])
-        colors = None
-        if has_color:
-            colors = np.array(
-                [[int(r[3]), int(r[4]), int(r[5])] for r in rows], dtype=np.uint8
-            )
+        if has_color:  # colours must parse, but no stage reads them
+            [int(r[i]) for r in rows for i in (3, 4, 5)]
     except (ValueError, IndexError) as exc:
         raise InputError(f"{path}: malformed vertex row: {exc}") from exc
-    return PointCloud(xyz=xyz, colors=colors)
+    return PointCloud(xyz=xyz)
 
 
 # -- PGM / PPM ----------------------------------------------------------------
@@ -197,7 +185,9 @@ def read_mask(path: str) -> InstanceMask:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mask sidecar {path}.json: {exc}") from exc
     try:
-        instance_id, ripeness = int(meta["instance_id"]), Ripeness(meta["ripeness"])
+        instance_id, ripeness = meta["instance_id"], Ripeness(meta["ripeness"])
+        if isinstance(instance_id, bool) or not isinstance(instance_id, int):
+            raise TypeError(f"instance_id must be an integer, got {instance_id!r}")
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError(f"mask sidecar {path}.json needs instance_id and ripeness: {exc!r}") from exc
     return InstanceMask(bits=bits, instance_id=instance_id, ripeness=ripeness)
@@ -275,7 +265,14 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
             )
     berry_ids = {b.instance_id for b in scene.berries}
     truth_ids = {inst.instance_id for inst in truth.instances}
+    seen: dict[int, str] = {}
     for stem, mask in zip(stems, masks):
+        first = seen.setdefault(mask.instance_id, stem)
+        if first != stem:
+            raise InputError(
+                f"{os.path.join(scene_dir, first)}.json and {os.path.join(scene_dir, stem)}.json "
+                f"both label instance {mask.instance_id}"
+            )
         for ids, doc in ((berry_ids, "scene.json"), (truth_ids, "ground_truth.json")):
             if mask.instance_id not in ids:
                 raise InputError(

@@ -1,8 +1,8 @@
 """End-to-end perception-to-grasp pipeline and benchmark harness.
 
-One trial runs: oracle detections -> depth filtering and back-projection ->
-per-instance extraction, downsampling, outlier removal -> completion of every
-instance -> ripe target selection -> obstacle union -> occupancy grid ->
+One trial runs: oracle detections -> depth filtering -> per-instance
+extraction and back-projection, downsampling, outlier removal -> completion of
+every instance -> ripe target selection -> obstacle union -> occupancy grid ->
 grasp estimation -> A* planning -> simulated execution against ground truth.
 Each stage's failure maps to a recorded reason; a trial never raises for an
 algorithmic failure, so batches always run to completion.
@@ -232,20 +232,20 @@ _MEDIAN_WINDOW = 5
 
 
 def extract_partials(
-    rgb: RgbImage,
     depth: DepthImage,
     intrinsics: CameraIntrinsics,
     masks: list[InstanceMask],
     cfg: PipelineConfig,
 ) -> list[tuple[InstanceMask, PointCloud]]:
-    """Each mask's denoised partial cloud: median filter, back-projection,
-    mask extraction, voxel downsampling and outlier removal.
+    """Each mask's denoised partial cloud: median filter, mask extraction,
+    back-projection of the mask's own pixels, voxel downsampling and outlier
+    removal.
 
     Only the union bounding box of the masks, grown by the filter radius, is
-    filtered and projected. Every masked pixel's window lies inside that crop
-    or meets the image edge, where the crop replicates the same edge pixels,
-    and projection keeps row-major pixel order, so each cloud equals the one
-    a whole-frame pass would give.
+    filtered. Every masked pixel's window lies inside that crop or meets the
+    image edge, where the crop replicates the same edge pixels, and
+    projection keeps row-major pixel order, so each cloud equals the one a
+    whole-frame pass would give.
     """
     union = np.zeros(depth.values.shape, dtype=bool)
     for mask in masks:
@@ -258,12 +258,13 @@ def extract_partials(
     v0, v1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, depth.height)
     u0, u1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, depth.width)
     filtered = median_filter(DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW)
-    cloud = project_point_cloud(
-        RgbImage(rgb.values[v0:v1, u0:u1]), filtered, intrinsics, origin=(int(u0), int(v0))
-    )
+    origin = (int(u0), int(v0))
     partials = []
     for mask in masks:
-        partial = voxel_downsample(extract_masked(cloud, mask), cfg.voxel)
+        lifted = project_point_cloud(
+            extract_masked(filtered, mask.bits[v0:v1, u0:u1]), intrinsics, origin
+        )
+        partial = voxel_downsample(lifted, cfg.voxel)
         partials.append((mask, remove_outliers(partial, cfg.outliers)))
     return partials
 
@@ -276,9 +277,7 @@ def _detect(
     detections = [m for m in artifacts.masks if m.pixel_count() > 0]
     if not any(m.ripeness is Ripeness.RIPE for m in detections):
         return detections, []
-    partials = extract_partials(
-        artifacts.rgb, artifacts.depth, artifacts.scene.intrinsics, detections, cfg
-    )
+    partials = extract_partials(artifacts.depth, artifacts.scene.intrinsics, detections, cfg)
     return detections, [(m, c) for m, c in partials if len(c)]
 
 
@@ -558,9 +557,7 @@ def run_completion_benchmark(
         if not eligible:
             continue  # ground truth draws from its own stream, so skipping it is safe
         truth = sample_ground_truth(scene, prior, truth_ss)
-        partials = extract_partials(
-            rendered.rgb, rendered.depth, scene.intrinsics, eligible, cfg
-        )
+        partials = extract_partials(rendered.depth, scene.intrinsics, eligible, cfg)
         for mask, cloud in partials:
             try:
                 completed = complete_cloud(cloud, prior, cfg.icp)

@@ -1,4 +1,4 @@
-"""Depth filtering, RGB-D projection, voxel downsampling, mask extraction and
+"""Depth filtering, mask extraction, depth projection, voxel downsampling and
 statistical outlier removal: the raw-sensor to per-instance-cloud chain.
 """
 
@@ -8,16 +8,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import ContractError, ParameterError
-from .types import (
-    CameraIntrinsics,
-    DepthImage,
-    InstanceMask,
-    OutlierParams,
-    PointCloud,
-    RgbImage,
-    VoxelParams,
-)
+from .errors import ParameterError
+from .types import CameraIntrinsics, DepthImage, OutlierParams, PointCloud, VoxelParams
 
 
 def median_filter(depth: DepthImage, window: int = 5) -> DepthImage:
@@ -34,7 +26,6 @@ def median_filter(depth: DepthImage, window: int = 5) -> DepthImage:
 
 
 def project_point_cloud(
-    rgb: RgbImage,
     depth: DepthImage,
     k: CameraIntrinsics,
     origin: tuple[int, int] | None = None,
@@ -42,18 +33,12 @@ def project_point_cloud(
     """Back-project every valid depth pixel through the pinhole model.
 
     For pixel (u, v) with depth d mm: z = d/1000, x = (u-cx)*z/fx,
-    y = (v-cy)*z/fy. Each point carries its RGB color and source pixel.
-    Points come out in row-major pixel order.
+    y = (v-cy)*z/fy. Points come out in row-major pixel order.
 
-    The images may be a crop of the frame k describes: origin is then the
-    frame pixel (u, v) of the crop's top-left corner, and pixel coordinates,
-    source pixels included, stay frame coordinates. Only a whole frame
-    (origin None) is checked against k.
+    The depth may be a crop of the frame k describes: origin is then the
+    frame pixel (u, v) of the crop's top-left corner, and (u, v) stay frame
+    coordinates. Only a whole frame (origin None) is checked against k.
     """
-    if (rgb.height, rgb.width) != (depth.height, depth.width):
-        raise ParameterError(
-            f"rgb {rgb.width}x{rgb.height} and depth {depth.width}x{depth.height} differ"
-        )
     if origin is None:
         k.validate_for(depth.width, depth.height)
         origin = (0, 0)
@@ -62,24 +47,16 @@ def project_point_cloud(
     if len(us) == 0:
         return PointCloud.empty()
     z = depth.values[vs, us].astype(np.float64) / 1000.0
-    colors = rgb.values[vs, us]
     us = us + origin[0]
     vs = vs + origin[1]
     x = (us.astype(np.float64) - k.cx) * z / k.fx
     y = (vs.astype(np.float64) - k.cy) * z / k.fy
-    return PointCloud(
-        xyz=np.column_stack([x, y, z]),
-        colors=colors,
-        source_pixels=np.column_stack([us, vs]).astype(np.int32),
-    )
+    return PointCloud(xyz=np.column_stack([x, y, z]))
 
 
 def voxel_downsample(cloud: PointCloud, params: VoxelParams) -> PointCloud:
     """Bin points into cubes of edge voxel_size; every bin holding at least
     min_points members emits its centroid. Sparser bins are dropped as noise.
-
-    The output carries positions only: no later stage reads a voxel's color
-    or source pixel.
     """
     if len(cloud) == 0:
         return PointCloud.empty()
@@ -95,17 +72,12 @@ def voxel_downsample(cloud: PointCloud, params: VoxelParams) -> PointCloud:
     return PointCloud(xyz=sums[keep] / counts[keep, None])
 
 
-def extract_masked(cloud: PointCloud, mask: InstanceMask) -> PointCloud:
-    """Keep the points whose source pixel lies inside the mask."""
-    if len(cloud) == 0:
-        return PointCloud.empty()
-    if cloud.source_pixels is None:
-        raise ContractError("cloud has no source-pixel provenance to match against a mask")
-    us = cloud.source_pixels[:, 0]
-    vs = cloud.source_pixels[:, 1]
-    if (us < 0).any() or (us >= mask.width).any() or (vs < 0).any() or (vs >= mask.height).any():
-        raise ParameterError("source pixels fall outside mask dimensions")
-    return cloud.take(mask.bits[vs, us])
+def extract_masked(depth: DepthImage, bits: np.ndarray) -> DepthImage:
+    """The depth with every pixel outside the mask bits set to 0 (no return),
+    so projecting it lifts the mask's own pixels only."""
+    if bits.shape != depth.values.shape:
+        raise ParameterError(f"mask shape {bits.shape} and depth shape {depth.values.shape} differ")
+    return DepthImage(values=np.where(bits, depth.values, 0))
 
 
 def remove_outliers(cloud: PointCloud, params: OutlierParams) -> PointCloud:
@@ -123,4 +95,4 @@ def remove_outliers(cloud: PointCloud, params: OutlierParams) -> PointCloud:
     dists, _ = tree.query(cloud.xyz, k=params.k_neighbors + 1)
     mean_knn = dists[:, 1:].mean(axis=1)
     threshold = mean_knn.mean() + params.std_ratio * mean_knn.std()
-    return cloud.take(mean_knn <= threshold)
+    return PointCloud(xyz=cloud.xyz[mean_knn <= threshold])

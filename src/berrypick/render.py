@@ -265,8 +265,7 @@ class GroundTruthInstance:
         return {
             "instance_id": self.instance_id,
             "ripeness": self.ripeness.value,
-            "rotation": self.pose.rotation.tolist(),
-            "translation": self.pose.translation.tolist(),
+            **self.pose.to_json(),
             "surfaces": [s.xyz.tolist() for s in self.surfaces],
         }
 
@@ -275,10 +274,7 @@ class GroundTruthInstance:
         return cls(
             instance_id=int(obj["instance_id"]),
             ripeness=Ripeness(obj["ripeness"]),
-            pose=Pose(
-                rotation=np.asarray(obj["rotation"], dtype=np.float64),
-                translation=np.asarray(obj["translation"], dtype=np.float64),
-            ),
+            pose=Pose.from_json(obj),
             surfaces=tuple(
                 PointCloud(xyz=np.asarray(s, dtype=np.float64)) for s in obj["surfaces"]
             ),

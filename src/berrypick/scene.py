@@ -40,8 +40,7 @@ class BerryInstance:
     def to_json(self) -> dict:
         return {
             "instance_id": self.instance_id,
-            "rotation": self.pose.rotation.tolist(),
-            "translation": self.pose.translation.tolist(),
+            **self.pose.to_json(),
             "ripeness": self.ripeness.value,
         }
 
@@ -49,10 +48,7 @@ class BerryInstance:
     def from_json(cls, obj: dict) -> "BerryInstance":
         return cls(
             instance_id=int(obj["instance_id"]),
-            pose=Pose(
-                rotation=np.asarray(obj["rotation"], dtype=np.float64),
-                translation=np.asarray(obj["translation"], dtype=np.float64),
-            ),
+            pose=Pose.from_json(obj),
             ripeness=Ripeness(obj["ripeness"]),
         )
 

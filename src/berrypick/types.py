@@ -3,7 +3,7 @@
 Conventions used throughout the package:
   * camera frame, right-handed: +x right, +y down, +z forward (into the scene)
   * coordinates in meters; depth images store millimeters as uint16, 0 = no return
-  * point clouds are numpy-column containers, one row per point
+  * point clouds hold positions only, one (x, y, z) row per point
 """
 
 from __future__ import annotations
@@ -94,11 +94,7 @@ class RgbImage:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered point container with optional per-point provenance.
-
-    xyz           (N, 3) float64 meters, camera frame
-    colors        (N, 3) uint8 or None
-    source_pixels (N, 2) int32 (u, v) pixel coordinates or None
+    """Ordered point positions: xyz is (N, 3) float64 meters, camera frame.
 
     Treated as immutable after construction; operations return new clouds.
     Which berry a cloud belongs to is not stored per point: masks and
@@ -106,8 +102,6 @@ class PointCloud:
     """
 
     xyz: np.ndarray
-    colors: np.ndarray | None = None
-    source_pixels: np.ndarray | None = None
 
     def __post_init__(self):
         xyz = np.asarray(self.xyz, dtype=np.float64)
@@ -116,17 +110,6 @@ class PointCloud:
         if xyz.size and not np.isfinite(xyz).all():
             raise ParameterError("point coordinates must be finite")
         object.__setattr__(self, "xyz", xyz)
-        n = len(xyz)
-        if self.colors is not None:
-            c = np.asarray(self.colors, dtype=np.uint8)
-            if c.shape != (n, 3):
-                raise ParameterError("colors must have shape (N, 3)")
-            object.__setattr__(self, "colors", c)
-        if self.source_pixels is not None:
-            sp = np.asarray(self.source_pixels, dtype=np.int32)
-            if sp.shape != (n, 2):
-                raise ParameterError("source_pixels must have shape (N, 2)")
-            object.__setattr__(self, "source_pixels", sp)
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -139,14 +122,6 @@ class PointCloud:
         if len(self) == 0:
             raise ParameterError("centroid of empty cloud")
         return self.xyz.mean(axis=0)
-
-    def take(self, index: np.ndarray) -> "PointCloud":
-        """Subset by boolean mask or integer index array, keeping attributes."""
-        return PointCloud(
-            xyz=self.xyz[index],
-            colors=None if self.colors is None else self.colors[index],
-            source_pixels=None if self.source_pixels is None else self.source_pixels[index],
-        )
 
 
 @dataclass(frozen=True)
@@ -208,25 +183,6 @@ class OutlierParams:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Per-resolution weights for the multi-scale completion loss."""
-
-    lambda0: float = 1.0
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-
-    def __post_init__(self):
-        w = (self.lambda0, self.lambda1, self.lambda2)
-        if any(v < 0 for v in w):
-            raise ParameterError("loss weights must be nonnegative")
-        if all(v == 0 for v in w):
-            raise ParameterError("at least one loss weight must be positive")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.lambda0, self.lambda1, self.lambda2)
-
-
-@dataclass(frozen=True)
 class Pose:
     """Rigid transform: p_out = rotation @ p_in + translation."""
 
@@ -255,6 +211,16 @@ class Pose:
     def inverse(self) -> "Pose":
         rt = self.rotation.T
         return Pose(rotation=rt, translation=-rt @ self.translation)
+
+    def to_json(self) -> dict:
+        return {"rotation": self.rotation.tolist(), "translation": self.translation.tolist()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Pose":
+        return cls(
+            rotation=np.asarray(obj["rotation"], dtype=np.float64),
+            translation=np.asarray(obj["translation"], dtype=np.float64),
+        )
 
 
 def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:

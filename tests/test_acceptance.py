@@ -311,12 +311,13 @@ def _check_mask_partition(prior) -> str | None:
     stack = np.stack([m.bits for m in rendered.masks])
     if (stack.sum(axis=0) > 1).any():
         return "instance masks overlap"
-    full = project_point_cloud(
-        rendered.rgb, median_filter(rendered.clean_depth), scene.intrinsics
-    )
+    filtered = median_filter(rendered.clean_depth)
     from berrypick import extract_masked
 
-    sizes = [len(extract_masked(full, m)) for m in rendered.masks]
+    sizes = [
+        len(project_point_cloud(extract_masked(filtered, m.bits), scene.intrinsics))
+        for m in rendered.masks
+    ]
     union = stack.any(axis=0) & (median_filter(rendered.clean_depth).values > 0)
     if sum(sizes) != int(union.sum()):
         return f"per-mask extraction sizes {sizes} do not partition the union"

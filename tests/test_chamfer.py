@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berrypick import (
-    LossWeights,
     ParameterError,
     PointCloud,
     chamfer_loss,
     chamfer_loss_brute,
     chamfer_metric_mm,
-    hierarchical_loss,
 )
 
 
@@ -89,24 +87,3 @@ def test_empty_cloud_rejected():
         chamfer_loss(np.zeros((0, 3)), pts)
     with pytest.raises(ParameterError):
         chamfer_metric_mm(pts, np.zeros((0, 3)))
-
-
-def test_hierarchical_loss_is_weighted_sum():
-    rng = np.random.default_rng(3)
-    preds = tuple(PointCloud(xyz=rng.normal(size=(n, 3))) for n in (8, 16, 32))
-    truths = tuple(PointCloud(xyz=rng.normal(size=(n, 3))) for n in (8, 16, 32))
-    w = LossWeights(1.0, 0.5, 0.25)
-    expected = sum(
-        wi * chamfer_loss(p, s) for wi, p, s in zip(w.as_tuple(), preds, truths)
-    )
-    assert hierarchical_loss(preds, truths, w) == pytest.approx(expected, rel=1e-12)
-
-
-def test_hierarchical_loss_single_active_level():
-    rng = np.random.default_rng(4)
-    preds = tuple(PointCloud(xyz=rng.normal(size=(n, 3))) for n in (8, 16, 32))
-    truths = tuple(PointCloud(xyz=rng.normal(size=(n, 3))) for n in (8, 16, 32))
-    w = LossWeights(0.0, 0.0, 1.0)
-    assert hierarchical_loss(preds, truths, w) == pytest.approx(
-        chamfer_loss(preds[2], truths[2])
-    )

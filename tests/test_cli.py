@@ -284,6 +284,11 @@ def _two_surfaces(art_dir):
     path.write_text(json.dumps(doc))
 
 
+def _duplicate_mask_id(art_dir):
+    for ext in (".pgm", ".json"):
+        (art_dir / f"mask_001{ext}").write_bytes((art_dir / f"mask_000{ext}").read_bytes())
+
+
 def _small_rgb(art_dir):
     (art_dir / "rgb.ppm").write_bytes(b"P6\n320 240\n255\n" + bytes(320 * 240 * 3))
 
@@ -296,8 +301,10 @@ def _small_rgb(art_dir):
         (_foreign_mask_id, "instance 100 is not a berry in scene.json"),
         (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
         (_two_surfaces, "ground_truth.json: instance 0 has 2 surfaces, expected 3"),
+        (_duplicate_mask_id, "mask_001.json both label instance 0"),
     ],
-    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "two-surfaces"],
+    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "two-surfaces",
+         "duplicate-mask-id"],
 )
 def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)

@@ -17,14 +17,12 @@ from berrypick import (
     ParameterError,
     PointCloud,
     RegistrationError,
-    chamfer_loss,
     chamfer_metric_mm,
     complete_cloud,
-    evaluate_completion,
     icp_refine,
     init_pose,
 )
-from berrypick.types import LossWeights, Pose, rotation_aligning
+from berrypick.types import Pose, rotation_aligning
 
 
 def _rotation(axis, degrees):
@@ -176,7 +174,7 @@ def test_complete_forty_percent_view_stays_within_two_millimeters(prior):
 def test_complete_output_densities_ascend(prior):
     true = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.36]))
     result = complete_cloud(_full_sample(prior, true, n=1000), prior)
-    assert tuple(len(c) for c in result.clouds) == prior.densities
+    assert (len(result.p0), len(result.p1), len(result.p2)) == prior.densities
     assert np.linalg.norm(result.centroid() - true.translation) < 0.002
 
 
@@ -189,48 +187,3 @@ def test_completion_result_rejects_non_ascending_densities():
     tiny = PointCloud(xyz=np.zeros((5, 3)))
     with pytest.raises(ParameterError):
         CompletionResult(p0=tiny, p1=tiny, p2=tiny, pose=Pose.identity(), fitness=0.0)
-
-
-# ---------------------------------------------------------------- evaluation
-
-
-def _completed_and_truth(prior, seed=9):
-    true = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.36]))
-    partial = _full_sample(prior, true, n=1200, seed=seed)
-    truth = prior.sample_ground_truth(
-        true, np.random.Generator(np.random.Philox(seed + 1))
-    )
-    return complete_cloud(partial, prior), truth
-
-
-def test_evaluate_final_level_weight_reduces_to_plain_chamfer(prior):
-    result, truth = _completed_and_truth(prior)
-    report = evaluate_completion(result, truth, LossWeights(0.0, 0.0, 1.0))
-    assert report["hierarchical"] == pytest.approx(
-        chamfer_loss(result.p2, truth[2]), rel=1e-12
-    )
-
-
-def test_evaluate_scales_linearly_with_weights(prior):
-    result, truth = _completed_and_truth(prior)
-    single = evaluate_completion(result, truth, LossWeights(1.0, 1.0, 1.0))
-    double = evaluate_completion(result, truth, LossWeights(2.0, 2.0, 2.0))
-    assert double["hierarchical"] == pytest.approx(2 * single["hierarchical"], rel=1e-12)
-
-
-def test_evaluate_reports_each_level_in_millimeters(prior):
-    result, truth = _completed_and_truth(prior)
-    report = evaluate_completion(result, truth)
-    assert len(report["metric_mm"]) == 3
-    for level, (pred, ref) in enumerate(zip(result.clouds, truth)):
-        assert report["metric_mm"][level] == pytest.approx(
-            chamfer_metric_mm(pred, ref)
-        )
-
-
-def test_evaluate_rejects_mismatched_truth(prior):
-    result, truth = _completed_and_truth(prior)
-    with pytest.raises(ParameterError):
-        evaluate_completion(result, truth[:2])
-    with pytest.raises(ParameterError):
-        evaluate_completion(result, (truth[0], truth[1], truth[1]))

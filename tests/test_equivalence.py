@@ -57,7 +57,7 @@ from berrypick.render import (
     _as_seedseq,
     _stream,
 )
-from berrypick.types import Pose, RgbImage
+from berrypick.types import Pose
 
 # ---------------------------------------------------------------- execution
 
@@ -229,22 +229,21 @@ def test_astar_matches_reference_on_tie_heavy_grids(seed, dims, density, resolut
 # ---------------------------------------------------------------- perception
 
 
-def reference_partials(rgb, depth, k, masks, cfg):
-    """The whole-frame chain: filter and project every pixel, then extract."""
-    full = project_point_cloud(rgb, median_filter(depth), k)
+def reference_partials(depth, k, masks, cfg):
+    """The whole-frame chain: filter every pixel, then lift each mask's."""
+    filtered = median_filter(depth)
     return [
-        (m, remove_outliers(voxel_downsample(extract_masked(full, m), cfg.voxel), cfg.outliers))
+        (m, remove_outliers(
+            voxel_downsample(project_point_cloud(extract_masked(filtered, m.bits), k), cfg.voxel),
+            cfg.outliers,
+        ))
         for m in masks
     ]
 
 
 def _assert_same_cloud(a: PointCloud, b: PointCloud):
     assert len(a) == len(b)
-    for attr in ("xyz", "colors", "source_pixels"):
-        x, y = getattr(a, attr), getattr(b, attr)
-        assert (x is None) == (y is None), attr
-        if x is not None:
-            assert x.dtype == y.dtype and np.array_equal(x, y), attr
+    assert a.xyz.dtype == b.xyz.dtype and a.xyz.tobytes() == b.xyz.tobytes()
 
 
 def _rect_mask(shape, instance_id, v0, v1, u0, u1):
@@ -260,7 +259,6 @@ def test_cropped_partials_equal_whole_frame_when_masks_touch_borders(seed, side)
     h, w = 36, 48
     depth = rng.integers(350, 356, (h, w)).astype(np.uint16)  # several pixels per voxel
     depth[rng.random((h, w)) < 0.15] = 0  # dropout holes take part in the median
-    rgb = RgbImage(values=rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
     k = CameraIntrinsics(fx=60.0, fy=60.0, cx=23.5, cy=17.5)
     borders = {
         "top": (0, 4, 10, 30),
@@ -275,8 +273,8 @@ def test_cropped_partials_equal_whole_frame_when_masks_touch_borders(seed, side)
     cfg = PipelineConfig(
         voxel=VoxelParams(voxel_size=0.01, min_points=1), outliers=OutlierParams(k_neighbors=4)
     )
-    fast = extract_partials(rgb, DepthImage(values=depth), k, masks, cfg)
-    slow = reference_partials(rgb, DepthImage(values=depth), k, masks, cfg)
+    fast = extract_partials(DepthImage(values=depth), k, masks, cfg)
+    slow = reference_partials(DepthImage(values=depth), k, masks, cfg)
     assert [m.instance_id for m, _ in fast] == [m.instance_id for m, _ in slow]
     for (_, a), (_, b) in zip(fast, slow):
         _assert_same_cloud(a, b)
@@ -286,8 +284,7 @@ def test_partials_of_empty_masks_are_empty():
     shape = (10, 12)
     masks = [InstanceMask(bits=np.zeros(shape, bool), instance_id=1, ripeness=Ripeness.RIPE)]
     depth = DepthImage(values=np.full(shape, 400, dtype=np.uint16))
-    rgb = RgbImage(values=np.zeros(shape + (3,), dtype=np.uint8))
-    partials = extract_partials(rgb, depth, CameraIntrinsics(cx=5.5, cy=4.5), masks, PipelineConfig())
+    partials = extract_partials(depth, CameraIntrinsics(cx=5.5, cy=4.5), masks, PipelineConfig())
     assert [len(c) for _, c in partials] == [0]
 
 

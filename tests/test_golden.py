@@ -128,7 +128,7 @@ def partials_digest(prior) -> str:
     cfg = PipelineConfig()
     for i in range(10):
         scene, out, _ = _scene(_cluttered_template(), 20260816, i, prior, RENDER)
-        for mask, cloud in extract_partials(out.rgb, out.depth, scene.intrinsics, out.masks, cfg):
+        for mask, cloud in extract_partials(out.depth, scene.intrinsics, out.masks, cfg):
             h.update(str(mask.instance_id).encode())
             h.update(cloud.xyz.tobytes())
     return h.hexdigest()

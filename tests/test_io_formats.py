@@ -48,25 +48,39 @@ def _scene(prior, seed=0):
 
 
 def test_ply_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    cloud = PointCloud(
-        xyz=rng.normal(size=(57, 3)),
-        colors=rng.integers(0, 256, size=(57, 3), dtype=np.uint8),
-    )
+    cloud = PointCloud(xyz=np.random.default_rng(0).normal(size=(57, 3)))
     path = str(tmp_path / "cloud.ply")
     write_ply(path, cloud)
     loaded = read_ply(path)
+    assert loaded.xyz.dtype == cloud.xyz.dtype
     assert np.array_equal(loaded.xyz, cloud.xyz)
-    assert np.array_equal(loaded.colors, cloud.colors)
 
 
 def test_ply_without_colors(tmp_path):
     cloud = PointCloud(xyz=np.array([[1e-300, -2.5, 3.0]]))
-    path = str(tmp_path / "plain.ply")
-    write_ply(path, cloud)
-    loaded = read_ply(path)
-    assert np.array_equal(loaded.xyz, cloud.xyz)
-    assert loaded.colors is None
+    path = tmp_path / "plain.ply"
+    write_ply(str(path), cloud)
+    header = path.read_text().split("end_header")[0]
+    assert [line.split()[-1] for line in header.splitlines() if line.startswith("property")] == [
+        "x", "y", "z"
+    ]
+    assert np.array_equal(read_ply(str(path)).xyz, cloud.xyz)
+
+
+_COLOURED_PLY = (
+    "ply\nformat ascii 1.0\nelement vertex 2\n"
+    "property double x\nproperty double y\nproperty double z\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
+    "0.5 -0.25 0.125 255 0 7\n{row}\n"
+)
+
+
+def test_ply_colour_properties_are_read_and_ignored(tmp_path):
+    path = tmp_path / "coloured.ply"
+    # any integer colour passes: colours are dropped, never cast to uchar
+    path.write_text(_COLOURED_PLY.format(row="1.0 2.0 3.0 10 20 300"))
+    loaded = read_ply(str(path))
+    assert np.array_equal(loaded.xyz, [[0.5, -0.25, 0.125], [1.0, 2.0, 3.0]])
 
 
 def test_ply_empty_cloud(tmp_path):
@@ -85,6 +99,9 @@ def test_ply_empty_cloud(tmp_path):
         "ply\nformat ascii 1.0\nelement vertex 1\n"
         "property double y\nproperty double x\nproperty double z\nend_header\n0 0 0\n",
         "ply\nformat ascii 1.0\n",
+        _COLOURED_PLY.format(row="1.0 2.0 3.0 10 2.5 30"),
+        _COLOURED_PLY.format(row="1.0 2.0 3.0 10 20 red"),
+        _COLOURED_PLY.format(row="1.0 2.0 3.0 10 20"),
     ],
 )
 def test_ply_malformed_inputs(tmp_path, text):
@@ -192,7 +209,9 @@ def test_mask_missing_sidecar(tmp_path):
 @pytest.mark.parametrize(
     "sidecar",
     ['{"ripeness": "ripe"}', '{"instance_id": 1}', '{"instance_id": "a", "ripeness": "ripe"}',
-     '{"instance_id": 1, "ripeness": "green"}', "[1, 2]"],
+     '{"instance_id": 1, "ripeness": "green"}', "[1, 2]",
+     '{"instance_id": 0.5, "ripeness": "ripe"}', '{"instance_id": true, "ripeness": "ripe"}',
+     '{"instance_id": "3", "ripeness": "ripe"}', '{"instance_id": 1.0, "ripeness": "ripe"}'],
 )
 def test_mask_malformed_sidecar(tmp_path, sidecar):
     stem = str(tmp_path / "m")

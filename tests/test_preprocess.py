@@ -9,14 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from berrypick import (
     CameraIntrinsics,
-    ContractError,
     DepthImage,
-    InstanceMask,
     OutlierParams,
     ParameterError,
     PointCloud,
-    RgbImage,
-    Ripeness,
     VoxelParams,
     extract_masked,
     median_filter,
@@ -24,10 +20,6 @@ from berrypick import (
     remove_outliers,
     voxel_downsample,
 )
-
-
-def _rgb(h, w, value=0):
-    return RgbImage(values=np.full((h, w, 3), value, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------- median
@@ -94,34 +86,26 @@ def test_projection_hand_computed_pixel():
     k = CameraIntrinsics()
     depth = np.zeros((480, 640), dtype=np.uint16)
     depth[50, 100] = 500
-    cloud = project_point_cloud(_rgb(480, 640, 7), DepthImage(values=depth), k)
+    cloud = project_point_cloud(DepthImage(values=depth), k)
     assert len(cloud) == 1
     x, y, z = cloud.xyz[0]
     assert z == pytest.approx(0.5)
     assert x == pytest.approx((100 - 319.5) * 0.5 / 800.0)
     assert y == pytest.approx((50 - 239.5) * 0.5 / 800.0)
-    assert tuple(cloud.colors[0]) == (7, 7, 7)
-    assert tuple(cloud.source_pixels[0]) == (100, 50)
 
 
 def test_projection_skips_invalid_pixels():
     depth = np.zeros((10, 10), dtype=np.uint16)
     depth[3, 4] = 800
     depth[7, 2] = 1200
-    cloud = project_point_cloud(_rgb(10, 10), DepthImage(values=depth), CameraIntrinsics(cx=4.5, cy=4.5))
+    cloud = project_point_cloud(DepthImage(values=depth), CameraIntrinsics(cx=4.5, cy=4.5))
     assert len(cloud) == 2
 
 
 def test_projection_empty_depth_gives_empty_cloud():
     depth = DepthImage(values=np.zeros((10, 10), dtype=np.uint16))
-    cloud = project_point_cloud(_rgb(10, 10), depth, CameraIntrinsics(cx=4.5, cy=4.5))
+    cloud = project_point_cloud(depth, CameraIntrinsics(cx=4.5, cy=4.5))
     assert len(cloud) == 0
-
-
-def test_projection_rejects_mismatched_shapes():
-    depth = DepthImage(values=np.zeros((10, 10), dtype=np.uint16))
-    with pytest.raises(ParameterError):
-        project_point_cloud(_rgb(10, 12), depth, CameraIntrinsics())
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -134,12 +118,14 @@ def test_projection_reprojects_to_source_pixel(seed):
     vs = rng.integers(0, 480, n)
     us = rng.integers(0, 640, n)
     depth[vs, us] = rng.integers(200, 1500, n).astype(np.uint16)
-    cloud = project_point_cloud(_rgb(480, 640), DepthImage(values=depth), k)
+    cloud = project_point_cloud(DepthImage(values=depth), k)
+    # points come out in row-major pixel order, the order np.nonzero gives
+    v_src, u_src = np.nonzero(depth)
     x, y, z = cloud.xyz.T
     u_back = x * k.fx / z + k.cx
     v_back = y * k.fy / z + k.cy
-    assert np.allclose(u_back, cloud.source_pixels[:, 0], atol=1e-9)
-    assert np.allclose(v_back, cloud.source_pixels[:, 1], atol=1e-9)
+    assert np.allclose(u_back, u_src, atol=1e-9)
+    assert np.allclose(v_back, v_src, atol=1e-9)
 
 
 # ---------------------------------------------------------------- voxels
@@ -174,18 +160,9 @@ def test_voxel_negative_coordinates_bin_by_floor():
 def test_voxel_downsample_emits_positions_only():
     # eighths are exact in binary, so the hand-computed mean is exact too
     xyz = np.array([[1, 2, 4], [3, 4, 5], [4, 0, 7], [6, 6, 2]]) / 8.0
-    out = voxel_downsample(
-        PointCloud(
-            xyz=xyz,
-            colors=np.array([[10, 20, 30]] * 4, dtype=np.uint8),
-            source_pixels=np.array([[1, 1], [1, 2], [2, 2], [3, 3]], dtype=np.int32),
-        ),
-        VoxelParams(voxel_size=1.0, min_points=1),
-    )
+    out = voxel_downsample(PointCloud(xyz=xyz), VoxelParams(voxel_size=1.0, min_points=1))
     assert len(out) == 1
     assert np.array_equal(out.xyz, [[0.4375, 0.375, 0.5625]])
-    assert out.colors is None
-    assert out.source_pixels is None
 
 
 @given(seed=st.integers(0, 2**32 - 1), min_points=st.integers(1, 6))
@@ -209,29 +186,24 @@ def test_voxel_empty_cloud():
 # ---------------------------------------------------------------- masks
 
 
-def _cloud_on_grid(h, w):
-    vs, us = np.mgrid[0:h, 0:w]
-    n = h * w
-    return PointCloud(
-        xyz=np.column_stack([us.ravel() * 0.01, vs.ravel() * 0.01, np.ones(n)]),
-        source_pixels=np.column_stack([us.ravel(), vs.ravel()]).astype(np.int32),
-    )
+def _depth_on_grid(h, w):
+    # every pixel valid and unique, so a kept pixel shows by its value
+    return DepthImage(values=np.arange(1, h * w + 1, dtype=np.uint16).reshape(h, w))
 
 
 def test_extract_masked_selects_the_masked_pixels():
-    cloud = _cloud_on_grid(4, 4)
+    depth = _depth_on_grid(4, 4)
     bits = np.zeros((4, 4), dtype=bool)
     bits[0, :2] = True
-    out = extract_masked(cloud, InstanceMask(bits=bits, instance_id=3, ripeness=Ripeness.RIPE))
-    assert len(out) == 2
-    assert out.source_pixels.tolist() == [[0, 0], [1, 0]]
+    out = extract_masked(depth, bits)
+    assert out.values.dtype == np.uint16
+    assert out.values[0, :2].tolist() == [1, 2]
+    assert (out.values[~bits] == 0).all()
 
 
-def test_extract_masked_requires_provenance():
-    cloud = PointCloud(xyz=np.ones((4, 3)))
-    mask = InstanceMask(bits=np.ones((2, 2), dtype=bool), instance_id=0, ripeness=Ripeness.RIPE)
-    with pytest.raises(ContractError):
-        extract_masked(cloud, mask)
+def test_extract_masked_rejects_mismatched_shapes():
+    with pytest.raises(ParameterError):
+        extract_masked(_depth_on_grid(4, 4), np.ones((4, 5), dtype=bool))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -239,14 +211,19 @@ def test_extract_masked_requires_provenance():
 def test_extract_masked_partitions_the_cloud(seed):
     rng = np.random.default_rng(seed)
     h, w = 6, 8
-    cloud = _cloud_on_grid(h, w)
+    depth = _depth_on_grid(h, w)
+    k = CameraIntrinsics(cx=3.5, cy=2.5)
     split = rng.random((h, w)) < 0.5
-    mask_a = InstanceMask(bits=split, instance_id=0, ripeness=Ripeness.RIPE)
-    mask_b = InstanceMask(bits=~split, instance_id=1, ripeness=Ripeness.UNRIPE)
-    part_a = extract_masked(cloud, mask_a)
-    part_b = extract_masked(cloud, mask_b)
-    assert len(part_a) + len(part_b) == len(cloud)
-    merged = np.vstack([part_a.xyz, part_b.xyz])
+    part_a = extract_masked(depth, split)
+    part_b = extract_masked(depth, ~split)
+    assert np.array_equal(part_a.values[split], depth.values[split])
+    assert (part_a.values[~split] == 0).all()
+    assert (part_b.values[split] == 0).all()
+    cloud = project_point_cloud(depth, k)
+    lifted_a = project_point_cloud(part_a, k)
+    lifted_b = project_point_cloud(part_b, k)
+    assert len(lifted_a) + len(lifted_b) == len(cloud)
+    merged = np.vstack([lifted_a.xyz, lifted_b.xyz])
     assert set(map(tuple, merged)) == set(map(tuple, cloud.xyz))
 
 
