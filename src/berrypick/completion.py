@@ -209,7 +209,7 @@ def icp_refine(
         raise InsufficientDataError("registration needs at least 3 points")
     surface = prior.registration_surface()
     normals = prior.registration_normals()
-    tree = cKDTree(surface)
+    tree = prior.registration_tree()
     xyz = partial.xyz
 
     best: IcpResult | None = None

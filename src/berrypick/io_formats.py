@@ -20,7 +20,7 @@ from .errors import InputError, StorageError
 from .pipeline import SceneArtifacts
 from .render import GroundTruth
 from .scene import SceneTemplate
-from .types import DepthImage, InstanceMask, PointCloud, RgbImage, Ripeness
+from .types import DepthImage, InstanceMask, PointCloud, RgbImage, Ripeness, json_instance_id
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -185,9 +185,8 @@ def read_mask(path: str) -> InstanceMask:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mask sidecar {path}.json: {exc}") from exc
     try:
-        instance_id, ripeness = meta["instance_id"], Ripeness(meta["ripeness"])
-        if isinstance(instance_id, bool) or not isinstance(instance_id, int):
-            raise TypeError(f"instance_id must be an integer, got {instance_id!r}")
+        instance_id = json_instance_id(meta["instance_id"])
+        ripeness = Ripeness(meta["ripeness"])
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError(f"mask sidecar {path}.json needs instance_id and ripeness: {exc!r}") from exc
     return InstanceMask(bits=bits, instance_id=instance_id, ripeness=ripeness)

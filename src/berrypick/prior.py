@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InputError, ParameterError
 from .types import PointCloud, Pose
@@ -254,6 +255,13 @@ class StrawberryPrior:
         """Face normals matching registration_surface, one unit row per point."""
         return self._registration_sampling(n)[1]
 
+    def registration_tree(self, n: int = 16384) -> cKDTree:
+        """Cached KD-tree over registration_surface, built once per prior."""
+        key = ("registration_tree", n)
+        if key not in self._sample_cache:
+            self._sample_cache[key] = cKDTree(self.registration_surface(n))
+        return self._sample_cache[key]
+
     def sample_ground_truth(
         self, pose: Pose, rng: np.random.Generator, densities: tuple[int, int, int] | None = None
     ) -> tuple[PointCloud, PointCloud, PointCloud]:
@@ -271,8 +279,6 @@ class StrawberryPrior:
     def surface_distance_m(self, xyz: np.ndarray, pose: Pose = Pose.identity()) -> np.ndarray:
         """Approximate unsigned distance from points to the posed surface via
         the dense registration sampling."""
-        from scipy.spatial import cKDTree
-
         surf = pose.apply(self.registration_surface())
         d, _ = cKDTree(surf).query(np.asarray(xyz))
         return d

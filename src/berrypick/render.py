@@ -21,6 +21,8 @@ does not depend on what the scene puts elsewhere.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 from dataclasses import dataclass, field
 
@@ -37,6 +39,7 @@ from .types import (
     Pose,
     RgbImage,
     Ripeness,
+    json_instance_id,
 )
 
 RIPE_COLOR = (204, 30, 48)
@@ -246,6 +249,27 @@ def render_rgbd(
     )
 
 
+def _encode_surface(cloud: PointCloud) -> str:
+    """Padded base64 of the (N, 3) coordinates as little-endian float64,
+    row-major: exact, and far cheaper to write and read than decimal text."""
+    return base64.b64encode(cloud.xyz.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode_surface(text) -> PointCloud:
+    if not isinstance(text, str):
+        raise TypeError(
+            f"a surface must be a base64 string, got {type(text).__name__}; "
+            "ground truth written with coordinate lists must be re-rendered"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"a surface is not valid base64: {exc}") from exc
+    if not raw or len(raw) % 24:
+        raise ValueError(f"a surface holds {len(raw)} bytes, not a positive multiple of 24")
+    return PointCloud(xyz=np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(-1, 3))
+
+
 @dataclass(frozen=True)
 class GroundTruthInstance:
     """True pose and surface samplings for one berry, ascending density."""
@@ -266,24 +290,31 @@ class GroundTruthInstance:
             "instance_id": self.instance_id,
             "ripeness": self.ripeness.value,
             **self.pose.to_json(),
-            "surfaces": [s.xyz.tolist() for s in self.surfaces],
+            "surfaces": [_encode_surface(s) for s in self.surfaces],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroundTruthInstance":
+        surfaces = obj["surfaces"]
+        if not isinstance(surfaces, list):
+            raise TypeError(f"surfaces must be a list, got {type(surfaces).__name__}")
         return cls(
-            instance_id=int(obj["instance_id"]),
+            instance_id=json_instance_id(obj["instance_id"]),
             ripeness=Ripeness(obj["ripeness"]),
             pose=Pose.from_json(obj),
-            surfaces=tuple(
-                PointCloud(xyz=np.asarray(s, dtype=np.float64)) for s in obj["surfaces"]
-            ),
+            surfaces=tuple(_decode_surface(s) for s in surfaces),
         )
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     instances: tuple[GroundTruthInstance, ...]
+
+    def __post_init__(self):
+        ids = [inst.instance_id for inst in self.instances]
+        for i, instance_id in enumerate(ids):
+            if instance_id in ids[:i]:
+                raise ParameterError(f"instance {instance_id} appears more than once")
 
     def instance(self, instance_id: int) -> GroundTruthInstance:
         for inst in self.instances:

@@ -15,7 +15,14 @@ import numpy as np
 
 from .errors import ParameterError, SceneGenerationError
 from .prior import StrawberryPrior
-from .types import CameraIntrinsics, Pose, Ripeness, rotation_about_axis, rotation_aligning
+from .types import (
+    CameraIntrinsics,
+    Pose,
+    Ripeness,
+    json_instance_id,
+    rotation_about_axis,
+    rotation_aligning,
+)
 
 # Sampling volume in front of the camera. At the default intrinsics this spans
 # most of the image while keeping every berry inside the frustum.
@@ -47,7 +54,7 @@ class BerryInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "BerryInstance":
         return cls(
-            instance_id=int(obj["instance_id"]),
+            instance_id=json_instance_id(obj["instance_id"]),
             pose=Pose.from_json(obj),
             ripeness=Ripeness(obj["ripeness"]),
         )

@@ -21,6 +21,14 @@ class Ripeness(enum.Enum):
     UNRIPE = "unripe"
 
 
+def json_instance_id(value) -> int:
+    """An instance id read from JSON: only a JSON integer, not a bool, float
+    or string, is accepted; anything else raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"instance_id must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics in pixels."""

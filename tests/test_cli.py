@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from berrypick.cli import main
 from berrypick.io_formats import write_ply
 from berrypick.types import Pose
 
+TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 @pytest.fixture()
 def template_path(tmp_path):
@@ -312,6 +314,67 @@ def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, cap
     rc = main(["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")])
     assert rc == 1
     assert message in _single_error_line(capsys)
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _list_form_surface(art_dir):
+    def edit(doc):
+        doc["instances"][0]["surfaces"][2] = [[0.0, 0.0, 0.36]]
+    _edit_json(art_dir / "ground_truth.json", edit)
+
+
+def _relabel(name, key, value):
+    def corrupt(art_dir):
+        _edit_json(art_dir / name, lambda doc: doc[key][0].update(instance_id=value))
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_list_form_surface, "ground_truth.json: a surface must be a base64 string, got list; "
+                             "ground truth written with coordinate lists must be re-rendered"),
+        (_relabel("ground_truth.json", "instances", True),
+         "ground_truth.json: instance_id must be an integer, got True"),
+        (_relabel("ground_truth.json", "instances", 0.0),
+         "ground_truth.json: instance_id must be an integer, got 0.0"),
+        (_relabel("scene.json", "berries", "0"),
+         "scene.json: instance_id must be an integer, got '0'"),
+        (_relabel("scene.json", "berries", False),
+         "scene.json: instance_id must be an integer, got False"),
+    ],
+    ids=["truth-list-form", "truth-id-bool", "truth-id-float", "scene-id-string", "scene-id-bool"],
+)
+def test_malformed_scene_documents_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
+    corrupt(rendered_dir)
+    capsys.readouterr()
+    rc = main(["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert message in _single_error_line(capsys)
+
+
+def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
+    # Regression: a copy of berry 1's ground truth, relabelled 0 and put
+    # first, used to be the truth berry 0 was scored against, so plan
+    # exited 0 with a cd_mm of 109.2 for berry 0 instead of 0.378.
+    scene_dir, art_dir = tmp_path / "scene", tmp_path / "artifacts"
+    assert main(["gen-scene", "--template", str(TEMPLATES / "cluttered.json"), "--seed", "3",
+                 "--out", str(scene_dir)]) == 0
+    assert main(["render", "--scene", str(scene_dir / "scene.json"), "--seed", "0",
+                 "--sigma-mm", "1.0", "--dropout", "0.02", "--out", str(art_dir)]) == 0
+
+    def edit(doc):
+        doc["instances"].insert(0, dict(doc["instances"][1], instance_id=0))
+    _edit_json(art_dir / "ground_truth.json", edit)
+    capsys.readouterr()
+    rc = main(["plan", "--scene-dir", str(art_dir), "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert "ground_truth.json: instance 0 appears more than once" in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,13 @@ malformed input."""
 
 from __future__ import annotations
 
+import base64
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berrypick import (
     CameraIntrinsics,
@@ -16,6 +21,7 @@ from berrypick import (
     Ripeness,
     SceneConfig,
     StorageError,
+    StrawberryPrior,
     generate_scene,
     render_scene_artifacts,
     sample_ground_truth,
@@ -246,6 +252,109 @@ def test_ground_truth_document_round_trip(tmp_path, prior):
     path = str(tmp_path / "truth.json")
     save_ground_truth(path, truth)
     assert load_ground_truth(path).to_json_str() == truth.to_json_str()
+
+
+def test_ground_truth_surfaces_are_base64_little_endian_float64(tmp_path, prior):
+    truth = sample_ground_truth(_scene(prior), prior, seed=3)
+    path = tmp_path / "ground_truth.json"
+    save_ground_truth(str(path), truth)
+    doc = json.loads(path.read_text())
+    for inst, stored in zip(truth.instances, doc["instances"], strict=True):
+        assert stored["instance_id"] == inst.instance_id
+        for cloud, text in zip(inst.surfaces, stored["surfaces"], strict=True):
+            xyz = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+            assert np.array_equal(xyz.reshape(-1, 3), cloud.xyz)
+
+
+def _b64_floats(*values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "surface, message",
+    [
+        ([[0.0, 0.0, 0.36]], "must be re-rendered"),
+        (3, "a surface must be a base64 string, got int"),
+        (None, "a surface must be a base64 string, got NoneType"),
+        ("!!!!", "not valid base64"),
+        ("AAA", "not valid base64"),
+        ("AAAA AAAA", "not valid base64"),
+        ("", "holds 0 bytes"),
+        (_b64_floats(0.0, 0.1), "holds 16 bytes"),
+        (_b64_floats(0.0, 0.0, 0.36, 0.0), "holds 32 bytes"),
+        (_b64_floats(0.0, float("nan"), 0.36), "point coordinates must be finite"),
+        (_b64_floats(0.0, 0.0, -float("inf")), "point coordinates must be finite"),
+    ],
+    ids=["old-list-form", "number", "null", "bad-alphabet", "bad-padding", "whitespace",
+         "empty", "short-row", "partial-row", "nan", "infinity"],
+)
+def test_ground_truth_malformed_surface(tmp_path, prior, surface, message):
+    path = tmp_path / "ground_truth.json"
+    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
+    doc = json.loads(path.read_text())
+    doc["instances"][0]["surfaces"][1] = surface
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="ground_truth.json: ") as err:
+        load_ground_truth(str(path))
+    assert message in str(err.value)
+
+
+def test_ground_truth_rejects_surfaces_that_are_not_a_list(tmp_path, prior):
+    path = tmp_path / "ground_truth.json"
+    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
+    doc = json.loads(path.read_text())
+    doc["instances"][0]["surfaces"] = doc["instances"][0]["surfaces"][0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="surfaces must be a list, got str"):
+        load_ground_truth(str(path))
+
+
+_SMALL_PRIOR = StrawberryPrior.builtin(densities=(2, 3, 5))
+
+
+@st.composite
+def _mutated_truth_document(draw):
+    """A small valid ground_truth.json with one mutation, and whether that
+    mutation must make it invalid. A flipped byte may leave a valid
+    document (say, a changed digit); the other three never do."""
+    truth = sample_ground_truth(_scene(_SMALL_PRIOR), _SMALL_PRIOR, seed=draw(st.integers(0, 3)))
+    doc = truth.to_json()
+    kind = draw(st.sampled_from(["truncate", "flip", "nan", "list"]))
+    if kind == "flip":
+        data = bytearray(json.dumps(doc).encode("utf-8"))
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data), False
+    inst = draw(st.integers(0, len(truth.instances) - 1))
+    k = draw(st.integers(0, 2))
+    xyz = truth.instances[inst].surfaces[k].xyz
+    surfaces = doc["instances"][inst]["surfaces"]
+    if kind == "truncate":
+        # a cut at a whole point (a multiple of 32 characters) is a valid,
+        # shorter surface, so cuts land anywhere else
+        cut = draw(st.integers(0, len(surfaces[k]) - 1).filter(lambda n: n == 0 or n % 32))
+        surfaces[k] = surfaces[k][:cut]
+    elif kind == "nan":
+        bad = xyz.copy()
+        mantissa = draw(st.integers(0, 2**52 - 1))
+        bits = np.array([0x7FF0_0000_0000_0000 | mantissa], dtype="<u8")
+        bad.reshape(-1)[draw(st.integers(0, bad.size - 1))] = bits.view("<f8")[0]
+        surfaces[k] = base64.b64encode(bad.astype("<f8").tobytes()).decode("ascii")
+    else:
+        surfaces[k] = xyz.tolist()
+    return json.dumps(doc).encode("utf-8"), True
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_mutated_truth_document())
+def test_mutated_ground_truth_is_input_error_or_valid(tmp_path_factory, mutated):
+    data, must_fail = mutated
+    path = tmp_path_factory.mktemp("truth") / "ground_truth.json"
+    path.write_bytes(data)
+    try:
+        load_ground_truth(str(path))
+    except InputError:
+        return
+    assert not must_fail, "a malformed ground truth document loaded"
 
 
 # ---------------------------------------------------------------- artifacts

@@ -25,7 +25,13 @@ from berrypick import (
     render_rgbd,
     sample_ground_truth,
 )
-from berrypick.render import LEAF_COLOR, RIPE_COLOR, UNRIPE_COLOR, rasterize
+from berrypick.render import (
+    LEAF_COLOR,
+    RIPE_COLOR,
+    UNRIPE_COLOR,
+    GroundTruthInstance,
+    rasterize,
+)
 from berrypick.types import Pose
 
 
@@ -270,3 +276,25 @@ def test_ground_truth_lookup_by_id(prior):
     assert truth.instance(0).instance_id == 0
     with pytest.raises(KeyError):
         truth.instance(99)
+
+
+@pytest.mark.parametrize("instance_id", [True, "0", 0.5, 0.0, None])
+def test_ground_truth_json_takes_only_integer_ids(prior, instance_id):
+    obj = sample_ground_truth(_single_berry_scene(), prior, seed=0).to_json()
+    obj["instances"][0]["instance_id"] = instance_id
+    with pytest.raises(TypeError, match="instance_id must be an integer"):
+        GroundTruth.from_json(obj)
+
+
+def test_ground_truth_rejects_duplicate_ids(prior):
+    scene = SceneTemplate(
+        berries=(_berry(0, (0.0, 0.02, 0.35)), _berry(1, (0.04, 0.0, 0.40))),
+        occluders=(),
+        intrinsics=CameraIntrinsics(),
+    )
+    first, second = sample_ground_truth(scene, prior, seed=4).instances
+    relabelled = GroundTruthInstance(
+        instance_id=0, ripeness=second.ripeness, pose=second.pose, surfaces=second.surfaces
+    )
+    with pytest.raises(ParameterError, match="instance 0 appears more than once"):
+        GroundTruth(instances=(relabelled, first))

@@ -156,6 +156,14 @@ def test_scene_template_rejects_duplicate_ids():
         SceneTemplate(berries=(berry, berry), occluders=(), intrinsics=CameraIntrinsics())
 
 
+@pytest.mark.parametrize("instance_id", [True, "1", 1.5, 1.0, None])
+def test_berry_json_takes_only_integer_ids(instance_id):
+    berry = BerryInstance(1, Pose(np.eye(3), np.array([0.0, 0.0, 0.35])), Ripeness.RIPE)
+    obj = dict(berry.to_json(), instance_id=instance_id)
+    with pytest.raises(TypeError, match="instance_id must be an integer"):
+        BerryInstance.from_json(obj)
+
+
 def test_occluder_mesh_is_planar_fan():
     occluder = Occluder(
         center=np.array([0.01, -0.02, 0.3]),
