@@ -1,7 +1,11 @@
 """File formats: ASCII PLY clouds, PGM/PPM images, JSON scene documents.
 
-Coordinates are written with repr(), which emits the shortest decimal string
-that round-trips to the same float64, so save/load is exact. Depth images are
+PLY and scene coordinates are written with repr(), which emits the shortest
+decimal string that round-trips to the same float64, so save/load is exact.
+Ground-truth surfaces, the bulk of a scene's artifacts, are stored in
+ground_truth.json as base64 strings of their little-endian float64 bytes
+(see render.GroundTruthInstance): exact as well, and half the size and far
+cheaper to write and parse than decimal text. Depth images are
 16-bit big-endian PGM with millimeter values; masks are 8-bit PGM (nonzero =
 member) with a JSON sidecar carrying identity and ripeness.
 

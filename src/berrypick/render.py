@@ -295,14 +295,11 @@ class GroundTruthInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroundTruthInstance":
-        surfaces = obj["surfaces"]
-        if not isinstance(surfaces, list):
-            raise TypeError(f"surfaces must be a list, got {type(surfaces).__name__}")
         return cls(
             instance_id=json_instance_id(obj["instance_id"]),
             ripeness=Ripeness(obj["ripeness"]),
             pose=Pose.from_json(obj),
-            surfaces=tuple(_decode_surface(s) for s in surfaces),
+            surfaces=tuple(_decode_surface(s) for s in obj["surfaces"]),
         )
 
 

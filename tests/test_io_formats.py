@@ -299,16 +299,6 @@ def test_ground_truth_malformed_surface(tmp_path, prior, surface, message):
     assert message in str(err.value)
 
 
-def test_ground_truth_rejects_surfaces_that_are_not_a_list(tmp_path, prior):
-    path = tmp_path / "ground_truth.json"
-    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
-    doc = json.loads(path.read_text())
-    doc["instances"][0]["surfaces"] = doc["instances"][0]["surfaces"][0]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match="surfaces must be a list, got str"):
-        load_ground_truth(str(path))
-
-
 _SMALL_PRIOR = StrawberryPrior.builtin(densities=(2, 3, 5))
 
 
