@@ -15,6 +15,7 @@ from berrypick.types import Pose
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
+
 @pytest.fixture()
 def template_path(tmp_path):
     cfg = SceneConfig(n_ripe=1, n_unripe=0, n_occluders=0)

@@ -25,13 +25,7 @@ from berrypick import (
     render_rgbd,
     sample_ground_truth,
 )
-from berrypick.render import (
-    LEAF_COLOR,
-    RIPE_COLOR,
-    UNRIPE_COLOR,
-    GroundTruthInstance,
-    rasterize,
-)
+from berrypick.render import LEAF_COLOR, RIPE_COLOR, UNRIPE_COLOR, rasterize
 from berrypick.types import Pose
 
 
@@ -287,14 +281,6 @@ def test_ground_truth_json_takes_only_integer_ids(prior, instance_id):
 
 
 def test_ground_truth_rejects_duplicate_ids(prior):
-    scene = SceneTemplate(
-        berries=(_berry(0, (0.0, 0.02, 0.35)), _berry(1, (0.04, 0.0, 0.40))),
-        occluders=(),
-        intrinsics=CameraIntrinsics(),
-    )
-    first, second = sample_ground_truth(scene, prior, seed=4).instances
-    relabelled = GroundTruthInstance(
-        instance_id=0, ripeness=second.ripeness, pose=second.pose, surfaces=second.surfaces
-    )
+    (inst,) = sample_ground_truth(_single_berry_scene(), prior, seed=0).instances
     with pytest.raises(ParameterError, match="instance 0 appears more than once"):
-        GroundTruth(instances=(relabelled, first))
+        GroundTruth(instances=(inst, inst))
