@@ -255,12 +255,11 @@ class StrawberryPrior:
         """Face normals matching registration_surface, one unit row per point."""
         return self._registration_sampling(n)[1]
 
-    def registration_tree(self, n: int = 16384) -> cKDTree:
+    def registration_tree(self) -> cKDTree:
         """Cached KD-tree over registration_surface, built once per prior."""
-        key = ("registration_tree", n)
-        if key not in self._sample_cache:
-            self._sample_cache[key] = cKDTree(self.registration_surface(n))
-        return self._sample_cache[key]
+        if "registration_tree" not in self._sample_cache:
+            self._sample_cache["registration_tree"] = cKDTree(self.registration_surface())
+        return self._sample_cache["registration_tree"]
 
     def sample_ground_truth(
         self, pose: Pose, rng: np.random.Generator, densities: tuple[int, int, int] | None = None

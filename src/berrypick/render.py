@@ -295,11 +295,14 @@ class GroundTruthInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroundTruthInstance":
+        surfaces = obj["surfaces"]
+        if not isinstance(surfaces, list):
+            raise TypeError(f"surfaces must be a list, got {type(surfaces).__name__}")
         return cls(
             instance_id=json_instance_id(obj["instance_id"]),
             ripeness=Ripeness(obj["ripeness"]),
             pose=Pose.from_json(obj),
-            surfaces=tuple(_decode_surface(s) for s in obj["surfaces"]),
+            surfaces=tuple(_decode_surface(s) for s in surfaces),
         )
 
 
@@ -309,9 +312,9 @@ class GroundTruth:
 
     def __post_init__(self):
         ids = [inst.instance_id for inst in self.instances]
-        for i, instance_id in enumerate(ids):
-            if instance_id in ids[:i]:
-                raise ParameterError(f"instance {instance_id} appears more than once")
+        dup = next((i for i in ids if ids.count(i) > 1), None)
+        if dup is not None:
+            raise ParameterError(f"instance {dup} appears more than once")
 
     def instance(self, instance_id: int) -> GroundTruthInstance:
         for inst in self.instances:

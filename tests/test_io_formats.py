@@ -299,6 +299,26 @@ def test_ground_truth_malformed_surface(tmp_path, prior, surface, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "wrap, kind",
+    [
+        (lambda surfaces: dict(zip("abc", surfaces)), "dict"),
+        (lambda surfaces: surfaces[0], "str"),
+    ],
+    ids=["dict", "one-string"],
+)
+def test_ground_truth_surfaces_must_be_a_list(tmp_path, prior, wrap, kind):
+    """A dict of three valid surface strings iterates as three surfaces, and a
+    string iterates character by character; both are refused as a whole."""
+    path = tmp_path / "ground_truth.json"
+    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
+    doc = json.loads(path.read_text())
+    doc["instances"][0]["surfaces"] = wrap(doc["instances"][0]["surfaces"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"ground_truth.json: .*surfaces must be a list, got {kind}"):
+        load_ground_truth(str(path))
+
+
 _SMALL_PRIOR = StrawberryPrior.builtin(densities=(2, 3, 5))
 
 
