@@ -24,7 +24,7 @@ from .errors import InputError, StorageError
 from .pipeline import SceneArtifacts
 from .render import GroundTruth
 from .scene import SceneTemplate
-from .types import DepthImage, InstanceMask, PointCloud, RgbImage, Ripeness, json_instance_id
+from .types import DepthImage, InstanceMask, PointCloud, RgbImage, Ripeness, json_int
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -189,7 +189,7 @@ def read_mask(path: str) -> InstanceMask:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read mask sidecar {path}.json: {exc}") from exc
     try:
-        instance_id = json_instance_id(meta["instance_id"])
+        instance_id = json_int(meta["instance_id"], "instance_id")
         ripeness = Ripeness(meta["ripeness"])
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError(f"mask sidecar {path}.json needs instance_id and ripeness: {exc!r}") from exc

@@ -5,6 +5,13 @@ The end-effector is a point; the occupancy grid has already absorbed the
 gripper radius through obstacle inflation. Paths are 26-connected shortest
 paths over free cells with Euclidean edge costs, found by A* with a
 deterministic tie-break so planning is reproducible bit for bit.
+
+A* first searches the octile corridor: the cells u with oct(start, u) +
+oct(u, goal) <= oct(start, goal), where oct is the 3D octile distance, a
+lower bound on the 26-connected cost. Blocking cells that lie on no
+minimum-cost path leaves the search's path and cost unchanged, so a corridor
+path no costlier than oct(start, goal) is the whole-grid answer; otherwise
+the same search runs on the whole grid. `astar_grid` states the lemma.
 """
 
 from __future__ import annotations
@@ -132,6 +139,18 @@ _NEIGHBOR_STEPS: list[tuple[int, int, int, float]] = [
 ]
 
 
+_SQRT2, _SQRT3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+def _octile(dx, dy, dz):
+    """3D octile distance in cells, (a - b) + sqrt2 (b - c) + sqrt3 c over the
+    sorted a >= b >= c of the absolute offsets (integer arrays or ints)."""
+    a = np.maximum(np.maximum(dx, dy), dz)
+    c = np.minimum(np.minimum(dx, dy), dz)
+    b = dx + dy + dz - a - c
+    return (a - b) + _SQRT2 * (b - c) + _SQRT3 * c
+
+
 def astar_grid(
     grid: OccupancyGrid,
     start: tuple[int, int, int],
@@ -143,11 +162,33 @@ def astar_grid(
     grid resolution. Ties on f-value break toward the lower linearized cell
     index, making expansion order and the returned path deterministic.
 
-    The search runs on flat indices into a one-cell-padded copy of the
-    occupancy array whose border reads blocked, which removes per-neighbor
-    bounds checks from the inner loop. Interior flat indices sort like the
-    unpadded linear indices, so the flat index itself is the tie key.
-    Heuristic values come from a table built once per call.
+    The search first runs inside the octile corridor and falls back to the
+    whole grid only when the corridor cannot certify its answer. Both runs
+    are the same loop, `_search`, over different blocked maps, and the
+    corridor never changes the answer, by this lemma:
+
+    Let S be the cells on at least one minimum-cost start-goal path. Blocking
+    any set of cells disjoint from S leaves the returned path and float cost
+    unchanged. (1) Every optimal predecessor of a cell in S is in S. (2) Path
+    costs are (a + b sqrt2 + c sqrt3) res for integer move counts, so a cell
+    outside S offers a cell of S a cost worse by far more than the 1e-15
+    improvement rule and never becomes its parent. (3) Cells of S pop in the
+    same relative (f, flat) order whatever else the heap holds, and both
+    searches stop when the goal pops.
+
+    Corridor rule: octile distance bounds the 26-connected cost from below
+    even around obstacles, so every cell u of S has oct(start, u) +
+    oct(u, goal) <= C*, the optimal cost. The first run also blocks the cells
+    where that sum exceeds B = oct(start, goal). If it finds a path of cost
+    at most B, then C* <= B, S lies inside the corridor, and by the lemma the
+    path is the whole-grid answer. Otherwise (no path, or a costlier one) the
+    loop runs again on the whole grid.
+
+    Flat indices address a one-cell-padded copy of the occupancy array whose
+    border reads blocked, which removes per-neighbor bounds checks from the
+    inner loop. Interior flat indices sort like the unpadded linear indices,
+    so the flat index itself is the tie key. Heuristic values come from a
+    table built once per call.
     """
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.in_bounds(cell):
@@ -160,8 +201,6 @@ def astar_grid(
     py, pz = ny + 2, nz + 2
     padded = np.ones((nx + 2, py, pz), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = grid.occupied
-    # one byte per cell: nonzero once a cell is occupied or closed
-    blocked = bytearray(padded.ravel().tobytes())
 
     # squared cell distances are small integers, exact in float64, and sqrt
     # is correctly rounded, so each entry equals a per-cell math.sqrt
@@ -175,6 +214,44 @@ def astar_grid(
     moves = [((di * py + dj) * pz + dk, step * res) for di, dj, dk, step in _NEIGHBOR_STEPS]
     start_f, goal_f = flat(start), flat(goal)
 
+    # Margins, in cells. Take n = nx + ny + nz and eps = 2**-53. The octile
+    # sums are at most 2n and carry a rounding error below 20 n eps. A path
+    # the certificate accepts costs about B <= 2n cells in at most 2n steps,
+    # so its float cost is off by under (2n + 4) 2n eps <= 8 n^2 eps. With
+    # tol = 1e-14 n^2 > 90 n^2 eps, the certificate accepts cost <= B + tol,
+    # and then every cell of S has a true octile sum <= C* <= B + tol plus
+    # those errors, which stays below the corridor's cut at B + 2 tol.
+    n = nx + ny + nz
+    tol = 1e-14 * n * n
+    bound = float(_octile(*(abs(s - g) for s, g in zip(start, goal))))
+    # Every octile sum is at least B, and octile distance grows by at least
+    # sqrt3 - sqrt2 with each unit of any |offset|, so a cell outside the box
+    # spanned by start and goal sums to more than B + 2 (sqrt3 - sqrt2) >
+    # B + 2 tol: the corridor lies within the box.
+    box = tuple(slice(min(s, g) + 1, max(s, g) + 2) for s, g in zip(start, goal))
+    axes = np.ogrid[box]  # padded indices, one cell above grid indices
+    spread = sum(_octile(*(abs(i - c - 1) for i, c in zip(axes, end))) for end in (start, goal))
+    corridor = np.ones_like(padded)
+    corridor[box] = padded[box] | (spread > bound + 2 * tol)
+
+    found = _search(corridor, heuristic, moves, start_f, goal_f)
+    if found is None or found[1] > (bound + tol) * res:
+        found = _search(padded, heuristic, moves, start_f, goal_f)
+    if found is None:
+        return None
+    path = []
+    for f in found[0]:
+        x, rem = divmod(f, py * pz)
+        y, z = divmod(rem, pz)
+        path.append((x - 1, y - 1, z - 1))
+    return path, found[1]
+
+
+def _search(blocked_cells: np.ndarray, heuristic, moves, start_f: int, goal_f: int):
+    """The A* loop over flat cells of the padded grid: the flat path and its
+    cost, or None. Cells of `blocked_cells` that read True are never entered."""
+    # one byte per cell: nonzero once a cell is occupied or closed
+    blocked = bytearray(blocked_cells.ravel().tobytes())
     g_cost: dict[int, float] = {start_f: 0.0}
     parent: dict[int, int] = {}
     frontier: list[tuple[float, int]] = [(heuristic[start_f], start_f)]
@@ -188,12 +265,7 @@ def astar_grid(
             while flats[-1] != start_f:
                 flats.append(parent[flats[-1]])
             flats.reverse()
-            path = []
-            for f in flats:
-                x, rem = divmod(f, py * pz)
-                y, z = divmod(rem, pz)
-                path.append((x - 1, y - 1, z - 1))
-            return path, g_cost[goal_f]
+            return flats, g_cost[goal_f]
         blocked[cell] = 1
         base = g_cost[cell]
         for off, step in moves:

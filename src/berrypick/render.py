@@ -39,7 +39,7 @@ from .types import (
     Pose,
     RgbImage,
     Ripeness,
-    json_instance_id,
+    json_int,
 )
 
 RIPE_COLOR = (204, 30, 48)
@@ -299,7 +299,7 @@ class GroundTruthInstance:
         if not isinstance(surfaces, list):
             raise TypeError(f"surfaces must be a list, got {type(surfaces).__name__}")
         return cls(
-            instance_id=json_instance_id(obj["instance_id"]),
+            instance_id=json_int(obj["instance_id"], "instance_id"),
             ripeness=Ripeness(obj["ripeness"]),
             pose=Pose.from_json(obj),
             surfaces=tuple(_decode_surface(s) for s in surfaces),

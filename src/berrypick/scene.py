@@ -19,7 +19,9 @@ from .types import (
     CameraIntrinsics,
     Pose,
     Ripeness,
-    json_instance_id,
+    json_float,
+    json_floats,
+    json_int,
     rotation_about_axis,
     rotation_aligning,
 )
@@ -54,7 +56,7 @@ class BerryInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "BerryInstance":
         return cls(
-            instance_id=json_instance_id(obj["instance_id"]),
+            instance_id=json_int(obj["instance_id"], "instance_id"),
             pose=Pose.from_json(obj),
             ripeness=Ripeness(obj["ripeness"]),
         )
@@ -119,11 +121,11 @@ class Occluder:
     @classmethod
     def from_json(cls, obj: dict) -> "Occluder":
         return cls(
-            center=np.asarray(obj["center"], dtype=np.float64),
-            normal=np.asarray(obj["normal"], dtype=np.float64),
-            semi_major=float(obj["semi_major"]),
-            semi_minor=float(obj["semi_minor"]),
-            roll_rad=float(obj["roll_rad"]),
+            center=json_floats(obj["center"], "center"),
+            normal=json_floats(obj["normal"], "normal"),
+            semi_major=json_float(obj["semi_major"], "semi_major"),
+            semi_minor=json_float(obj["semi_minor"], "semi_minor"),
+            roll_rad=json_float(obj["roll_rad"], "roll_rad"),
         )
 
 
@@ -224,9 +226,9 @@ class SceneTemplate:
         return cls(
             berries=tuple(BerryInstance.from_json(b) for b in obj["berries"]),
             occluders=tuple(Occluder.from_json(o) for o in obj.get("occluders", ())),
-            intrinsics=CameraIntrinsics(fx=k["fx"], fy=k["fy"], cx=k["cx"], cy=k["cy"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            intrinsics=CameraIntrinsics(*(json_float(k[f], f) for f in ("fx", "fy", "cx", "cy"))),
+            width=json_int(obj["width"], "width"),
+            height=json_int(obj["height"], "height"),
         )
 
 

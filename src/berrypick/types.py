@@ -21,12 +21,34 @@ class Ripeness(enum.Enum):
     UNRIPE = "unripe"
 
 
-def json_instance_id(value) -> int:
-    """An instance id read from JSON: only a JSON integer, not a bool, float
-    or string, is accepted; anything else raises TypeError."""
+def json_int(value, name: str) -> int:
+    """An integer read from JSON: only a JSON integer, not a bool, float or
+    string, is accepted; anything else raises TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"instance_id must be an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_float(value, name: str) -> float:
+    """A number read from JSON: a JSON integer or float, not a bool or string."""
+    if not _is_json_number(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_floats(value, name: str) -> np.ndarray:
+    """A list, or a list of lists, of JSON numbers as a float64 array."""
+
+    def leaves(v):
+        return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
+
+    if not isinstance(value, list) or not all(map(_is_json_number, leaves(value))):
+        raise TypeError(f"{name} must be a list of numbers, got {value!r}")
+    return np.asarray(value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -226,8 +248,8 @@ class Pose:
     @classmethod
     def from_json(cls, obj: dict) -> "Pose":
         return cls(
-            rotation=np.asarray(obj["rotation"], dtype=np.float64),
-            translation=np.asarray(obj["translation"], dtype=np.float64),
+            rotation=json_floats(obj["rotation"], "rotation"),
+            translation=json_floats(obj["translation"], "translation"),
         )
 
 

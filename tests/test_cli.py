@@ -329,9 +329,9 @@ def _list_form_surface(art_dir):
     _edit_json(art_dir / "ground_truth.json", edit)
 
 
-def _relabel(name, key, value):
+def _set_first(name, key, field, value):
     def corrupt(art_dir):
-        _edit_json(art_dir / name, lambda doc: doc[key][0].update(instance_id=value))
+        _edit_json(art_dir / name, lambda doc: doc[key][0].update({field: value}))
     return corrupt
 
 
@@ -340,16 +340,22 @@ def _relabel(name, key, value):
     [
         (_list_form_surface, "ground_truth.json: a surface must be a base64 string, got list; "
                              "ground truth written with coordinate lists must be re-rendered"),
-        (_relabel("ground_truth.json", "instances", True),
+        (_set_first("ground_truth.json", "instances", "instance_id", True),
          "ground_truth.json: instance_id must be an integer, got True"),
-        (_relabel("ground_truth.json", "instances", 0.0),
+        (_set_first("ground_truth.json", "instances", "instance_id", 0.0),
          "ground_truth.json: instance_id must be an integer, got 0.0"),
-        (_relabel("scene.json", "berries", "0"),
+        (_set_first("scene.json", "berries", "instance_id", "0"),
          "scene.json: instance_id must be an integer, got '0'"),
-        (_relabel("scene.json", "berries", False),
+        (_set_first("scene.json", "berries", "instance_id", False),
          "scene.json: instance_id must be an integer, got False"),
+        (_set_first("ground_truth.json", "instances", "translation", ["0.0", "0.0", "0.36"]),
+         "ground_truth.json: translation must be a list of numbers"),
+        (_set_first("ground_truth.json", "instances", "rotation",
+                    [[1, 0, 0], [0, 1, 0], [0, 0, True]]),
+         "ground_truth.json: rotation must be a list of numbers"),
     ],
-    ids=["truth-list-form", "truth-id-bool", "truth-id-float", "scene-id-string", "scene-id-bool"],
+    ids=["truth-list-form", "truth-id-bool", "truth-id-float", "scene-id-string", "scene-id-bool",
+         "truth-translation-strings", "truth-rotation-bool"],
 )
 def test_malformed_scene_documents_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)
@@ -386,8 +392,26 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
         ("occluders", "normal", [0.0, 0.0, float("nan")], "occluder center and normal must be finite"),
         ("occluders", "semi_major", float("inf"), "occluder semi-axes must be finite"),
         ("intrinsics", "fx", float("inf"), "camera intrinsics must be finite"),
+        # Regression: int() and float() used to take fractions, strings and
+        # bools, so "width": 640.9 rendered a 640-wide frame and "0.36" read
+        # as 0.36. A section of None edits the top level of scene.json.
+        (None, "width", 640.9, "scene.json: width must be an integer, got 640.9"),
+        (None, "width", "640", "scene.json: width must be an integer, got '640'"),
+        (None, "height", True, "scene.json: height must be an integer, got True"),
+        ("intrinsics", "fx", True, "scene.json: fx must be a number, got True"),
+        ("berries", "translation", ["0.0", "0.0", "0.36"],
+         "scene.json: translation must be a list of numbers"),
+        ("berries", "rotation", [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
+         "scene.json: rotation must be a list of numbers"),
+        ("occluders", "center", [0.0, 0.0, "0.2"], "scene.json: center must be a list of numbers"),
+        ("occluders", "normal", [0, 0, "1"], "scene.json: normal must be a list of numbers"),
+        ("occluders", "semi_major", "0.02", "scene.json: semi_major must be a number, got '0.02'"),
+        ("occluders", "roll_rad", False, "scene.json: roll_rad must be a number, got False"),
     ],
-    ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf"],
+    ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf",
+         "width-fraction", "width-string", "height-bool", "fx-bool", "translation-strings",
+         "rotation-bool", "occluder-center-string", "occluder-normal-string",
+         "semi-major-string", "roll-bool"],
 )
 def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):
     template = tmp_path / "template.json"
@@ -396,7 +420,8 @@ def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, sect
     assert main(["gen-scene", "--template", str(template), "--out", str(scene_dir)]) == 0
     path = scene_dir / "scene.json"
     doc = json.loads(path.read_text())
-    (doc[section][0] if isinstance(doc[section], list) else doc[section])[key] = value
+    part = doc if section is None else doc[section]
+    (part[0] if isinstance(part, list) else part)[key] = value
     path.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
     capsys.readouterr()
     rc = main(["render", "--scene", str(path), "--out", str(tmp_path / "art")])

@@ -1,8 +1,9 @@
 """Each fast path against a reference copy of the straightforward code it
 replaced: the broad-phase execution check against testing every segment,
-table-driven A* against per-push heuristic and tie functions, cropped
-perception against a whole-frame pass, and the per-mesh crop renderer against
-a full-frame depth stack composited with argmin. Outputs must match exactly.
+table-driven, corridor-first A* against a whole-grid search with per-push
+heuristic and tie functions, cropped perception against a whole-frame pass,
+and the per-mesh crop renderer against a full-frame depth stack composited
+with argmin. Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from berrypick import (
     BerryInstance,
@@ -36,6 +40,7 @@ from berrypick import (
     extract_masked,
     generate_scene,
     median_filter,
+    planning,
     project_point_cloud,
     remove_outliers,
     render_rgbd,
@@ -224,6 +229,115 @@ def test_astar_matches_reference_on_tie_heavy_grids(seed, dims, density, resolut
         start = tuple(int(rng.integers(0, d)) for d in dims)
         goal = tuple(int(rng.integers(0, d)) for d in dims)
         assert astar_grid(grid, start, goal) == reference_astar(grid, start, goal)
+
+
+def _free_cell_graph(occupied, resolution):
+    """The 26-connected free-cell graph with Euclidean edge costs, as a
+    sparse matrix over linear cell indices."""
+    free = ~occupied
+    index = np.arange(occupied.size).reshape(occupied.shape)
+    rows, cols, data = [], [], []
+    for di, dj, dk, step in _NEIGHBOR_STEPS:
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip((di, dj, dk), occupied.shape))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip((di, dj, dk), occupied.shape))
+        ok = (free[src] & free[dst]).ravel()
+        rows.append(index[src].ravel()[ok])
+        cols.append(index[dst].ravel()[ok])
+        data.append(np.full(ok.sum(), step * resolution))
+    n = occupied.size
+    return csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), (n, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    density=st.sampled_from([0.0, 0.1, 0.3]),
+    resolution=st.sampled_from([1.0, 0.005, 0.25]),
+    block_rate=st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_blocking_cells_off_every_optimal_path_keeps_the_answer(
+    seed, dims, density, resolution, block_rate
+):
+    # the lemma behind the corridor: S is every cell on some minimum-cost
+    # path, found by Dijkstra from both ends; blocking cells outside S must
+    # not change the whole-grid search's path or float cost
+    rng = np.random.default_rng(seed)
+    occupied = rng.random(dims) < density
+    free = np.argwhere(~occupied)
+    if not len(free):
+        return
+    start, goal = (tuple(int(v) for v in free[i]) for i in rng.integers(0, len(free), 2))
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, dims=dims, occupied=occupied)
+    expected = reference_astar(grid, start, goal)
+
+    index = np.arange(occupied.size).reshape(dims)
+    from_start, from_goal = dijkstra(
+        _free_cell_graph(occupied, resolution), indices=[index[start], index[goal]]
+    )
+    best = from_start[index[goal]]
+    through = from_start + from_goal
+    on_optimal = (np.isfinite(through) & (through <= best + 1e-9 * resolution)).reshape(dims)
+    assert (expected is None) == (not on_optimal.any())
+
+    blocked = occupied | (~on_optimal & (rng.random(dims) < block_rate))
+    narrowed = replace(grid, occupied=blocked)
+    assert reference_astar(narrowed, start, goal) == expected
+    assert astar_grid(narrowed, start, goal) == expected
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """Record each run of the search loop inside astar_grid."""
+    runs = []
+    loop = planning._search
+
+    def recorded(*args):
+        runs.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(planning, "_search", recorded)
+    return runs
+
+
+def _cut_corridor():
+    # a wall across the grid whose one gap lies outside the start-goal box
+    occupied = np.zeros((9, 10, 5), dtype=bool)
+    occupied[4] = True
+    occupied[4, 9, 0] = False
+    return occupied
+
+
+def _walled_in_goal():
+    occupied = np.zeros((9, 9, 9), dtype=bool)
+    occupied[3:8, 3:8, 3:8] = True
+    occupied[5, 5, 5] = False
+    return occupied
+
+
+@pytest.mark.parametrize("resolution", [1.0, 0.005])
+@pytest.mark.parametrize(
+    "occupied, start, goal, runs",
+    [
+        (np.zeros((9, 7, 5), dtype=bool), (0, 0, 0), (8, 6, 3), 1),
+        (np.zeros((9, 7, 5), dtype=bool), (8, 1, 4), (2, 5, 0), 1),
+        (_cut_corridor(), (0, 0, 0), (8, 4, 2), 2),
+        (_walled_in_goal(), (0, 0, 0), (5, 5, 5), 2),
+        (np.zeros((4, 4, 4), dtype=bool), (2, 1, 3), (2, 1, 3), 1),
+    ],
+    ids=["open", "open-reversed", "cut-corridor", "walled-in-goal", "start-is-goal"],
+)
+def test_corridor_branches_match_reference(searches, occupied, start, goal, runs, resolution):
+    grid = OccupancyGrid(
+        origin=np.zeros(3), resolution=resolution, dims=occupied.shape, occupied=occupied
+    )
+    found = astar_grid(grid, start, goal)
+    assert found == reference_astar(grid, start, goal)
+    assert len(searches) == runs  # 1: the corridor certified; 2: the whole grid ran too
+    if runs == 2 and found is not None:
+        assert (4, 9, 0) in found[0]
+    if start == goal:
+        assert found == ([start], 0.0)
 
 
 # ---------------------------------------------------------------- perception
