@@ -116,8 +116,7 @@ def _cmd_complete(args) -> int:
     cfg = _load_config(args.config)
     result = complete_cloud(cloud, prior, cfg.icp)
     os.makedirs(args.out, exist_ok=True)
-    for name, part in (("p0", result.p0), ("p1", result.p1), ("p2", result.p2)):
-        write_ply(os.path.join(args.out, f"{name}.ply"), part)
+    write_ply(os.path.join(args.out, "completed.ply"), result.cloud)
     report = {**result.pose.to_json(), "fitness_mm": result.fitness}
     _write_text(
         os.path.join(args.out, "completion.json"),

@@ -5,9 +5,9 @@ recovering its rigid pose. Initialization uses PCA plus a viewing-ray centroid
 correction (a camera only sees the near face, so the raw centroid sits in
 front of the true center); refinement is point-to-surface ICP against a dense
 sampling of the prior with a small set of orthogonal restart rotations to
-escape the axis-sign ambiguity. The completed clouds are the prior's cached
-canonical samplings under the recovered pose, so every output point lies on
-the modeled surface by construction.
+escape the axis-sign ambiguity. The completed cloud is the prior's cached
+SURFACE_POINTS-point canonical sampling under the recovered pose, so every
+output point lies on the modeled surface by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientDataError, ParameterError, RegistrationError
-from .prior import StrawberryPrior
+from .prior import SURFACE_POINTS, StrawberryPrior
 from .types import PointCloud, Pose, rotation_about_axis, rotation_aligning
 
 _MIN_PARTIAL_POINTS = 10
@@ -57,20 +57,14 @@ class IcpResult:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Completed surfaces at ascending density plus the recovered pose."""
+    """Completed surface plus the recovered pose."""
 
-    p0: PointCloud
-    p1: PointCloud
-    p2: PointCloud
+    cloud: PointCloud
     pose: Pose
     fitness: float  # mean inlier residual, mm
 
-    def __post_init__(self):
-        if not len(self.p0) < len(self.p1) < len(self.p2):
-            raise ParameterError("completion densities must be strictly ascending")
-
     def centroid(self) -> np.ndarray:
-        return self.p2.centroid()
+        return self.cloud.centroid()
 
 
 def init_pose(partial: PointCloud, prior: StrawberryPrior) -> Pose:
@@ -243,14 +237,12 @@ def complete_cloud(
     prior: StrawberryPrior,
     params: IcpParams = IcpParams(),
 ) -> CompletionResult:
-    """Register the prior to the partial scan and emit its posed samplings."""
+    """Register the prior to the partial scan and emit its posed sampling."""
     if len(partial) < _MIN_PARTIAL_POINTS:
         raise InsufficientDataError(
             f"completion needs at least {_MIN_PARTIAL_POINTS} points, got {len(partial)}"
         )
     init = init_pose(partial, prior)
     result = icp_refine(partial, prior, init, params)
-    p0, p1, p2 = (
-        PointCloud(xyz=result.pose.apply(prior.canonical_samples(n))) for n in prior.densities
-    )
-    return CompletionResult(p0=p0, p1=p1, p2=p2, pose=result.pose, fitness=result.fitness_mm)
+    cloud = PointCloud(xyz=result.pose.apply(prior.canonical_samples(SURFACE_POINTS)))
+    return CompletionResult(cloud=cloud, pose=result.pose, fitness=result.fitness_mm)

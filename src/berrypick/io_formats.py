@@ -2,10 +2,11 @@
 
 PLY and scene coordinates are written with repr(), which emits the shortest
 decimal string that round-trips to the same float64, so save/load is exact.
-Ground-truth surfaces, the bulk of a scene's artifacts, are stored in
-ground_truth.json as base64 strings of their little-endian float64 bytes
-(see render.GroundTruthInstance): exact as well, and half the size and far
-cheaper to write and parse than decimal text. Depth images are
+Each berry's one ground-truth surface, the bulk of a scene's artifacts, is
+stored in ground_truth.json as a base64 string of its little-endian float64
+bytes (see render.GroundTruthInstance): exact as well, and half the size and
+far cheaper to write and parse than decimal text. The older three-surface
+form is refused with a message to re-render. Depth images are
 16-bit big-endian PGM with millimeter values; masks are 8-bit PGM (nonzero =
 member) with a JSON sidecar carrying identity and ripeness.
 

@@ -20,7 +20,6 @@ scenes and scores completion only.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -65,6 +64,7 @@ from .types import (
     RgbImage,
     Ripeness,
     VoxelParams,
+    check_like,
 )
 
 
@@ -73,36 +73,6 @@ class FailureReason(str, enum.Enum):
     REGISTRATION_FAILURE = "registration_failure"
     INFEASIBLE_PATH = "infeasible_path"
     MISSED_GRASP = "missed_grasp"
-
-
-def _check_like(value, default, where: str) -> None:
-    """Reject a JSON value whose shape or type differs from the default's:
-    objects may hold only the default's keys, a float field also takes an
-    int, booleans never count as numbers, and NaN and infinities are
-    refused."""
-    if isinstance(default, dict):
-        if not isinstance(value, dict):
-            raise InputError(f"{where} must be a JSON object")
-        unknown = set(value) - set(default)
-        if unknown:
-            raise InputError(f"unknown {where} keys: {sorted(unknown)}")
-        for key, item in value.items():
-            _check_like(item, default[key], f"{where}.{key}")
-    elif isinstance(default, list):
-        if not isinstance(value, list) or len(value) != len(default):
-            raise InputError(f"{where} must be a list of {len(default)} numbers")
-        for item, item_default in zip(value, default):
-            _check_like(item, item_default, where)
-    elif isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise InputError(f"{where} must be true or false")
-    else:
-        integer = isinstance(default, int)
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            kind = "an integer" if integer else "a number"
-            raise InputError(f"{where} must be {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"{where} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +111,7 @@ class PipelineConfig:
     def from_json(cls, obj: dict) -> "PipelineConfig":
         """Strict parse: unknown keys and mistyped values anywhere in the
         document are rejected."""
-        _check_like(obj, cls().to_json(), "config")
+        check_like(obj, cls().to_json(), "config")
         sections = {
             "voxel": VoxelParams,
             "outliers": OutlierParams,
@@ -304,9 +274,9 @@ def _complete(
         except (InsufficientDataError, RegistrationError):
             leftovers.append(Candidate(mask.instance_id, mask.ripeness, cloud))
             continue
-        candidates.append(Candidate(mask.instance_id, mask.ripeness, completed.p2))
-        truth_s2 = artifacts.truth.instance(mask.instance_id).surfaces[2]
-        cds.append(chamfer_metric_mm(completed.p2, truth_s2))
+        candidates.append(Candidate(mask.instance_id, mask.ripeness, completed.cloud))
+        surface = artifacts.truth.instance(mask.instance_id).surface
+        cds.append(chamfer_metric_mm(completed.cloud, surface))
     return Perception(
         detections=len(detections),
         ripe_detected=True,
@@ -534,8 +504,8 @@ def run_completion_benchmark(
     min_visibility: float = 0.4,
     prior: StrawberryPrior | None = None,
 ) -> list[float]:
-    """Completion accuracy in isolation: chamfer_metric_mm(p2, true S2) for
-    n_berries berries drawn from freshly generated scenes.
+    """Completion accuracy in isolation: the chamfer_metric_mm of the
+    completed cloud against the true surface for n_berries berries drawn from freshly generated scenes.
 
     Only berries whose rendered visibility reaches min_visibility count.
     A completion failure on an eligible berry contributes inf rather than
@@ -564,8 +534,8 @@ def run_completion_benchmark(
             except (InsufficientDataError, RegistrationError):
                 cds.append(float("inf"))
                 continue
-            truth_s2 = truth.instance(mask.instance_id).surfaces[2]
-            cds.append(chamfer_metric_mm(completed.p2, truth_s2))
+            surface = truth.instance(mask.instance_id).surface
+            cds.append(chamfer_metric_mm(completed.cloud, surface))
     if len(cds) < n_berries:
         raise SceneGenerationError(
             f"only {len(cds)} of {n_berries} berries met the "

@@ -84,11 +84,6 @@ class Trajectory:
             self, "waypoints", np.asarray(self.waypoints, dtype=np.float64).reshape(-1, 3)
         )
 
-    def length_m(self) -> float:
-        if len(self.waypoints) < 2:
-            return 0.0
-        return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
-
 
 def select_target(candidates, p_ee: np.ndarray) -> int:
     """Nearest ripe candidate by centroid distance to the end-effector.
@@ -365,7 +360,7 @@ def simulate_execution(
         if inst.instance_id == target_id:
             continue
         center = inst.pose.translation
-        surface = inst.surfaces[2].xyz
+        surface = inst.surface.xyz
         reach = np.linalg.norm(surface - center, axis=1).max() + state.gripper_radius
         near = _point_segments_distances(center, starts, ends) <= reach + 1e-9
         for a, b in zip(starts[near], ends[near]):

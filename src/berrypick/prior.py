@@ -5,12 +5,14 @@ at the origin, principal (stem-to-tip) axis along +z, fixed real-world size.
 The built-in shape is a tessellated superellipsoid with a berry-like profile;
 an OBJ loader accepts a CAD mesh with the same conventions. All completion,
 ground-truth sampling and rendering share one prior instance, so the mesh is
-the single source of geometric truth.
+the single source of geometric truth. Completed clouds and ground-truth
+surfaces are both SURFACE_POINTS-point samplings of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,11 +20,21 @@ from scipy.spatial import cKDTree
 from .errors import InputError, ParameterError
 from .types import PointCloud, Pose
 
-DEFAULT_DENSITIES = (256, 1024, 4096)
+# Points in every completed cloud and every ground-truth surface.
+SURFACE_POINTS = 4096
+
+# Points in the dense sampling that ICP registers against.
+_REGISTRATION_POINTS = 16384
 
 # internal seeds for cached canonical samplings; fixed so repeated runs agree
 _CANONICAL_SAMPLE_SEED = 86011
 _REGISTRATION_SAMPLE_SEED = 86017
+
+# Ground truth used to draw a 256- and a 1,024-point surface from each
+# berry's stream before the one it keeps. An n-point draw takes 3n doubles
+# (n face choices, 2n barycentric coordinates), so discarding this many
+# keeps the surface, and every result scored against it, bit-identical.
+_RETIRED_GROUND_TRUTH_DRAWS = 3 * (256 + 1024)
 
 
 def _signed_pow(u: np.ndarray, e: float) -> np.ndarray:
@@ -92,12 +104,13 @@ def _check_watertight(faces: np.ndarray) -> bool:
 
 @dataclass
 class StrawberryPrior:
-    """Canonical berry surface plus the three completion sampling densities."""
+    """Canonical berry surface and its cached samplings."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    densities: tuple[int, int, int] = DEFAULT_DENSITIES
     _sample_cache: dict = field(default_factory=dict, repr=False)
+    # the canonical_samples sizes the pipeline reads; perfbench warms them
+    densities: ClassVar[tuple[int, ...]] = (SURFACE_POINTS,)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
@@ -106,28 +119,19 @@ class StrawberryPrior:
             raise ParameterError("prior needs (V,3) vertices and (F,3) faces")
         if not _check_watertight(f):
             raise ParameterError("prior mesh must be watertight")
-        n0, n1, n2 = self.densities
-        if not (0 < n0 < n1 < n2):
-            raise ParameterError("sampling densities must be ascending positive counts")
         self.vertices = v
         self.faces = f
 
     @classmethod
     def builtin(
-        cls,
-        a: float = 0.012,
-        b: float = 0.012,
-        c: float = 0.0175,
-        densities: tuple[int, int, int] = DEFAULT_DENSITIES,
+        cls, a: float = 0.012, b: float = 0.012, c: float = 0.0175
     ) -> "StrawberryPrior":
         """Default berry: 24 mm wide, 35 mm tall superellipsoid."""
         vertices, faces = superellipsoid_mesh(a, b, c)
-        return cls(vertices=vertices, faces=faces, densities=densities)
+        return cls(vertices=vertices, faces=faces)
 
     @classmethod
-    def from_obj(
-        cls, path: str, densities: tuple[int, int, int] = DEFAULT_DENSITIES
-    ) -> "StrawberryPrior":
+    def from_obj(cls, path: str) -> "StrawberryPrior":
         """Load a z-up CAD mesh (vertices in meters); recenters to the
         area-weighted surface centroid."""
         vertices: list[list[float]] = []
@@ -169,7 +173,7 @@ class StrawberryPrior:
             np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
         )
         centroid = (tri.mean(axis=1) * areas[:, None]).sum(axis=0) / areas.sum()
-        return cls(vertices=v - centroid, faces=f, densities=densities)
+        return cls(vertices=v - centroid, faces=f)
 
     # -- geometric summaries -------------------------------------------------
 
@@ -181,10 +185,6 @@ class StrawberryPrior:
     @property
     def width_m(self) -> float:
         return float(max(self.extents[0], self.extents[1]))
-
-    @property
-    def height_m(self) -> float:
-        return float(self.extents[2])
 
     @property
     def min_extent_m(self) -> float:
@@ -239,21 +239,21 @@ class StrawberryPrior:
             self._sample_cache[n] = self.sample_surface(n, rng)
         return self._sample_cache[n]
 
-    def _registration_sampling(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        key = ("registration", n)
-        if key not in self._sample_cache:
+    def _registration_sampling(self) -> tuple[np.ndarray, np.ndarray]:
+        if "registration" not in self._sample_cache:
+            n = _REGISTRATION_POINTS
             rng = np.random.Generator(np.random.Philox(_REGISTRATION_SAMPLE_SEED + n))
             points, chosen = self._sample_faces(n, rng)
-            self._sample_cache[key] = (points, self.face_normals()[chosen])
-        return self._sample_cache[key]
+            self._sample_cache["registration"] = (points, self.face_normals()[chosen])
+        return self._sample_cache["registration"]
 
-    def registration_surface(self, n: int = 16384) -> np.ndarray:
+    def registration_surface(self) -> np.ndarray:
         """Cached dense canonical sampling serving as the ICP target surface."""
-        return self._registration_sampling(n)[0]
+        return self._registration_sampling()[0]
 
-    def registration_normals(self, n: int = 16384) -> np.ndarray:
+    def registration_normals(self) -> np.ndarray:
         """Face normals matching registration_surface, one unit row per point."""
-        return self._registration_sampling(n)[1]
+        return self._registration_sampling()[1]
 
     def registration_tree(self) -> cKDTree:
         """Cached KD-tree over registration_surface, built once per prior."""
@@ -261,23 +261,7 @@ class StrawberryPrior:
             self._sample_cache["registration_tree"] = cKDTree(self.registration_surface())
         return self._sample_cache["registration_tree"]
 
-    def sample_ground_truth(
-        self, pose: Pose, rng: np.random.Generator, densities: tuple[int, int, int] | None = None
-    ) -> tuple[PointCloud, PointCloud, PointCloud]:
-        """Posed surface samplings at the three densities (ascending)."""
-        densities = densities or self.densities
-        n0, n1, n2 = densities
-        if not n0 < n1 < n2:
-            raise ParameterError("densities must be ascending")
-        clouds = []
-        for n in (n0, n1, n2):
-            canonical = self.sample_surface(n, rng)
-            clouds.append(PointCloud(xyz=pose.apply(canonical)))
-        return tuple(clouds)
-
-    def surface_distance_m(self, xyz: np.ndarray, pose: Pose = Pose.identity()) -> np.ndarray:
-        """Approximate unsigned distance from points to the posed surface via
-        the dense registration sampling."""
-        surf = pose.apply(self.registration_surface())
-        d, _ = cKDTree(surf).query(np.asarray(xyz))
-        return d
+    def sample_ground_truth(self, pose: Pose, rng: np.random.Generator) -> PointCloud:
+        """A posed SURFACE_POINTS-point surface sampling drawn from rng."""
+        rng.random(_RETIRED_GROUND_TRUTH_DRAWS)
+        return PointCloud(xyz=pose.apply(self.sample_surface(SURFACE_POINTS, rng)))

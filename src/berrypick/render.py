@@ -24,7 +24,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,10 +257,7 @@ def _encode_surface(cloud: PointCloud) -> str:
 
 def _decode_surface(text) -> PointCloud:
     if not isinstance(text, str):
-        raise TypeError(
-            f"a surface must be a base64 string, got {type(text).__name__}; "
-            "ground truth written with coordinate lists must be re-rendered"
-        )
+        raise TypeError(f"a surface must be a base64 string, got {type(text).__name__}")
     try:
         raw = base64.b64decode(text, validate=True)
     except binascii.Error as exc:
@@ -272,37 +269,35 @@ def _decode_surface(text) -> PointCloud:
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
-    """True pose and surface samplings for one berry, ascending density."""
+    """True pose and surface sampling for one berry."""
 
     instance_id: int
     ripeness: Ripeness
     pose: Pose
-    surfaces: tuple[PointCloud, PointCloud, PointCloud]
+    surface: PointCloud
 
-    def __post_init__(self):
-        if len(self.surfaces) != 3:
-            raise ParameterError(
-                f"instance {self.instance_id} has {len(self.surfaces)} surfaces, expected 3"
-            )
+    @property
+    def surfaces(self) -> tuple[PointCloud]:
+        """(surface,), the form perfbench's artifact round-trip check zips."""
+        return (self.surface,)
 
     def to_json(self) -> dict:
         return {
             "instance_id": self.instance_id,
             "ripeness": self.ripeness.value,
             **self.pose.to_json(),
-            "surfaces": [_encode_surface(s) for s in self.surfaces],
+            "surface": _encode_surface(self.surface),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroundTruthInstance":
-        surfaces = obj["surfaces"]
-        if not isinstance(surfaces, list):
-            raise TypeError(f"surfaces must be a list, got {type(surfaces).__name__}")
+        if "surfaces" in obj:
+            raise ValueError("surfaces are in the older three-surface form; re-render the scene")
         return cls(
             instance_id=json_int(obj["instance_id"], "instance_id"),
             ripeness=Ripeness(obj["ripeness"]),
             pose=Pose.from_json(obj),
-            surfaces=tuple(_decode_surface(s) for s in surfaces),
+            surface=_decode_surface(obj["surface"]),
         )
 
 
@@ -340,18 +335,17 @@ def sample_ground_truth(
     prior: StrawberryPrior,
     seed: int | np.random.SeedSequence = 0,
 ) -> GroundTruth:
-    """Independent per-berry surface samplings at the prior's densities."""
+    """Independent per-berry surface samplings, one stream per berry."""
     ss = _as_seedseq(seed)
     children = ss.spawn(len(scene.berries)) if scene.berries else []
     instances = []
     for berry, child in zip(scene.berries, children):
-        surfaces = prior.sample_ground_truth(berry.pose, _stream(child))
         instances.append(
             GroundTruthInstance(
                 instance_id=berry.instance_id,
                 ripeness=berry.ripeness,
                 pose=berry.pose,
-                surfaces=surfaces,
+                surface=prior.sample_ground_truth(berry.pose, _stream(child)),
             )
         )
     return GroundTruth(instances=tuple(instances))

@@ -19,6 +19,7 @@ from .types import (
     CameraIntrinsics,
     Pose,
     Ripeness,
+    check_like,
     json_float,
     json_floats,
     json_int,
@@ -180,16 +181,10 @@ class SceneConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SceneConfig":
-        kwargs = dict(obj)
-        for key in (
-            "occluder_fraction_range",
-            "occluder_semi_axis_range",
-            "workspace_lo",
-            "workspace_hi",
-        ):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        """Strict parse, as PipelineConfig.from_json: unknown keys and
+        mistyped values are rejected."""
+        check_like(obj, cls().to_json(), "template")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
 @dataclass(frozen=True)

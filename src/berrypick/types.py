@@ -9,11 +9,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 
 
 class Ripeness(enum.Enum):
@@ -27,6 +28,36 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_like(value, default, where: str) -> None:
+    """Reject a JSON value whose shape or type differs from the default's:
+    objects may hold only the default's keys, a float field also takes an
+    int, booleans never count as numbers, and NaN and infinities are
+    refused."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise InputError(f"{where} must be a JSON object")
+        unknown = set(value) - set(default)
+        if unknown:
+            raise InputError(f"unknown {where} keys: {sorted(unknown)}")
+        for key, item in value.items():
+            check_like(item, default[key], f"{where}.{key}")
+    elif isinstance(default, list):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise InputError(f"{where} must be a list of {len(default)} numbers")
+        for item, item_default in zip(value, default):
+            check_like(item, item_default, where)
+    elif isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise InputError(f"{where} must be true or false")
+    else:
+        integer = isinstance(default, int)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise InputError(f"{where} must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{where} must be finite, got {value!r}")
 
 
 def _is_json_number(value) -> bool:

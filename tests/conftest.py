@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from berrypick import (
     BerryInstance,
@@ -21,6 +22,12 @@ _PHI = (1 + 5 ** 0.5) / 2
 @pytest.fixture(scope="session")
 def prior() -> StrawberryPrior:
     return StrawberryPrior.builtin()
+
+
+def surface_distance_m(prior: StrawberryPrior, xyz, pose: Pose = Pose.identity()) -> np.ndarray:
+    """Approximate unsigned distance from points to the posed prior surface:
+    the distance to the nearest point of its dense registration sampling."""
+    return cKDTree(pose.apply(prior.registration_surface())).query(np.asarray(xyz))[0]
 
 
 def _berry(instance_id: int, center, ripeness: Ripeness) -> BerryInstance:

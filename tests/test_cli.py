@@ -59,13 +59,13 @@ def test_complete_and_eval_cd(tmp_path, prior, capsys):
     partial = _partial_ply(tmp_path, prior)
     out_dir = tmp_path / "completed"
     assert main(["complete", "--partial", partial, "--out", str(out_dir)]) == 0
-    for name in ("p0.ply", "p1.ply", "p2.ply", "completion.json"):
+    for name in ("completed.ply", "completion.json"):
         assert (out_dir / name).exists()
     stdout = capsys.readouterr().out
     assert json.loads(stdout.strip().splitlines()[-1])["fitness_mm"] < 2.0
 
-    rc = main(["eval-cd", "--pred", str(out_dir / "p2.ply"),
-               "--truth", str(out_dir / "p2.ply")])
+    rc = main(["eval-cd", "--pred", str(out_dir / "completed.ply"),
+               "--truth", str(out_dir / "completed.ply")])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["chamfer_loss"] == 0.0
@@ -279,11 +279,11 @@ def _berry_missing_from_truth(art_dir):
     path.write_text(json.dumps({"instances": []}))
 
 
-def _two_surfaces(art_dir):
+def _three_surfaces(art_dir):
     path = art_dir / "ground_truth.json"
     doc = json.loads(path.read_text())
     for instance in doc["instances"]:
-        instance["surfaces"] = instance["surfaces"][:2]
+        instance["surfaces"] = [instance.pop("surface")] * 3
     path.write_text(json.dumps(doc))
 
 
@@ -303,10 +303,11 @@ def _small_rgb(art_dir):
         (_small_rgb, "rgb.ppm: 320x240 image does not match the scene's 640x480"),
         (_foreign_mask_id, "instance 100 is not a berry in scene.json"),
         (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
-        (_two_surfaces, "ground_truth.json: instance 0 has 2 surfaces, expected 3"),
+        (_three_surfaces, "ground_truth.json: surfaces are in the older three-surface form; "
+                          "re-render the scene"),
         (_duplicate_mask_id, "mask_001.json both label instance 0"),
     ],
-    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "two-surfaces",
+    ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "three-surfaces",
          "duplicate-mask-id"],
 )
 def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
@@ -325,7 +326,7 @@ def _edit_json(path, edit):
 
 def _list_form_surface(art_dir):
     def edit(doc):
-        doc["instances"][0]["surfaces"][2] = [[0.0, 0.0, 0.36]]
+        doc["instances"][0]["surface"] = [[0.0, 0.0, 0.36]]
     _edit_json(art_dir / "ground_truth.json", edit)
 
 
@@ -338,8 +339,7 @@ def _set_first(name, key, field, value):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_list_form_surface, "ground_truth.json: a surface must be a base64 string, got list; "
-                             "ground truth written with coordinate lists must be re-rendered"),
+        (_list_form_surface, "ground_truth.json: a surface must be a base64 string, got list"),
         (_set_first("ground_truth.json", "instances", "instance_id", True),
          "ground_truth.json: instance_id must be an integer, got True"),
         (_set_first("ground_truth.json", "instances", "instance_id", 0.0),
@@ -451,11 +451,18 @@ def test_malformed_obj_prior_is_one_clean_error(tmp_path, prior, capsys, body, m
 @pytest.mark.parametrize(
     "template, message",
     [
-        ('{"workspace_lo": [NaN, -0.06, 0.3]}', "scene config values must be finite"),
+        ('{"workspace_lo": [NaN, -0.06, 0.3]}', "template.workspace_lo must be finite, got nan"),
         ('{"occluder_lateral_sigma": -1}', "must be nonnegative"),
         ('{"occluder_semi_axis_range": [0.03, -0.01]}', "occluder semi-axis range"),
+        # Regression: counts and lists went to SceneConfig unchecked, so 2.5
+        # ended in a TypeError traceback, true made one ripe berry and a
+        # two-number workspace corner ended in an IndexError traceback.
+        ('{"n_ripe": 2.5}', "template.n_ripe must be an integer, got 2.5"),
+        ('{"n_ripe": true}', "template.n_ripe must be an integer, got True"),
+        ('{"workspace_lo": [0, 0]}', "template.workspace_lo must be a list of 3 numbers"),
     ],
-    ids=["workspace-nan", "negative-sigma", "reversed-semi-axes"],
+    ids=["workspace-nan", "negative-sigma", "reversed-semi-axes", "fractional-count",
+         "bool-count", "short-workspace-corner"],
 )
 def test_malformed_template_values_are_one_clean_error(tmp_path, capsys, template, message):
     path = tmp_path / "template.json"

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from berrypick import (
-    CompletionResult,
     IcpParams,
     InsufficientDataError,
     ParameterError,
@@ -22,7 +21,8 @@ from berrypick import (
     icp_refine,
     init_pose,
 )
-from berrypick.types import Pose, rotation_aligning
+from berrypick.prior import SURFACE_POINTS
+from berrypick.types import Pose
 
 
 def _rotation(axis, degrees):
@@ -157,7 +157,7 @@ def test_complete_full_sample_reconstructs_below_a_millimeter(prior):
     partial = _full_sample(prior, true, n=3000, seed=5)
     truth = prior.sample_ground_truth(true, np.random.Generator(np.random.Philox(6)))
     result = complete_cloud(partial, prior)
-    assert chamfer_metric_mm(result.p2, truth[2]) <= 1.0
+    assert chamfer_metric_mm(result.cloud, truth) <= 1.0
 
 
 def test_complete_forty_percent_view_stays_within_two_millimeters(prior):
@@ -168,22 +168,18 @@ def test_complete_forty_percent_view_stays_within_two_millimeters(prior):
     partial = _front_crop(_full_sample(prior, true, n=5000, seed=7), 0.4)
     truth = prior.sample_ground_truth(true, np.random.Generator(np.random.Philox(8)))
     result = complete_cloud(partial, prior)
-    assert chamfer_metric_mm(result.p2, truth[2]) <= 2.0
+    assert chamfer_metric_mm(result.cloud, truth) <= 2.0
 
 
-def test_complete_output_densities_ascend(prior):
+def test_complete_output_is_the_posed_canonical_sampling(prior):
     true = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.36]))
     result = complete_cloud(_full_sample(prior, true, n=1000), prior)
-    assert (len(result.p0), len(result.p1), len(result.p2)) == prior.densities
+    assert len(result.cloud) == SURFACE_POINTS
+    expected = result.pose.apply(prior.canonical_samples(SURFACE_POINTS))
+    assert np.array_equal(result.cloud.xyz, expected)
     assert np.linalg.norm(result.centroid() - true.translation) < 0.002
 
 
 def test_complete_needs_ten_points(prior):
     with pytest.raises(InsufficientDataError):
         complete_cloud(PointCloud(xyz=np.zeros((4, 3)) + [0, 0, 0.3]), prior)
-
-
-def test_completion_result_rejects_non_ascending_densities():
-    tiny = PointCloud(xyz=np.zeros((5, 3)))
-    with pytest.raises(ParameterError):
-        CompletionResult(p0=tiny, p1=tiny, p2=tiny, pose=Pose.identity(), fitness=0.0)

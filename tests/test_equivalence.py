@@ -2,8 +2,9 @@
 replaced: the broad-phase execution check against testing every segment,
 table-driven, corridor-first A* against a whole-grid search with per-push
 heuristic and tie functions, cropped perception against a whole-frame pass,
-and the per-mesh crop renderer against a full-frame depth stack composited
-with argmin. Outputs must match exactly.
+the per-mesh crop renderer against a full-frame depth stack composited
+with argmin, and the one-surface ground-truth draw against the three-surface
+draw it replaced. Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from berrypick.render import (
     _as_seedseq,
     _stream,
 )
-from berrypick.types import Pose
+from berrypick.types import Pose, rotation_about_axis
 
 # ---------------------------------------------------------------- execution
 
@@ -76,7 +77,7 @@ def reference_hits(trajectory, truth, target_id, gripper_radius) -> frozenset[in
     for inst in truth.instances:
         if inst.instance_id == target_id:
             continue
-        surface = inst.surfaces[2].xyz
+        surface = inst.surface.xyz
         for a, b in segments:
             if _segment_distances(surface, a, b).min() <= gripper_radius:
                 hits.add(inst.instance_id)
@@ -97,7 +98,7 @@ def _blob_truth(rng, n_berries):
                 instance_id=i,
                 ripeness=Ripeness.RIPE,
                 pose=Pose(translation=center),
-                surfaces=(surface, surface, surface),
+                surface=surface,
             )
         )
     return GroundTruth(instances=tuple(instances))
@@ -107,7 +108,7 @@ def _grazing_waypoints(rng, inst, radius):
     """A segment tangent to the sphere of reach around a berry's center: it
     passes exactly gripper_radius beyond the berry's farthest surface point."""
     center = inst.pose.translation
-    offsets = inst.surfaces[2].xyz - center
+    offsets = inst.surface.xyz - center
     far = offsets[np.argmax(np.linalg.norm(offsets, axis=1))]
     out = far / np.linalg.norm(far)
     touch = center + out * (np.linalg.norm(far) + radius)
@@ -139,7 +140,7 @@ def test_single_waypoint_touching_a_berry_counts_as_a_hit():
     rng = np.random.default_rng(3)
     truth = _blob_truth(rng, 2)
     inst = truth.instances[1]
-    point = inst.surfaces[2].xyz[0] + [0.0, 0.0, 0.004]
+    point = inst.surface.xyz[0] + [0.0, 0.0, 0.004]
     trajectory = Trajectory(waypoints=point[None, :], feasible=True)
     state = RobotState(gripper_radius=0.005)
     assert simulate_execution(trajectory, truth, 0, state).hits == {1}
@@ -569,6 +570,29 @@ def test_crop_render_matches_full_frame_reference(prior):
     assert offscreen.visibility[0] == 0.0 and offscreen.visibility[1] > 0.9
     assert not leaves_only.masks and (leaves_only.rgb.values == LEAF_COLOR).all(axis=2).any()
     assert small.masks[0].bits.all()
+
+
+# ---------------------------------------------------------------- ground truth
+
+
+def reference_ground_truth_surface(prior, pose, rng) -> PointCloud:
+    """The old three-surface draw: 256, 1,024 and 4,096 points from one
+    stream, of which ground truth now keeps only the last."""
+    draws = [pose.apply(prior.sample_surface(n, rng)) for n in (256, 1024, 4096)]
+    return PointCloud(xyz=draws[2])
+
+
+def test_ground_truth_surface_equals_the_last_of_three_draws(prior):
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        pose = Pose(
+            rotation=rotation_about_axis(rng.normal(size=3), rng.uniform(0.0, np.pi)),
+            translation=rng.uniform(-0.05, 0.05, 3) + [0.0, 0.0, 0.36],
+        )
+        ss = np.random.SeedSequence(seed)
+        surface = prior.sample_ground_truth(pose, _stream(ss))
+        expected = reference_ground_truth_surface(prior, pose, _stream(ss))
+        assert np.array_equal(surface.xyz, expected.xyz)
 
 
 # ---------------------------------------------------------------- runners

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from berrypick import (
     CameraIntrinsics,
     DepthImage,
+    GroundTruth,
+    GroundTruthInstance,
     InputError,
     InstanceMask,
     PointCloud,
+    Pose,
     RenderParams,
     Ripeness,
     SceneConfig,
     StorageError,
-    StrawberryPrior,
     generate_scene,
     render_scene_artifacts,
     sample_ground_truth,
@@ -261,9 +263,8 @@ def test_ground_truth_surfaces_are_base64_little_endian_float64(tmp_path, prior)
     doc = json.loads(path.read_text())
     for inst, stored in zip(truth.instances, doc["instances"], strict=True):
         assert stored["instance_id"] == inst.instance_id
-        for cloud, text in zip(inst.surfaces, stored["surfaces"], strict=True):
-            xyz = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
-            assert np.array_equal(xyz.reshape(-1, 3), cloud.xyz)
+        xyz = np.frombuffer(base64.b64decode(stored["surface"], validate=True), dtype="<f8")
+        assert np.array_equal(xyz.reshape(-1, 3), inst.surface.xyz)
 
 
 def _b64_floats(*values):
@@ -273,7 +274,7 @@ def _b64_floats(*values):
 @pytest.mark.parametrize(
     "surface, message",
     [
-        ([[0.0, 0.0, 0.36]], "must be re-rendered"),
+        ([[0.0, 0.0, 0.36]], "a surface must be a base64 string, got list"),
         (3, "a surface must be a base64 string, got int"),
         (None, "a surface must be a base64 string, got NoneType"),
         ("!!!!", "not valid base64"),
@@ -292,34 +293,38 @@ def test_ground_truth_malformed_surface(tmp_path, prior, surface, message):
     path = tmp_path / "ground_truth.json"
     save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
     doc = json.loads(path.read_text())
-    doc["instances"][0]["surfaces"][1] = surface
+    doc["instances"][0]["surface"] = surface
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError, match="ground_truth.json: ") as err:
         load_ground_truth(str(path))
     assert message in str(err.value)
 
 
+def _decode(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3)
+
+
 @pytest.mark.parametrize(
-    "wrap, kind",
+    "older",
     [
-        (lambda surfaces: dict(zip("abc", surfaces)), "dict"),
-        (lambda surfaces: surfaces[0], "str"),
+        lambda surfaces: surfaces,
+        lambda surfaces: [_decode(s).tolist() for s in surfaces],
+        lambda surfaces: dict(zip("abc", surfaces)),
+        lambda surfaces: surfaces[2],
     ],
-    ids=["dict", "one-string"],
+    ids=["three-strings", "coordinate-lists", "dict", "one-string"],
 )
-def test_ground_truth_surfaces_must_be_a_list(tmp_path, prior, wrap, kind):
-    """A dict of three valid surface strings iterates as three surfaces, and a
-    string iterates character by character; both are refused as a whole."""
+def test_ground_truth_surfaces_field_is_refused(tmp_path, prior, older):
+    """A "surfaces" field, the older three-surface form in any shape, is
+    refused as a whole with a message to re-render."""
     path = tmp_path / "ground_truth.json"
     save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
     doc = json.loads(path.read_text())
-    doc["instances"][0]["surfaces"] = wrap(doc["instances"][0]["surfaces"])
+    surface = doc["instances"][0].pop("surface")
+    doc["instances"][0]["surfaces"] = older([surface, surface, surface])
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match=f"ground_truth.json: .*surfaces must be a list, got {kind}"):
+    with pytest.raises(InputError, match="ground_truth.json: .*three-surface form; re-render"):
         load_ground_truth(str(path))
-
-
-_SMALL_PRIOR = StrawberryPrior.builtin(densities=(2, 3, 5))
 
 
 @st.composite
@@ -327,7 +332,18 @@ def _mutated_truth_document(draw):
     """A small valid ground_truth.json with one mutation, and whether that
     mutation must make it invalid. A flipped byte may leave a valid
     document (say, a changed digit); the other three never do."""
-    truth = sample_ground_truth(_scene(_SMALL_PRIOR), _SMALL_PRIOR, seed=draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    truth = GroundTruth(
+        instances=tuple(
+            GroundTruthInstance(
+                instance_id=i,
+                ripeness=draw(st.sampled_from(Ripeness)),
+                pose=Pose(translation=rng.normal(size=3)),
+                surface=PointCloud(xyz=rng.normal(size=(draw(st.integers(1, 5)), 3))),
+            )
+            for i in range(draw(st.integers(1, 3)))
+        )
+    )
     doc = truth.to_json()
     kind = draw(st.sampled_from(["truncate", "flip", "nan", "list"]))
     if kind == "flip":
@@ -335,22 +351,21 @@ def _mutated_truth_document(draw):
         data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
         return bytes(data), False
     inst = draw(st.integers(0, len(truth.instances) - 1))
-    k = draw(st.integers(0, 2))
-    xyz = truth.instances[inst].surfaces[k].xyz
-    surfaces = doc["instances"][inst]["surfaces"]
+    xyz = truth.instances[inst].surface.xyz
+    stored = doc["instances"][inst]
     if kind == "truncate":
         # a cut at a whole point (a multiple of 32 characters) is a valid,
         # shorter surface, so cuts land anywhere else
-        cut = draw(st.integers(0, len(surfaces[k]) - 1).filter(lambda n: n == 0 or n % 32))
-        surfaces[k] = surfaces[k][:cut]
+        cut = draw(st.integers(0, len(stored["surface"]) - 1).filter(lambda n: n == 0 or n % 32))
+        stored["surface"] = stored["surface"][:cut]
     elif kind == "nan":
         bad = xyz.copy()
         mantissa = draw(st.integers(0, 2**52 - 1))
         bits = np.array([0x7FF0_0000_0000_0000 | mantissa], dtype="<u8")
         bad.reshape(-1)[draw(st.integers(0, bad.size - 1))] = bits.view("<f8")[0]
-        surfaces[k] = base64.b64encode(bad.astype("<f8").tobytes()).decode("ascii")
+        stored["surface"] = base64.b64encode(bad.astype("<f8").tobytes()).decode("ascii")
     else:
-        surfaces[k] = xyz.tolist()
+        stored["surface"] = xyz.tolist()
     return json.dumps(doc).encode("utf-8"), True
 
 

@@ -231,6 +231,10 @@ def test_robot_state_validation():
 # ---------------------------------------------------------------- trajectories
 
 
+def _path_length_m(trajectory: Trajectory) -> float:
+    return float(np.linalg.norm(np.diff(trajectory.waypoints, axis=0), axis=1).sum())
+
+
 def test_plan_trajectory_snaps_endpoints_and_visits_pregrasp():
     grid = OccupancyGrid(
         origin=np.array([-0.05, -0.05, 0.0]), resolution=0.01,
@@ -248,7 +252,7 @@ def test_plan_trajectory_snaps_endpoints_and_visits_pregrasp():
     assert trajectory.waypoints[-1] == pytest.approx(grasp.grasp_point)
     mid_center = grid.center_of(grid.cell_of(grasp.pregrasp_point))
     assert any(np.allclose(w, mid_center) for w in trajectory.waypoints)
-    assert trajectory.length_m() >= 0.31
+    assert _path_length_m(trajectory) >= 0.31
 
 
 def test_plan_trajectory_reports_infeasibility():
@@ -266,15 +270,6 @@ def test_plan_trajectory_reports_infeasibility():
     trajectory = plan_trajectory(grasp, grid, RobotState())
     assert not trajectory.feasible
     assert len(trajectory.waypoints) == 0
-    assert trajectory.length_m() == 0.0
-
-
-def test_trajectory_length():
-    ell = Trajectory(
-        waypoints=np.array([[0, 0, 0], [1.0, 0, 0], [1.0, 1.0, 0]]), feasible=True
-    )
-    assert ell.length_m() == pytest.approx(2.0)
-    assert Trajectory(waypoints=np.zeros((1, 3)), feasible=True).length_m() == 0.0
 
 
 # ---------------------------------------------------------------- execution
@@ -284,13 +279,9 @@ def _truth_with(prior, centers, target_id=0):
     instances = []
     for i, center in enumerate(centers):
         pose = Pose(rotation=np.eye(3), translation=np.asarray(center, dtype=float))
-        surfaces = prior.sample_ground_truth(
-            pose, np.random.Generator(np.random.Philox(40 + i))
-        )
+        surface = prior.sample_ground_truth(pose, np.random.Generator(np.random.Philox(40 + i)))
         instances.append(
-            GroundTruthInstance(
-                instance_id=i, ripeness=Ripeness.RIPE, pose=pose, surfaces=surfaces
-            )
+            GroundTruthInstance(instance_id=i, ripeness=Ripeness.RIPE, pose=pose, surface=surface)
         )
     return GroundTruth(instances=tuple(instances))
 

@@ -7,7 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import surface_distance_m
+
 from berrypick import ParameterError, StrawberryPrior, superellipsoid_mesh
+from berrypick.prior import SURFACE_POINTS
 from berrypick.types import Pose, rotation_about_axis
 
 
@@ -48,7 +51,6 @@ def test_builtin_tessellation_counts(prior):
 def test_builtin_extents_match_catalog_size(prior):
     assert prior.extents == pytest.approx([0.024, 0.024, 0.035], abs=1e-12)
     assert prior.width_m == pytest.approx(0.024)
-    assert prior.height_m == pytest.approx(0.035)
     assert prior.min_extent_m == pytest.approx(0.024)
     assert prior.bounding_radius_m == pytest.approx(0.0175)
 
@@ -68,7 +70,7 @@ def test_mesh_rejects_degenerate_parameters():
 def test_surface_samples_lie_on_the_surface(prior):
     rng = np.random.default_rng(10)
     pts = prior.sample_surface(500, rng)
-    d = prior.surface_distance_m(pts)
+    d = surface_distance_m(prior, pts)
     assert d.max() < 0.0015  # bounded by the density of the reference sampling
 
 
@@ -91,14 +93,13 @@ def test_canonical_samples_cached_and_deterministic(prior):
 def test_registration_surface_default_density(prior):
     surf = prior.registration_surface()
     assert surf.shape == (16384, 3)
-    assert prior.surface_distance_m(surf).max() < 1e-12
+    assert surface_distance_m(prior, surf).max() < 1e-12
 
 
-def test_densities_strictly_ascending(prior):
-    n0, n1, n2 = prior.densities
-    assert 0 < n0 < n1 < n2
-    with pytest.raises(ParameterError):
-        StrawberryPrior.builtin(densities=(256, 256, 4096))
+def test_surface_density_is_one_constant(prior):
+    assert prior.densities == (SURFACE_POINTS,)
+    with pytest.raises(TypeError):
+        StrawberryPrior.builtin(densities=(256, 1024, 4096))
 
 
 def test_sample_ground_truth_applies_pose(prior):
@@ -107,11 +108,11 @@ def test_sample_ground_truth_applies_pose(prior):
         translation=np.array([0.03, -0.02, 0.4]),
     )
     rng = np.random.default_rng(12)
-    s0, s1, s2 = prior.sample_ground_truth(pose, rng)
-    assert (len(s0), len(s1), len(s2)) == prior.densities
-    assert s2.centroid() == pytest.approx(pose.translation, abs=0.002)
-    back = pose.inverse().apply(s2.xyz)
-    assert prior.surface_distance_m(back).max() < 0.0015
+    surface = prior.sample_ground_truth(pose, rng)
+    assert len(surface) == SURFACE_POINTS
+    assert surface.centroid() == pytest.approx(pose.translation, abs=0.002)
+    back = pose.inverse().apply(surface.xyz)
+    assert surface_distance_m(prior, back).max() < 0.0015
 
 
 def test_from_obj_fan_triangulates_and_recenters(tmp_path):

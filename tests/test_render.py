@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import surface_distance_m
 
 from berrypick import (
     BerryInstance,
@@ -25,6 +26,7 @@ from berrypick import (
     render_rgbd,
     sample_ground_truth,
 )
+from berrypick.prior import SURFACE_POINTS
 from berrypick.render import LEAF_COLOR, RIPE_COLOR, UNRIPE_COLOR, rasterize
 from berrypick.types import Pose
 
@@ -144,7 +146,7 @@ def test_render_depth_points_lie_on_true_surface(prior):
     z = result.clean_depth.values[vs, us] / 1000.0
     x = (us - k.cx) * z / k.fx
     y = (vs - k.cy) * z / k.fy
-    d = prior.surface_distance_m(np.column_stack([x, y, z]), scene.berries[0].pose)
+    d = surface_distance_m(prior, np.column_stack([x, y, z]), scene.berries[0].pose)
     # quantization is half a millimeter; allow pixel discretization on top
     assert d.max() < 0.0020
     assert np.median(d) < 0.0008
@@ -250,8 +252,8 @@ def test_ground_truth_per_instance_sampling(prior):
     truth = sample_ground_truth(scene, prior, seed=4)
     assert [inst.instance_id for inst in truth.instances] == [0, 1]
     for berry, inst in zip(scene.berries, truth.instances):
-        assert tuple(len(s) for s in inst.surfaces) == prior.densities
-        assert inst.surfaces[2].centroid() == pytest.approx(
+        assert len(inst.surface) == SURFACE_POINTS
+        assert inst.surface.centroid() == pytest.approx(
             berry.pose.translation, abs=0.002
         )
 
