@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError
@@ -128,14 +129,14 @@ def build_occupancy(
         occupied[cells[:, 0], cells[:, 1], cells[:, 2]] = True
 
         if inflation > 0:
-            # only cells near the obstacle AABB can possibly be within range
-            lo_cell = np.floor((pts.min(axis=0) - inflation - lo) / resolution).astype(int)
-            hi_cell = np.floor((pts.max(axis=0) + inflation - lo) / resolution).astype(int)
-            lo_cell = np.clip(lo_cell, 0, np.asarray(dims) - 1)
-            hi_cell = np.clip(hi_cell, 0, np.asarray(dims) - 1)
-            axes = [np.arange(a, b + 1) for a, b in zip(lo_cell, hi_cell)]
-            ii, jj, kk = np.meshgrid(*axes, indexing="ij")
-            sub = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
+            # Only cells near an occupied cell can be within range. A center
+            # within inflation of a point lies within inflation / resolution
+            # + 0.5 cells of that point's cell on every axis, so its cell is
+            # at most ceil(inflation / resolution) cells away; the + 1
+            # absorbs the rounding of the cell index and its clip to the grid.
+            reach = int(np.ceil(inflation / resolution)) + 1
+            nearby = ndimage.maximum_filter(occupied, size=2 * reach + 1, mode="constant")
+            sub = np.argwhere(nearby & ~occupied)
             centers = lo + (sub + 0.5) * resolution
             # cells beyond the inflation radius read inf, without a full search
             dist, _ = cKDTree(pts).query(

@@ -211,9 +211,10 @@ def extract_partials(
     back-projection of the mask's own pixels, voxel downsampling and outlier
     removal.
 
-    Only the union bounding box of the masks, grown by the filter radius, is
-    filtered. Every masked pixel's window lies inside that crop or meets the
-    image edge, where the crop replicates the same edge pixels, and
+    The filter reads the union bounding box of the masks, grown by the filter
+    radius, and computes the masked pixels only: extraction zeroes every
+    other pixel. Every masked pixel's window lies inside that crop or meets
+    the image edge, where the crop replicates the same edge pixels, and
     projection keeps row-major pixel order, so each cloud equals the one a
     whole-frame pass would give.
     """
@@ -227,7 +228,9 @@ def extract_partials(
     r = _MEDIAN_WINDOW // 2
     v0, v1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, depth.height)
     u0, u1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, depth.width)
-    filtered = median_filter(DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW)
+    filtered = median_filter(
+        DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW, where=union[v0:v1, u0:u1]
+    )
     origin = (int(u0), int(v0))
     partials = []
     for mask in masks:

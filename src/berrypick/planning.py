@@ -183,7 +183,7 @@ def astar_grid(
     border reads blocked, which removes per-neighbor bounds checks from the
     inner loop. Interior flat indices sort like the unpadded linear indices,
     so the flat index itself is the tie key. Heuristic values come from a
-    table built once per call.
+    table built once per run, over the cells that run can enter.
     """
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.in_bounds(cell):
@@ -196,12 +196,6 @@ def astar_grid(
     py, pz = ny + 2, nz + 2
     padded = np.ones((nx + 2, py, pz), dtype=bool)
     padded[1:-1, 1:-1, 1:-1] = grid.occupied
-
-    # squared cell distances are small integers, exact in float64, and sqrt
-    # is correctly rounded, so each entry equals a per-cell math.sqrt
-    gx, gy, gz = (np.arange(n + 2.0) - (g + 1) for n, g in zip(grid.dims, goal))
-    dist = np.sqrt(gx[:, None, None] ** 2 + gy[None, :, None] ** 2 + gz[None, None, :] ** 2)
-    heuristic = array("d", (dist * res).ravel().tobytes())
 
     def flat(cell: tuple[int, int, int]) -> int:
         return ((cell[0] + 1) * py + cell[1] + 1) * pz + cell[2] + 1
@@ -229,9 +223,11 @@ def astar_grid(
     corridor = np.ones_like(padded)
     corridor[box] = padded[box] | (spread > bound + 2 * tol)
 
-    found = _search(corridor, heuristic, moves, start_f, goal_f)
+    # the corridor run reads the heuristic inside the box only
+    found = _search(corridor, _heuristic(padded.shape, goal, res, box), moves, start_f, goal_f)
     if found is None or found[1] > (bound + tol) * res:
-        found = _search(padded, heuristic, moves, start_f, goal_f)
+        whole = tuple(slice(0, n) for n in padded.shape)
+        found = _search(padded, _heuristic(padded.shape, goal, res, whole), moves, start_f, goal_f)
     if found is None:
         return None
     path = []
@@ -242,12 +238,25 @@ def astar_grid(
     return path, found[1]
 
 
+def _heuristic(shape, goal, res: float, box: tuple[slice, ...]):
+    """Euclidean distance to the goal for each flat cell of a padded grid of
+    this shape, filled inside `box` (padded slices) and 0 elsewhere."""
+    table = array("d", [0.0]) * math.prod(shape)
+    # squared cell distances are small integers, exact in float64, and sqrt
+    # is correctly rounded, so each entry equals a per-cell math.sqrt
+    gx, gy, gz = (np.arange(b.start, b.stop) - (g + 1.0) for b, g in zip(box, goal))
+    dist = np.sqrt(gx[:, None, None] ** 2 + gy[None, :, None] ** 2 + gz[None, None, :] ** 2)
+    np.frombuffer(table, dtype=np.float64).reshape(shape)[box] = dist * res
+    return table
+
+
 def _search(blocked_cells: np.ndarray, heuristic, moves, start_f: int, goal_f: int):
     """The A* loop over flat cells of the padded grid: the flat path and its
     cost, or None. Cells of `blocked_cells` that read True are never entered."""
     # one byte per cell: nonzero once a cell is occupied or closed
     blocked = bytearray(blocked_cells.ravel().tobytes())
-    g_cost: dict[int, float] = {start_f: 0.0}
+    g_cost = array("d", [math.inf]) * len(blocked)
+    g_cost[start_f] = 0.0
     parent: dict[int, int] = {}
     frontier: list[tuple[float, int]] = [(heuristic[start_f], start_f)]
 
@@ -268,7 +277,7 @@ def _search(blocked_cells: np.ndarray, heuristic, moves, start_f: int, goal_f: i
             if blocked[nxt]:
                 continue
             cand = base + step
-            if cand < g_cost.get(nxt, math.inf) - 1e-15:
+            if cand < g_cost[nxt] - 1e-15:
                 g_cost[nxt] = cand
                 parent[nxt] = cell
                 heapq.heappush(frontier, (cand + heuristic[nxt], nxt))

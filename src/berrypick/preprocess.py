@@ -5,23 +5,36 @@ statistical outlier removal: the raw-sensor to per-instance-cloud chain.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .types import CameraIntrinsics, DepthImage, OutlierParams, PointCloud, VoxelParams
 
 
-def median_filter(depth: DepthImage, window: int = 5) -> DepthImage:
-    """Median blur over a window x window neighborhood.
+def median_filter(depth: DepthImage, window: int = 5, where: np.ndarray | None = None) -> DepthImage:
+    """Median blur over a window x window neighborhood, at the pixels `where`
+    marks (a boolean array of the depth's shape; None means every pixel).
+    Every pixel outside `where` reads 0.
 
     Invalid (0) pixels participate as value 0, so isolated returns surrounded
     by no-return pixels are voted out. Borders replicate the nearest edge
-    pixel, keeping output dimensions equal to the input.
+    pixel, keeping output dimensions equal to the input. Each value is an
+    exact selection, the middle of the window's sorted values.
     """
     if window % 2 == 0 or window < 3:
         raise ParameterError("median window must be odd and >= 3")
-    filtered = ndimage.median_filter(depth.values, size=window, mode="nearest")
+    values = depth.values
+    if where is None:
+        where = np.ones(values.shape, dtype=bool)
+    elif where.shape != values.shape:
+        raise ParameterError(f"where shape {where.shape} and depth shape {values.shape} differ")
+    windows = sliding_window_view(np.pad(values, window // 2, mode="edge"), (window, window))
+    vs, us = np.nonzero(where)
+    middle = window * window // 2
+    gathered = windows[vs, us].reshape(len(vs), window * window)
+    filtered = np.zeros_like(values)
+    filtered[vs, us] = np.partition(gathered, middle, axis=1)[:, middle]
     return DepthImage(values=filtered)
 
 
@@ -62,7 +75,15 @@ def voxel_downsample(cloud: PointCloud, params: VoxelParams) -> PointCloud:
         return PointCloud.empty()
 
     keys = np.floor(cloud.xyz / params.voxel_size).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    # groups in lexicographic key order, as np.unique(axis=0) numbers them
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    counts = np.bincount(group)
     keep = counts >= params.min_points
     if not keep.any():
         return PointCloud.empty()

@@ -69,8 +69,14 @@ class RenderResult:
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
+    """A SeedSequence of its own for each call. A passed sequence is copied
+    (same entropy, spawn key and pool size, no children spawned), so spawning
+    from the result never advances the caller's object, and one seed gives
+    one draw however often it is passed."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     return np.random.SeedSequence(seed)
 
 

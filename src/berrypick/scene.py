@@ -121,13 +121,20 @@ class Occluder:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Occluder":
-        return cls(
+        """Strict parse. A stored normal that is already unit to within 1e-12
+        is kept bit for bit: normalizing a unit float64 vector again can move
+        its last bit, and a saved scene must load as the scene that was saved."""
+        normal = json_floats(obj["normal"], "normal")
+        occluder = cls(
             center=json_floats(obj["center"], "center"),
-            normal=json_floats(obj["normal"], "normal"),
+            normal=normal,
             semi_major=json_float(obj["semi_major"], "semi_major"),
             semi_minor=json_float(obj["semi_minor"], "semi_minor"),
             roll_rad=json_float(obj["roll_rad"], "roll_rad"),
         )
+        if abs(np.linalg.norm(normal) - 1.0) <= 1e-12:
+            object.__setattr__(occluder, "normal", normal)
+        return occluder
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 replaced: the broad-phase execution check against testing every segment,
 table-driven, corridor-first A* against a whole-grid search with per-push
 heuristic and tie functions, cropped perception against a whole-frame pass,
+the masked-pixel median against scipy's, sort-based voxel grouping against
+np.unique rows, near-cell occupancy queries against the whole inflated box,
 the per-mesh crop renderer against a full-frame depth stack composited
 with argmin, and the one-surface ground-truth draw against the three-surface
 draw it replaced. Outputs must match exactly.
@@ -17,14 +19,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from berrypick import (
     BerryInstance,
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
+    ObstacleSet,
     Occluder,
     OccupancyGrid,
     OutlierParams,
@@ -38,6 +43,7 @@ from berrypick import (
     Trajectory,
     VoxelParams,
     astar_grid,
+    build_occupancy,
     extract_masked,
     generate_scene,
     median_filter,
@@ -401,6 +407,144 @@ def test_partials_of_empty_masks_are_empty():
     depth = DepthImage(values=np.full(shape, 400, dtype=np.uint16))
     partials = extract_partials(depth, CameraIntrinsics(cx=5.5, cy=4.5), masks, PipelineConfig())
     assert [len(c) for _, c in partials] == [0]
+
+
+def reference_median(values, window):
+    """Every pixel through scipy's median filter, edges replicated."""
+    return ndimage.median_filter(values, size=window, mode="nearest")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from([3, 5, 7]),
+    shape=st.tuples(st.integers(1, 14), st.integers(1, 14)),
+    density=st.floats(0.0, 1.0),
+)
+def test_median_at_masked_pixels_matches_ndimage(seed, window, shape, density):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 65536, shape, dtype=np.uint16)
+    values[rng.random(shape) < 0.2] = 0
+    values[rng.random(shape) < 0.3] = rng.integers(0, 3)  # ties in the window
+    where = rng.random(shape) < density
+    expected = reference_median(values, window)
+    masked = median_filter(DepthImage(values), window, where=where).values
+    assert masked.dtype == np.uint16
+    assert np.array_equal(masked, np.where(where, expected, 0))
+    assert np.array_equal(median_filter(DepthImage(values), window).values, expected)
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+def test_median_where_touching_every_border_and_edge_cases(window):
+    rng = np.random.default_rng(window)
+    values = rng.integers(0, 900, (20, 30), dtype=np.uint16)
+    values[rng.random(values.shape) < 0.15] = 0
+    expected = reference_median(values, window)
+    borders = np.zeros(values.shape, dtype=bool)
+    borders[0, 3:9] = borders[-1, :4] = borders[5:12, 0] = borders[:, -1] = True
+    borders[-1, -1] = borders[0, 0] = True
+    masked = median_filter(DepthImage(values), window, where=borders).values
+    assert np.array_equal(masked, np.where(borders, expected, 0))
+
+    empty = median_filter(DepthImage(values), window, where=np.zeros(values.shape, bool))
+    assert empty.values.shape == values.shape and not empty.values.any()
+
+    for column in (values[:, :1], values[:1, :]):  # one pixel wide, either way
+        assert np.array_equal(median_filter(DepthImage(column), window).values,
+                              reference_median(column, window))
+
+
+def reference_voxel_downsample(cloud, params):
+    """The np.unique(axis=0) grouping that voxel_downsample replaced."""
+    if len(cloud) == 0:
+        return PointCloud.empty()
+    keys = np.floor(cloud.xyz / params.voxel_size).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    keep = counts >= params.min_points
+    if not keep.any():
+        return PointCloud.empty()
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse.ravel(), cloud.xyz)
+    return PointCloud(xyz=sums[keep] / counts[keep, None])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    spread=st.sampled_from([0.0, 0.004, 0.05, 0.3]),
+    min_points=st.sampled_from([1, 3]),
+)
+def test_voxel_grouping_matches_unique_rows(seed, n, spread, min_points):
+    rng = np.random.default_rng(seed)
+    # centred on the origin, so keys take negative values too
+    xyz = rng.normal(0.0, spread, (n, 3)) + rng.uniform(-0.01, 0.01, 3)
+    params = VoxelParams(voxel_size=0.003, min_points=min_points)
+    _assert_same_cloud(voxel_downsample(PointCloud(xyz=xyz), params),
+                       reference_voxel_downsample(PointCloud(xyz=xyz), params))
+
+
+@pytest.mark.parametrize("min_points", [1, 3])
+def test_voxel_grouping_edge_cases_match_unique_rows(min_points):
+    params = VoxelParams(voxel_size=0.01, min_points=min_points)
+    one = PointCloud(xyz=np.array([[-0.013, 0.0, 0.02]]))
+    together = PointCloud(xyz=np.array([[-0.011, -0.002, 0.0]] * 2 + [[-0.019, -0.009, 0.009]]))
+    for cloud in (one, together):
+        _assert_same_cloud(voxel_downsample(cloud, params),
+                           reference_voxel_downsample(cloud, params))
+    assert len(voxel_downsample(together, params)) == 1
+
+
+def reference_occupancy(obstacles, resolution, inflation, include_points=None, bounds=None):
+    """The occupancy build_occupancy made by querying every cell of the
+    obstacles' inflated bounding box; the grid extent is build_occupancy's."""
+    extent = build_occupancy(obstacles, resolution, inflation, include_points, bounds)
+    pts, lo, dims = obstacles.points.xyz, extent.origin, np.asarray(extent.dims)
+    occupied = np.zeros(extent.dims, dtype=bool)
+    cells = np.clip(np.floor((pts - lo) / resolution).astype(int), 0, dims - 1)
+    occupied[cells[:, 0], cells[:, 1], cells[:, 2]] = True
+    if inflation > 0:
+        lo_cell = np.clip(np.floor((pts.min(axis=0) - inflation - lo) / resolution).astype(int),
+                          0, dims - 1)
+        hi_cell = np.clip(np.floor((pts.max(axis=0) + inflation - lo) / resolution).astype(int),
+                          0, dims - 1)
+        axes = [np.arange(a, b + 1) for a, b in zip(lo_cell, hi_cell)]
+        sub = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        dist, _ = cKDTree(pts).query(
+            lo + (sub + 0.5) * resolution, distance_upper_bound=np.nextafter(inflation, np.inf)
+        )
+        near = sub[dist <= inflation]
+        occupied[near[:, 0], near[:, 1], near[:, 2]] = True
+    return occupied
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    ratio=st.sampled_from([0.0, 0.4, 1.0, 2.0, 3.0, 3.6]),
+    on_faces=st.booleans(),
+    pinned=st.booleans(),
+)
+def test_occupancy_near_cells_match_whole_box_query(seed, n, ratio, on_faces, pinned):
+    rng = np.random.default_rng(seed)
+    resolution = 0.005
+    inflation = ratio * resolution
+    xyz = rng.normal(0.0, 0.02, (n, 3)) + [0.0, 0.0, 0.3]
+    if on_faces:  # points on cell faces, where the cell index rounds
+        xyz = np.round(xyz / resolution) * resolution
+    bounds = None
+    if pinned:  # a grid given by bounds, some points on its faces
+        bounds = (xyz.min(axis=0) - rng.uniform(0.0, 0.01, 3),
+                  xyz.max(axis=0) + rng.uniform(0.0, 0.01, 3))
+        xyz[0] = bounds[0]
+        xyz[-1] = bounds[1]
+    obstacles = ObstacleSet(points=PointCloud(xyz=xyz))
+    extra = [[0.0, 0.0, 0.05]] if not pinned else None
+    grid = build_occupancy(obstacles, resolution, inflation, extra, bounds)
+    assert np.array_equal(
+        grid.occupied, reference_occupancy(obstacles, resolution, inflation, extra, bounds)
+    )
 
 
 # ---------------------------------------------------------------- render

@@ -230,6 +230,19 @@ def test_render_is_deterministic_for_a_seed(prior):
     assert np.array_equal(a.rgb.values, b.rgb.values)
 
 
+def test_render_takes_a_seed_sequence_as_a_value(prior):
+    """One SeedSequence passed twice draws the same noise twice, the draw a
+    fresh copy of it gives, and the caller's object spawns nothing."""
+    scene = _single_berry_scene()
+    params = RenderParams(2.0, 0.05)
+    ss = np.random.SeedSequence(21).spawn(2)[1]
+    a, b = (render_rgbd(scene, prior, params, seed=ss) for _ in range(2))
+    fresh = render_rgbd(scene, prior, params, seed=np.random.SeedSequence(21, spawn_key=(1,)))
+    assert np.array_equal(a.depth.values, b.depth.values)
+    assert np.array_equal(a.depth.values, fresh.depth.values)
+    assert ss.n_children_spawned == 0
+
+
 def test_render_params_validation():
     with pytest.raises(ParameterError):
         RenderParams(noise_sigma_mm=-1.0)
@@ -265,6 +278,15 @@ def test_ground_truth_deterministic_and_round_trips(prior):
     assert a.to_json_str() == b.to_json_str()
     loaded = GroundTruth.from_json(a.to_json())
     assert loaded.to_json_str() == a.to_json_str()
+
+
+def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
+    scene = _single_berry_scene()
+    ss = np.random.SeedSequence(8).spawn(3)[2]
+    a, b = (sample_ground_truth(scene, prior, seed=ss) for _ in range(2))
+    fresh = sample_ground_truth(scene, prior, seed=np.random.SeedSequence(8, spawn_key=(2,)))
+    assert a.to_json_str() == b.to_json_str() == fresh.to_json_str()
+    assert ss.n_children_spawned == 0
 
 
 def test_ground_truth_lookup_by_id(prior):
