@@ -7,12 +7,15 @@ the visibility floor.
 
 Usage:
     python scripts/completion_benchmark.py [--n 100] [--seed 7] [--out stats.json]
+
+Exit codes are the CLI's: 0 success, 1 input error (one `error:` line), 2 when
+writing the output fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -21,26 +24,40 @@ import numpy as np
 from berrypick import (
     PipelineConfig,
     RenderParams,
-    SceneConfig,
     StrawberryPrior,
     run_completion_benchmark,
 )
+from berrypick.cli import _Parser, _load_template, _seed
+from berrypick.errors import BerrypickError, StorageError
+from berrypick.io_formats import _write_text
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
+def _mm(value) -> str:
+    return "n/a" if value is None else f"{value:.3f} mm"
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    try:
+        return _run()
+    except BerrypickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, StorageError) else 1
+
+
+def _run() -> int:
+    parser = _Parser(description=__doc__)
     parser.add_argument("--template", default=str(TEMPLATES / "single_berry.json"))
     parser.add_argument("--n", type=int, default=100, help="number of berries")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=_seed, default=7)
     parser.add_argument("--sigma-mm", type=float, default=2.0)
     parser.add_argument("--dropout", type=float, default=0.05)
     parser.add_argument("--min-visibility", type=float, default=0.4)
     parser.add_argument("--out", default=None, help="optional JSON stats path")
     args = parser.parse_args()
 
-    template = SceneConfig.from_json(json.loads(Path(args.template).read_text()))
+    template = _load_template(args.template)
     start = time.perf_counter()
     cds = run_completion_benchmark(
         template,
@@ -67,12 +84,10 @@ def main() -> int:
     print(
         f"{stats['n']} berries in {elapsed:.1f} s: "
         f"median {stats['median_mm']:.3f} mm, mean {stats['mean_mm']:.3f} mm, "
-        f"p95 {stats['p95_mm']:.3f} mm, {stats['n_failed']} failed"
+        f"p95 {_mm(stats['p95_mm'])}, max {_mm(stats['max_mm'])}, {stats['n_failed']} failed"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(stats, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(stats, indent=2, sort_keys=True) + "\n")
         print(f"stats written to {args.out}")
     return 0
 

@@ -3,13 +3,16 @@
 
 Usage:
     python scripts/demo_scene.py --out /tmp/demo [--template templates/cluttered.json] [--seed 3]
+
+Exit codes are the CLI's: 0 success, 1 input error (one `error:` line) or no
+ripe target, 2 when writing the output fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,28 +21,37 @@ from berrypick import (
     NoRipeTargetError,
     PipelineConfig,
     RenderParams,
-    SceneConfig,
     StrawberryPrior,
     generate_scene,
     plan_scene,
     render_scene_artifacts,
     run_pipeline,
 )
-from berrypick.io_formats import save_artifacts
+from berrypick.cli import _Parser, _load_template, _seed
+from berrypick.errors import BerrypickError, StorageError
+from berrypick.io_formats import _write_text, save_artifacts
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    try:
+        return _run()
+    except BerrypickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, StorageError) else 1
+
+
+def _run() -> int:
+    parser = _Parser(description=__doc__)
     parser.add_argument("--template", default=str(TEMPLATES / "cluttered.json"))
-    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--seed", type=_seed, default=3)
     parser.add_argument("--sigma-mm", type=float, default=2.0)
     parser.add_argument("--dropout", type=float, default=0.05)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
-    template = SceneConfig.from_json(json.loads(Path(args.template).read_text()))
+    template = _load_template(args.template)
     prior = StrawberryPrior.builtin()
 
     gen_ss, render_ss, truth_ss = np.random.SeedSequence(args.seed).spawn(3)
@@ -56,9 +68,7 @@ def main() -> int:
         print(f"no plan: {exc}")
         return 1
     plan_path = os.path.join(args.out, "plan.json")
-    with open(plan_path, "w", encoding="utf-8") as fh:
-        json.dump(plan, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(plan_path, json.dumps(plan, indent=2, sort_keys=True) + "\n")
 
     trial = run_pipeline(artifacts, cfg, prior)
     print(f"artifacts: {args.out}")

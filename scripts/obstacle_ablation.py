@@ -7,41 +7,52 @@ then prints the grasp ratios side by side.
 
 Usage:
     python scripts/obstacle_ablation.py [--n 100] [--seed 20260816] [--out results/]
+
+Exit codes are the CLI's: 0 success, 1 input error (one `error:` line), 2 when
+writing the output fails.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
+import sys
 import time
 from pathlib import Path
 
 from berrypick import (
     PipelineConfig,
     RenderParams,
-    SceneConfig,
     StrawberryPrior,
     compute_metrics,
     emit_report,
     run_ablation,
 )
+from berrypick.cli import _Parser, _load_template, _seed
+from berrypick.errors import BerrypickError, StorageError
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    try:
+        return _run()
+    except BerrypickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, StorageError) else 1
+
+
+def _run() -> int:
+    parser = _Parser(description=__doc__)
     parser.add_argument("--template", default=str(TEMPLATES / "cluttered.json"))
     parser.add_argument("--n", type=int, default=100, help="number of scenes")
-    parser.add_argument("--seed", type=int, default=20260816)
+    parser.add_argument("--seed", type=_seed, default=20260816)
     parser.add_argument("--sigma-mm", type=float, default=2.0)
     parser.add_argument("--dropout", type=float, default=0.05)
     parser.add_argument("--inflation", type=float, default=0.018)
     parser.add_argument("--out", default=None, help="optional report directory")
     args = parser.parse_args()
 
-    template = SceneConfig.from_json(json.loads(Path(args.template).read_text()))
+    template = _load_template(args.template)
     cfg = PipelineConfig(inflation=args.inflation)
 
     start = time.perf_counter()

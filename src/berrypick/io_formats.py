@@ -176,7 +176,7 @@ def write_mask(path: str, mask: InstanceMask) -> None:
     """Writes <path>.pgm plus a <path>.json sidecar."""
     h, w = mask.bits.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _write_bytes(path + ".pgm", header + np.where(mask.bits, 255, 0).astype(np.uint8).tobytes())
+    _write_bytes(path + ".pgm", header + (mask.bits.view(np.uint8) * np.uint8(255)).tobytes())
     meta = {"instance_id": mask.instance_id, "ripeness": mask.ripeness.value}
     _write_text(path + ".json", json.dumps(meta, sort_keys=True) + "\n")
 

@@ -3,7 +3,8 @@
 The planner treats the end-effector as a point, so the grid absorbs the
 gripper geometry by inflating obstacles: a cell is occupied when an obstacle
 point falls inside it, or when the cell's center lies within the inflation
-radius of any obstacle point.
+radius of any obstacle point. A distance transform decides most cells, and a
+KD-tree query decides the rest (see build_occupancy).
 """
 
 from __future__ import annotations
@@ -95,6 +96,19 @@ def build_occupancy(
 
     include_points widens the bounds without marking anything occupied.
     bounds, when given, pins the grid extent exactly (points outside raise).
+
+    A free cell is decided by d, its distance to the nearest occupied cell's
+    center, from a distance transform. Every point lies within sqrt(3)/2
+    resolution of its own cell's center, so by the triangle inequality, with
+    h = sqrt(3)/2 resolution plus a margin for float error:
+      sure in   d + h <= inflation: some point is in range, and the cell is
+                occupied without a query;
+      sure out  d - h > inflation: every point is out of range, and the
+                cell stays free;
+      doubt     the cells between are queried against a KD-tree of the
+                points, with the test a query of every cell would make.
+    The margin, 1e-13 times the grid's largest |coordinate| plus inflation
+    and resolution, is derived where it is set.
     """
     if resolution <= 0:
         raise ParameterError("resolution must be positive")
@@ -129,20 +143,47 @@ def build_occupancy(
         occupied[cells[:, 0], cells[:, 1], cells[:, 2]] = True
 
         if inflation > 0:
-            # Only cells near an occupied cell can be within range. A center
-            # within inflation of a point lies within inflation / resolution
-            # + 0.5 cells of that point's cell on every axis, so its cell is
-            # at most ceil(inflation / resolution) cells away; the + 1
-            # absorbs the rounding of the cell index and its clip to the grid.
+            # A cell outside the occupied cells' box grown by reach lies
+            # reach + 1 or more cells from each occupied cell on some axis,
+            # so its d >= (ceil(inflation / resolution) + 2) resolution
+            # exceeds inflation + h: it is sure out. The transform covers
+            # only that box.
             reach = int(np.ceil(inflation / resolution)) + 1
-            nearby = ndimage.maximum_filter(occupied, size=2 * reach + 1, mode="constant")
-            sub = np.argwhere(nearby & ~occupied)
-            centers = lo + (sub + 0.5) * resolution
-            # cells beyond the inflation radius read inf, without a full search
-            dist, _ = cKDTree(pts).query(
-                centers, distance_upper_bound=np.nextafter(inflation, np.inf)
+            box = tuple(
+                slice(max(a - reach, 0), min(b + reach + 1, n))
+                for a, b, n in zip(cells.min(axis=0), cells.max(axis=0), dims)
+            )
+            crop = occupied[box]
+            free = ~crop
+            # In cell units the transform's feature search compares integer
+            # squared distances, so it is exact; d is within 2 eps of true.
+            d = ndimage.distance_transform_edt(free) * resolution
+            # The margin covers float error, eps = 2**-53, with S the largest
+            # |coordinate| of the grid plus inflation and resolution:
+            #   floor((p - lo) / resolution) can misplace p by 4 eps S per
+            #     axis, so p lies within sqrt(3)/2 resolution + 7 eps S of
+            #     its cell's center;
+            #   a computed center lo + (i + 0.5) resolution is off by 3 eps S
+            #     per axis, 6 eps S in all;
+            #   the KD distance is off by 4 eps of itself, d by 2 eps of
+            #     itself (d < 4 S), and d + h, d - h and h by one rounding.
+            # That is under 40 eps S; the margin 1e-13 S is over 900 eps S.
+            far = lo + np.asarray(dims) * resolution
+            scale = np.abs([lo, far]).max() + inflation + resolution
+            h = np.sqrt(3.0) / 2.0 * resolution + 1e-13 * scale
+            sure = free & (d + h <= inflation)
+            doubt = free & (d + h > inflation) & (d - h <= inflation)
+            sub = np.argwhere(doubt) + [s.start for s in box]
+            # A nearest distance does not depend on the tree's layout, so the
+            # tree is built the quick way. Cells beyond inflation read inf,
+            # without a full search.
+            tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+            dist, _ = tree.query(
+                lo + (sub + 0.5) * resolution,
+                distance_upper_bound=np.nextafter(inflation, np.inf),
             )
             near = sub[dist <= inflation]
             occupied[near[:, 0], near[:, 1], near[:, 2]] = True
+            crop |= sure
 
     return OccupancyGrid(origin=lo, resolution=resolution, dims=dims, occupied=occupied)

@@ -3,10 +3,11 @@ replaced: the broad-phase execution check against testing every segment,
 table-driven, corridor-first A* against a whole-grid search with per-push
 heuristic and tie functions, cropped perception against a whole-frame pass,
 the masked-pixel median against scipy's, sort-based voxel grouping against
-np.unique rows, near-cell occupancy queries against the whole inflated box,
-the per-mesh crop renderer against a full-frame depth stack composited
-with argmin, and the one-surface ground-truth draw against the three-surface
-draw it replaced. Outputs must match exactly.
+np.unique rows, distance-transform occupancy with a queried doubt band
+against a query of every cell of the inflated box, the per-mesh crop
+renderer against a full-frame depth stack composited with argmin, and the
+one-surface ground-truth draw against the three-surface draw it replaced.
+Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -518,21 +519,45 @@ def reference_occupancy(obstacles, resolution, inflation, include_points=None, b
     return occupied
 
 
-@settings(max_examples=60, deadline=None)
+# Lattice distances between cell centers, in cells. A ratio inflation /
+# resolution of k + sqrt(3)/2 puts cells at distance k on the sure-in edge,
+# and k - sqrt(3)/2 on the sure-out edge, of build_occupancy's doubt band.
+_LATTICE = (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0, math.sqrt(5.0), 3.0)
+_EDGE_RATIOS = sorted({abs(k + s * math.sqrt(3.0) / 2.0) for k in _LATTICE for s in (-1, 1)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 60),
-    ratio=st.sampled_from([0.0, 0.4, 1.0, 2.0, 3.0, 3.6]),
-    on_faces=st.booleans(),
+    ratio=st.sampled_from([0.0, 0.4, 1.0, 2.0, 3.0, 3.6, 6.5, 7.2] + _EDGE_RATIOS),
+    nudge=st.sampled_from([-1, 0, 1]),
+    placement=st.sampled_from(["free", "faces", "corners", "centers"]),
+    shells=st.integers(0, 2),
     pinned=st.booleans(),
 )
-def test_occupancy_near_cells_match_whole_box_query(seed, n, ratio, on_faces, pinned):
+def test_occupancy_near_cells_match_whole_box_query(
+    prior, seed, n, ratio, nudge, placement, shells, pinned
+):
     rng = np.random.default_rng(seed)
     resolution = 0.005
-    inflation = ratio * resolution
+    # a ratio on a band edge, or one float step to either side of it
+    inflation = float(ratio * resolution)
+    for _ in range(abs(nudge) if inflation > 0 else 0):
+        inflation = float(np.nextafter(inflation, nudge * np.inf))
     xyz = rng.normal(0.0, 0.02, (n, 3)) + [0.0, 0.0, 0.3]
-    if on_faces:  # points on cell faces, where the cell index rounds
+    # dense shells of posed prior samples, as completed berries are
+    surface = prior.canonical_samples(4096)
+    for _ in range(shells):
+        pose = Pose(rotation_about_axis(rng.normal(size=3), rng.uniform(0.0, 2 * np.pi)),
+                    rng.normal(0.0, 0.02, 3) + [0.0, 0.0, 0.3])
+        xyz = np.concatenate([xyz, pose.apply(surface)])
+    if placement == "faces":  # x on cell faces, where the cell index rounds
+        xyz[:, 0] = np.round(xyz[:, 0] / resolution) * resolution
+    elif placement == "corners":
         xyz = np.round(xyz / resolution) * resolution
+    elif placement == "centers":  # cell distances fall on the lattice
+        xyz = (np.floor(xyz / resolution) + 0.5) * resolution
     bounds = None
     if pinned:  # a grid given by bounds, some points on its faces
         bounds = (xyz.min(axis=0) - rng.uniform(0.0, 0.01, 3),
@@ -545,6 +570,25 @@ def test_occupancy_near_cells_match_whole_box_query(seed, n, ratio, on_faces, pi
     assert np.array_equal(
         grid.occupied, reference_occupancy(obstacles, resolution, inflation, extra, bounds)
     )
+
+
+@pytest.mark.parametrize("resolution", [0.001, 0.003, 0.005])
+def test_occupancy_margin_holds_on_the_sure_in_edge(resolution):
+    # One point on its cell's low corner: the cell one diagonal step above it
+    # has d = sqrt(3) resolution, and its center lies exactly d + sqrt(3)/2
+    # resolution from the point. With the inflation on that edge, whether the
+    # cell is in falls to float rounding, which only the margin absorbs.
+    rng = np.random.default_rng(7)
+    inflation = float(1.5 * math.sqrt(3.0) * resolution)
+    for _ in range(60):
+        lo = np.round(rng.uniform(-20.0, 20.0, 3)) * resolution + rng.choice([0.0, 0.3, 1.3])
+        point = lo + rng.integers(3, 6, 3) * resolution
+        obstacles = ObstacleSet(points=PointCloud(xyz=point[None]))
+        bounds = (lo, lo + 10 * resolution)
+        grid = build_occupancy(obstacles, resolution, inflation, bounds=bounds)
+        assert np.array_equal(
+            grid.occupied, reference_occupancy(obstacles, resolution, inflation, bounds=bounds)
+        )
 
 
 # ---------------------------------------------------------------- render

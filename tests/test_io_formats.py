@@ -205,6 +205,19 @@ def test_mask_round_trip(tmp_path):
     assert loaded.ripeness is Ripeness.UNRIPE
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_mask_pgm_bytes_match_the_where_encoding(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(1, 60, 2))
+    bits = rng.random((h, w)) < rng.random()
+    if seed % 2:  # a strided, non-contiguous view
+        bits = np.ascontiguousarray(rng.random((2 * w, h)) < 0.5)[::2].T
+    stem = str(tmp_path / "m")
+    write_mask(stem, InstanceMask(bits=bits, instance_id=0, ripeness=Ripeness.RIPE))
+    expected = f"P5\n{w} {h}\n255\n".encode("ascii") + np.where(bits, 255, 0).astype(np.uint8).tobytes()
+    assert (tmp_path / "m.pgm").read_bytes() == expected
+
+
 def test_mask_missing_sidecar(tmp_path):
     bits = np.ones((4, 4), dtype=bool)
     stem = str(tmp_path / "m")

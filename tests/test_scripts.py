@@ -1,11 +1,14 @@
 """Smoke runs of the scripts under scripts/: each main() returns 0 on small
-inputs, so the public names they import stay in place."""
+inputs, so the public names they import stay in place, and returns 1 with
+one `error:` line on malformed arguments, as the CLI does."""
 
 from __future__ import annotations
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -34,3 +37,54 @@ def test_completion_benchmark(monkeypatch, tmp_path, capsys):
     assert _run(monkeypatch, "completion_benchmark", "--n", "2", "--out", str(stats)) == 0
     assert "2 berries" in capsys.readouterr().out
     assert stats.exists()
+
+
+def test_completion_benchmark_with_every_berry_failed(monkeypatch, capsys):
+    template = str(SCRIPTS.parent / "templates" / "cluttered.json")
+    args = ("--n", "1", "--seed", "1", "--template", template, "--min-visibility", "0")
+    assert _run(monkeypatch, "completion_benchmark", *args) == 0
+    assert "p95 n/a, max n/a, 1 failed" in capsys.readouterr().out
+
+
+# malformed arguments every script takes, then the counts only two take
+_BAD_ARGS = {
+    "negative-seed": ["--seed", "-1"],
+    "dropout-above-one": ["--dropout", "2"],
+    "missing-template": ["--template", "{tmp}/absent.json"],
+    "template-not-json": ["--template", "{tmp}/not.json"],
+    "template-bad-value": ["--template", "{tmp}/bad.json"],
+}
+_BAD_COUNTS = {"no-items": ["--n", "0"], "non-integer-count": ["--n", "x"]}
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        pytest.param(name, args, id=f"{name}-{case}")
+        for name, cases in [
+            ("completion_benchmark", {**_BAD_ARGS, **_BAD_COUNTS}),
+            ("obstacle_ablation", {**_BAD_ARGS, **_BAD_COUNTS}),
+            ("demo_scene", {key: [*args, "--out", "{tmp}/demo"] for key, args in _BAD_ARGS.items()}),
+        ]
+        for case, args in cases.items()
+    ],
+)
+def test_malformed_script_arguments_are_one_clean_error(monkeypatch, tmp_path, capsys, name, args):
+    (tmp_path / "not.json").write_text("{not json")
+    (tmp_path / "bad.json").write_text('{"n_ripe": 2.5}')
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert _run(monkeypatch, name, *args) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["completion_benchmark", "obstacle_ablation", "demo_scene"])
+def test_unwritable_script_output_is_one_clean_error(monkeypatch, tmp_path, capsys, name):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    count = [] if name == "demo_scene" else ["--n", "1"]
+    assert _run(monkeypatch, name, *count, "--out", str(blocker / "out")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
