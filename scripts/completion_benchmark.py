@@ -2,8 +2,9 @@
 """Shape-completion accuracy over freshly generated synthetic berries.
 
 Reports the chamfer metric (mm) between each completed surface and the true
-sampled surface at the densest level, for every berry rendered at or above
-the visibility floor.
+sampled surface, for every berry rendered at or above the visibility floor.
+A berry whose completion fails counts as an infinite distance; a statistic
+that is not finite is written as null and printed as n/a.
 
 Usage:
     python scripts/completion_benchmark.py [--n 100] [--seed 7] [--out stats.json]
@@ -15,7 +16,6 @@ writing the output fails.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -27,8 +27,7 @@ from berrypick import (
     StrawberryPrior,
     run_completion_benchmark,
 )
-from berrypick.cli import _Parser, _load_template, _seed
-from berrypick.errors import BerrypickError, StorageError
+from berrypick.cli import _Parser, _load_template, _seed, run
 from berrypick.io_formats import _write_text
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
@@ -38,12 +37,12 @@ def _mm(value) -> str:
     return "n/a" if value is None else f"{value:.3f} mm"
 
 
+def _finite(value) -> float | None:
+    return float(value) if np.isfinite(value) else None
+
+
 def main() -> int:
-    try:
-        return _run()
-    except BerrypickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, StorageError) else 1
+    return run(_run)
 
 
 def _run() -> int:
@@ -75,19 +74,19 @@ def _run() -> int:
     stats = {
         "n": len(cds),
         "n_failed": int(np.sum(~np.isfinite(arr))),
-        "median_mm": float(np.median(arr)),
-        "mean_mm": float(np.mean(arr)),
+        "median_mm": _finite(np.median(arr)),
+        "mean_mm": _finite(np.mean(arr)),
         "p95_mm": float(np.percentile(finite, 95)) if len(finite) else None,
         "max_mm": float(finite.max()) if len(finite) else None,
         "seconds": elapsed,
     }
     print(
         f"{stats['n']} berries in {elapsed:.1f} s: "
-        f"median {stats['median_mm']:.3f} mm, mean {stats['mean_mm']:.3f} mm, "
+        f"median {_mm(stats['median_mm'])}, mean {_mm(stats['mean_mm'])}, "
         f"p95 {_mm(stats['p95_mm'])}, max {_mm(stats['max_mm'])}, {stats['n_failed']} failed"
     )
     if args.out:
-        _write_text(args.out, json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, json.dumps(stats, indent=2, sort_keys=True, allow_nan=False) + "\n")
         print(f"stats written to {args.out}")
     return 0
 

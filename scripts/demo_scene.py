@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +26,14 @@ from berrypick import (
     render_scene_artifacts,
     run_pipeline,
 )
-from berrypick.cli import _Parser, _load_template, _seed
-from berrypick.errors import BerrypickError, StorageError
+from berrypick.cli import _Parser, _load_template, _seed, run
 from berrypick.io_formats import _write_text, save_artifacts
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def main() -> int:
-    try:
-        return _run()
-    except BerrypickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, StorageError) else 1
+    return run(_run)
 
 
 def _run() -> int:

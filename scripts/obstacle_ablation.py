@@ -14,8 +14,6 @@ writing the output fails.
 
 from __future__ import annotations
 
-import os
-import sys
 import time
 from pathlib import Path
 
@@ -24,21 +22,16 @@ from berrypick import (
     RenderParams,
     StrawberryPrior,
     compute_metrics,
-    emit_report,
+    emit_ablation_report,
     run_ablation,
 )
-from berrypick.cli import _Parser, _load_template, _seed
-from berrypick.errors import BerrypickError, StorageError
+from berrypick.cli import _Parser, _load_template, _seed, run
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def main() -> int:
-    try:
-        return _run()
-    except BerrypickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, StorageError) else 1
+    return run(_run)
 
 
 def _run() -> int:
@@ -81,9 +74,7 @@ def _run() -> int:
     print(f"rho_s/rho_a gap over no_completion: {gap:+.1f} pp")
 
     if args.out:
-        for name, results in runs.items():
-            emit_report(reports[name], results, os.path.join(args.out, name))
-        emit_report(reports["full"], runs["full"], args.out, baseline=blind)
+        emit_ablation_report(reports, runs, args.out)
         print(f"reports written under {args.out}")
     return 0
 

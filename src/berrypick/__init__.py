@@ -22,7 +22,7 @@ from .errors import (
     SceneGenerationError,
     StorageError,
 )
-from .metrics import MetricsReport, compute_metrics, emit_report
+from .metrics import MetricsReport, compute_metrics, emit_ablation_report, emit_report
 from .occupancy import ObstacleSet, OccupancyGrid, build_obstacles, build_occupancy
 from .pipeline import (
     FailureReason,

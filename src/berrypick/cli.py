@@ -11,12 +11,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
 from .chamfer import chamfer_loss, chamfer_metric_mm
 from .completion import complete_cloud
-from .errors import BerrypickError, InputError, StorageError
+from .errors import BerrypickError, InputError
 from .io_formats import (
     load_artifacts,
     load_scene,
@@ -26,7 +27,13 @@ from .io_formats import (
     write_ply,
     _write_text,
 )
-from .metrics import comparison_csv, compute_metrics, emit_report, load_metrics
+from .metrics import (
+    comparison_csv,
+    compute_metrics,
+    emit_ablation_report,
+    emit_report,
+    load_metrics,
+)
 from .pipeline import (
     PipelineConfig,
     plan_scene,
@@ -143,14 +150,7 @@ def _cmd_bench(args) -> int:
     if args.ablation:
         runs = run_ablation(template, args.n, cfg, seed, params)
         reports = {name: compute_metrics(results) for name, results in runs.items()}
-        for name, results in runs.items():
-            emit_report(reports[name], results, os.path.join(args.out, name))
-        emit_report(
-            reports["full"],
-            runs["full"],
-            args.out,
-            baseline=reports["no_obstacles"],
-        )
+        emit_ablation_report(reports, runs, args.out)
         summary = {name: reports[name].to_json() for name in reports}
     else:
         results = run_benchmark(template, args.n, cfg, seed, params)
@@ -242,19 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def run(command: Callable[[], int]) -> int:
+    """command()'s exit code, under the contract of every entry point: an
+    I/O error (StorageError or any OSError) exits 2 and any other library
+    error exits 1, each with one `error:` line on stderr."""
     try:
+        return command()
+    except (BerrypickError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
+
+
+def main(argv=None) -> int:
+    def command() -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BerrypickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+    return run(command)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ class ParameterError(BerrypickError, ValueError):
 
 
 class ContractError(BerrypickError):
-    """Input data lacks structure the operation requires (e.g. pixel provenance)."""
+    """An internal guarantee broke: a planned trajectory crosses an occupied
+    cell of the grid it was planned on."""
 
 
 class InsufficientDataError(BerrypickError):

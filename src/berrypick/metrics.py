@@ -155,6 +155,14 @@ def emit_report(
         raise StorageError(f"failed writing report to {out_dir}: {exc}") from exc
 
 
+def emit_ablation_report(reports: dict[str, MetricsReport], runs: dict, out_dir: str) -> None:
+    """One report directory per variant under out_dir, plus a root report of
+    the full variant compared with no_obstacles as its baseline."""
+    for name, results in runs.items():
+        emit_report(reports[name], results, os.path.join(out_dir, name))
+    emit_report(reports["full"], runs["full"], out_dir, baseline=reports["no_obstacles"])
+
+
 def comparison_csv(report: MetricsReport, baseline: MetricsReport) -> str:
     """The four ratios side by side with their deltas, as CSV text."""
     rows = ["metric,baseline,ours,delta"]

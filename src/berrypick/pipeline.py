@@ -11,10 +11,16 @@ Two ablation switches mirror the evaluation design: use_completion=False
 feeds the denoised partial clouds straight to planning, and
 use_obstacles=False plans through an empty occupancy map.
 
-Every benchmark draws scene i of a seed from one function, _scene, so each
-scene is built from its index alone. run_benchmark and run_ablation share
-one trial runner, _run_variants; run_completion_benchmark takes the same
-scenes and scores completion only.
+Each job has one path. _perceive detects, tests ripeness and extracts the
+partial clouds of a scene once, then completes them per completion mode;
+_completed is the one step that pairs a completion with its chamfer score.
+_plan runs target selection through A*, and _trials runs one scene through
+every variant: run_pipeline is _trials with one variant, and plan_scene
+reports _perceive and _plan as a dict, raising where a trial records a
+failure reason. Every benchmark draws scene i of a seed from one function,
+_scene, so each scene is built from its index alone. run_benchmark and
+run_ablation map _trials over those scenes in _run_variants;
+run_completion_benchmark takes the same scenes and scores completion only.
 """
 
 from __future__ import annotations
@@ -242,130 +248,68 @@ def extract_partials(
     return partials
 
 
-def _detect(
-    artifacts: SceneArtifacts, cfg: PipelineConfig
-) -> tuple[list[InstanceMask], list[tuple[InstanceMask, PointCloud]]]:
-    """The detected masks, and the non-empty partial cloud of each. With no
-    ripe berry in view perception stops here, before any filtering."""
+def _completed(cloud: PointCloud, instance_id: int, truth: GroundTruth, cfg: PipelineConfig,
+               prior: StrawberryPrior) -> tuple[PointCloud, float] | None:
+    """The completed cloud and its chamfer_metric_mm against the berry's true
+    surface, or None when completion fails."""
+    try:
+        completed = complete_cloud(cloud, prior, cfg.icp)
+    except (InsufficientDataError, RegistrationError):
+        return None
+    return completed.cloud, chamfer_metric_mm(completed.cloud, truth.instance(instance_id).surface)
+
+
+def _perceive(artifacts: SceneArtifacts, cfg: PipelineConfig, prior: StrawberryPrior,
+              modes: list[bool]) -> dict[bool, Perception]:
+    """One Perception per completion mode (a use_completion value) in modes.
+
+    The scene is detected and its partial clouds extracted once, with cfg's
+    perception settings. With no ripe berry in view perception stops there,
+    before any filtering. Completion keeps a berry that fails to complete as
+    a leftover, which still blocks space; without completion the partials
+    are planned on as-is.
+    """
     detections = [m for m in artifacts.masks if m.pixel_count() > 0]
     if not any(m.ripeness is Ripeness.RIPE for m in detections):
-        return detections, []
-    partials = extract_partials(artifacts.depth, artifacts.scene.intrinsics, detections, cfg)
-    return detections, [(m, c) for m, c in partials if len(c)]
-
-
-def _complete(
-    artifacts: SceneArtifacts,
-    detections: list[InstanceMask],
-    partials: list[tuple[InstanceMask, PointCloud]],
-    cfg: PipelineConfig,
-    prior: StrawberryPrior,
-) -> Perception:
-    """Planning clouds from partials: completed ones, or the partials as-is."""
-    if not any(m.ripeness is Ripeness.RIPE for m in detections):
-        return Perception(len(detections), False, (), (), ())
-    if not cfg.use_completion:
-        candidates = tuple(Candidate(m.instance_id, m.ripeness, c) for m, c in partials)
-        return Perception(len(detections), True, candidates, (), ())
-
-    candidates: list[Candidate] = []
-    leftovers: list[Candidate] = []
-    cds: list[float] = []
-    for mask, cloud in partials:
-        try:
-            completed = complete_cloud(cloud, prior, cfg.icp)
-        except (InsufficientDataError, RegistrationError):
-            leftovers.append(Candidate(mask.instance_id, mask.ripeness, cloud))
+        return dict.fromkeys(modes, Perception(len(detections), False, (), (), ()))
+    partials = [
+        (m, c)
+        for m, c in extract_partials(artifacts.depth, artifacts.scene.intrinsics, detections, cfg)
+        if len(c)
+    ]
+    perceptions = {}
+    for mode in dict.fromkeys(modes):
+        if not mode:
+            candidates = tuple(Candidate(m.instance_id, m.ripeness, c) for m, c in partials)
+            perceptions[mode] = Perception(len(detections), True, candidates, (), ())
             continue
-        candidates.append(Candidate(mask.instance_id, mask.ripeness, completed.cloud))
-        surface = artifacts.truth.instance(mask.instance_id).surface
-        cds.append(chamfer_metric_mm(completed.cloud, surface))
-    return Perception(
-        detections=len(detections),
-        ripe_detected=True,
-        candidates=tuple(candidates),
-        leftovers=tuple(leftovers),
-        cd_mm=tuple(cds),
-    )
-
-
-def perceive(
-    artifacts: SceneArtifacts,
-    cfg: PipelineConfig,
-    prior: StrawberryPrior,
-) -> Perception:
-    """Detections through completion: produce one planning cloud per berry."""
-    return _complete(artifacts, *_detect(artifacts, cfg), cfg, prior)
-
-
-def _finish_trial(
-    artifacts: SceneArtifacts,
-    perception: Perception,
-    cfg: PipelineConfig,
-    prior: StrawberryPrior,
-    scene_id: int,
-) -> TrialResult:
-    """Selection through execution, given a finished perception stage."""
-    state = cfg.robot_state()
-    n_det = perception.detections
-
-    def failed(reason: FailureReason) -> TrialResult:
-        return TrialResult(
-            scene_id=scene_id,
-            detections=n_det,
-            attempted=False,
-            success=False,
-            hit_ids=frozenset(),
-            cd_mm=perception.cd_mm,
-            failure_reason=reason,
+        completed: list[Candidate] = []
+        leftovers: list[Candidate] = []
+        cds: list[float] = []
+        for mask, cloud in partials:
+            done = _completed(cloud, mask.instance_id, artifacts.truth, cfg, prior)
+            if done is None:
+                leftovers.append(Candidate(mask.instance_id, mask.ripeness, cloud))
+            else:
+                completed.append(Candidate(mask.instance_id, mask.ripeness, done[0]))
+                cds.append(done[1])
+        perceptions[mode] = Perception(
+            len(detections), True, tuple(completed), tuple(leftovers), tuple(cds)
         )
+    return perceptions
 
+
+def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior: StrawberryPrior):
+    """Target selection through A*: the target id, grasp, occupancy grid and
+    trajectory.
+
+    Raises NoRipeTargetError when no ripe berry was detected or none reached
+    a plannable cloud, and GeometryError when no grasp can be posed. An
+    infeasible path is not an error.
+    """
     if not perception.ripe_detected:
-        return failed(FailureReason.NO_RIPE)
-    try:
-        target_id = select_target(perception.candidates, state.p_ee)
-    except NoRipeTargetError:
-        # ripe berries were detected but none survived to a plannable cloud
-        return failed(FailureReason.REGISTRATION_FAILURE)
-
-    try:
-        grasp, grid, trajectory = _plan_from_perception(
-            perception, target_id, cfg, state, prior
-        )
-    except GeometryError:
-        return failed(FailureReason.INFEASIBLE_PATH)
-    if not trajectory.feasible:
-        return failed(FailureReason.INFEASIBLE_PATH)
-
-    for waypoint in trajectory.waypoints[1:-1]:  # independent post-hoc check
-        if grid.is_occupied(grid.cell_of(waypoint)):
-            raise ContractError("planned trajectory crosses an occupied cell")
-
-    outcome = simulate_execution(trajectory, artifacts.truth, target_id, state)
-    return TrialResult(
-        scene_id=scene_id,
-        detections=n_det,
-        attempted=True,
-        success=outcome.success,
-        hit_ids=outcome.hits,
-        cd_mm=perception.cd_mm,
-        failure_reason=None if outcome.success else FailureReason.MISSED_GRASP,
-    )
-
-
-def run_pipeline(
-    artifacts: SceneArtifacts,
-    cfg: PipelineConfig = PipelineConfig(),
-    prior: StrawberryPrior | None = None,
-    scene_id: int = 0,
-) -> TrialResult:
-    """Run one trial; every algorithmic failure becomes a TrialResult."""
-    prior = prior or StrawberryPrior.builtin()
-    perception = perceive(artifacts, cfg, prior)
-    return _finish_trial(artifacts, perception, cfg, prior, scene_id)
-
-
-def _plan_from_perception(perception, target_id, cfg, state, prior):
+        raise NoRipeTargetError("no ripe berry detected in the scene")
+    target_id = select_target(perception.candidates, state.p_ee)
     target = next(c for c in perception.candidates if c.instance_id == target_id)
     grasp = estimate_grasp(target.cloud, state, prior.width_m)
     if cfg.use_obstacles:
@@ -380,7 +324,75 @@ def _plan_from_perception(perception, target_id, cfg, state, prior):
         inflation=cfg.inflation,
         include_points=[state.p_ee, grasp.grasp_point, grasp.pregrasp_point],
     )
-    return grasp, grid, plan_trajectory(grasp, grid, state)
+    return target_id, grasp, grid, plan_trajectory(grasp, grid, state)
+
+
+def _finish_trial(
+    artifacts: SceneArtifacts,
+    perception: Perception,
+    cfg: PipelineConfig,
+    prior: StrawberryPrior,
+    scene_id: int,
+) -> TrialResult:
+    """Planning and execution, given a finished perception stage."""
+    state = cfg.robot_state()
+
+    def trial(reason: FailureReason | None, outcome=None) -> TrialResult:
+        return TrialResult(
+            scene_id=scene_id,
+            detections=perception.detections,
+            attempted=outcome is not None,
+            success=outcome is not None and outcome.success,
+            hit_ids=frozenset() if outcome is None else outcome.hits,
+            cd_mm=perception.cd_mm,
+            failure_reason=reason,
+        )
+
+    try:
+        target_id, _, grid, trajectory = _plan(perception, cfg, state, prior)
+    except NoRipeTargetError:
+        # ripe berries were detected but none survived to a plannable cloud
+        reason = FailureReason.REGISTRATION_FAILURE
+        return trial(reason if perception.ripe_detected else FailureReason.NO_RIPE)
+    except GeometryError:
+        return trial(FailureReason.INFEASIBLE_PATH)
+    if not trajectory.feasible:
+        return trial(FailureReason.INFEASIBLE_PATH)
+
+    for waypoint in trajectory.waypoints[1:-1]:  # independent post-hoc check
+        if grid.is_occupied(grid.cell_of(waypoint)):
+            raise ContractError("planned trajectory crosses an occupied cell")
+
+    outcome = simulate_execution(trajectory, artifacts.truth, target_id, state)
+    return trial(None if outcome.success else FailureReason.MISSED_GRASP, outcome)
+
+
+def _trials(
+    artifacts: SceneArtifacts,
+    variants: dict[str, PipelineConfig],
+    cfg: PipelineConfig,
+    prior: StrawberryPrior,
+    scene_id: int,
+) -> dict[str, TrialResult]:
+    """Each variant's trial of one scene. The scene is perceived once with
+    cfg's perception settings, and each completion mode is computed once
+    and shared by the variants that use it."""
+    perceptions = _perceive(artifacts, cfg, prior, [v.use_completion for v in variants.values()])
+    return {
+        name: _finish_trial(artifacts, perceptions[v.use_completion], v, prior, scene_id)
+        for name, v in variants.items()
+    }
+
+
+def run_pipeline(
+    artifacts: SceneArtifacts,
+    cfg: PipelineConfig = PipelineConfig(),
+    prior: StrawberryPrior | None = None,
+    scene_id: int = 0,
+) -> TrialResult:
+    """Run one trial; every algorithmic failure becomes a TrialResult."""
+    prior = prior or StrawberryPrior.builtin()
+    return _trials(artifacts, {"trial": cfg}, cfg, prior, scene_id)["trial"]
 
 
 def plan_scene(
@@ -395,12 +407,8 @@ def plan_scene(
     an infeasible path is not an error, just feasible=false in the result.
     """
     prior = prior or StrawberryPrior.builtin()
-    state = cfg.robot_state()
-    perception = perceive(artifacts, cfg, prior)
-    if not perception.ripe_detected:
-        raise NoRipeTargetError("no ripe berry detected in the scene")
-    target_id = select_target(perception.candidates, state.p_ee)
-    grasp, grid, trajectory = _plan_from_perception(perception, target_id, cfg, state, prior)
+    perception = _perceive(artifacts, cfg, prior, [cfg.use_completion])[cfg.use_completion]
+    target_id, grasp, grid, trajectory = _plan(perception, cfg, cfg.robot_state(), prior)
     return {
         "target_id": target_id,
         "grasp": {
@@ -439,30 +447,18 @@ def _run_variants(
     render_params: RenderParams,
     prior: StrawberryPrior | None,
 ) -> dict[str, list[TrialResult]]:
-    """Each variant's trials over the same n_scenes scenes.
-
-    A scene is rendered and its partial clouds extracted once, with cfg's
-    perception settings; each completion mode the variants use is computed
-    once and shared by them.
-    """
+    """Each variant's trials over the same n_scenes scenes, each scene
+    rendered once and run through _trials."""
     if n_scenes < 1:
         raise ParameterError("n_scenes must be at least 1")
     prior = prior or StrawberryPrior.builtin()
-    modes = dict.fromkeys(v.use_completion for v in variants.values())
     results: dict[str, list[TrialResult]] = {name: [] for name in variants}
     for i in range(n_scenes):
         scene, rendered, truth_ss = _scene(template, seed, i, prior, render_params)
         truth = sample_ground_truth(scene, prior, truth_ss)
         artifacts = SceneArtifacts(scene, rendered.rgb, rendered.depth, rendered.masks, truth)
-        found = _detect(artifacts, cfg)
-        perceptions = {
-            mode: _complete(artifacts, *found, replace(cfg, use_completion=mode), prior)
-            for mode in modes
-        }
-        for name, variant in variants.items():
-            results[name].append(
-                _finish_trial(artifacts, perceptions[variant.use_completion], variant, prior, i)
-            )
+        for name, trial in _trials(artifacts, variants, cfg, prior, i).items():
+            results[name].append(trial)
     return results
 
 
@@ -532,13 +528,8 @@ def run_completion_benchmark(
         truth = sample_ground_truth(scene, prior, truth_ss)
         partials = extract_partials(rendered.depth, scene.intrinsics, eligible, cfg)
         for mask, cloud in partials:
-            try:
-                completed = complete_cloud(cloud, prior, cfg.icp)
-            except (InsufficientDataError, RegistrationError):
-                cds.append(float("inf"))
-                continue
-            surface = truth.instance(mask.instance_id).surface
-            cds.append(chamfer_metric_mm(completed.cloud, surface))
+            done = _completed(cloud, mask.instance_id, truth, cfg, prior)
+            cds.append(float("inf") if done is None else done[1])
     if len(cds) < n_berries:
         raise SceneGenerationError(
             f"only {len(cds)} of {n_berries} berries met the "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from berrypick import PointCloud, SceneConfig
-from berrypick.cli import main
+from berrypick.cli import main, run
 from berrypick.io_formats import write_ply
 from berrypick.types import Pose
 
@@ -150,6 +150,17 @@ def _single_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+def test_a_plain_os_error_is_one_clean_error(capsys):
+    """The runner the CLI and every script share: an OSError that no reader
+    wrapped as a StorageError still exits 2 with one line."""
+
+    def command():
+        raise OSError("disk gone")
+
+    assert run(command) == 2
+    assert _single_error_line(capsys) == "error: disk gone"
 
 
 @pytest.mark.parametrize(

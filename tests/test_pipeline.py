@@ -3,11 +3,14 @@ and strict config parsing."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from berrypick import (
     FailureReason,
+    GeometryError,
     InputError,
     NoRipeTargetError,
     ParameterError,
@@ -21,7 +24,9 @@ from berrypick import (
     run_ablation,
     run_benchmark,
     run_pipeline,
+    sample_ground_truth,
 )
+from berrypick.pipeline import _scene
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,55 @@ def test_caged_scene_has_no_feasible_path(caged_scene, prior):
     assert result.failure_reason is FailureReason.INFEASIBLE_PATH
     # the cage blocks the approach, not the view
     assert result.detections == 13
+
+
+def _plan_or_error(artifacts, cfg, prior):
+    try:
+        return plan_scene(artifacts, cfg, prior)
+    except (NoRipeTargetError, GeometryError) as exc:
+        return type(exc)
+
+
+def _assert_paths_agree(trial, plan):
+    """plan_scene raises exactly where the trial fails before planning, and
+    its plan is infeasible exactly where the trial fails on the path."""
+    no_target = (FailureReason.NO_RIPE, FailureReason.REGISTRATION_FAILURE)
+    assert (plan is NoRipeTargetError) == (trial.failure_reason in no_target)
+    if isinstance(plan, dict):
+        assert plan["cd_mm"] == list(trial.cd_mm)
+        assert plan["detections"] == trial.detections
+    infeasible = plan is GeometryError or (isinstance(plan, dict) and not plan["feasible"])
+    assert infeasible == (trial.failure_reason is FailureReason.INFEASIBLE_PATH)
+
+
+def test_plan_scene_agrees_with_the_trials(caged_scene, prior):
+    """Every variant's trials of 16 golden ablation-template scenes, and a
+    caged scene, against plan_scene on the same artifacts."""
+    template = SceneConfig(n_ripe=2, n_unripe=3, n_occluders=3, clutter_spacing=0.002,
+                           workspace_lo=(-0.05, -0.04, 0.31), workspace_hi=(0.05, 0.04, 0.40))
+    params, seed, n = RenderParams(2.0, 0.05), 20260816, 16
+    cfg = PipelineConfig(inflation=0.018)
+    variants = {
+        "full": cfg,
+        "no_obstacles": replace(cfg, use_obstacles=False),
+        "no_completion": replace(cfg, use_completion=False),
+    }
+    runs = run_ablation(template, n, cfg, seed, params, prior)
+    for i in range(n):
+        scene, rendered, truth_ss = _scene(template, seed, i, prior, params)
+        truth = sample_ground_truth(scene, prior, truth_ss)
+        artifacts = SceneArtifacts(scene, rendered.rgb, rendered.depth, rendered.masks, truth)
+        for name, variant in variants.items():
+            _assert_paths_agree(runs[name][i], _plan_or_error(artifacts, variant, prior))
+
+    caged = render_scene_artifacts(caged_scene, prior, RenderParams(0.5, 0.01))
+    caged_trial = run_pipeline(caged, PipelineConfig(), prior)
+    _assert_paths_agree(caged_trial, _plan_or_error(caged, PipelineConfig(), prior))
+    reasons = {t.failure_reason for trials in runs.values() for t in trials}
+    assert reasons | {caged_trial.failure_reason} >= {
+        None, FailureReason.NO_RIPE, FailureReason.REGISTRATION_FAILURE,
+        FailureReason.INFEASIBLE_PATH, FailureReason.MISSED_GRASP,
+    }
 
 
 def test_caged_scene_without_obstacles_reaches_the_target(caged_scene, prior):

@@ -5,10 +5,13 @@ one `error:` line on malformed arguments, as the CLI does."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from berrypick.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -39,11 +42,42 @@ def test_completion_benchmark(monkeypatch, tmp_path, capsys):
     assert stats.exists()
 
 
-def test_completion_benchmark_with_every_berry_failed(monkeypatch, capsys):
+def test_completion_benchmark_with_every_berry_failed(monkeypatch, tmp_path, capsys):
     template = str(SCRIPTS.parent / "templates" / "cluttered.json")
+    stats = tmp_path / "stats.json"
     args = ("--n", "1", "--seed", "1", "--template", template, "--min-visibility", "0")
-    assert _run(monkeypatch, "completion_benchmark", *args) == 0
-    assert "p95 n/a, max n/a, 1 failed" in capsys.readouterr().out
+    assert _run(monkeypatch, "completion_benchmark", *args, "--out", str(stats)) == 0
+    assert "median n/a, mean n/a, p95 n/a, max n/a, 1 failed" in capsys.readouterr().out
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    obj = json.loads(stats.read_text(), parse_constant=refuse)
+    assert obj["n_failed"] == 1
+    assert [obj[k] for k in ("median_mm", "mean_mm", "p95_mm", "max_mm")] == [None] * 4
+
+
+def test_cli_and_script_write_the_same_ablation_reports(monkeypatch, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inflation": 0.018}))
+    template = str(SCRIPTS.parent / "templates" / "cluttered.json")
+    common = ["--template", template, "--n", "2", "--seed", "3", "--sigma-mm", "2",
+              "--dropout", "0.05"]
+    via_cli, via_script = tmp_path / "cli", tmp_path / "script"
+    assert cli_main(
+        ["bench", "--ablation", *common, "--config", str(config), "--out", str(via_cli)]
+    ) == 0
+    assert _run(
+        monkeypatch, "obstacle_ablation", *common, "--inflation", "0.018", "--out", str(via_script)
+    ) == 0
+
+    def files(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+    assert files(via_cli) == files(via_script)
+    assert len(files(via_cli)) == 9  # metrics and trials per variant, and the root's three
+    for name in files(via_cli):
+        assert (via_cli / name).read_bytes() == (via_script / name).read_bytes(), name
 
 
 # malformed arguments every script takes, then the counts only two take
