@@ -22,9 +22,8 @@ from berrypick import (
     RenderParams,
     StrawberryPrior,
     generate_scene,
-    plan_scene,
+    plan_and_run,
     render_scene_artifacts,
-    run_pipeline,
 )
 from berrypick.cli import _Parser, _load_template, _seed, run
 from berrypick.io_formats import _write_text, save_artifacts
@@ -55,16 +54,14 @@ def _run() -> int:
     )
     save_artifacts(args.out, artifacts)
 
-    cfg = PipelineConfig()
     try:
-        plan = plan_scene(artifacts, cfg, prior)
+        plan, trial = plan_and_run(artifacts, PipelineConfig(), prior)
     except NoRipeTargetError as exc:
         print(f"no plan: {exc}")
         return 1
     plan_path = os.path.join(args.out, "plan.json")
     _write_text(plan_path, json.dumps(plan, indent=2, sort_keys=True) + "\n")
 
-    trial = run_pipeline(artifacts, cfg, prior)
     print(f"artifacts: {args.out}")
     print(f"berries: {len(scene.berries)}, occluders: {len(scene.occluders)}")
     print(f"detections: {plan['detections']}, target: instance {plan['target_id']}")

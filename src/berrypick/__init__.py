@@ -29,6 +29,7 @@ from .pipeline import (
     PipelineConfig,
     SceneArtifacts,
     TrialResult,
+    plan_and_run,
     plan_scene,
     render_scene_artifacts,
     run_ablation,

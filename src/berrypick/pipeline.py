@@ -17,10 +17,12 @@ _completed is the one step that pairs a completion with its chamfer score.
 _plan runs target selection through A*, and _trials runs one scene through
 every variant: run_pipeline is _trials with one variant, and plan_scene
 reports _perceive and _plan as a dict, raising where a trial records a
-failure reason. Every benchmark draws scene i of a seed from one function,
-_scene, so each scene is built from its index alone. run_benchmark and
-run_ablation map _trials over those scenes in _run_variants;
-run_completion_benchmark takes the same scenes and scores completion only.
+failure reason; plan_and_run gives both from one perception and one plan.
+Every benchmark draws scene i of a seed from one function, _generated, so
+each scene is built from its index alone. run_benchmark and run_ablation
+render those scenes in _scene and map _trials over them in _run_variants;
+run_completion_benchmark composites the same scenes, adds sensor noise only
+to those with a berry it scores, and scores completion only.
 """
 
 from __future__ import annotations
@@ -59,7 +61,14 @@ from .preprocess import (
     voxel_downsample,
 )
 from .prior import StrawberryPrior
-from .render import GroundTruth, RenderParams, render_rgbd, sample_ground_truth
+from .render import (
+    GroundTruth,
+    RenderParams,
+    _composite,
+    _corrupt,
+    render_rgbd,
+    sample_ground_truth,
+)
 from .scene import SceneConfig, SceneTemplate, generate_scene
 from .types import (
     CameraIntrinsics,
@@ -327,6 +336,36 @@ def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior:
     return target_id, grasp, grid, plan_trajectory(grasp, grid, state)
 
 
+def _trial(perception: Perception, scene_id: int, reason: FailureReason | None,
+           outcome=None) -> TrialResult:
+    return TrialResult(
+        scene_id=scene_id,
+        detections=perception.detections,
+        attempted=outcome is not None,
+        success=outcome is not None and outcome.success,
+        hit_ids=frozenset() if outcome is None else outcome.hits,
+        cd_mm=perception.cd_mm,
+        failure_reason=reason,
+    )
+
+
+def _execute(artifacts: SceneArtifacts, perception: Perception, planned, state: RobotState,
+             scene_id: int) -> TrialResult:
+    """The trial of a scene planned by _plan: the path is checked against the
+    grid it was planned on, then executed against ground truth."""
+    target_id, _, grid, trajectory = planned
+    if not trajectory.feasible:
+        return _trial(perception, scene_id, FailureReason.INFEASIBLE_PATH)
+
+    for waypoint in trajectory.waypoints[1:-1]:  # independent post-hoc check
+        if grid.is_occupied(grid.cell_of(waypoint)):
+            raise ContractError("planned trajectory crosses an occupied cell")
+
+    outcome = simulate_execution(trajectory, artifacts.truth, target_id, state)
+    reason = None if outcome.success else FailureReason.MISSED_GRASP
+    return _trial(perception, scene_id, reason, outcome)
+
+
 def _finish_trial(
     artifacts: SceneArtifacts,
     perception: Perception,
@@ -336,35 +375,16 @@ def _finish_trial(
 ) -> TrialResult:
     """Planning and execution, given a finished perception stage."""
     state = cfg.robot_state()
-
-    def trial(reason: FailureReason | None, outcome=None) -> TrialResult:
-        return TrialResult(
-            scene_id=scene_id,
-            detections=perception.detections,
-            attempted=outcome is not None,
-            success=outcome is not None and outcome.success,
-            hit_ids=frozenset() if outcome is None else outcome.hits,
-            cd_mm=perception.cd_mm,
-            failure_reason=reason,
-        )
-
     try:
-        target_id, _, grid, trajectory = _plan(perception, cfg, state, prior)
+        planned = _plan(perception, cfg, state, prior)
     except NoRipeTargetError:
         # ripe berries were detected but none survived to a plannable cloud
         reason = FailureReason.REGISTRATION_FAILURE
-        return trial(reason if perception.ripe_detected else FailureReason.NO_RIPE)
+        return _trial(perception, scene_id,
+                      reason if perception.ripe_detected else FailureReason.NO_RIPE)
     except GeometryError:
-        return trial(FailureReason.INFEASIBLE_PATH)
-    if not trajectory.feasible:
-        return trial(FailureReason.INFEASIBLE_PATH)
-
-    for waypoint in trajectory.waypoints[1:-1]:  # independent post-hoc check
-        if grid.is_occupied(grid.cell_of(waypoint)):
-            raise ContractError("planned trajectory crosses an occupied cell")
-
-    outcome = simulate_execution(trajectory, artifacts.truth, target_id, state)
-    return trial(None if outcome.success else FailureReason.MISSED_GRASP, outcome)
+        return _trial(perception, scene_id, FailureReason.INFEASIBLE_PATH)
+    return _execute(artifacts, perception, planned, state, scene_id)
 
 
 def _trials(
@@ -395,20 +415,8 @@ def run_pipeline(
     return _trials(artifacts, {"trial": cfg}, cfg, prior, scene_id)["trial"]
 
 
-def plan_scene(
-    artifacts: SceneArtifacts,
-    cfg: PipelineConfig = PipelineConfig(),
-    prior: StrawberryPrior | None = None,
-) -> dict:
-    """Perception plus planning for one scene, reported as a plain dict
-    (target, grasp pose, waypoints, feasibility, grid load).
-
-    Raises NoRipeTargetError when no ripe berry is detected or completable;
-    an infeasible path is not an error, just feasible=false in the result.
-    """
-    prior = prior or StrawberryPrior.builtin()
-    perception = _perceive(artifacts, cfg, prior, [cfg.use_completion])[cfg.use_completion]
-    target_id, grasp, grid, trajectory = _plan(perception, cfg, cfg.robot_state(), prior)
+def _report(perception: Perception, planned) -> dict:
+    target_id, grasp, grid, trajectory = planned
     return {
         "target_id": target_id,
         "grasp": {
@@ -424,10 +432,39 @@ def plan_scene(
     }
 
 
-def _scene(template: SceneConfig, seed, index: int, prior: StrawberryPrior,
-           render_params: RenderParams):
-    """Scene `index` of a seed's stream: the scene, its render, and the seed
-    of its ground truth, which the caller samples only when it needs it.
+def plan_scene(
+    artifacts: SceneArtifacts,
+    cfg: PipelineConfig = PipelineConfig(),
+    prior: StrawberryPrior | None = None,
+) -> dict:
+    """Perception plus planning for one scene, reported as a plain dict
+    (target, grasp pose, waypoints, feasibility, grid load).
+
+    Raises NoRipeTargetError when no ripe berry is detected or completable;
+    an infeasible path is not an error, just feasible=false in the result.
+    """
+    prior = prior or StrawberryPrior.builtin()
+    perception = _perceive(artifacts, cfg, prior, [cfg.use_completion])[cfg.use_completion]
+    return _report(perception, _plan(perception, cfg, cfg.robot_state(), prior))
+
+
+def plan_and_run(
+    artifacts: SceneArtifacts,
+    cfg: PipelineConfig = PipelineConfig(),
+    prior: StrawberryPrior | None = None,
+) -> tuple[dict, TrialResult]:
+    """plan_scene's report and run_pipeline's trial of one scene, from one
+    perception and one plan. Raises where plan_scene raises."""
+    prior = prior or StrawberryPrior.builtin()
+    state = cfg.robot_state()
+    perception = _perceive(artifacts, cfg, prior, [cfg.use_completion])[cfg.use_completion]
+    planned = _plan(perception, cfg, state, prior)
+    return _report(perception, planned), _execute(artifacts, perception, planned, state, 0)
+
+
+def _generated(template: SceneConfig, seed, index: int, prior: StrawberryPrior):
+    """Scene `index` of a seed's stream, with the seeds of its render and of
+    its ground truth, which the caller draws only when it needs them.
 
     The scene draws from child `index` of SeedSequence(seed), whose three
     children feed generation, rendering and ground truth. So each scene can
@@ -435,6 +472,14 @@ def _scene(template: SceneConfig, seed, index: int, prior: StrawberryPrior,
     """
     gen_ss, render_ss, truth_ss = np.random.SeedSequence(seed, spawn_key=(index,)).spawn(3)
     scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(gen_ss)))
+    return scene, render_ss, truth_ss
+
+
+def _scene(template: SceneConfig, seed, index: int, prior: StrawberryPrior,
+           render_params: RenderParams):
+    """Scene `index` of a seed's stream, its render, and the seed of its
+    ground truth."""
+    scene, render_ss, truth_ss = _generated(template, seed, index, prior)
     return scene, render_rgbd(scene, prior, render_params, render_ss), truth_ss
 
 
@@ -518,15 +563,16 @@ def run_completion_benchmark(
     for i in range(20 * n_berries):  # generous budget for visibility rejections
         if len(cds) >= n_berries:
             break
-        scene, rendered, truth_ss = _scene(template, seed, i, prior, render_params)
+        scene, render_ss, truth_ss = _generated(template, seed, i, prior)
+        _, clean, masks, visibility = _composite(scene, prior)
         eligible = [
-            m for m in rendered.masks
-            if rendered.visibility.get(m.instance_id, 0.0) >= min_visibility
+            m for m in masks if visibility.get(m.instance_id, 0.0) >= min_visibility
         ][: n_berries - len(cds)]
         if not eligible:
-            continue  # ground truth draws from its own stream, so skipping it is safe
+            continue  # noise and ground truth draw from their own streams, so skipping is safe
+        depth = _corrupt(clean, render_params, render_ss)
         truth = sample_ground_truth(scene, prior, truth_ss)
-        partials = extract_partials(rendered.depth, scene.intrinsics, eligible, cfg)
+        partials = extract_partials(depth, scene.intrinsics, eligible, cfg)
         for mask, cloud in partials:
             done = _completed(cloud, mask.instance_id, truth, cfg, prior)
             cds.append(float("inf") if done is None else done[1])

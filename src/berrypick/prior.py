@@ -209,23 +209,51 @@ class StrawberryPrior:
         lengths = np.linalg.norm(raw, axis=1)
         return raw / np.where(lengths > 0.0, lengths, 1.0)[:, None]
 
+    def winding(self) -> int:
+        """+1 when every face winds counter-clockwise seen from outside, so
+        its right-hand normal points outward; -1 when every face winds the
+        other way; 0 when the winding is inconsistent (some directed edge
+        appears twice) or the mesh encloses no volume. Cached."""
+        if "winding" not in self._sample_cache:
+            f = self.faces.astype(np.int64)
+            directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+            codes = directed[:, 0] * len(self.vertices) + directed[:, 1]
+            sign = 0
+            if len(np.unique(codes)) == len(codes):
+                tri = self.vertices[self.faces]
+                volume = np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
+                sign = int(np.sign(volume))
+            self._sample_cache["winding"] = sign
+        return self._sample_cache["winding"]
+
+    def _face_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cached area CDF over the faces, and each face's first vertex and
+        its two edge vectors from it."""
+        if "face_tables" not in self._sample_cache:
+            areas = self.triangle_areas()
+            # the CDF Generator.choice builds from p = areas / areas.sum()
+            cdf = (areas / areas.sum()).cumsum()
+            cdf /= cdf[-1]
+            v0, v1, v2 = (self.vertices[self.faces[:, i]] for i in range(3))
+            self._sample_cache["face_tables"] = (cdf, v0, v1 - v0, v2 - v0)
+        return self._sample_cache["face_tables"]
+
     def _sample_faces(
         self, n: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
+        """n points uniform by area and the face of each. The draws and their
+        arithmetic are those of rng.choice(len(faces), n, p=areas/areas.sum())
+        followed by the barycentric mix on the gathered corners."""
         if n < 1:
             raise ParameterError("sample count must be positive")
-        if "face_probabilities" not in self._sample_cache:
-            areas = self.triangle_areas()
-            self._sample_cache["face_probabilities"] = areas / areas.sum()
-        probs = self._sample_cache["face_probabilities"]
-        chosen = rng.choice(len(self.faces), size=n, p=probs)
-        tri = self.vertices[self.faces[chosen]]
+        cdf, v0, e1, e2 = self._face_tables()
+        chosen = cdf.searchsorted(rng.random(n), side="right")
         u = rng.random(n)
         v = rng.random(n)
         flip = u + v > 1.0
         u[flip] = 1.0 - u[flip]
         v[flip] = 1.0 - v[flip]
-        points = tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
+        points = v0[chosen] + u[:, None] * e1[chosen] + v[:, None] * e2[chosen]
         return points, chosen
 
     def sample_surface(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,16 +7,19 @@ intersection, so the implementation below is exact ray casting, not an
 approximate rasterizer. Each triangle tests only the pixels of its clipped
 screen bounding box with edge functions (Pineda 1988), and each object's
 depth comes back as a crop: the union of its triangles' boxes plus that
-box's corner. The crops are composited in object order into one frame of
-nearest depths and one of winning object indices; a surface takes a pixel
-only when strictly nearer, so a tie stays with the lower index. Instance
-masks and visibility fractions come from the composite before sensor noise
-is applied.
+box's corner. The crops are composited in object order over the union of
+their boxes, into one window of nearest depths and one of winning object
+indices; a surface takes a pixel only when strictly nearer, so a tie stays
+with the lower index. A berry is
+cast against its front faces only (see render_rgbd). Instance masks and
+visibility fractions come from the composite before sensor noise is applied.
 
 Depth corruption mimics a structured-light sensor: quantize to millimeters,
 add Gaussian noise, re-quantize, then drop pixels to zero at a fixed rate.
-The noise and dropout draws always cover the full frame, so a pixel's draw
-does not depend on what the scene puts elsewhere.
+Each live pixel takes the draws a row-major, full-frame draw would give it,
+so a pixel's draw does not depend on what the scene puts elsewhere, but only
+the live span is drawn: the Gaussians up to the last live pixel, and the
+dropout uniforms from the first.
 """
 
 from __future__ import annotations
@@ -184,73 +187,146 @@ def rasterize(
     return depth, (row0, col0)
 
 
-def render_rgbd(
-    scene: SceneTemplate,
-    prior: StrawberryPrior,
-    params: RenderParams = RenderParams(),
-    seed: int | np.random.SeedSequence = 0,
-) -> RenderResult:
-    """Render the scene to RGB, noisy depth, per-berry masks and visibility."""
+def _front_faces(
+    vertices: np.ndarray, faces: np.ndarray, k: CameraIntrinsics, winding: int
+) -> np.ndarray:
+    """The faces of a closed mesh that are not clearly turned away from the
+    camera: those whose screen-space doubled area, signed by the prior's
+    winding, is below 1e-9 (front-facing and edge-on faces). All faces when
+    the winding is inconsistent (0) or when some vertex is not finite or not
+    in front of the camera, which rasterize then rejects."""
+    v = np.asarray(vertices, dtype=np.float64)
+    if not winding or not np.isfinite(v).all() or (v[:, 2] <= 1e-6).any():
+        return faces
+    z = v[:, 2]
+    pu = (k.fx * v[:, 0] / z + k.cx)[faces]
+    pv = (k.fy * v[:, 1] / z + k.cy)[faces]
+    # area2 = fx fy / (z0 z1 z2) * (n . p0) with n the face's right-hand
+    # normal, so it is positive exactly where that normal points away
+    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
+        pu[:, 2] - pu[:, 0]
+    )
+    return faces[winding * area2 < 1e-9]
+
+
+def _composite(
+    scene: SceneTemplate, prior: StrawberryPrior
+) -> tuple[RgbImage, DepthImage, tuple[InstanceMask, ...], dict[int, float]]:
+    """The clean frame: RGB, depth in millimeters, per-berry masks and
+    visibility."""
     h, w = scene.height, scene.width
     k = scene.intrinsics
 
     meshes: list[tuple[np.ndarray, np.ndarray]] = []
     colors: list[tuple[int, int, int]] = []
+    winding = prior.winding()
     for berry in scene.berries:
-        meshes.append((berry.pose.apply(prior.vertices), prior.faces))
+        posed = berry.pose.apply(prior.vertices)
+        meshes.append((posed, _front_faces(posed, prior.faces, k, winding)))
         colors.append(RIPE_COLOR if berry.ripeness is Ripeness.RIPE else UNRIPE_COLOR)
-    for occ in scene.occluders:
+    for occ in scene.occluders:  # open leaves: both sides can face the camera
         meshes.append(occ.mesh())
         colors.append(LEAF_COLOR)
 
+    # everything drawn lies in the union of the non-empty crops' windows
+    crops = [rasterize(mv, mf, k, w, h) for mv, mf in meshes]
+    drawn = np.array(
+        [(r0, c0, r0 + c.shape[0], c0 + c.shape[1]) for c, (r0, c0) in crops if c.size]
+        or [(0, 0, 0, 0)]
+    )
+    top, left = drawn[:, :2].min(axis=0)
+    bottom, right = drawn[:, 2:].max(axis=0)
+    frame = (slice(top, bottom), slice(left, right))
+
     # composite mesh by mesh, in index order, each inside its own window; the
     # strict < leaves an exact tie with the lower mesh index
-    nearest = np.full((h, w), np.inf)
-    winner = np.full((h, w), -1, dtype=np.int32)
+    nearest = np.full((bottom - top, right - left), np.inf)
+    winner = np.full(nearest.shape, -1, dtype=np.int32)
     windows = []
     solo = []
-    for i, (mv, mf) in enumerate(meshes):
-        crop, (r0, c0) = rasterize(mv, mf, k, w, h)
+    for i, (crop, (r0, c0)) in enumerate(crops):
+        r0, c0 = (r0 - top, c0 - left) if crop.size else (0, 0)
         win = (slice(r0, r0 + crop.shape[0]), slice(c0, c0 + crop.shape[1]))
         closer = crop < nearest[win]
         np.copyto(nearest[win], crop, where=closer)
         np.copyto(winner[win], i, where=closer)
         windows.append(win)
         solo.append(int(np.isfinite(crop).sum()))
-    valid = winner >= 0
 
+    # the palette's last row is the background, which winner -1 selects
+    palette = np.array([*colors, (0, 0, 0)], dtype=np.uint8)
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
-    rgb[valid] = np.array(colors, dtype=np.uint8).reshape(-1, 3)[winner[valid]]
+    rgb[frame] = np.take(palette, winner, axis=0)
     masks = []
     visibility: dict[int, float] = {}
     for i, berry in enumerate(scene.berries):
         own = winner[windows[i]] == i
         bits = np.zeros((h, w), dtype=bool)
-        bits[windows[i]] = own
+        bits[frame][windows[i]] = own
         masks.append(
             InstanceMask(bits=bits, instance_id=berry.instance_id, ripeness=berry.ripeness)
         )
         visibility[berry.instance_id] = float(own.sum()) / solo[i] if solo[i] else 0.0
 
     clean_mm = np.zeros((h, w), dtype=np.uint16)
+    valid = winner >= 0
     mm = np.rint(nearest[valid] * 1000.0)
-    clean_mm[valid] = np.clip(mm, 0, 65535).astype(np.uint16)
+    clean_mm[frame][valid] = np.clip(mm, 0, 65535).astype(np.uint16)
+    return RgbImage(values=rgb), DepthImage(values=clean_mm), tuple(masks), visibility
 
+
+def _corrupt(
+    clean: DepthImage, params: RenderParams, seed: int | np.random.SeedSequence
+) -> DepthImage:
+    """Sensor noise and dropout on a clean depth frame.
+
+    Pixel j of the row-major frame takes the j-th Gaussian and the j-th
+    uniform of the seed's two streams, as a full-frame draw would give it,
+    but only the live span is drawn: the Gaussians up to the last live pixel
+    (a prefix of the full-frame draw) and the uniforms from the first live
+    pixel rounded down to a multiple of 4, reached by advancing the Philox
+    counter, whose every step yields 4 doubles.
+    """
     noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
-    noisy = clean_mm.copy()
-    live = clean_mm > 0
+    noisy = clean.values.copy()
+    flat = noisy.reshape(-1)
+    live = np.flatnonzero(flat)
+    if not len(live):
+        return DepthImage(values=noisy)
     if params.noise_sigma_mm > 0:
-        jitter = _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=(h, w))
-        noisy[live] = np.clip(np.rint(clean_mm[live] + jitter[live]), 0, 65535).astype(np.uint16)
+        jitter = _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=live[-1] + 1)
+        flat[live] = np.clip(np.rint(flat[live] + jitter[live]), 0, 65535).astype(np.uint16)
     if params.dropout_rate > 0:
-        dropped = _stream(drop_ss).random((h, w)) < params.dropout_rate
-        noisy[dropped & live] = 0
+        start = int(live[0]) // 4 * 4
+        draw = _stream(drop_ss)
+        draw.bit_generator.advance(start // 4)
+        uniform = draw.random(live[-1] + 1 - start)
+        flat[live[uniform[live - start] < params.dropout_rate]] = 0
+    return DepthImage(values=noisy)
 
+
+def render_rgbd(
+    scene: SceneTemplate,
+    prior: StrawberryPrior,
+    params: RenderParams = RenderParams(),
+    seed: int | np.random.SeedSequence = 0,
+) -> RenderResult:
+    """Render the scene to RGB, noisy depth, per-berry masks and visibility.
+
+    Berries are cast against their front faces only. A ray's nearest hit on
+    a closed surface seen from outside is where it enters, on a face turned
+    toward the camera. The camera is always outside a berry: a berry around
+    it would have vertices at z <= 1e-6, which rasterize rejects. The rule
+    assumes a prior that is watertight, consistently wound and not
+    self-intersecting; a prior whose winding is inconsistent is cast against
+    every face. Leaves are open surfaces and are cast against every face.
+    """
+    rgb, clean, masks, visibility = _composite(scene, prior)
     return RenderResult(
-        rgb=RgbImage(values=rgb),
-        depth=DepthImage(values=noisy),
-        clean_depth=DepthImage(values=clean_mm),
-        masks=tuple(masks),
+        rgb=rgb,
+        depth=_corrupt(clean, params, seed),
+        clean_depth=clean,
+        masks=masks,
         visibility=visibility,
     )
 

@@ -5,20 +5,23 @@ heuristic and tie functions, cropped perception against a whole-frame pass,
 the masked-pixel median against scipy's, sort-based voxel grouping against
 np.unique rows, distance-transform occupancy with a queried doubt band
 against a query of every cell of the inflated box, the per-mesh crop
-renderer against a full-frame depth stack composited with argmin, and the
-one-surface ground-truth draw against the three-surface draw it replaced.
-Outputs must match exactly.
+renderer against a full-frame depth stack composited with argmin, the
+front-face, live-span renderer against the all-face, full-frame renderer it
+replaced, and the one-surface ground-truth draw against the three-surface
+draw it replaced. Outputs must match exactly.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.sparse import csr_matrix
@@ -41,6 +44,7 @@ from berrypick import (
     RobotState,
     SceneConfig,
     SceneTemplate,
+    StrawberryPrior,
     Trajectory,
     VoxelParams,
     astar_grid,
@@ -68,7 +72,9 @@ from berrypick.render import (
     GroundTruth,
     GroundTruthInstance,
     _as_seedseq,
+    _front_faces,
     _stream,
+    rasterize,
 )
 from berrypick.types import Pose, rotation_about_axis
 
@@ -758,6 +764,160 @@ def test_crop_render_matches_full_frame_reference(prior):
     assert offscreen.visibility[0] == 0.0 and offscreen.visibility[1] > 0.9
     assert not leaves_only.masks and (leaves_only.rgb.values == LEAF_COLOR).all(axis=2).any()
     assert small.masks[0].bits.all()
+
+
+def reference_composite(scene, prior):
+    """The clean frame as the renderer made it before back-face culling and
+    the palette gather: every face of every mesh, RGB by boolean masks."""
+    h, w = scene.height, scene.width
+    meshes, colors = [], []
+    for berry in scene.berries:
+        meshes.append((berry.pose.apply(prior.vertices), prior.faces))
+        colors.append(RIPE_COLOR if berry.ripeness is Ripeness.RIPE else UNRIPE_COLOR)
+    for occ in scene.occluders:
+        meshes.append(occ.mesh())
+        colors.append(LEAF_COLOR)
+    nearest = np.full((h, w), np.inf)
+    winner = np.full((h, w), -1, dtype=np.int32)
+    windows, solo = [], []
+    for i, (mv, mf) in enumerate(meshes):
+        crop, (r0, c0) = rasterize(mv, mf, scene.intrinsics, w, h)
+        win = (slice(r0, r0 + crop.shape[0]), slice(c0, c0 + crop.shape[1]))
+        closer = crop < nearest[win]
+        np.copyto(nearest[win], crop, where=closer)
+        np.copyto(winner[win], i, where=closer)
+        windows.append(win)
+        solo.append(int(np.isfinite(crop).sum()))
+    valid = winner >= 0
+    rgb = np.zeros((h, w, 3), dtype=np.uint8)
+    rgb[valid] = np.array(colors, dtype=np.uint8).reshape(-1, 3)[winner[valid]]
+    masks, visibility = [], {}
+    for i, berry in enumerate(scene.berries):
+        bits = winner == i
+        masks.append((berry.instance_id, bits))
+        visibility[berry.instance_id] = float(bits.sum()) / solo[i] if solo[i] else 0.0
+    clean_mm = np.zeros((h, w), dtype=np.uint16)
+    clean_mm[valid] = np.clip(np.rint(nearest[valid] * 1000.0), 0, 65535).astype(np.uint16)
+    return rgb, clean_mm, masks, visibility
+
+
+def reference_corrupt(clean_mm, params, seed):
+    """Noise and dropout drawn over the full frame, applied by boolean masks."""
+    h, w = clean_mm.shape
+    noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
+    noisy = clean_mm.copy()
+    live = clean_mm > 0
+    if params.noise_sigma_mm > 0:
+        jitter = _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=(h, w))
+        noisy[live] = np.clip(np.rint(clean_mm[live] + jitter[live]), 0, 65535).astype(np.uint16)
+    if params.dropout_rate > 0:
+        dropped = _stream(drop_ss).random((h, w)) < params.dropout_rate
+        noisy[dropped & live] = 0
+    return noisy
+
+
+def _assert_renders_like_reference(scene, prior, params_list, seed):
+    """render_rgbd equals the reference for every params, bit for bit; the
+    index of the frame's first live pixel, or None with no live pixel."""
+    rgb, clean, masks, visibility = reference_composite(scene, prior)
+    for params in params_list:
+        out = render_rgbd(scene, prior, params, seed)
+        assert np.array_equal(out.rgb.values, rgb)
+        assert np.array_equal(out.clean_depth.values, clean)
+        assert np.array_equal(out.depth.values, reference_corrupt(clean, params, seed))
+        assert [m.instance_id for m in out.masks] == [mid for mid, _ in masks]
+        assert all(np.array_equal(m.bits, bits) for m, (_, bits) in zip(out.masks, masks))
+        assert out.visibility == visibility
+    live = np.flatnonzero(clean)
+    return int(live[0]) if len(live) else None
+
+
+_TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
+_ZERO_PARAMS = (RenderParams(0.0, 0.0), RenderParams(0.0, 0.05), RenderParams(2.0, 0.0))
+
+
+def test_front_face_live_span_render_matches_all_face_reference(prior):
+    """Forty scenes of each template at the perfbench and default sensor
+    settings; the edge-case scenes, a blank frame and three scenes of each
+    template also at zero noise, zero dropout or both."""
+    k = CameraIntrinsics()
+    blank = SceneTemplate(berries=(_posed_berry(0, (0.5, 0.0, 0.33)),), occluders=(), intrinsics=k)
+    firsts = []
+    for i, scene in enumerate([*_edge_case_scenes(prior), blank]):
+        params = (RenderParams(2.0, 0.05), RenderParams(), *_ZERO_PARAMS)
+        firsts.append(_assert_renders_like_reference(scene, prior, params, i))
+    assert firsts[-1] is None  # the blank frame draws nothing
+    for name in ("cluttered", "single_berry"):
+        template = SceneConfig.from_json(json.loads((_TEMPLATES / f"{name}.json").read_text()))
+        rng = np.random.Generator(np.random.Philox(19))
+        for i in range(40):
+            scene = generate_scene(template, prior, rng)
+            params = (RenderParams(2.0, 0.05), RenderParams(), *(_ZERO_PARAMS if i < 3 else ()))
+            firsts.append(
+                _assert_renders_like_reference(scene, prior, params, np.random.SeedSequence(i))
+            )
+    # the dropout stream started off a multiple of 4 in every position
+    assert {f % 4 for f in firsts if f is not None} == {0, 1, 2, 3}
+
+
+def _write_obj(path, vertices, faces):
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+    return StrawberryPrior.from_obj(str(path))
+
+
+def test_culling_follows_the_prior_winding(prior, tmp_path):
+    """An inside-out prior culls with the opposite sign, and a prior with one
+    face flipped renders every face; both render as the reference does."""
+    inside_out = _write_obj(tmp_path / "inside_out.obj", prior.vertices, prior.faces[:, ::-1])
+    flipped = prior.faces.copy()
+    flipped[100] = flipped[100, ::-1]
+    one_flipped = _write_obj(tmp_path / "one_flipped.obj", prior.vertices, flipped)
+    assert (prior.winding(), inside_out.winding(), one_flipped.winding()) == (1, -1, 0)
+
+    posed = Pose(translation=np.array([0.0, 0.0, 0.36])).apply(prior.vertices)
+    k = CameraIntrinsics()
+    front = _front_faces(posed, prior.faces, k, 1)
+    assert 0 < len(front) < 0.6 * len(prior.faces)
+    assert len(_front_faces(posed, prior.faces[:, ::-1], k, -1)) == len(front)
+    assert _front_faces(posed, flipped, k, 0) is flipped
+
+    template = SceneConfig.from_json(json.loads((_TEMPLATES / "cluttered.json").read_text()))
+    rng = np.random.Generator(np.random.Philox(23))
+    cut = _edge_case_scenes(prior)[1]
+    scenes = [cut, *(generate_scene(template, prior, rng) for _ in range(4))]
+    for mesh in (inside_out, one_flipped):
+        for i, scene in enumerate(scenes):
+            _assert_renders_like_reference(scene, mesh, (RenderParams(2.0, 0.05),), i)
+
+
+_SMALL = CameraIntrinsics(fx=80.0, fy=80.0, cx=31.5, cy=23.5)  # a 64 x 48 frame
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    u=st.floats(-12.0, 76.0),
+    v=st.floats(-12.0, 60.0),
+    z=st.floats(0.0176, 0.1),
+    axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    angle=st.floats(0.0, np.pi),
+    ripe=st.booleans(),
+)
+def test_culled_render_matches_reference_near_edges_and_near_plane(
+    prior, u, v, z, axis, angle, ripe
+):
+    """One berry cut by the frame edges or close to the camera, on a small
+    frame, renders as the reference does."""
+    assume(np.linalg.norm(axis) > 1e-3)
+    pose = Pose(
+        rotation=rotation_about_axis(np.asarray(axis), angle),
+        translation=np.array([(u - _SMALL.cx) * z / _SMALL.fx, (v - _SMALL.cy) * z / _SMALL.fy, z]),
+    )
+    assume(pose.apply(prior.vertices)[:, 2].min() > 1e-6)
+    berry = BerryInstance(0, pose, Ripeness.RIPE if ripe else Ripeness.UNRIPE)
+    scene = SceneTemplate(berries=(berry,), occluders=(), intrinsics=_SMALL, width=64, height=48)
+    _assert_renders_like_reference(scene, prior, (RenderParams(2.0, 0.05),), 0)
 
 
 # ---------------------------------------------------------------- ground truth

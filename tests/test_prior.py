@@ -82,6 +82,29 @@ def test_surface_sampling_is_area_uniform(prior):
     assert abs(frac - 0.5) < 0.04
 
 
+def reference_sample_surface(prior, n, rng):
+    """The draw the cached face tables replaced: rng.choice over the face
+    areas, then the barycentric mix on the gathered corners."""
+    areas = prior.triangle_areas()
+    chosen = rng.choice(len(prior.faces), size=n, p=areas / areas.sum())
+    tri = prior.vertices[prior.faces[chosen]]
+    u = rng.random(n)
+    v = rng.random(n)
+    flip = u + v > 1.0
+    u[flip] = 1.0 - u[flip]
+    v[flip] = 1.0 - v[flip]
+    return tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
+
+
+@pytest.mark.parametrize("n", [1, 7, SURFACE_POINTS])
+def test_surface_sampling_matches_the_choice_draw(prior, n):
+    for seed in range(20):
+        rng, ref_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        expected = reference_sample_surface(prior, n, ref_rng)
+        assert np.array_equal(prior.sample_surface(n, rng), expected)
+        assert rng.random() == ref_rng.random()  # the same number of draws taken
+
+
 def test_canonical_samples_cached_and_deterministic(prior):
     a = prior.canonical_samples(256)
     b = prior.canonical_samples(256)

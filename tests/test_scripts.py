@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from berrypick import complete_cloud, pipeline
 from berrypick.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -25,9 +26,19 @@ def _run(monkeypatch, name: str, *args: str) -> int:
 
 
 def test_demo_scene(monkeypatch, tmp_path, capsys):
+    """The demo perceives and plans its scene once: one completion per
+    partial cloud, three at the default seed 3."""
+    completions = []
+
+    def counted(*args, **kwargs):
+        completions.append(1)
+        return complete_cloud(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "complete_cloud", counted)
     assert _run(monkeypatch, "demo_scene", "--out", str(tmp_path / "demo")) == 0
     assert (tmp_path / "demo" / "plan.json").exists()
     assert "simulated execution" in capsys.readouterr().out
+    assert len(completions) == 3
 
 
 def test_obstacle_ablation(monkeypatch, capsys):
