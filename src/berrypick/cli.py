@@ -25,6 +25,7 @@ from .io_formats import (
     save_artifacts,
     save_scene,
     write_ply,
+    _read_bytes,
     _write_text,
 )
 from .metrics import (
@@ -54,12 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
+    data = _read_bytes(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        return json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

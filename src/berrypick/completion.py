@@ -140,8 +140,10 @@ def _icp_single(
     max_dist = params.max_correspondence_dist / 1000.0
     tol = params.convergence_tol / 1000.0
 
-    pose = init
-    best_pose = init
+    # carried as arrays, since a Pose checks its rotation on construction;
+    # only the restart's best becomes a Pose
+    rotation, translation = init.rotation, init.translation
+    best = (rotation, translation)
     best_residual = np.inf
     history: list[float] = []
     converged = False
@@ -149,7 +151,7 @@ def _icp_single(
 
     for _ in range(params.max_iterations):
         # observed points in the prior's canonical frame under the current pose
-        q = (xyz - pose.translation) @ pose.rotation
+        q = (xyz - translation) @ rotation
         dists, idx = surface_tree.query(q, distance_upper_bound=max_dist)
         inlier = np.isfinite(dists)
         if not inlier.any():
@@ -157,7 +159,7 @@ def _icp_single(
         residual = float(dists[inlier].mean())
         if residual < best_residual - 1e-15:
             best_residual = residual
-            best_pose = pose
+            best = (rotation, translation)
             history.append(residual * 1000.0)
             stalled = 0
         else:
@@ -168,9 +170,8 @@ def _icp_single(
         matched = surface[idx[inlier]]
         delta_r, delta_t = _point_to_plane_step(q[inlier], matched, normals[idx[inlier]])
         # refined pose maps canonical -> camera through the inverse update
-        rotation = pose.rotation @ delta_r.T
-        translation = pose.translation - rotation @ delta_t
-        pose = Pose(rotation=rotation, translation=translation)
+        rotation = rotation @ delta_r.T
+        translation = translation - rotation @ delta_t
 
         angle = np.arccos(np.clip((np.trace(delta_r) - 1.0) / 2.0, -1.0, 1.0))
         step = float(np.linalg.norm(delta_t)) + angle * 0.02  # ~berry lever arm
@@ -183,6 +184,7 @@ def _icp_single(
 
     if not np.isfinite(best_residual):
         return None
+    best_pose = Pose(rotation=best[0], translation=best[1])
     return best_pose, best_residual * 1000.0, tuple(history), converged
 
 

@@ -3,15 +3,20 @@
 PLY and scene coordinates are written with repr(), which emits the shortest
 decimal string that round-trips to the same float64, so save/load is exact.
 Each berry's one ground-truth surface, the bulk of a scene's artifacts, is
-stored in ground_truth.json as a base64 string of its little-endian float64
-bytes (see render.GroundTruthInstance): exact as well, and half the size and
-far cheaper to write and parse than decimal text. The older three-surface
-form is refused with a message to re-render. Depth images are
-16-bit big-endian PGM with millimeter values; masks are 8-bit PGM (nonzero =
-member) with a JSON sidecar carrying identity and ripeness.
+not in ground_truth.json but in ground_truth.f64 beside it: every instance's
+(N, 3) coordinates as little-endian float64, row-major, in the document's
+instance order, while the document gives each instance's N as
+"surface_points" (see render.GroundTruth). The file is exactly 24 x sum(N)
+bytes, so it is exact and costs little more than a copy to write and read.
+Ground truth whose document holds the surfaces itself, the older base64
+"surface" or three-surface "surfaces" form, is refused with a message to
+re-render. Depth images are 16-bit big-endian PGM with millimeter values;
+masks are 8-bit PGM (nonzero = member) with a JSON sidecar carrying identity
+and ripeness.
 
-Read-side problems (missing or malformed files) raise InputError; write-side
-failures raise StorageError. The CLI maps these to exit codes 1 and 2.
+Read-side problems (missing or malformed files, JSON that is not UTF-8)
+raise InputError; write-side failures raise StorageError. The CLI maps these
+to exit codes 1 and 2.
 """
 
 from __future__ import annotations
@@ -184,10 +189,10 @@ def write_mask(path: str, mask: InstanceMask) -> None:
 def read_mask(path: str) -> InstanceMask:
     """path without extension; reads <path>.pgm and <path>.json."""
     bits = _read_netpbm(path + ".pgm", b"P5", 255, np.uint8, 1) > 0
+    data = _read_bytes(path + ".json")
     try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        meta = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise InputError(f"cannot read mask sidecar {path}.json: {exc}") from exc
     try:
         instance_id = json_int(meta["instance_id"], "instance_id")
@@ -212,13 +217,33 @@ def load_scene(path: str) -> SceneTemplate:
         raise InputError(f"invalid scene document {path}: {exc}") from exc
 
 
+def surface_path(path: str) -> str:
+    """The surface file beside a ground-truth document: ground_truth.json ->
+    ground_truth.f64."""
+    return os.path.splitext(path)[0] + ".f64"
+
+
 def save_ground_truth(path: str, truth: GroundTruth) -> None:
+    """Writes the document to path and the surfaces to surface_path(path)."""
     _write_text(path, truth.to_json_str() + "\n")
+    _write_bytes(surface_path(path), truth.surface_bytes())
 
 
 def load_ground_truth(path: str) -> GroundTruth:
+    payload_path = surface_path(path)
     try:
-        return GroundTruth.from_json(json.loads(_read_bytes(path)))
+        obj = json.loads(_read_bytes(path))
+        points = sum(GroundTruth.surface_counts(obj))  # refuses older forms first
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"invalid ground truth document {path}: {exc}") from exc
+    payload = _read_bytes(payload_path)
+    if len(payload) != 24 * points:
+        raise InputError(
+            f"{payload_path} holds {len(payload)} bytes, but {path} gives {points} surface "
+            f"points, {24 * points} bytes"
+        )
+    try:
+        return GroundTruth.from_json(obj, payload)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"invalid ground truth document {path}: {exc}") from exc
 

@@ -24,8 +24,6 @@ dropout uniforms from the first.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 from dataclasses import dataclass
 
@@ -331,27 +329,11 @@ def render_rgbd(
     )
 
 
-def _encode_surface(cloud: PointCloud) -> str:
-    """Padded base64 of the (N, 3) coordinates as little-endian float64,
-    row-major: exact, and far cheaper to write and read than decimal text."""
-    return base64.b64encode(cloud.xyz.astype("<f8").tobytes()).decode("ascii")
-
-
-def _decode_surface(text) -> PointCloud:
-    if not isinstance(text, str):
-        raise TypeError(f"a surface must be a base64 string, got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"a surface is not valid base64: {exc}") from exc
-    if not raw or len(raw) % 24:
-        raise ValueError(f"a surface holds {len(raw)} bytes, not a positive multiple of 24")
-    return PointCloud(xyz=np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(-1, 3))
-
-
 @dataclass(frozen=True)
 class GroundTruthInstance:
-    """True pose and surface sampling for one berry."""
+    """True pose and surface sampling for one berry. Its JSON form holds the
+    id, ripeness, pose and "surface_points", the surface's point count; the
+    coordinates themselves travel in GroundTruth's surface bytes."""
 
     instance_id: int
     ripeness: Ripeness
@@ -368,23 +350,33 @@ class GroundTruthInstance:
             "instance_id": self.instance_id,
             "ripeness": self.ripeness.value,
             **self.pose.to_json(),
-            "surface": _encode_surface(self.surface),
+            "surface_points": len(self.surface),
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GroundTruthInstance":
-        if "surfaces" in obj:
-            raise ValueError("surfaces are in the older three-surface form; re-render the scene")
+    def from_json(cls, obj: dict, xyz: np.ndarray) -> "GroundTruthInstance":
         return cls(
             instance_id=json_int(obj["instance_id"], "instance_id"),
             ripeness=Ripeness(obj["ripeness"]),
             pose=Pose.from_json(obj),
-            surface=_decode_surface(obj["surface"]),
+            surface=PointCloud(xyz=xyz),
         )
 
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """Every berry's true pose and surface, stored in two parts:
+
+    - to_json(): per instance, its id, ripeness, pose and "surface_points" N,
+      a JSON integer >= 1;
+    - surface_bytes(): every instance's (N, 3) coordinates as little-endian
+      float64, row-major, in instance order, 24 x sum(N) bytes.
+
+    from_json(obj, payload) reads the two back bit for bit. A document that
+    holds the coordinates itself, the older base64 "surface" or three-surface
+    "surfaces" form, is refused with a message to re-render.
+    """
+
     instances: tuple[GroundTruthInstance, ...]
 
     def __post_init__(self):
@@ -405,10 +397,44 @@ class GroundTruth:
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
+    def surface_bytes(self) -> bytes:
+        return b"".join(
+            inst.surface.xyz.astype("<f8", copy=False).tobytes() for inst in self.instances
+        )
+
+    @staticmethod
+    def surface_counts(obj: dict) -> list[int]:
+        """Each instance's "surface_points" in a to_json() document. Raises
+        ValueError or TypeError for a document in an older form or a count
+        that is not a JSON integer >= 1."""
+        instances = obj["instances"]
+        if not isinstance(instances, list) or not all(isinstance(o, dict) for o in instances):
+            raise TypeError("instances must be a list of objects")
+        counts = []
+        for o in instances:
+            for key, form in (("surfaces", "three-surface"), ("surface", 'in-document "surface"')):
+                if key in o:
+                    raise ValueError(f"surfaces are in the older {form} form; re-render the scene")
+            n = json_int(o["surface_points"], "surface_points")
+            if n < 1:
+                raise ValueError(f"surface_points must be at least 1, got {n}")
+            counts.append(n)
+        return counts
+
     @classmethod
-    def from_json(cls, obj: dict) -> "GroundTruth":
+    def from_json(cls, obj: dict, payload: bytes) -> "GroundTruth":
+        counts = cls.surface_counts(obj)
+        if len(payload) != 24 * sum(counts):
+            raise ValueError(
+                f"the surfaces take {len(payload)} bytes, not the {24 * sum(counts)} bytes "
+                f"of {sum(counts)} surface points"
+            )
+        xyz = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(-1, 3)
+        parts = np.split(xyz, np.cumsum(counts)[:-1])
         return cls(
-            instances=tuple(GroundTruthInstance.from_json(o) for o in obj["instances"])
+            instances=tuple(
+                GroundTruthInstance.from_json(o, part) for o, part in zip(obj["instances"], parts)
+            )
         )
 
 

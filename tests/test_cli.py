@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def test_scene_render_plan_chain(tmp_path, template_path, capsys):
     art_dir = tmp_path / "artifacts"
     assert main(["render", "--scene", str(scene_dir / "scene.json"), "--seed", "2",
                  "--sigma-mm", "1.0", "--dropout", "0.02", "--out", str(art_dir)]) == 0
-    for name in ("rgb.ppm", "depth.pgm", "ground_truth.json", "scene.json"):
+    for name in ("rgb.ppm", "depth.pgm", "ground_truth.json", "ground_truth.f64", "scene.json"):
         assert (art_dir / name).exists()
     assert list(art_dir.glob("mask_*.pgm"))
 
@@ -286,16 +287,33 @@ def _foreign_mask_id(art_dir):
 
 
 def _berry_missing_from_truth(art_dir):
-    path = art_dir / "ground_truth.json"
-    path.write_text(json.dumps({"instances": []}))
+    (art_dir / "ground_truth.json").write_text(json.dumps({"instances": []}))
+    (art_dir / "ground_truth.f64").write_bytes(b"")
 
 
-def _three_surfaces(art_dir):
-    path = art_dir / "ground_truth.json"
-    doc = json.loads(path.read_text())
-    for instance in doc["instances"]:
-        instance["surfaces"] = [instance.pop("surface")] * 3
-    path.write_text(json.dumps(doc))
+def _older_form(key, surface):
+    """Ground truth as an older version wrote it: each berry's base64
+    surface in the document, under `key`, and no ground_truth.f64."""
+    def corrupt(art_dir):
+        path = art_dir / "ground_truth.json"
+        doc = json.loads(path.read_text())
+        raw = (art_dir / "ground_truth.f64").read_bytes()
+        for instance in doc["instances"]:
+            n = 24 * instance.pop("surface_points")
+            instance[key] = surface(base64.b64encode(raw[:n]).decode("ascii"))
+            raw = raw[n:]
+        path.write_text(json.dumps(doc))
+        (art_dir / "ground_truth.f64").unlink()
+    return corrupt
+
+
+def _missing_surface_file(art_dir):
+    (art_dir / "ground_truth.f64").unlink()
+
+
+def _short_surface_file(art_dir):
+    path = art_dir / "ground_truth.f64"
+    path.write_bytes(path.read_bytes()[:-24])
 
 
 def _duplicate_mask_id(art_dir):
@@ -314,19 +332,25 @@ def _small_rgb(art_dir):
         (_small_rgb, "rgb.ppm: 320x240 image does not match the scene's 640x480"),
         (_foreign_mask_id, "instance 100 is not a berry in scene.json"),
         (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
-        (_three_surfaces, "ground_truth.json: surfaces are in the older three-surface form; "
-                          "re-render the scene"),
+        (_older_form("surfaces", lambda text: [text] * 3),
+         "ground_truth.json: surfaces are in the older three-surface form; re-render the scene"),
+        (_older_form("surface", lambda text: text),
+         'ground_truth.json: surfaces are in the older in-document "surface" form; '
+         "re-render the scene"),
+        (_missing_surface_file, "cannot read {art_dir}/ground_truth.f64"),
+        (_short_surface_file, "ground_truth.f64 holds 98280 bytes, but {art_dir}/ground_truth.json "
+                              "gives 4096 surface points, 98304 bytes"),
         (_duplicate_mask_id, "mask_001.json both label instance 0"),
     ],
     ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "three-surfaces",
-         "duplicate-mask-id"],
+         "base64-surface", "missing-surface-file", "short-surface-file", "duplicate-mask-id"],
 )
 def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)
     capsys.readouterr()
     rc = main(["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")])
     assert rc == 1
-    assert message in _single_error_line(capsys)
+    assert message.format(art_dir=rendered_dir) in _single_error_line(capsys)
 
 
 def _edit_json(path, edit):
@@ -350,7 +374,8 @@ def _set_first(name, key, field, value):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_list_form_surface, "ground_truth.json: a surface must be a base64 string, got list"),
+        (_list_form_surface, 'ground_truth.json: surfaces are in the older in-document "surface" '
+                             "form; re-render the scene"),
         (_set_first("ground_truth.json", "instances", "instance_id", True),
          "ground_truth.json: instance_id must be an integer, got True"),
         (_set_first("ground_truth.json", "instances", "instance_id", 0.0),
@@ -376,6 +401,27 @@ def test_malformed_scene_documents_are_one_clean_error(tmp_path, rendered_dir, c
     assert message in _single_error_line(capsys)
 
 
+_NOT_UTF8 = b'{"instance_id": 0, "ripeness": "ripe\xff"}'
+
+
+@pytest.mark.parametrize("reader", ["mask-sidecar", "template", "config"])
+def test_non_utf8_json_is_one_clean_error(tmp_path, rendered_dir, template_path, capsys, reader):
+    # Regression: a byte that is not UTF-8 in any of these JSON files
+    # stopped in a UnicodeDecodeError traceback.
+    bad = rendered_dir / "mask_000.json" if reader == "mask-sidecar" else tmp_path / "bad.json"
+    bad.write_bytes(_NOT_UTF8)
+    plan = ["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")]
+    args = {
+        "mask-sidecar": plan,
+        "template": ["gen-scene", "--template", str(bad), "--out", str(tmp_path / "scene")],
+        "config": [*plan, "--config", str(bad)],
+    }[reader]
+    capsys.readouterr()
+    assert main(args) == 1
+    line = _single_error_line(capsys)
+    assert str(bad) in line and "can't decode byte 0xff" in line
+
+
 def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
     # Regression: a copy of berry 1's ground truth, relabelled 0 and put
     # first, used to be the truth berry 0 was scored against, so plan
@@ -389,6 +435,10 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
     def edit(doc):
         doc["instances"].insert(0, dict(doc["instances"][1], instance_id=0))
     _edit_json(art_dir / "ground_truth.json", edit)
+    surfaces = art_dir / "ground_truth.f64"
+    raw = surfaces.read_bytes()
+    berry_1 = raw[24 * 4096 : 2 * 24 * 4096]
+    surfaces.write_bytes(berry_1 + raw)
     capsys.readouterr()
     rc = main(["plan", "--scene-dir", str(art_dir), "--out", str(tmp_path / "p.json")])
     assert rc == 1

@@ -242,6 +242,36 @@ def test_mask_malformed_sidecar(tmp_path, sidecar):
         read_mask(stem)
 
 
+def test_non_utf8_mask_sidecar_is_input_error(tmp_path):
+    # Regression: a sidecar byte that is not UTF-8 stopped in a
+    # UnicodeDecodeError traceback.
+    stem = str(tmp_path / "m")
+    write_mask(stem, InstanceMask(bits=np.ones((2, 2), bool), instance_id=0, ripeness=Ripeness.RIPE))
+    (tmp_path / "m.json").write_bytes(b'{"instance_id": 0, "ripeness": "ripe\xff"}')
+    with pytest.raises(InputError, match="cannot read mask sidecar .*m.json"):
+        read_mask(stem)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3),
+       cut=st.none() | st.integers(0, 60))
+def test_mutated_mask_sidecar_is_input_error_or_valid(tmp_path_factory, flips, cut):
+    """Flipped bytes, non-UTF-8 ones included, and truncation end in a
+    valid mask or an InputError."""
+    folder = tmp_path_factory.mktemp("mask")
+    stem = str(folder / "mask_002")
+    write_mask(stem, InstanceMask(bits=np.ones((3, 2), bool), instance_id=2, ripeness=Ripeness.UNRIPE))
+    data = bytearray((folder / "mask_002.json").read_bytes())
+    for at, xor in flips:
+        data[at % len(data)] ^= xor
+    (folder / "mask_002.json").write_bytes(bytes(data[:cut]))
+    try:
+        mask = read_mask(stem)
+    except InputError:
+        return
+    assert isinstance(mask.instance_id, int) and isinstance(mask.ripeness, Ripeness)
+
+
 # ---------------------------------------------------------------- documents
 
 
@@ -266,85 +296,165 @@ def test_ground_truth_document_round_trip(tmp_path, prior):
     truth = sample_ground_truth(_scene(prior), prior, seed=3)
     path = str(tmp_path / "truth.json")
     save_ground_truth(path, truth)
-    assert load_ground_truth(path).to_json_str() == truth.to_json_str()
+    loaded = load_ground_truth(path)
+    assert loaded.to_json_str() == truth.to_json_str()
+    assert loaded.surface_bytes() == truth.surface_bytes()
+    for a, b in zip(loaded.instances, truth.instances, strict=True):
+        assert np.array_equal(a.surface.xyz, b.surface.xyz)
 
 
-def test_ground_truth_surfaces_are_base64_little_endian_float64(tmp_path, prior):
+def test_ground_truth_surfaces_are_little_endian_float64_beside_the_document(tmp_path, prior):
     truth = sample_ground_truth(_scene(prior), prior, seed=3)
     path = tmp_path / "ground_truth.json"
     save_ground_truth(str(path), truth)
     doc = json.loads(path.read_text())
     for inst, stored in zip(truth.instances, doc["instances"], strict=True):
         assert stored["instance_id"] == inst.instance_id
-        xyz = np.frombuffer(base64.b64decode(stored["surface"], validate=True), dtype="<f8")
-        assert np.array_equal(xyz.reshape(-1, 3), inst.surface.xyz)
+        assert stored["surface_points"] == len(inst.surface)
+        assert "surface" not in stored and "surfaces" not in stored
+    raw = (tmp_path / "ground_truth.f64").read_bytes()
+    assert raw == b"".join(inst.surface.xyz.astype("<f8").tobytes() for inst in truth.instances)
+    assert len(raw) == 24 * sum(len(inst.surface) for inst in truth.instances)
 
 
-def _b64_floats(*values):
-    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+def _saved_truth(tmp_path, prior):
+    """A saved two-berry ground truth: (document path, surface file path)."""
+    path = tmp_path / "ground_truth.json"
+    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
+    return path, tmp_path / "ground_truth.f64"
+
+
+def _in_document(surface):
+    """The document holds a "surface" again, as ground truth written before
+    the surface file did, and no surface file lies beside it."""
+    def corrupt(doc_path, f64_path):
+        doc = json.loads(doc_path.read_text())
+        doc["instances"][0]["surface"] = surface
+        doc_path.write_text(json.dumps(doc))
+        f64_path.unlink()
+    return corrupt
+
+
+def _surface_file(edit):
+    def corrupt(doc_path, f64_path):
+        f64_path.write_bytes(edit(f64_path.read_bytes()))
+    return corrupt
+
+
+def _poke(value):
+    def edit(raw):
+        xyz = np.frombuffer(raw, dtype="<f8").copy()
+        xyz[4] = value
+        return xyz.tobytes()
+    return edit
+
+
+_POINTS = 2 * 4096  # the saved truth's two surfaces
+_IN_DOCUMENT = 'older in-document "surface" form; re-render'
 
 
 @pytest.mark.parametrize(
-    "surface, message",
+    "corrupt, message",
     [
-        ([[0.0, 0.0, 0.36]], "a surface must be a base64 string, got list"),
-        (3, "a surface must be a base64 string, got int"),
-        (None, "a surface must be a base64 string, got NoneType"),
-        ("!!!!", "not valid base64"),
-        ("AAA", "not valid base64"),
-        ("AAAA AAAA", "not valid base64"),
-        ("", "holds 0 bytes"),
-        (_b64_floats(0.0, 0.1), "holds 16 bytes"),
-        (_b64_floats(0.0, 0.0, 0.36, 0.0), "holds 32 bytes"),
-        (_b64_floats(0.0, float("nan"), 0.36), "point coordinates must be finite"),
-        (_b64_floats(0.0, 0.0, -float("inf")), "point coordinates must be finite"),
+        (_in_document([[0.0, 0.0, 0.36]]), _IN_DOCUMENT),
+        (_in_document(3), _IN_DOCUMENT),
+        (_in_document(None), _IN_DOCUMENT),
+        (_in_document("!!!!"), _IN_DOCUMENT),
+        (_in_document("AAA"), _IN_DOCUMENT),
+        (_in_document("AAAA AAAA"), _IN_DOCUMENT),
+        (_surface_file(lambda raw: b""), "ground_truth.f64 holds 0 bytes, but"),
+        (_surface_file(lambda raw: raw[:-16]),
+         f"holds {24 * _POINTS - 16} bytes, but {{doc}} gives {_POINTS} surface points, "
+         f"{24 * _POINTS} bytes"),
+        (_surface_file(lambda raw: raw + bytes(8)),
+         f"holds {24 * _POINTS + 8} bytes, but {{doc}} gives {_POINTS} surface points, "
+         f"{24 * _POINTS} bytes"),
+        (_surface_file(_poke(float("nan"))), "point coordinates must be finite"),
+        (_surface_file(_poke(-float("inf"))), "point coordinates must be finite"),
     ],
     ids=["old-list-form", "number", "null", "bad-alphabet", "bad-padding", "whitespace",
          "empty", "short-row", "partial-row", "nan", "infinity"],
 )
-def test_ground_truth_malformed_surface(tmp_path, prior, surface, message):
-    path = tmp_path / "ground_truth.json"
-    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
-    doc = json.loads(path.read_text())
-    doc["instances"][0]["surface"] = surface
-    path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match="ground_truth.json: ") as err:
-        load_ground_truth(str(path))
-    assert message in str(err.value)
+def test_ground_truth_malformed_surface(tmp_path, prior, corrupt, message):
+    doc_path, f64_path = _saved_truth(tmp_path, prior)
+    corrupt(doc_path, f64_path)
+    with pytest.raises(InputError) as err:
+        load_ground_truth(str(doc_path))
+    assert message.format(doc=doc_path) in str(err.value)
+    assert str(doc_path) in str(err.value)
 
 
-def _decode(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3)
+def test_ground_truth_missing_surface_file_is_named(tmp_path, prior):
+    doc_path, f64_path = _saved_truth(tmp_path, prior)
+    f64_path.unlink()
+    with pytest.raises(InputError, match=f"cannot read {f64_path}"):
+        load_ground_truth(str(doc_path))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda inst: inst.pop("surface_points"), "'surface_points'"),
+        (lambda inst: inst.update(surface_points=True), "surface_points must be an integer, got True"),
+        (lambda inst: inst.update(surface_points=4096.0),
+         "surface_points must be an integer, got 4096.0"),
+        (lambda inst: inst.update(surface_points="4096"),
+         "surface_points must be an integer, got '4096'"),
+        (lambda inst: inst.update(surface_points=0), "surface_points must be at least 1, got 0"),
+        (lambda inst: inst.update(surface_points=-1), "surface_points must be at least 1, got -1"),
+        (lambda inst: inst.update(surface_points=4095), f"but {{doc}} gives {_POINTS - 1} surface"),
+    ],
+    ids=["missing", "bool", "float", "string", "zero", "negative", "sum-disagrees"],
+)
+def test_ground_truth_surface_points_is_a_positive_integer(tmp_path, prior, edit, message):
+    doc_path, _ = _saved_truth(tmp_path, prior)
+    doc = json.loads(doc_path.read_text())
+    edit(doc["instances"][1])
+    doc_path.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as err:
+        load_ground_truth(str(doc_path))
+    assert message.format(doc=doc_path) in str(err.value)
+
+
+def _base64(xyz):
+    return base64.b64encode(np.asarray(xyz, dtype="<f8").tobytes()).decode("ascii")
 
 
 @pytest.mark.parametrize(
     "older",
     [
-        lambda surfaces: surfaces,
-        lambda surfaces: [_decode(s).tolist() for s in surfaces],
-        lambda surfaces: dict(zip("abc", surfaces)),
-        lambda surfaces: surfaces[2],
+        lambda xyz: [_base64(xyz)] * 3,
+        lambda xyz: [xyz.tolist()] * 3,
+        lambda xyz: dict(zip("abc", [_base64(xyz)] * 3)),
+        lambda xyz: _base64(xyz),
     ],
     ids=["three-strings", "coordinate-lists", "dict", "one-string"],
 )
 def test_ground_truth_surfaces_field_is_refused(tmp_path, prior, older):
     """A "surfaces" field, the older three-surface form in any shape, is
-    refused as a whole with a message to re-render."""
-    path = tmp_path / "ground_truth.json"
-    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
-    doc = json.loads(path.read_text())
-    surface = doc["instances"][0].pop("surface")
-    doc["instances"][0]["surfaces"] = older([surface, surface, surface])
-    path.write_text(json.dumps(doc))
+    refused as a whole with a message to re-render, though no surface file
+    lies beside it."""
+    doc_path, f64_path = _saved_truth(tmp_path, prior)
+    doc = json.loads(doc_path.read_text())
+    saved = load_ground_truth(str(doc_path))
+    for stored, inst in zip(doc["instances"], saved.instances, strict=True):
+        del stored["surface_points"]
+        stored["surfaces"] = older(inst.surface.xyz)
+    doc_path.write_text(json.dumps(doc))
+    f64_path.unlink()
     with pytest.raises(InputError, match="ground_truth.json: .*three-surface form; re-render"):
-        load_ground_truth(str(path))
+        load_ground_truth(str(doc_path))
+
+
+_NOT_A_COUNT = [None, True, False, 1.0, 2.5, 0, -3, "1"]
 
 
 @st.composite
-def _mutated_truth_document(draw):
-    """A small valid ground_truth.json with one mutation, and whether that
-    mutation must make it invalid. A flipped byte may leave a valid
-    document (say, a changed digit); the other three never do."""
+def _mutated_ground_truth(draw):
+    """A small valid ground truth, as (document bytes, surface file bytes),
+    with one mutation, and whether that mutation must make it invalid. A
+    flipped byte may leave it valid (say, a changed digit); the other
+    mutations never do."""
     rng = np.random.default_rng(draw(st.integers(0, 3)))
     truth = GroundTruth(
         instances=tuple(
@@ -357,42 +467,52 @@ def _mutated_truth_document(draw):
             for i in range(draw(st.integers(1, 3)))
         )
     )
-    doc = truth.to_json()
-    kind = draw(st.sampled_from(["truncate", "flip", "nan", "list"]))
-    if kind == "flip":
+    doc, raw = truth.to_json(), truth.surface_bytes()
+    kind = draw(st.sampled_from(["flip-document", "flip-surfaces", "truncate", "append",
+                                 "non-finite", "count"]))
+    if kind == "flip-document":
         data = bytearray(json.dumps(doc).encode("utf-8"))
         data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return bytes(data), False
-    inst = draw(st.integers(0, len(truth.instances) - 1))
-    xyz = truth.instances[inst].surface.xyz
-    stored = doc["instances"][inst]
+        return bytes(data), raw, False
+    if kind == "flip-surfaces":
+        data = bytearray(raw)
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return json.dumps(doc).encode("utf-8"), bytes(data), False
     if kind == "truncate":
-        # a cut at a whole point (a multiple of 32 characters) is a valid,
-        # shorter surface, so cuts land anywhere else
-        cut = draw(st.integers(0, len(stored["surface"]) - 1).filter(lambda n: n == 0 or n % 32))
-        stored["surface"] = stored["surface"][:cut]
-    elif kind == "nan":
-        bad = xyz.copy()
-        mantissa = draw(st.integers(0, 2**52 - 1))
-        bits = np.array([0x7FF0_0000_0000_0000 | mantissa], dtype="<u8")
-        bad.reshape(-1)[draw(st.integers(0, bad.size - 1))] = bits.view("<f8")[0]
-        stored["surface"] = base64.b64encode(bad.astype("<f8").tobytes()).decode("ascii")
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    elif kind == "append":
+        raw += draw(st.binary(min_size=1, max_size=48))
+    elif kind == "non-finite":
+        xyz = np.frombuffer(raw, dtype="<u8").copy()
+        mantissa = draw(st.integers(0, 2**52 - 1))  # 0 is an infinity, else a NaN
+        sign = draw(st.sampled_from([0, 1 << 63]))
+        xyz[draw(st.integers(0, xyz.size - 1))] = sign | 0x7FF0_0000_0000_0000 | mantissa
+        raw = xyz.tobytes()
     else:
-        stored["surface"] = xyz.tolist()
-    return json.dumps(doc).encode("utf-8"), True
+        stored = doc["instances"][draw(st.integers(0, len(doc["instances"]) - 1))]
+        value = draw(st.sampled_from(_NOT_A_COUNT + ["missing", "other"]))
+        if value == "missing":
+            del stored["surface_points"]
+        elif value == "other":  # a valid count that disagrees with the file's size
+            others = st.integers(1, 8).filter(lambda n: n != stored["surface_points"])
+            stored["surface_points"] = draw(others)
+        else:
+            stored["surface_points"] = value
+    return json.dumps(doc).encode("utf-8"), raw, True
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(_mutated_truth_document())
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mutated_ground_truth())
 def test_mutated_ground_truth_is_input_error_or_valid(tmp_path_factory, mutated):
-    data, must_fail = mutated
-    path = tmp_path_factory.mktemp("truth") / "ground_truth.json"
-    path.write_bytes(data)
+    document, surfaces, must_fail = mutated
+    folder = tmp_path_factory.mktemp("truth")
+    (folder / "ground_truth.json").write_bytes(document)
+    (folder / "ground_truth.f64").write_bytes(surfaces)
     try:
-        load_ground_truth(str(path))
+        load_ground_truth(str(folder / "ground_truth.json"))
     except InputError:
         return
-    assert not must_fail, "a malformed ground truth document loaded"
+    assert not must_fail, "a malformed ground truth loaded"
 
 
 # ---------------------------------------------------------------- artifacts
@@ -409,6 +529,7 @@ def test_artifact_directory_round_trip(tmp_path, prior):
     assert np.array_equal(loaded.depth.values, artifacts.depth.values)
     assert np.array_equal(loaded.rgb.values, artifacts.rgb.values)
     assert loaded.truth.to_json_str() == artifacts.truth.to_json_str()
+    assert loaded.truth.surface_bytes() == artifacts.truth.surface_bytes()
     assert len(loaded.masks) == len(artifacts.masks)
     for a, b in zip(loaded.masks, artifacts.masks):
         assert a.instance_id == b.instance_id

@@ -276,8 +276,10 @@ def test_ground_truth_deterministic_and_round_trips(prior):
     a = sample_ground_truth(scene, prior, seed=8)
     b = sample_ground_truth(scene, prior, seed=8)
     assert a.to_json_str() == b.to_json_str()
-    loaded = GroundTruth.from_json(a.to_json())
+    assert a.surface_bytes() == b.surface_bytes()
+    loaded = GroundTruth.from_json(a.to_json(), a.surface_bytes())
     assert loaded.to_json_str() == a.to_json_str()
+    assert loaded.surface_bytes() == a.surface_bytes()
 
 
 def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
@@ -286,6 +288,7 @@ def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
     a, b = (sample_ground_truth(scene, prior, seed=ss) for _ in range(2))
     fresh = sample_ground_truth(scene, prior, seed=np.random.SeedSequence(8, spawn_key=(2,)))
     assert a.to_json_str() == b.to_json_str() == fresh.to_json_str()
+    assert a.surface_bytes() == b.surface_bytes() == fresh.surface_bytes()
     assert ss.n_children_spawned == 0
 
 
@@ -298,10 +301,17 @@ def test_ground_truth_lookup_by_id(prior):
 
 @pytest.mark.parametrize("instance_id", [True, "0", 0.5, 0.0, None])
 def test_ground_truth_json_takes_only_integer_ids(prior, instance_id):
-    obj = sample_ground_truth(_single_berry_scene(), prior, seed=0).to_json()
+    truth = sample_ground_truth(_single_berry_scene(), prior, seed=0)
+    obj = truth.to_json()
     obj["instances"][0]["instance_id"] = instance_id
     with pytest.raises(TypeError, match="instance_id must be an integer"):
-        GroundTruth.from_json(obj)
+        GroundTruth.from_json(obj, truth.surface_bytes())
+
+
+def test_ground_truth_from_json_checks_the_payload_size(prior):
+    truth = sample_ground_truth(_single_berry_scene(), prior, seed=0)
+    with pytest.raises(ValueError, match="take 98296 bytes, not the 98304 bytes of 4096 surface points"):
+        GroundTruth.from_json(truth.to_json(), truth.surface_bytes()[:-8])
 
 
 def test_ground_truth_rejects_duplicate_ids(prior):

@@ -97,6 +97,7 @@ _BAD_ARGS = {
     "dropout-above-one": ["--dropout", "2"],
     "missing-template": ["--template", "{tmp}/absent.json"],
     "template-not-json": ["--template", "{tmp}/not.json"],
+    "template-not-utf8": ["--template", "{tmp}/not_utf8.json"],
     "template-bad-value": ["--template", "{tmp}/bad.json"],
 }
 _BAD_COUNTS = {"no-items": ["--n", "0"], "non-integer-count": ["--n", "x"]}
@@ -117,6 +118,7 @@ _BAD_COUNTS = {"no-items": ["--n", "0"], "non-integer-count": ["--n", "x"]}
 def test_malformed_script_arguments_are_one_clean_error(monkeypatch, tmp_path, capsys, name, args):
     (tmp_path / "not.json").write_text("{not json")
     (tmp_path / "bad.json").write_text('{"n_ripe": 2.5}')
+    (tmp_path / "not_utf8.json").write_bytes(b'{"n_ripe": "\xff"}')
     args = [a.format(tmp=tmp_path) for a in args]
     assert _run(monkeypatch, name, *args) == 1
     captured = capsys.readouterr()
