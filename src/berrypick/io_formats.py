@@ -10,9 +10,12 @@ instance order, while the document gives each instance's N as
 bytes, so it is exact and costs little more than a copy to write and read.
 Ground truth whose document holds the surfaces itself, the older base64
 "surface" or three-surface "surfaces" form, is refused with a message to
-re-render. Depth images are 16-bit big-endian PGM with millimeter values;
-masks are 8-bit PGM (nonzero = member) with a JSON sidecar carrying identity
-and ripeness.
+re-render. Depth images are 16-bit big-endian PGM with millimeter values.
+A scene directory keeps every berry's mask in one label image, masks.pgm, in
+the same 16-bit PGM format: 0 means no berry and k means the k-th entry of
+scene.json's "berries", which gives that mask's instance id and ripeness. A
+directory without masks.pgm, written when each berry had its own
+mask_NNN.pgm, is refused with a message to re-render.
 
 Read-side problems (missing or malformed files, JSON that is not UTF-8)
 raise InputError; write-side failures raise StorageError. The CLI maps these
@@ -26,11 +29,11 @@ import os
 
 import numpy as np
 
-from .errors import InputError, StorageError
+from .errors import InputError, ParameterError, StorageError
 from .pipeline import SceneArtifacts
 from .render import GroundTruth
 from .scene import SceneTemplate
-from .types import DepthImage, InstanceMask, PointCloud, RgbImage, Ripeness, json_int
+from .types import DepthImage, InstanceMask, PointCloud, RgbImage
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -114,6 +117,10 @@ def read_ply(path: str) -> PointCloud:
             [int(r[i]) for r in rows for i in (3, 4, 5)]
     except (ValueError, IndexError) as exc:
         raise InputError(f"{path}: malformed vertex row: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(xyz).all(axis=1))
+    if bad.size:
+        row = lines[body_at + bad[0]].strip()
+        raise InputError(f"{path}: non-finite coordinate in vertex row {bad[0] + 1}: {row!r}")
     return PointCloud(xyz=xyz)
 
 
@@ -159,13 +166,14 @@ def _read_netpbm(path: str, magic: bytes, maxval: int, dtype, channels: int) -> 
     return np.frombuffer(body, dtype=dtype).reshape(shape)
 
 
-def write_pgm16(path: str, depth: DepthImage) -> None:
-    header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
-    _write_bytes(path, header + depth.values.astype(">u2").tobytes())
+def write_pgm16(path: str, values: np.ndarray) -> None:
+    """Writes (H, W) samples in 0..65535, a depth map or a label image."""
+    h, w = values.shape
+    _write_bytes(path, f"P5\n{w} {h}\n65535\n".encode("ascii") + values.astype(">u2").tobytes())
 
 
-def read_pgm16(path: str) -> DepthImage:
-    return DepthImage(values=_read_netpbm(path, b"P5", 65535, ">u2", 1).astype(np.uint16))
+def read_pgm16(path: str) -> np.ndarray:
+    return _read_netpbm(path, b"P5", 65535, ">u2", 1).astype(np.uint16)
 
 
 def write_ppm(path: str, rgb: RgbImage) -> None:
@@ -175,31 +183,6 @@ def write_ppm(path: str, rgb: RgbImage) -> None:
 
 def read_ppm(path: str) -> RgbImage:
     return RgbImage(values=_read_netpbm(path, b"P6", 255, np.uint8, 3).copy())
-
-
-def write_mask(path: str, mask: InstanceMask) -> None:
-    """Writes <path>.pgm plus a <path>.json sidecar."""
-    h, w = mask.bits.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _write_bytes(path + ".pgm", header + (mask.bits.view(np.uint8) * np.uint8(255)).tobytes())
-    meta = {"instance_id": mask.instance_id, "ripeness": mask.ripeness.value}
-    _write_text(path + ".json", json.dumps(meta, sort_keys=True) + "\n")
-
-
-def read_mask(path: str) -> InstanceMask:
-    """path without extension; reads <path>.pgm and <path>.json."""
-    bits = _read_netpbm(path + ".pgm", b"P5", 255, np.uint8, 1) > 0
-    data = _read_bytes(path + ".json")
-    try:
-        meta = json.loads(data)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
-        raise InputError(f"cannot read mask sidecar {path}.json: {exc}") from exc
-    try:
-        instance_id = json_int(meta["instance_id"], "instance_id")
-        ripeness = Ripeness(meta["ripeness"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise InputError(f"mask sidecar {path}.json needs instance_id and ripeness: {exc!r}") from exc
-    return InstanceMask(bits=bits, instance_id=instance_id, ripeness=ripeness)
 
 
 # -- JSON documents -----------------------------------------------------------
@@ -252,60 +235,70 @@ def load_ground_truth(path: str) -> GroundTruth:
 
 
 def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
+    """Writes a scene directory's six files. masks.pgm holds the masks exactly
+    only when they are one frame-sized mask per berry, in scene.berries order,
+    and no two share a pixel, as the renderer makes them: other masks raise
+    ParameterError before any file is written."""
+    scene, masks = artifacts.scene, artifacts.masks
+    labels = np.zeros((scene.height, scene.width), dtype=np.uint16)
+    if [(m.instance_id, m.ripeness, m.bits.shape) for m in masks] != [
+        (b.instance_id, b.ripeness, labels.shape) for b in scene.berries
+    ]:
+        raise ParameterError("masks.pgm needs one frame-sized mask per berry, in berries order")
+    for k, mask in enumerate(masks, start=1):
+        np.copyto(labels, k, where=mask.bits)
+    if np.count_nonzero(labels) != sum(np.count_nonzero(m.bits) for m in masks):
+        raise ParameterError("masks overlap, so masks.pgm cannot hold them")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise StorageError(f"cannot create {out_dir}: {exc}") from exc
-    save_scene(os.path.join(out_dir, "scene.json"), artifacts.scene)
+    save_scene(os.path.join(out_dir, "scene.json"), scene)
     write_ppm(os.path.join(out_dir, "rgb.ppm"), artifacts.rgb)
-    write_pgm16(os.path.join(out_dir, "depth.pgm"), artifacts.depth)
-    for mask in artifacts.masks:
-        write_mask(os.path.join(out_dir, f"mask_{mask.instance_id:03d}"), mask)
+    write_pgm16(os.path.join(out_dir, "depth.pgm"), artifacts.depth.values)
+    write_pgm16(os.path.join(out_dir, "masks.pgm"), labels)
     save_ground_truth(os.path.join(out_dir, "ground_truth.json"), artifacts.truth)
 
 
+_OLDER_MASKS = (
+    "; scene directories written before it keep a mask_NNN.pgm per berry: re-render the scene"
+)
+
+
 def load_artifacts(scene_dir: str) -> SceneArtifacts:
-    scene_path = os.path.join(scene_dir, "scene.json")
     if not os.path.isdir(scene_dir):
         raise InputError(f"scene directory {scene_dir} does not exist")
-    for required in ("scene.json", "rgb.ppm", "depth.pgm", "ground_truth.json"):
+    for required in ("scene.json", "rgb.ppm", "depth.pgm", "masks.pgm", "ground_truth.json"):
         if not os.path.exists(os.path.join(scene_dir, required)):
-            raise InputError(f"scene artifacts missing {required} in {scene_dir}")
+            hint = _OLDER_MASKS if required == "masks.pgm" else ""
+            raise InputError(f"scene artifacts missing {required} in {scene_dir}{hint}")
+    scene_path = os.path.join(scene_dir, "scene.json")
+    masks_path = os.path.join(scene_dir, "masks.pgm")
     scene = load_scene(scene_path)
     rgb = read_ppm(os.path.join(scene_dir, "rgb.ppm"))
-    depth = read_pgm16(os.path.join(scene_dir, "depth.pgm"))
+    depth = DepthImage(values=read_pgm16(os.path.join(scene_dir, "depth.pgm")))
+    labels = read_pgm16(masks_path)
     truth = load_ground_truth(os.path.join(scene_dir, "ground_truth.json"))
-    stems = sorted(
-        name[:-4]
-        for name in os.listdir(scene_dir)
-        if name.startswith("mask_") and name.endswith(".pgm")
-    )
-    masks = tuple(read_mask(os.path.join(scene_dir, stem)) for stem in stems)
 
     # the files must describe one scene: one frame size, berries both know
     h, w = scene.height, scene.width
-    images = [("rgb.ppm", rgb.values.shape[:2]), ("depth.pgm", depth.values.shape)]
-    images += [(f"{stem}.pgm", mask.bits.shape) for stem, mask in zip(stems, masks)]
+    images = [("rgb.ppm", rgb.values.shape[:2]), ("depth.pgm", depth.values.shape),
+              ("masks.pgm", labels.shape)]
     for name, (ih, iw) in images:
         if (ih, iw) != (h, w):
             raise InputError(
                 f"{os.path.join(scene_dir, name)}: {iw}x{ih} image does not match "
                 f"the scene's {w}x{h}"
             )
-    berry_ids = {b.instance_id for b in scene.berries}
+    top, n = int(labels.max(initial=0)), len(scene.berries)
+    if top > n:
+        raise InputError(f"{masks_path}: label {top} names no berry, as scene.json has {n}")
     truth_ids = {inst.instance_id for inst in truth.instances}
-    seen: dict[int, str] = {}
-    for stem, mask in zip(stems, masks):
-        first = seen.setdefault(mask.instance_id, stem)
-        if first != stem:
-            raise InputError(
-                f"{os.path.join(scene_dir, first)}.json and {os.path.join(scene_dir, stem)}.json "
-                f"both label instance {mask.instance_id}"
-            )
-        for ids, doc in ((berry_ids, "scene.json"), (truth_ids, "ground_truth.json")):
-            if mask.instance_id not in ids:
-                raise InputError(
-                    f"{os.path.join(scene_dir, stem)}.json: instance {mask.instance_id} "
-                    f"is not a berry in {doc}"
-                )
+    missing = [b.instance_id for b in scene.berries if b.instance_id not in truth_ids]
+    if missing:
+        raise InputError(f"{scene_path}: instance {missing[0]} is not a berry in ground_truth.json")
+    masks = tuple(
+        InstanceMask(bits=labels == k, instance_id=b.instance_id, ripeness=b.ripeness)
+        for k, b in enumerate(scene.berries, start=1)
+    )
     return SceneArtifacts(scene=scene, rgb=rgb, depth=depth, masks=masks, truth=truth)

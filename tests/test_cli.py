@@ -43,9 +43,9 @@ def test_scene_render_plan_chain(tmp_path, template_path, capsys):
     art_dir = tmp_path / "artifacts"
     assert main(["render", "--scene", str(scene_dir / "scene.json"), "--seed", "2",
                  "--sigma-mm", "1.0", "--dropout", "0.02", "--out", str(art_dir)]) == 0
-    for name in ("rgb.ppm", "depth.pgm", "ground_truth.json", "ground_truth.f64", "scene.json"):
+    for name in ("rgb.ppm", "depth.pgm", "masks.pgm", "ground_truth.json", "ground_truth.f64",
+                 "scene.json"):
         assert (art_dir / name).exists()
-    assert list(art_dir.glob("mask_*.pgm"))
 
     plan_path = tmp_path / "plan.json"
     assert main(["plan", "--scene-dir", str(art_dir), "--out", str(plan_path)]) == 0
@@ -54,6 +54,22 @@ def test_scene_render_plan_chain(tmp_path, template_path, capsys):
     assert plan["feasible"] is True
     assert plan["detections"] == 1
     assert len(plan["waypoints"]) >= 2
+
+
+def test_plan_reads_the_scene_rendered_last_into_a_directory(tmp_path, template_path, capsys):
+    # Regression: a 1-berry scene rendered over a 5-berry one left the older
+    # scene's extra mask files behind, and plan read them and exited 1 with
+    # "mask_001.json: instance 1 is not a berry in scene.json".
+    art_dir = tmp_path / "art"
+    for template, seed in ((TEMPLATES / "cluttered.json", "3"), (template_path, "1")):
+        scene_dir = tmp_path / f"scene_{seed}"
+        assert main(["gen-scene", "--template", str(template), "--seed", seed,
+                     "--out", str(scene_dir)]) == 0
+        assert main(["render", "--scene", str(scene_dir / "scene.json"),
+                     "--out", str(art_dir)]) == 0
+    assert main(["plan", "--scene-dir", str(art_dir), "--out", str(tmp_path / "plan.json")]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "plan.json").read_text())["detections"] == 1
 
 
 def test_complete_and_eval_cd(tmp_path, prior, capsys):
@@ -279,11 +295,22 @@ def rendered_dir(tmp_path, template_path):
 
 
 def _small_mask(art_dir):
-    (art_dir / "mask_000.pgm").write_bytes(b"P5\n320 240\n255\n" + bytes(320 * 240))
+    (art_dir / "masks.pgm").write_bytes(b"P5\n320 240\n65535\n" + bytes(2 * 320 * 240))
 
 
-def _foreign_mask_id(art_dir):
-    (art_dir / "mask_000.json").write_text(json.dumps({"instance_id": 100, "ripeness": "ripe"}))
+def _label_above_the_berries(art_dir):
+    path = art_dir / "masks.pgm"
+    data = bytearray(path.read_bytes())
+    data[-2:] = (2).to_bytes(2, "big")  # the 1-berry scene's last pixel names berry 2
+    path.write_bytes(bytes(data))
+
+
+def _older_masks(art_dir):
+    """Masks as an older version wrote them: a mask_NNN.pgm and .json per
+    berry, and no masks.pgm."""
+    (art_dir / "masks.pgm").unlink()
+    (art_dir / "mask_000.pgm").write_bytes(b"P5\n640 480\n255\n" + bytes(640 * 480))
+    (art_dir / "mask_000.json").write_text(json.dumps({"instance_id": 0, "ripeness": "ripe"}))
 
 
 def _berry_missing_from_truth(art_dir):
@@ -317,8 +344,9 @@ def _short_surface_file(art_dir):
 
 
 def _duplicate_mask_id(art_dir):
-    for ext in (".pgm", ".json"):
-        (art_dir / f"mask_001{ext}").write_bytes((art_dir / f"mask_000{ext}").read_bytes())
+    """A mask's id is its berry's, so two masks share an id only when
+    scene.json lists a berry twice."""
+    _edit_json(art_dir / "scene.json", lambda doc: doc["berries"].append(doc["berries"][0]))
 
 
 def _small_rgb(art_dir):
@@ -328,9 +356,10 @@ def _small_rgb(art_dir):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_small_mask, "mask_000.pgm: 320x240 image does not match the scene's 640x480"),
+        (_small_mask, "masks.pgm: 320x240 image does not match the scene's 640x480"),
         (_small_rgb, "rgb.ppm: 320x240 image does not match the scene's 640x480"),
-        (_foreign_mask_id, "instance 100 is not a berry in scene.json"),
+        (_label_above_the_berries, "{art_dir}/masks.pgm: label 2 names no berry, as scene.json "
+                                   "has 1"),
         (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
         (_older_form("surfaces", lambda text: [text] * 3),
          "ground_truth.json: surfaces are in the older three-surface form; re-render the scene"),
@@ -340,10 +369,13 @@ def _small_rgb(art_dir):
         (_missing_surface_file, "cannot read {art_dir}/ground_truth.f64"),
         (_short_surface_file, "ground_truth.f64 holds 98280 bytes, but {art_dir}/ground_truth.json "
                               "gives 4096 surface points, 98304 bytes"),
-        (_duplicate_mask_id, "mask_001.json both label instance 0"),
+        (_duplicate_mask_id, "{art_dir}/scene.json: duplicate berry instance ids"),
+        (_older_masks, "scene artifacts missing masks.pgm in {art_dir}; scene directories "
+                       "written before it keep a mask_NNN.pgm per berry: re-render the scene"),
     ],
     ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "three-surfaces",
-         "base64-surface", "missing-surface-file", "short-surface-file", "duplicate-mask-id"],
+         "base64-surface", "missing-surface-file", "short-surface-file", "duplicate-mask-id",
+         "missing-masks"],
 )
 def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)
@@ -404,15 +436,14 @@ def test_malformed_scene_documents_are_one_clean_error(tmp_path, rendered_dir, c
 _NOT_UTF8 = b'{"instance_id": 0, "ripeness": "ripe\xff"}'
 
 
-@pytest.mark.parametrize("reader", ["mask-sidecar", "template", "config"])
+@pytest.mark.parametrize("reader", ["template", "config"])
 def test_non_utf8_json_is_one_clean_error(tmp_path, rendered_dir, template_path, capsys, reader):
-    # Regression: a byte that is not UTF-8 in any of these JSON files
+    # Regression: a byte that is not UTF-8 in either of these JSON files
     # stopped in a UnicodeDecodeError traceback.
-    bad = rendered_dir / "mask_000.json" if reader == "mask-sidecar" else tmp_path / "bad.json"
+    bad = tmp_path / "bad.json"
     bad.write_bytes(_NOT_UTF8)
     plan = ["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")]
     args = {
-        "mask-sidecar": plan,
         "template": ["gen-scene", "--template", str(bad), "--out", str(tmp_path / "scene")],
         "config": [*plan, "--config", str(bad)],
     }[reader]

@@ -4,6 +4,7 @@ malformed input."""
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -12,17 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berrypick import (
+    BerryInstance,
     CameraIntrinsics,
     DepthImage,
     GroundTruth,
     GroundTruthInstance,
     InputError,
     InstanceMask,
+    ParameterError,
     PointCloud,
     Pose,
     RenderParams,
     Ripeness,
+    SceneArtifacts,
     SceneConfig,
+    SceneTemplate,
     StorageError,
     generate_scene,
     render_scene_artifacts,
@@ -32,14 +37,12 @@ from berrypick.io_formats import (
     load_artifacts,
     load_ground_truth,
     load_scene,
-    read_mask,
     read_pgm16,
     read_ply,
     read_ppm,
     save_artifacts,
     save_ground_truth,
     save_scene,
-    write_mask,
     write_pgm16,
     write_ply,
     write_ppm,
@@ -140,21 +143,74 @@ def test_ply_missing_file(tmp_path):
         read_ply(str(tmp_path / "nope.ply"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_ply_non_finite_coordinate_is_input_error_naming_the_file(tmp_path, value):
+    # Regression: a non-finite coordinate escaped as the ParameterError
+    # "point coordinates must be finite", which named no file.
+    path = tmp_path / "nan.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+                    "property double y\nproperty double z\nend_header\n"
+                    f"0 0 0.3\n{value} 0 0.3\n")
+    with pytest.raises(InputError) as err:
+        read_ply(str(path))
+    assert str(err.value) == f"{path}: non-finite coordinate in vertex row 2: '{value} 0 0.3'"
+
+
+@st.composite
+def _mutated_ply(draw):
+    """A valid PLY file's bytes with one mutation, truncation, one to three
+    flipped bytes or a coordinate replaced by NaN or an infinity, and whether
+    the mutation must make it invalid. A cut or flip may leave it valid (say,
+    a cut final newline or a changed digit); a non-finite value never does."""
+    rng = np.random.default_rng(draw(st.integers(0, 3)))
+    rows = rng.normal(size=(draw(st.integers(1, 6)), 3))
+    header = f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n"
+    header += "".join(f"property double {axis}\n" for axis in "xyz") + "end_header\n"
+    body = [[repr(float(v)) for v in row] for row in rows]
+    kind = draw(st.sampled_from(["truncate", "flip", "non-finite"]))
+    if kind == "non-finite":
+        at = draw(st.integers(0, 3 * len(rows) - 1))
+        body[at // 3][at % 3] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity",
+                                                      "-1e400"]))
+    data = (header + "".join(" ".join(row) + "\n" for row in body)).encode("ascii")
+    if kind == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif kind == "flip":
+        data = bytearray(data)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data), kind == "non-finite"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mutated_ply())
+def test_mutated_ply_is_input_error_or_valid(tmp_path_factory, mutated):
+    data, must_fail = mutated
+    path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+    path.write_bytes(data)
+    try:
+        cloud = read_ply(str(path))
+    except InputError:
+        return
+    assert not must_fail, "a non-finite coordinate loaded"
+    assert cloud.xyz.shape[1:] == (3,) and np.isfinite(cloud.xyz).all()
+
+
 # ---------------------------------------------------------------- PGM / PPM
 
 
 def test_pgm16_round_trip(tmp_path):
     values = np.random.default_rng(1).integers(0, 65536, size=(24, 31), dtype=np.uint16)
     path = str(tmp_path / "depth.pgm")
-    write_pgm16(path, DepthImage(values=values))
-    assert np.array_equal(read_pgm16(path).values, values)
+    write_pgm16(path, values)
+    assert np.array_equal(read_pgm16(path), values)
 
 
 def test_pgm16_header_comments_are_skipped(tmp_path):
     payload = np.array([[1000]], dtype=">u2").tobytes()
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n1 1\n65535\n" + payload)
-    assert read_pgm16(str(path)).values[0, 0] == 1000
+    assert read_pgm16(str(path))[0, 0] == 1000
 
 
 def test_pgm16_rejects_wrong_depth_and_truncation(tmp_path):
@@ -193,83 +249,157 @@ def test_ppm_rejects_pgm_magic(tmp_path):
 # ---------------------------------------------------------------- masks
 
 
-def test_mask_round_trip(tmp_path):
-    bits = np.zeros((16, 20), dtype=bool)
-    bits[3:7, 4:9] = True
-    mask = InstanceMask(bits=bits, instance_id=3, ripeness=Ripeness.UNRIPE)
-    stem = str(tmp_path / "mask_003")
-    write_mask(stem, mask)
-    loaded = read_mask(stem)
-    assert np.array_equal(loaded.bits, bits)
-    assert loaded.instance_id == 3
-    assert loaded.ripeness is Ripeness.UNRIPE
+def _labelled(labels: np.ndarray, n: int) -> SceneArtifacts:
+    """Artifacts of a blank frame of labels' size with n berries, where berry
+    k (id 10 * k, ripe when k is odd) owns the pixels labelled k."""
+    h, w = labels.shape
+    berries = [(10 * k, Ripeness.RIPE if k % 2 else Ripeness.UNRIPE) for k in range(1, n + 1)]
+    return SceneArtifacts(
+        scene=SceneTemplate(
+            berries=tuple(BerryInstance(i, Pose.identity(), r) for i, r in berries),
+            intrinsics=CameraIntrinsics(cx=0.0, cy=0.0),
+            width=w,
+            height=h,
+        ),
+        rgb=RgbImage(values=np.zeros((h, w, 3), dtype=np.uint8)),
+        depth=DepthImage(values=np.zeros((h, w), dtype=np.uint16)),
+        masks=tuple(
+            InstanceMask(bits=labels == k, instance_id=i, ripeness=r)
+            for k, (i, r) in enumerate(berries, start=1)
+        ),
+        truth=GroundTruth(
+            instances=tuple(
+                GroundTruthInstance(i, r, Pose.identity(), PointCloud(xyz=np.zeros((1, 3))))
+                for i, r in berries
+            )
+        ),
+    )
+
+
+def _assert_same_masks(loaded, saved):
+    assert [(m.instance_id, m.ripeness) for m in loaded] == [
+        (m.instance_id, m.ripeness) for m in saved
+    ]
+    for a, b in zip(loaded, saved, strict=True):
+        assert a.bits.dtype == np.bool_ and np.array_equal(a.bits, b.bits)
+
+
+def test_mask_round_trip(tmp_path, prior):
+    """A berry out of the frame renders a zero-pixel mask, and it comes back
+    in its place among the others."""
+    scene = SceneTemplate(
+        berries=tuple(
+            BerryInstance(i, Pose(translation=np.array(center)), ripeness)
+            for i, center, ripeness in [
+                (4, (-0.03, 0.0, 0.36), Ripeness.RIPE),
+                (7, (1.0, 0.0, 0.36), Ripeness.UNRIPE),
+                (2, (0.03, 0.0, 0.36), Ripeness.UNRIPE),
+            ]
+        )
+    )
+    artifacts = render_scene_artifacts(scene, prior)
+    assert [m.pixel_count() > 0 for m in artifacts.masks] == [True, False, True]
+    save_artifacts(str(tmp_path), artifacts)
+    _assert_same_masks(load_artifacts(str(tmp_path)).masks, artifacts.masks)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_mask_pgm_bytes_match_the_where_encoding(tmp_path, seed):
     rng = np.random.default_rng(seed)
     h, w = (int(v) for v in rng.integers(1, 60, 2))
-    bits = rng.random((h, w)) < rng.random()
-    if seed % 2:  # a strided, non-contiguous view
-        bits = np.ascontiguousarray(rng.random((2 * w, h)) < 0.5)[::2].T
-    stem = str(tmp_path / "m")
-    write_mask(stem, InstanceMask(bits=bits, instance_id=0, ripeness=Ripeness.RIPE))
-    expected = f"P5\n{w} {h}\n255\n".encode("ascii") + np.where(bits, 255, 0).astype(np.uint8).tobytes()
-    assert (tmp_path / "m.pgm").read_bytes() == expected
+    n = int(rng.integers(1, 5))
+    labels = rng.integers(0, n + 1, size=(h, w)) * (rng.random((h, w)) < rng.random())
+    artifacts = _labelled(labels, n)
+    if seed % 2:  # strided, non-contiguous views
+        masks = [dataclasses.replace(m, bits=np.ascontiguousarray(m.bits.T).T)
+                 for m in artifacts.masks]
+        assert not masks[0].bits.flags.c_contiguous
+        artifacts = dataclasses.replace(artifacts, masks=tuple(masks))
+    save_artifacts(str(tmp_path), artifacts)
+    encoded = sum(np.where(m.bits, k, 0) for k, m in enumerate(artifacts.masks, start=1))
+    expected = f"P5\n{w} {h}\n65535\n".encode("ascii") + encoded.astype(">u2").tobytes()
+    assert (tmp_path / "masks.pgm").read_bytes() == expected
+    _assert_same_masks(load_artifacts(str(tmp_path)).masks, artifacts.masks)
 
 
-def test_mask_missing_sidecar(tmp_path):
-    bits = np.ones((4, 4), dtype=bool)
-    stem = str(tmp_path / "m")
-    write_mask(stem, InstanceMask(bits=bits, instance_id=0, ripeness=Ripeness.RIPE))
-    (tmp_path / "m.json").unlink()
-    with pytest.raises(InputError):
-        read_mask(stem)
+def test_a_scene_directory_holds_six_files(tmp_path, prior):
+    save_artifacts(str(tmp_path), render_scene_artifacts(_scene(prior), prior))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "depth.pgm", "ground_truth.f64", "ground_truth.json", "masks.pgm", "rgb.ppm", "scene.json"
+    ]
+
+
+def _edit_mask(index, field, value):
+    """Sets mask `index`'s `field` to value(mask)."""
+    def edit(masks):
+        changed = dataclasses.replace(masks[index], **{field: value(masks[index])})
+        return masks[:index] + (changed,) + masks[index + 1 :]
+    return edit
+
+
+_ONE_PER_BERRY = "one frame-sized mask per berry, in berries order"
 
 
 @pytest.mark.parametrize(
-    "sidecar",
-    ['{"ripeness": "ripe"}', '{"instance_id": 1}', '{"instance_id": "a", "ripeness": "ripe"}',
-     '{"instance_id": 1, "ripeness": "green"}', "[1, 2]",
-     '{"instance_id": 0.5, "ripeness": "ripe"}', '{"instance_id": true, "ripeness": "ripe"}',
-     '{"instance_id": "3", "ripeness": "ripe"}', '{"instance_id": 1.0, "ripeness": "ripe"}'],
+    "edit, message",
+    [
+        (_edit_mask(1, "bits", lambda m: m.bits | (np.arange(3) == 1)), "masks overlap"),
+        (lambda masks: masks[::-1], _ONE_PER_BERRY),
+        (lambda masks: masks[:1], _ONE_PER_BERRY),
+        (_edit_mask(0, "ripeness", lambda m: Ripeness.UNRIPE), _ONE_PER_BERRY),
+        (_edit_mask(0, "instance_id", lambda m: 11), _ONE_PER_BERRY),
+        (_edit_mask(0, "bits", lambda m: m.bits[:, :2]), _ONE_PER_BERRY),
+    ],
+    ids=["overlap", "reversed", "missing", "ripeness", "instance-id", "frame"],
 )
-def test_mask_malformed_sidecar(tmp_path, sidecar):
-    stem = str(tmp_path / "m")
-    write_mask(stem, InstanceMask(bits=np.ones((2, 2), bool), instance_id=0, ripeness=Ripeness.RIPE))
-    (tmp_path / "m.json").write_text(sidecar)
-    with pytest.raises(InputError, match="needs instance_id and ripeness"):
-        read_mask(stem)
+def test_save_artifacts_refuses_masks_it_cannot_store(tmp_path, edit, message):
+    artifacts = _labelled(np.array([[0, 1, 1], [2, 2, 0]]), 2)
+    out = tmp_path / "scene"
+    edited = dataclasses.replace(artifacts, masks=edit(artifacts.masks))
+    with pytest.raises(ParameterError, match=message):
+        save_artifacts(str(out), edited)
+    assert not out.exists()
 
 
-def test_non_utf8_mask_sidecar_is_input_error(tmp_path):
-    # Regression: a sidecar byte that is not UTF-8 stopped in a
-    # UnicodeDecodeError traceback.
-    stem = str(tmp_path / "m")
-    write_mask(stem, InstanceMask(bits=np.ones((2, 2), bool), instance_id=0, ripeness=Ripeness.RIPE))
-    (tmp_path / "m.json").write_bytes(b'{"instance_id": 0, "ripeness": "ripe\xff"}')
-    with pytest.raises(InputError, match="cannot read mask sidecar .*m.json"):
-        read_mask(stem)
+_LABELS = np.array([[0, 1, 1, 0, 3], [2, 2, 0, 3, 3], [0, 0, 0, 0, 1]])
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3),
-       cut=st.none() | st.integers(0, 60))
-def test_mutated_mask_sidecar_is_input_error_or_valid(tmp_path_factory, flips, cut):
-    """Flipped bytes, non-UTF-8 ones included, and truncation end in a
-    valid mask or an InputError."""
-    folder = tmp_path_factory.mktemp("mask")
-    stem = str(folder / "mask_002")
-    write_mask(stem, InstanceMask(bits=np.ones((3, 2), bool), instance_id=2, ripeness=Ripeness.UNRIPE))
-    data = bytearray((folder / "mask_002.json").read_bytes())
-    for at, xor in flips:
-        data[at % len(data)] ^= xor
-    (folder / "mask_002.json").write_bytes(bytes(data[:cut]))
+@st.composite
+def _mutated_label_image(draw):
+    """_LABELS' masks.pgm with one mutation, and whether that mutation must
+    make it invalid. A flipped byte may leave it valid (say, a label moved
+    to another berry); the other mutations never do."""
+    header, payload = b"P5\n5 3\n65535\n", _LABELS.astype(">u2").tobytes()
+    kind = draw(st.sampled_from(["truncate", "flip", "maxval-255", "label-above"]))
+    if kind == "truncate":
+        data = (header + payload)[: draw(st.integers(0, len(header + payload) - 1))]
+    elif kind == "flip":
+        data = bytearray(header + payload)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "maxval-255":
+        data = b"P5\n5 3\n255\n" + payload[: draw(st.sampled_from([15, 30]))]
+    else:
+        labels = _LABELS.copy()
+        labels.flat[draw(st.integers(0, labels.size - 1))] = draw(st.integers(4, 65535))
+        data = header + labels.astype(">u2").tobytes()
+    return bytes(data), kind != "flip"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mutated_label_image())
+def test_mutated_label_image_is_input_error_or_valid(tmp_path_factory, mutated):
+    data, must_fail = mutated
+    folder = tmp_path_factory.mktemp("scene")
+    save_artifacts(str(folder), _labelled(_LABELS, 3))
+    (folder / "masks.pgm").write_bytes(data)
     try:
-        mask = read_mask(stem)
+        masks = load_artifacts(str(folder)).masks
     except InputError:
         return
-    assert isinstance(mask.instance_id, int) and isinstance(mask.ripeness, Ripeness)
+    assert not must_fail, "a malformed masks.pgm loaded"
+    assert [m.instance_id for m in masks] == [10, 20, 30]
+    assert np.sum([m.bits for m in masks], axis=0).max() <= 1
 
 
 # ---------------------------------------------------------------- documents
@@ -553,10 +683,7 @@ def test_writes_into_missing_directory_fail_loudly(tmp_path):
     with pytest.raises(StorageError):
         write_ply(target, PointCloud.empty())
     with pytest.raises(StorageError):
-        write_pgm16(
-            str(tmp_path / "no_such_dir" / "x.pgm"),
-            DepthImage(values=np.zeros((2, 2), dtype=np.uint16)),
-        )
+        write_pgm16(str(tmp_path / "no_such_dir" / "x.pgm"), np.zeros((2, 2), dtype=np.uint16))
 
 
 def test_camera_defaults_match_rendered_artifacts(tmp_path, prior):
