@@ -21,11 +21,11 @@ from .errors import BerrypickError, InputError
 from .io_formats import (
     load_artifacts,
     load_scene,
+    read_json,
     read_ply,
     save_artifacts,
     save_scene,
     write_ply,
-    _read_bytes,
     _write_text,
 )
 from .metrics import (
@@ -54,22 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_json(path: str) -> dict:
-    data = _read_bytes(path)
-    try:
-        return json.loads(data)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    return PipelineConfig.from_json(_load_json(path))
+    return PipelineConfig.from_json(read_json(path))
 
 
 def _load_template(path: str) -> SceneConfig:
-    obj = _load_json(path)
+    obj = read_json(path)
     try:
         return SceneConfig.from_json(obj)
     except (TypeError, BerrypickError) as exc:

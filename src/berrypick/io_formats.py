@@ -1,25 +1,21 @@
-"""File formats: ASCII PLY clouds, PGM/PPM images, JSON scene documents.
+"""File formats: ASCII PLY clouds, PGM/PPM images, JSON documents.
 
 PLY and scene coordinates are written with repr(), which emits the shortest
 decimal string that round-trips to the same float64, so save/load is exact.
-Each berry's one ground-truth surface, the bulk of a scene's artifacts, is
-not in ground_truth.json but in ground_truth.f64 beside it: every instance's
-(N, 3) coordinates as little-endian float64, row-major, in the document's
-instance order, while the document gives each instance's N as
-"surface_points" (see render.GroundTruth). The file is exactly 24 x sum(N)
-bytes, so it is exact and costs little more than a copy to write and read.
-Ground truth whose document holds the surfaces itself, the older base64
-"surface" or three-surface "surfaces" form, is refused with a message to
-re-render. Depth images are 16-bit big-endian PGM with millimeter values.
-A scene directory keeps every berry's mask in one label image, masks.pgm, in
-the same 16-bit PGM format: 0 means no berry and k means the k-th entry of
-scene.json's "berries", which gives that mask's instance id and ripeness. A
-directory without masks.pgm, written when each berry had its own
+Depth images are 16-bit big-endian PGM with millimeter values.
+
+A scene directory holds five files, and scene.json's "berries" list indexes
+the others: masks.pgm, a label image in the same PGM format, gives berry k's
+pixels the value k (0 is no berry), and ground_truth.f64 holds berry k's
+SURFACE_POINTS-point true surface as little-endian float64 (x, y, z) rows
+[k * SURFACE_POINTS, (k + 1) * SURFACE_POINTS). Each berry's id, ripeness
+and pose are in scene.json alone; a leftover ground_truth.json is never
+opened. A directory without masks.pgm, written when each berry had its own
 mask_NNN.pgm, is refused with a message to re-render.
 
-Read-side problems (missing or malformed files, JSON that is not UTF-8)
-raise InputError; write-side failures raise StorageError. The CLI maps these
-to exit codes 1 and 2.
+Read-side problems (missing or malformed files, JSON that is not UTF-8 or
+nests too deeply) raise InputError; write-side failures raise StorageError.
+The CLI maps these to exit codes 1 and 2.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError, StorageError
 from .pipeline import SceneArtifacts
+from .prior import SURFACE_POINTS
 from .render import GroundTruth
 from .scene import SceneTemplate
 from .types import DepthImage, InstanceMask, PointCloud, RgbImage
@@ -54,6 +51,18 @@ def _read_bytes(path: str) -> bytes:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str):
+    """The JSON document at path. Bytes that are not UTF-8 or not JSON, and
+    nesting too deep to parse, raise InputError naming the file."""
+    data = _read_bytes(path)
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 # -- PLY ----------------------------------------------------------------------
@@ -160,10 +169,10 @@ def _read_netpbm(path: str, magic: bytes, maxval: int, dtype, channels: int) -> 
         raise InputError(f"{path}: expected maxval {maxval}, got {found}")
     shape = (h, w, channels) if channels > 1 else (h, w)
     expected = w * h * channels * np.dtype(dtype).itemsize
-    body = data[offset : offset + expected]
-    if len(body) != expected:
-        raise InputError(f"{path}: truncated {magic.decode()} payload")
-    return np.frombuffer(body, dtype=dtype).reshape(shape)
+    found = max(len(data) - offset, 0)
+    if found != expected:
+        raise InputError(f"{path}: {found} payload bytes, but the {w}x{h} header gives {expected}")
+    return np.frombuffer(data, dtype=dtype, offset=offset).reshape(shape)
 
 
 def write_pgm16(path: str, values: np.ndarray) -> None:
@@ -193,58 +202,35 @@ def save_scene(path: str, scene: SceneTemplate) -> None:
 
 
 def load_scene(path: str) -> SceneTemplate:
+    obj = read_json(path)
     try:
-        obj = json.loads(_read_bytes(path))
         return SceneTemplate.from_json(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"invalid scene document {path}: {exc}") from exc
-
-
-def surface_path(path: str) -> str:
-    """The surface file beside a ground-truth document: ground_truth.json ->
-    ground_truth.f64."""
-    return os.path.splitext(path)[0] + ".f64"
-
-
-def save_ground_truth(path: str, truth: GroundTruth) -> None:
-    """Writes the document to path and the surfaces to surface_path(path)."""
-    _write_text(path, truth.to_json_str() + "\n")
-    _write_bytes(surface_path(path), truth.surface_bytes())
-
-
-def load_ground_truth(path: str) -> GroundTruth:
-    payload_path = surface_path(path)
-    try:
-        obj = json.loads(_read_bytes(path))
-        points = sum(GroundTruth.surface_counts(obj))  # refuses older forms first
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid ground truth document {path}: {exc}") from exc
-    payload = _read_bytes(payload_path)
-    if len(payload) != 24 * points:
-        raise InputError(
-            f"{payload_path} holds {len(payload)} bytes, but {path} gives {points} surface "
-            f"points, {24 * points} bytes"
-        )
-    try:
-        return GroundTruth.from_json(obj, payload)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid ground truth document {path}: {exc}") from exc
 
 
 # -- artifact directories -----------------------------------------------------
 
 
 def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
-    """Writes a scene directory's six files. masks.pgm holds the masks exactly
-    only when they are one frame-sized mask per berry, in scene.berries order,
-    and no two share a pixel, as the renderer makes them: other masks raise
-    ParameterError before any file is written."""
-    scene, masks = artifacts.scene, artifacts.masks
+    """Writes a scene directory's five files. Masks and truth must be as the
+    renderer and sample_ground_truth make them: one per berry, in
+    scene.berries order, with that berry's id (masks: its ripeness, the frame
+    size, no shared pixel; truth: its pose, a SURFACE_POINTS-point surface).
+    Anything else raises ParameterError before any file is written."""
+    scene, masks, truth = artifacts.scene, artifacts.masks, artifacts.truth
     labels = np.zeros((scene.height, scene.width), dtype=np.uint16)
     if [(m.instance_id, m.ripeness, m.bits.shape) for m in masks] != [
         (b.instance_id, b.ripeness, labels.shape) for b in scene.berries
     ]:
         raise ParameterError("masks.pgm needs one frame-sized mask per berry, in berries order")
+    if [(t.instance_id, t.pose.to_json(), t.surface.xyz.shape) for t in truth.instances] != [
+        (b.instance_id, b.pose.to_json(), (SURFACE_POINTS, 3)) for b in scene.berries
+    ]:
+        raise ParameterError(
+            f"ground_truth.f64 needs one {SURFACE_POINTS}-point surface per berry, in berries "
+            "order, with its berry's id and pose"
+        )
     for k, mask in enumerate(masks, start=1):
         np.copyto(labels, k, where=mask.bits)
     if np.count_nonzero(labels) != sum(np.count_nonzero(m.bits) for m in masks):
@@ -257,7 +243,7 @@ def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
     write_ppm(os.path.join(out_dir, "rgb.ppm"), artifacts.rgb)
     write_pgm16(os.path.join(out_dir, "depth.pgm"), artifacts.depth.values)
     write_pgm16(os.path.join(out_dir, "masks.pgm"), labels)
-    save_ground_truth(os.path.join(out_dir, "ground_truth.json"), artifacts.truth)
+    _write_bytes(os.path.join(out_dir, "ground_truth.f64"), truth.surface_bytes())
 
 
 _OLDER_MASKS = (
@@ -268,19 +254,27 @@ _OLDER_MASKS = (
 def load_artifacts(scene_dir: str) -> SceneArtifacts:
     if not os.path.isdir(scene_dir):
         raise InputError(f"scene directory {scene_dir} does not exist")
-    for required in ("scene.json", "rgb.ppm", "depth.pgm", "masks.pgm", "ground_truth.json"):
+    for required in ("scene.json", "rgb.ppm", "depth.pgm", "masks.pgm", "ground_truth.f64"):
         if not os.path.exists(os.path.join(scene_dir, required)):
             hint = _OLDER_MASKS if required == "masks.pgm" else ""
             raise InputError(f"scene artifacts missing {required} in {scene_dir}{hint}")
-    scene_path = os.path.join(scene_dir, "scene.json")
     masks_path = os.path.join(scene_dir, "masks.pgm")
-    scene = load_scene(scene_path)
+    scene = load_scene(os.path.join(scene_dir, "scene.json"))
     rgb = read_ppm(os.path.join(scene_dir, "rgb.ppm"))
     depth = DepthImage(values=read_pgm16(os.path.join(scene_dir, "depth.pgm")))
     labels = read_pgm16(masks_path)
-    truth = load_ground_truth(os.path.join(scene_dir, "ground_truth.json"))
+    truth_path, n = os.path.join(scene_dir, "ground_truth.f64"), len(scene.berries)
+    payload = _read_bytes(truth_path)
+    if len(payload) != 24 * SURFACE_POINTS * n:
+        raise InputError(f"{truth_path} holds {len(payload)} bytes, but scene.json's {n} "
+                         f"berries take {24 * SURFACE_POINTS * n}")
+    xyz = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, SURFACE_POINTS, 3)
+    bad = np.flatnonzero(~np.isfinite(xyz.reshape(-1, 3)).all(axis=1))
+    if bad.size:
+        raise InputError(f"{truth_path}: non-finite coordinate in row {bad[0]}")
+    truth = GroundTruth.of(scene, [PointCloud(xyz=surface) for surface in xyz])
 
-    # the files must describe one scene: one frame size, berries both know
+    # the images must show the scene: one frame size, labels it knows
     h, w = scene.height, scene.width
     images = [("rgb.ppm", rgb.values.shape[:2]), ("depth.pgm", depth.values.shape),
               ("masks.pgm", labels.shape)]
@@ -290,13 +284,9 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
                 f"{os.path.join(scene_dir, name)}: {iw}x{ih} image does not match "
                 f"the scene's {w}x{h}"
             )
-    top, n = int(labels.max(initial=0)), len(scene.berries)
+    top = int(labels.max(initial=0))
     if top > n:
         raise InputError(f"{masks_path}: label {top} names no berry, as scene.json has {n}")
-    truth_ids = {inst.instance_id for inst in truth.instances}
-    missing = [b.instance_id for b in scene.berries if b.instance_id not in truth_ids]
-    if missing:
-        raise InputError(f"{scene_path}: instance {missing[0]} is not a berry in ground_truth.json")
     masks = tuple(
         InstanceMask(bits=labels == k, instance_id=b.instance_id, ripeness=b.ripeness)
         for k, b in enumerate(scene.berries, start=1)

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import InputError, ParameterError, StorageError
+from .io_formats import read_json
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,7 @@ def comparison_csv(report: MetricsReport, baseline: MetricsReport) -> str:
 
 
 def load_metrics(path: str) -> MetricsReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read metrics {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    obj = read_json(path)
     try:
         return MetricsReport.from_json(obj)
     except InputError as exc:

@@ -24,7 +24,6 @@ dropout uniforms from the first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ from .types import (
     Pose,
     RgbImage,
     Ripeness,
-    json_int,
 )
 
 RIPE_COLOR = (204, 30, 48)
@@ -331,12 +329,9 @@ def render_rgbd(
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
-    """True pose and surface sampling for one berry. Its JSON form holds the
-    id, ripeness, pose and "surface_points", the surface's point count; the
-    coordinates themselves travel in GroundTruth's surface bytes."""
+    """True pose and surface sampling for one berry."""
 
     instance_id: int
-    ripeness: Ripeness
     pose: Pose
     surface: PointCloud
 
@@ -345,36 +340,13 @@ class GroundTruthInstance:
         """(surface,), the form perfbench's artifact round-trip check zips."""
         return (self.surface,)
 
-    def to_json(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "ripeness": self.ripeness.value,
-            **self.pose.to_json(),
-            "surface_points": len(self.surface),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, xyz: np.ndarray) -> "GroundTruthInstance":
-        return cls(
-            instance_id=json_int(obj["instance_id"], "instance_id"),
-            ripeness=Ripeness(obj["ripeness"]),
-            pose=Pose.from_json(obj),
-            surface=PointCloud(xyz=xyz),
-        )
-
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Every berry's true pose and surface, stored in two parts:
-
-    - to_json(): per instance, its id, ripeness, pose and "surface_points" N,
-      a JSON integer >= 1;
-    - surface_bytes(): every instance's (N, 3) coordinates as little-endian
-      float64, row-major, in instance order, 24 x sum(N) bytes.
-
-    from_json(obj, payload) reads the two back bit for bit. A document that
-    holds the coordinates itself, the older base64 "surface" or three-surface
-    "surfaces" form, is refused with a message to re-render.
+    """Every berry's true pose and surface. Built from a scene by of(), berry
+    k takes its id and pose from scene.berries[k], so a scene directory
+    stores only the surfaces: surface_bytes() is every instance's (N, 3)
+    coordinates as little-endian float64, row-major, in instance order.
     """
 
     instances: tuple[GroundTruthInstance, ...]
@@ -385,56 +357,25 @@ class GroundTruth:
         if dup is not None:
             raise ParameterError(f"instance {dup} appears more than once")
 
+    @classmethod
+    def of(cls, scene: SceneTemplate, surfaces) -> "GroundTruth":
+        """Berry k of the scene with surfaces[k]."""
+        return cls(
+            instances=tuple(
+                GroundTruthInstance(b.instance_id, b.pose, surface)
+                for b, surface in zip(scene.berries, surfaces, strict=True)
+            )
+        )
+
     def instance(self, instance_id: int) -> GroundTruthInstance:
         for inst in self.instances:
             if inst.instance_id == instance_id:
                 return inst
         raise KeyError(instance_id)
 
-    def to_json(self) -> dict:
-        return {"instances": [inst.to_json() for inst in self.instances]}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     def surface_bytes(self) -> bytes:
         return b"".join(
             inst.surface.xyz.astype("<f8", copy=False).tobytes() for inst in self.instances
-        )
-
-    @staticmethod
-    def surface_counts(obj: dict) -> list[int]:
-        """Each instance's "surface_points" in a to_json() document. Raises
-        ValueError or TypeError for a document in an older form or a count
-        that is not a JSON integer >= 1."""
-        instances = obj["instances"]
-        if not isinstance(instances, list) or not all(isinstance(o, dict) for o in instances):
-            raise TypeError("instances must be a list of objects")
-        counts = []
-        for o in instances:
-            for key, form in (("surfaces", "three-surface"), ("surface", 'in-document "surface"')):
-                if key in o:
-                    raise ValueError(f"surfaces are in the older {form} form; re-render the scene")
-            n = json_int(o["surface_points"], "surface_points")
-            if n < 1:
-                raise ValueError(f"surface_points must be at least 1, got {n}")
-            counts.append(n)
-        return counts
-
-    @classmethod
-    def from_json(cls, obj: dict, payload: bytes) -> "GroundTruth":
-        counts = cls.surface_counts(obj)
-        if len(payload) != 24 * sum(counts):
-            raise ValueError(
-                f"the surfaces take {len(payload)} bytes, not the {24 * sum(counts)} bytes "
-                f"of {sum(counts)} surface points"
-            )
-        xyz = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(-1, 3)
-        parts = np.split(xyz, np.cumsum(counts)[:-1])
-        return cls(
-            instances=tuple(
-                GroundTruthInstance.from_json(o, part) for o, part in zip(obj["instances"], parts)
-            )
         )
 
 
@@ -446,14 +387,7 @@ def sample_ground_truth(
     """Independent per-berry surface samplings, one stream per berry."""
     ss = _as_seedseq(seed)
     children = ss.spawn(len(scene.berries)) if scene.berries else []
-    instances = []
-    for berry, child in zip(scene.berries, children):
-        instances.append(
-            GroundTruthInstance(
-                instance_id=berry.instance_id,
-                ripeness=berry.ripeness,
-                pose=berry.pose,
-                surface=prior.sample_ground_truth(berry.pose, _stream(child)),
-            )
-        )
-    return GroundTruth(instances=tuple(instances))
+    return GroundTruth.of(
+        scene,
+        [prior.sample_ground_truth(b.pose, _stream(c)) for b, c in zip(scene.berries, children)],
+    )

@@ -74,10 +74,10 @@ def json_float(value, name: str) -> float:
 def json_floats(value, name: str) -> np.ndarray:
     """A list, or a list of lists, of JSON numbers as a float64 array."""
 
-    def leaves(v):
-        return [x for item in v for x in leaves(item)] if isinstance(v, list) else [v]
+    def numbers(v):
+        return isinstance(v, list) and all(map(_is_json_number, v))
 
-    if not isinstance(value, list) or not all(map(_is_json_number, leaves(value))):
+    if not (numbers(value) or isinstance(value, list) and all(map(numbers, value))):
         raise TypeError(f"{name} must be a list of numbers, got {value!r}")
     return np.asarray(value, dtype=np.float64)
 

@@ -43,9 +43,9 @@ def test_scene_render_plan_chain(tmp_path, template_path, capsys):
     art_dir = tmp_path / "artifacts"
     assert main(["render", "--scene", str(scene_dir / "scene.json"), "--seed", "2",
                  "--sigma-mm", "1.0", "--dropout", "0.02", "--out", str(art_dir)]) == 0
-    for name in ("rgb.ppm", "depth.pgm", "masks.pgm", "ground_truth.json", "ground_truth.f64",
-                 "scene.json"):
-        assert (art_dir / name).exists()
+    assert sorted(p.name for p in art_dir.iterdir()) == [
+        "depth.pgm", "ground_truth.f64", "masks.pgm", "rgb.ppm", "scene.json"
+    ]
 
     plan_path = tmp_path / "plan.json"
     assert main(["plan", "--scene-dir", str(art_dir), "--out", str(plan_path)]) == 0
@@ -251,7 +251,7 @@ _METRICS = dict(
 @pytest.mark.parametrize(
     "text, message",
     [
-        (None, "cannot read metrics"),
+        (None, "cannot read"),
         ("{bad", "is not valid JSON"),
         ('{"x": 1}', "metrics keys missing"),
         ("[1]", "must be a JSON object"),
@@ -314,22 +314,21 @@ def _older_masks(art_dir):
 
 
 def _berry_missing_from_truth(art_dir):
-    (art_dir / "ground_truth.json").write_text(json.dumps({"instances": []}))
     (art_dir / "ground_truth.f64").write_bytes(b"")
 
 
 def _older_form(key, surface):
     """Ground truth as an older version wrote it: each berry's base64
-    surface in the document, under `key`, and no ground_truth.f64."""
+    surface in ground_truth.json, under `key`, and no ground_truth.f64."""
     def corrupt(art_dir):
-        path = art_dir / "ground_truth.json"
-        doc = json.loads(path.read_text())
         raw = (art_dir / "ground_truth.f64").read_bytes()
-        for instance in doc["instances"]:
-            n = 24 * instance.pop("surface_points")
-            instance[key] = surface(base64.b64encode(raw[:n]).decode("ascii"))
-            raw = raw[n:]
-        path.write_text(json.dumps(doc))
+        scene = json.loads((art_dir / "scene.json").read_text())
+        doc = {"instances": [
+            {**berry, key: surface(base64.b64encode(raw[24 * 4096 * k : 24 * 4096 * (k + 1)])
+                                   .decode("ascii"))}
+            for k, berry in enumerate(scene["berries"])
+        ]}
+        (art_dir / "ground_truth.json").write_text(json.dumps(doc))
         (art_dir / "ground_truth.f64").unlink()
     return corrupt
 
@@ -341,6 +340,13 @@ def _missing_surface_file(art_dir):
 def _short_surface_file(art_dir):
     path = art_dir / "ground_truth.f64"
     path.write_bytes(path.read_bytes()[:-24])
+
+
+def _non_finite_surface(art_dir):
+    path = art_dir / "ground_truth.f64"
+    xyz = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    xyz[7] = np.nan
+    path.write_bytes(xyz.tobytes())
 
 
 def _duplicate_mask_id(art_dir):
@@ -360,22 +366,23 @@ def _small_rgb(art_dir):
         (_small_rgb, "rgb.ppm: 320x240 image does not match the scene's 640x480"),
         (_label_above_the_berries, "{art_dir}/masks.pgm: label 2 names no berry, as scene.json "
                                    "has 1"),
-        (_berry_missing_from_truth, "instance 0 is not a berry in ground_truth.json"),
+        (_berry_missing_from_truth, "{art_dir}/ground_truth.f64 holds 0 bytes, but scene.json's "
+                                    "1 berries take 98304"),
         (_older_form("surfaces", lambda text: [text] * 3),
-         "ground_truth.json: surfaces are in the older three-surface form; re-render the scene"),
+         "scene artifacts missing ground_truth.f64 in {art_dir}"),
         (_older_form("surface", lambda text: text),
-         'ground_truth.json: surfaces are in the older in-document "surface" form; '
-         "re-render the scene"),
-        (_missing_surface_file, "cannot read {art_dir}/ground_truth.f64"),
-        (_short_surface_file, "ground_truth.f64 holds 98280 bytes, but {art_dir}/ground_truth.json "
-                              "gives 4096 surface points, 98304 bytes"),
+         "scene artifacts missing ground_truth.f64 in {art_dir}"),
+        (_missing_surface_file, "scene artifacts missing ground_truth.f64 in {art_dir}"),
+        (_short_surface_file, "{art_dir}/ground_truth.f64 holds 98280 bytes, but scene.json's 1 "
+                              "berries take 98304"),
+        (_non_finite_surface, "{art_dir}/ground_truth.f64: non-finite coordinate in row 2"),
         (_duplicate_mask_id, "{art_dir}/scene.json: duplicate berry instance ids"),
         (_older_masks, "scene artifacts missing masks.pgm in {art_dir}; scene directories "
                        "written before it keep a mask_NNN.pgm per berry: re-render the scene"),
     ],
     ids=["mask-size", "rgb-size", "mask-id-not-in-scene", "mask-id-not-in-truth", "three-surfaces",
-         "base64-surface", "missing-surface-file", "short-surface-file", "duplicate-mask-id",
-         "missing-masks"],
+         "base64-surface", "missing-surface-file", "short-surface-file", "non-finite-surface",
+         "duplicate-mask-id", "missing-masks"],
 )
 def test_disagreeing_scene_files_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)
@@ -391,12 +398,6 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
-def _list_form_surface(art_dir):
-    def edit(doc):
-        doc["instances"][0]["surface"] = [[0.0, 0.0, 0.36]]
-    _edit_json(art_dir / "ground_truth.json", edit)
-
-
 def _set_first(name, key, field, value):
     def corrupt(art_dir):
         _edit_json(art_dir / name, lambda doc: doc[key][0].update({field: value}))
@@ -406,24 +407,12 @@ def _set_first(name, key, field, value):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_list_form_surface, 'ground_truth.json: surfaces are in the older in-document "surface" '
-                             "form; re-render the scene"),
-        (_set_first("ground_truth.json", "instances", "instance_id", True),
-         "ground_truth.json: instance_id must be an integer, got True"),
-        (_set_first("ground_truth.json", "instances", "instance_id", 0.0),
-         "ground_truth.json: instance_id must be an integer, got 0.0"),
         (_set_first("scene.json", "berries", "instance_id", "0"),
          "scene.json: instance_id must be an integer, got '0'"),
         (_set_first("scene.json", "berries", "instance_id", False),
          "scene.json: instance_id must be an integer, got False"),
-        (_set_first("ground_truth.json", "instances", "translation", ["0.0", "0.0", "0.36"]),
-         "ground_truth.json: translation must be a list of numbers"),
-        (_set_first("ground_truth.json", "instances", "rotation",
-                    [[1, 0, 0], [0, 1, 0], [0, 0, True]]),
-         "ground_truth.json: rotation must be a list of numbers"),
     ],
-    ids=["truth-list-form", "truth-id-bool", "truth-id-float", "scene-id-string", "scene-id-bool",
-         "truth-translation-strings", "truth-rotation-bool"],
+    ids=["scene-id-string", "scene-id-bool"],
 )
 def test_malformed_scene_documents_are_one_clean_error(tmp_path, rendered_dir, capsys, corrupt, message):
     corrupt(rendered_dir)
@@ -453,19 +442,61 @@ def test_non_utf8_json_is_one_clean_error(tmp_path, rendered_dir, template_path,
     assert str(bad) in line and "can't decode byte 0xff" in line
 
 
+@pytest.mark.parametrize("reader", ["render-scene", "bench-template", "bench-config",
+                                    "plan-scene-dir", "report-results"])
+def test_deeply_nested_json_is_one_clean_error(tmp_path, rendered_dir, template_path, capsys,
+                                               reader):
+    # Regression: JSON nested deeper than the parser's recursion limit
+    # stopped in a RecursionError traceback.
+    deep = "[" * 100_000 + "]" * 100_000
+    bad = tmp_path / "deep.json"
+    bad.write_text(deep)
+    bench = ["bench", "--n", "1", "--out", str(tmp_path / "bench")]
+    if reader == "plan-scene-dir":
+        bad = rendered_dir / "scene.json"
+        bad.write_text(deep)
+    elif reader == "report-results":
+        bad = tmp_path / "metrics.json"
+        bad.write_text(deep)
+    args = {
+        "render-scene": ["render", "--scene", str(bad), "--out", str(tmp_path / "art")],
+        "bench-template": [*bench, "--template", str(bad)],
+        "bench-config": [*bench, "--template", template_path, "--config", str(bad)],
+        "plan-scene-dir": ["plan", "--scene-dir", str(rendered_dir),
+                           "--out", str(tmp_path / "p.json")],
+        "report-results": ["report", "--results", str(tmp_path)],
+    }[reader]
+    capsys.readouterr()
+    assert main(args) == 1
+    line = _single_error_line(capsys)
+    assert f"{bad} is not valid JSON: nested too deeply" in line
+
+
+@pytest.mark.parametrize("name", ["depth.pgm", "masks.pgm", "rgb.ppm"])
+def test_netpbm_bytes_after_the_payload_are_one_clean_error(tmp_path, rendered_dir, capsys, name):
+    # Regression: a netpbm file read only the payload its header announced,
+    # so bytes after it loaded without a word.
+    path = rendered_dir / name
+    path.write_bytes(path.read_bytes() + b"GARBAGE")
+    payload = {"depth.pgm": 2, "masks.pgm": 2, "rgb.ppm": 3}[name] * 640 * 480
+    capsys.readouterr()
+    rc = main(["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert (f"{path}: {payload + 7} payload bytes, but the 640x480 header gives "
+            f"{payload}") in _single_error_line(capsys)
+
+
 def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
     # Regression: a copy of berry 1's ground truth, relabelled 0 and put
     # first, used to be the truth berry 0 was scored against, so plan
-    # exited 0 with a cd_mm of 109.2 for berry 0 instead of 0.378.
+    # exited 0 with a cd_mm of 109.2 for berry 0 instead of 0.378. Berry k's
+    # truth is now the k-th surface of ground_truth.f64, so the copy makes one
+    # surface more than scene.json has berries.
     scene_dir, art_dir = tmp_path / "scene", tmp_path / "artifacts"
     assert main(["gen-scene", "--template", str(TEMPLATES / "cluttered.json"), "--seed", "3",
                  "--out", str(scene_dir)]) == 0
     assert main(["render", "--scene", str(scene_dir / "scene.json"), "--seed", "0",
                  "--sigma-mm", "1.0", "--dropout", "0.02", "--out", str(art_dir)]) == 0
-
-    def edit(doc):
-        doc["instances"].insert(0, dict(doc["instances"][1], instance_id=0))
-    _edit_json(art_dir / "ground_truth.json", edit)
     surfaces = art_dir / "ground_truth.f64"
     raw = surfaces.read_bytes()
     berry_1 = raw[24 * 4096 : 2 * 24 * 4096]
@@ -473,7 +504,8 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["plan", "--scene-dir", str(art_dir), "--out", str(tmp_path / "p.json")])
     assert rc == 1
-    assert "ground_truth.json: instance 0 appears more than once" in _single_error_line(capsys)
+    assert (f"{surfaces} holds {len(berry_1 + raw)} bytes, but scene.json's 5 berries take "
+            f"{len(raw)}") in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize(

@@ -109,7 +109,6 @@ def _blob_truth(rng, n_berries):
         instances.append(
             GroundTruthInstance(
                 instance_id=i,
-                ripeness=Ripeness.RIPE,
                 pose=Pose(translation=center),
                 surface=surface,
             )

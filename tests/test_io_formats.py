@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from berrypick import (
     CameraIntrinsics,
     DepthImage,
     GroundTruth,
-    GroundTruthInstance,
     InputError,
     InstanceMask,
     ParameterError,
@@ -35,18 +35,17 @@ from berrypick import (
 )
 from berrypick.io_formats import (
     load_artifacts,
-    load_ground_truth,
     load_scene,
     read_pgm16,
     read_ply,
     read_ppm,
     save_artifacts,
-    save_ground_truth,
     save_scene,
     write_pgm16,
     write_ply,
     write_ppm,
 )
+from berrypick.prior import SURFACE_POINTS
 from berrypick.types import RgbImage
 
 
@@ -224,6 +223,15 @@ def test_pgm16_rejects_wrong_depth_and_truncation(tmp_path):
         read_pgm16(str(short))
 
 
+def test_pgm16_refuses_bytes_after_the_payload(tmp_path):
+    # Regression: the payload the header announced was read and any bytes
+    # after it ignored, so this file loaded as [[1 2]].
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n2 1\n65535\n\x00\x01\x00\x02GARBAGE")
+    with pytest.raises(InputError, match=f"{path}: 11 payload bytes, but the 2x1 header gives 4"):
+        read_pgm16(str(path))
+
+
 @pytest.mark.parametrize("data", [b"P5", b"P5\n", b"P5\n4 x\n65535\n", b"P5\n-1 1\n65535\n"])
 def test_pgm16_malformed_header(tmp_path, data):
     path = tmp_path / "cut.pgm"
@@ -254,24 +262,26 @@ def _labelled(labels: np.ndarray, n: int) -> SceneArtifacts:
     k (id 10 * k, ripe when k is odd) owns the pixels labelled k."""
     h, w = labels.shape
     berries = [(10 * k, Ripeness.RIPE if k % 2 else Ripeness.UNRIPE) for k in range(1, n + 1)]
-    return SceneArtifacts(
-        scene=SceneTemplate(
-            berries=tuple(BerryInstance(i, Pose.identity(), r) for i, r in berries),
-            intrinsics=CameraIntrinsics(cx=0.0, cy=0.0),
-            width=w,
-            height=h,
+    scene = SceneTemplate(
+        berries=tuple(
+            BerryInstance(i, Pose(translation=np.array([0.01 * k, 0.0, 0.3])), r)
+            for k, (i, r) in enumerate(berries)
         ),
+        intrinsics=CameraIntrinsics(cx=0.0, cy=0.0),
+        width=w,
+        height=h,
+    )
+    rng = np.random.default_rng(n)
+    return SceneArtifacts(
+        scene=scene,
         rgb=RgbImage(values=np.zeros((h, w, 3), dtype=np.uint8)),
         depth=DepthImage(values=np.zeros((h, w), dtype=np.uint16)),
         masks=tuple(
             InstanceMask(bits=labels == k, instance_id=i, ripeness=r)
             for k, (i, r) in enumerate(berries, start=1)
         ),
-        truth=GroundTruth(
-            instances=tuple(
-                GroundTruthInstance(i, r, Pose.identity(), PointCloud(xyz=np.zeros((1, 3))))
-                for i, r in berries
-            )
+        truth=GroundTruth.of(
+            scene, [PointCloud(xyz=rng.normal(size=(SURFACE_POINTS, 3))) for _ in berries]
         ),
     )
 
@@ -322,18 +332,19 @@ def test_mask_pgm_bytes_match_the_where_encoding(tmp_path, seed):
     _assert_same_masks(load_artifacts(str(tmp_path)).masks, artifacts.masks)
 
 
-def test_a_scene_directory_holds_six_files(tmp_path, prior):
+def test_a_scene_directory_holds_five_files(tmp_path, prior):
     save_artifacts(str(tmp_path), render_scene_artifacts(_scene(prior), prior))
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "depth.pgm", "ground_truth.f64", "ground_truth.json", "masks.pgm", "rgb.ppm", "scene.json"
+        "depth.pgm", "ground_truth.f64", "masks.pgm", "rgb.ppm", "scene.json"
     ]
 
 
-def _edit_mask(index, field, value):
-    """Sets mask `index`'s `field` to value(mask)."""
-    def edit(masks):
-        changed = dataclasses.replace(masks[index], **{field: value(masks[index])})
-        return masks[:index] + (changed,) + masks[index + 1 :]
+def _edit(index, field, value):
+    """Sets item `index`'s `field` to value(item), in a tuple of masks or of
+    truth instances."""
+    def edit(items):
+        changed = dataclasses.replace(items[index], **{field: value(items[index])})
+        return items[:index] + (changed,) + items[index + 1 :]
     return edit
 
 
@@ -343,12 +354,12 @@ _ONE_PER_BERRY = "one frame-sized mask per berry, in berries order"
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_edit_mask(1, "bits", lambda m: m.bits | (np.arange(3) == 1)), "masks overlap"),
+        (_edit(1, "bits", lambda m: m.bits | (np.arange(3) == 1)), "masks overlap"),
         (lambda masks: masks[::-1], _ONE_PER_BERRY),
         (lambda masks: masks[:1], _ONE_PER_BERRY),
-        (_edit_mask(0, "ripeness", lambda m: Ripeness.UNRIPE), _ONE_PER_BERRY),
-        (_edit_mask(0, "instance_id", lambda m: 11), _ONE_PER_BERRY),
-        (_edit_mask(0, "bits", lambda m: m.bits[:, :2]), _ONE_PER_BERRY),
+        (_edit(0, "ripeness", lambda m: Ripeness.UNRIPE), _ONE_PER_BERRY),
+        (_edit(0, "instance_id", lambda m: 11), _ONE_PER_BERRY),
+        (_edit(0, "bits", lambda m: m.bits[:, :2]), _ONE_PER_BERRY),
     ],
     ids=["overlap", "reversed", "missing", "ripeness", "instance-id", "frame"],
 )
@@ -361,6 +372,31 @@ def test_save_artifacts_refuses_masks_it_cannot_store(tmp_path, edit, message):
     assert not out.exists()
 
 
+_ONE_SURFACE_PER_BERRY = f"one {SURFACE_POINTS}-point surface per berry, in berries order"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda instances: instances[::-1],
+        _edit(0, "instance_id", lambda t: 11),
+        _edit(1, "pose", lambda t: Pose(translation=t.pose.translation + [0.0, 0.0, 1e-3])),
+        _edit(0, "surface", lambda t: PointCloud(xyz=t.surface.xyz[1:])),
+    ],
+    ids=["reversed", "instance-id", "pose", "4095-points"],
+)
+def test_save_artifacts_refuses_truth_it_cannot_store(tmp_path, edit):
+    """ground_truth.f64 stores surfaces alone and load_artifacts takes each
+    berry's id and pose from scene.json, so a truth that disagrees with the
+    scene cannot be stored."""
+    artifacts = _labelled(np.array([[0, 1, 1], [2, 2, 0]]), 2)
+    out = tmp_path / "scene"
+    truth = GroundTruth(instances=edit(artifacts.truth.instances))
+    with pytest.raises(ParameterError, match=_ONE_SURFACE_PER_BERRY):
+        save_artifacts(str(out), dataclasses.replace(artifacts, truth=truth))
+    assert not out.exists()
+
+
 _LABELS = np.array([[0, 1, 1, 0, 3], [2, 2, 0, 3, 3], [0, 0, 0, 0, 1]])
 
 
@@ -370,9 +406,11 @@ def _mutated_label_image(draw):
     make it invalid. A flipped byte may leave it valid (say, a label moved
     to another berry); the other mutations never do."""
     header, payload = b"P5\n5 3\n65535\n", _LABELS.astype(">u2").tobytes()
-    kind = draw(st.sampled_from(["truncate", "flip", "maxval-255", "label-above"]))
+    kind = draw(st.sampled_from(["truncate", "extend", "flip", "maxval-255", "label-above"]))
     if kind == "truncate":
         data = (header + payload)[: draw(st.integers(0, len(header + payload) - 1))]
+    elif kind == "extend":
+        data = header + payload + draw(st.binary(min_size=1, max_size=32))
     elif kind == "flip":
         data = bytearray(header + payload)
         for _ in range(draw(st.integers(1, 3))):
@@ -402,6 +440,77 @@ def test_mutated_label_image_is_input_error_or_valid(tmp_path_factory, mutated):
     assert np.sum([m.bits for m in masks], axis=0).max() <= 1
 
 
+def _leaf_paths(value, path=()):
+    """The key path of every number and string in a JSON value."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _leaf_paths(v, path + (k,))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _leaf_paths(v, path + (i,))]
+    return [path]
+
+
+def _set_at(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@st.composite
+def _mutated_scene_document(draw):
+    """_labelled(_LABELS, 3)'s scene.json with one mutation, and whether that
+    mutation must make it invalid. A flipped byte may leave it valid (say, a
+    changed digit of a coordinate); the other mutations never do."""
+    doc = _labelled(_LABELS, 3).scene.to_json()
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    kind = draw(st.sampled_from(["truncate", "flip", "non-finite", "swap", "remove", "nest"]))
+    if kind == "truncate":
+        return text.encode("utf-8")[: draw(st.integers(0, len(text) - 3))], True
+    if kind == "flip":
+        data = bytearray(text.encode("utf-8"))
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data), False
+    berry = doc["berries"][draw(st.integers(0, len(doc["berries"]) - 1))]
+    if kind == "swap":
+        a, b = draw(st.lists(st.sampled_from(sorted(berry)), min_size=2, max_size=2,
+                             unique=True))
+        berry[a], berry[b] = berry[b], berry[a]
+    elif kind == "remove":
+        del berry[draw(st.sampled_from(sorted(berry)))]
+    else:
+        numbers = [p for p in _leaf_paths(doc) if p[-1] != "ripeness"]
+        path = draw(st.sampled_from([()] + numbers if kind == "nest" else numbers))
+        if kind == "non-finite":
+            _set_at(doc, path, draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        else:
+            depth = draw(st.sampled_from([2, 3, 64, 500, 990, 2000, 100_000]))
+            nested = "[" * depth + "]" * depth
+            marker = "NESTED_HERE"
+            if path:
+                _set_at(doc, path, marker)
+                return json.dumps(doc).replace(f'"{marker}"', nested).encode("utf-8"), True
+            return nested.encode("utf-8"), True
+    return json.dumps(doc).encode("utf-8"), True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mutated_scene_document())
+def test_mutated_scene_document_is_input_error_or_valid(tmp_path_factory, mutated):
+    """scene.json alone gives every berry's id, ripeness and pose to masks.pgm
+    and ground_truth.f64, so no change to it may end in anything but a load
+    or an InputError."""
+    data, must_fail = mutated
+    folder = tmp_path_factory.mktemp("scene")
+    save_artifacts(str(folder), _labelled(_LABELS, 3))
+    (folder / "scene.json").write_bytes(data)
+    try:
+        artifacts = load_artifacts(str(folder))
+    except InputError:
+        return
+    assert not must_fail, "a malformed scene.json loaded"
+    assert len(artifacts.masks) == len(artifacts.truth.instances) == 3
+
+
 # ---------------------------------------------------------------- documents
 
 
@@ -422,45 +531,69 @@ def test_scene_document_rejects_garbage(tmp_path):
         load_scene(str(path))
 
 
+def _ids_and_poses(truth):
+    return [(inst.instance_id, inst.pose.to_json()) for inst in truth.instances]
+
+
 def test_ground_truth_document_round_trip(tmp_path, prior):
-    truth = sample_ground_truth(_scene(prior), prior, seed=3)
-    path = str(tmp_path / "truth.json")
-    save_ground_truth(path, truth)
-    loaded = load_ground_truth(path)
-    assert loaded.to_json_str() == truth.to_json_str()
+    artifacts = render_scene_artifacts(_scene(prior), prior, truth_seed=3)
+    save_artifacts(str(tmp_path), artifacts)
+    loaded, truth = load_artifacts(str(tmp_path)).truth, artifacts.truth
+    assert _ids_and_poses(loaded) == _ids_and_poses(truth)
     assert loaded.surface_bytes() == truth.surface_bytes()
     for a, b in zip(loaded.instances, truth.instances, strict=True):
         assert np.array_equal(a.surface.xyz, b.surface.xyz)
 
 
 def test_ground_truth_surfaces_are_little_endian_float64_beside_the_document(tmp_path, prior):
-    truth = sample_ground_truth(_scene(prior), prior, seed=3)
-    path = tmp_path / "ground_truth.json"
-    save_ground_truth(str(path), truth)
-    doc = json.loads(path.read_text())
-    for inst, stored in zip(truth.instances, doc["instances"], strict=True):
-        assert stored["instance_id"] == inst.instance_id
-        assert stored["surface_points"] == len(inst.surface)
-        assert "surface" not in stored and "surfaces" not in stored
+    """Berry k of scene.json owns rows [k * SURFACE_POINTS, (k + 1) *
+    SURFACE_POINTS) of ground_truth.f64, and nothing else is stored."""
+    artifacts = render_scene_artifacts(_scene(prior), prior, truth_seed=3)
+    save_artifacts(str(tmp_path), artifacts)
+    truth = artifacts.truth
+    assert _ids_and_poses(truth) == [
+        (b.instance_id, b.pose.to_json()) for b in artifacts.scene.berries
+    ]
     raw = (tmp_path / "ground_truth.f64").read_bytes()
     assert raw == b"".join(inst.surface.xyz.astype("<f8").tobytes() for inst in truth.instances)
-    assert len(raw) == 24 * sum(len(inst.surface) for inst in truth.instances)
+    assert len(raw) == 24 * SURFACE_POINTS * len(artifacts.scene.berries)
 
 
-def _saved_truth(tmp_path, prior):
-    """A saved two-berry ground truth: (document path, surface file path)."""
-    path = tmp_path / "ground_truth.json"
-    save_ground_truth(str(path), sample_ground_truth(_scene(prior), prior, seed=3))
-    return path, tmp_path / "ground_truth.f64"
+def _pr21_document(truth, scene):
+    """The ground_truth.json that scene directories held beside
+    ground_truth.f64 before the surfaces were indexed by scene.json."""
+    return {"instances": [
+        {"instance_id": b.instance_id, "ripeness": b.ripeness.value, **b.pose.to_json(),
+         "surface_points": len(inst.surface)}
+        for b, inst in zip(scene.berries, truth.instances, strict=True)
+    ]}
+
+
+@pytest.mark.parametrize("leftover", ["pr21-form", "garbage"])
+def test_a_leftover_ground_truth_json_is_never_opened(tmp_path, prior, leftover):
+    artifacts = render_scene_artifacts(_scene(prior), prior, truth_seed=3)
+    save_artifacts(str(tmp_path), artifacts)
+    without = load_artifacts(str(tmp_path)).truth
+    text = {"pr21-form": json.dumps(_pr21_document(artifacts.truth, artifacts.scene)),
+            "garbage": "[" * 100_000}[leftover]
+    (tmp_path / "ground_truth.json").write_text(text)
+    beside = load_artifacts(str(tmp_path)).truth
+    assert _ids_and_poses(beside) == _ids_and_poses(without) == _ids_and_poses(artifacts.truth)
+    assert beside.surface_bytes() == without.surface_bytes() == artifacts.truth.surface_bytes()
+
+
+def _saved_truth(tmp_path):
+    """A saved two-berry scene directory: (its ground_truth.json path, where
+    older versions kept the document, and its ground_truth.f64 path)."""
+    save_artifacts(str(tmp_path), _labelled(np.array([[0, 1], [2, 0]]), 2))
+    return tmp_path / "ground_truth.json", tmp_path / "ground_truth.f64"
 
 
 def _in_document(surface):
     """The document holds a "surface" again, as ground truth written before
     the surface file did, and no surface file lies beside it."""
     def corrupt(doc_path, f64_path):
-        doc = json.loads(doc_path.read_text())
-        doc["instances"][0]["surface"] = surface
-        doc_path.write_text(json.dumps(doc))
+        doc_path.write_text(json.dumps({"instances": [{"instance_id": 10, "surface": surface}]}))
         f64_path.unlink()
     return corrupt
 
@@ -479,71 +612,48 @@ def _poke(value):
     return edit
 
 
-_POINTS = 2 * 4096  # the saved truth's two surfaces
-_IN_DOCUMENT = 'older in-document "surface" form; re-render'
+_POINTS = 2 * SURFACE_POINTS  # the saved truth's two surfaces
+_NO_SURFACE_FILE = "scene artifacts missing ground_truth.f64 in {dir}"
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_in_document([[0.0, 0.0, 0.36]]), _IN_DOCUMENT),
-        (_in_document(3), _IN_DOCUMENT),
-        (_in_document(None), _IN_DOCUMENT),
-        (_in_document("!!!!"), _IN_DOCUMENT),
-        (_in_document("AAA"), _IN_DOCUMENT),
-        (_in_document("AAAA AAAA"), _IN_DOCUMENT),
-        (_surface_file(lambda raw: b""), "ground_truth.f64 holds 0 bytes, but"),
+        (_in_document([[0.0, 0.0, 0.36]]), _NO_SURFACE_FILE),
+        (_in_document(3), _NO_SURFACE_FILE),
+        (_in_document(None), _NO_SURFACE_FILE),
+        (_in_document("!!!!"), _NO_SURFACE_FILE),
+        (_in_document("AAA"), _NO_SURFACE_FILE),
+        (_in_document("AAAA AAAA"), _NO_SURFACE_FILE),
+        (_surface_file(lambda raw: b""),
+         f"{{f64}} holds 0 bytes, but scene.json's 2 berries take {24 * _POINTS}"),
         (_surface_file(lambda raw: raw[:-16]),
-         f"holds {24 * _POINTS - 16} bytes, but {{doc}} gives {_POINTS} surface points, "
-         f"{24 * _POINTS} bytes"),
+         f"{{f64}} holds {24 * _POINTS - 16} bytes, but scene.json's 2 berries take "
+         f"{24 * _POINTS}"),
         (_surface_file(lambda raw: raw + bytes(8)),
-         f"holds {24 * _POINTS + 8} bytes, but {{doc}} gives {_POINTS} surface points, "
-         f"{24 * _POINTS} bytes"),
-        (_surface_file(_poke(float("nan"))), "point coordinates must be finite"),
-        (_surface_file(_poke(-float("inf"))), "point coordinates must be finite"),
+         f"{{f64}} holds {24 * _POINTS + 8} bytes, but scene.json's 2 berries take "
+         f"{24 * _POINTS}"),
+        (_surface_file(_poke(float("nan"))), "{f64}: non-finite coordinate in row 1"),
+        (_surface_file(_poke(-float("inf"))), "{f64}: non-finite coordinate in row 1"),
     ],
     ids=["old-list-form", "number", "null", "bad-alphabet", "bad-padding", "whitespace",
          "empty", "short-row", "partial-row", "nan", "infinity"],
 )
-def test_ground_truth_malformed_surface(tmp_path, prior, corrupt, message):
-    doc_path, f64_path = _saved_truth(tmp_path, prior)
+def test_ground_truth_malformed_surface(tmp_path, corrupt, message):
+    """A directory whose truth is only in an older ground_truth.json, in any
+    form, is refused as missing ground_truth.f64: the document is never read."""
+    doc_path, f64_path = _saved_truth(tmp_path)
     corrupt(doc_path, f64_path)
     with pytest.raises(InputError) as err:
-        load_ground_truth(str(doc_path))
-    assert message.format(doc=doc_path) in str(err.value)
-    assert str(doc_path) in str(err.value)
+        load_artifacts(str(tmp_path))
+    assert message.format(dir=tmp_path, f64=f64_path) in str(err.value)
 
 
-def test_ground_truth_missing_surface_file_is_named(tmp_path, prior):
-    doc_path, f64_path = _saved_truth(tmp_path, prior)
+def test_ground_truth_missing_surface_file_is_named(tmp_path):
+    _, f64_path = _saved_truth(tmp_path)
     f64_path.unlink()
-    with pytest.raises(InputError, match=f"cannot read {f64_path}"):
-        load_ground_truth(str(doc_path))
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda inst: inst.pop("surface_points"), "'surface_points'"),
-        (lambda inst: inst.update(surface_points=True), "surface_points must be an integer, got True"),
-        (lambda inst: inst.update(surface_points=4096.0),
-         "surface_points must be an integer, got 4096.0"),
-        (lambda inst: inst.update(surface_points="4096"),
-         "surface_points must be an integer, got '4096'"),
-        (lambda inst: inst.update(surface_points=0), "surface_points must be at least 1, got 0"),
-        (lambda inst: inst.update(surface_points=-1), "surface_points must be at least 1, got -1"),
-        (lambda inst: inst.update(surface_points=4095), f"but {{doc}} gives {_POINTS - 1} surface"),
-    ],
-    ids=["missing", "bool", "float", "string", "zero", "negative", "sum-disagrees"],
-)
-def test_ground_truth_surface_points_is_a_positive_integer(tmp_path, prior, edit, message):
-    doc_path, _ = _saved_truth(tmp_path, prior)
-    doc = json.loads(doc_path.read_text())
-    edit(doc["instances"][1])
-    doc_path.write_text(json.dumps(doc))
-    with pytest.raises(InputError) as err:
-        load_ground_truth(str(doc_path))
-    assert message.format(doc=doc_path) in str(err.value)
+    with pytest.raises(InputError, match=_NO_SURFACE_FILE.format(dir=tmp_path)):
+        load_artifacts(str(tmp_path))
 
 
 def _base64(xyz):
@@ -560,89 +670,58 @@ def _base64(xyz):
     ],
     ids=["three-strings", "coordinate-lists", "dict", "one-string"],
 )
-def test_ground_truth_surfaces_field_is_refused(tmp_path, prior, older):
-    """A "surfaces" field, the older three-surface form in any shape, is
-    refused as a whole with a message to re-render, though no surface file
-    lies beside it."""
-    doc_path, f64_path = _saved_truth(tmp_path, prior)
-    doc = json.loads(doc_path.read_text())
-    saved = load_ground_truth(str(doc_path))
-    for stored, inst in zip(doc["instances"], saved.instances, strict=True):
-        del stored["surface_points"]
-        stored["surfaces"] = older(inst.surface.xyz)
+def test_ground_truth_surfaces_field_is_refused(tmp_path, older):
+    """A directory whose truth is a "surfaces" field, the older three-surface
+    form in any shape, and no surface file is refused as a whole."""
+    doc_path, f64_path = _saved_truth(tmp_path)
+    saved = load_artifacts(str(tmp_path)).truth
+    doc = {"instances": [{"instance_id": inst.instance_id, "surfaces": older(inst.surface.xyz)}
+                         for inst in saved.instances]}
     doc_path.write_text(json.dumps(doc))
     f64_path.unlink()
-    with pytest.raises(InputError, match="ground_truth.json: .*three-surface form; re-render"):
-        load_ground_truth(str(doc_path))
-
-
-_NOT_A_COUNT = [None, True, False, 1.0, 2.5, 0, -3, "1"]
+    with pytest.raises(InputError, match=_NO_SURFACE_FILE.format(dir=tmp_path)):
+        load_artifacts(str(tmp_path))
 
 
 @st.composite
 def _mutated_ground_truth(draw):
-    """A small valid ground truth, as (document bytes, surface file bytes),
-    with one mutation, and whether that mutation must make it invalid. A
-    flipped byte may leave it valid (say, a changed digit); the other
-    mutations never do."""
-    rng = np.random.default_rng(draw(st.integers(0, 3)))
-    truth = GroundTruth(
-        instances=tuple(
-            GroundTruthInstance(
-                instance_id=i,
-                ripeness=draw(st.sampled_from(Ripeness)),
-                pose=Pose(translation=rng.normal(size=3)),
-                surface=PointCloud(xyz=rng.normal(size=(draw(st.integers(1, 5)), 3))),
-            )
-            for i in range(draw(st.integers(1, 3)))
-        )
-    )
-    doc, raw = truth.to_json(), truth.surface_bytes()
-    kind = draw(st.sampled_from(["flip-document", "flip-surfaces", "truncate", "append",
-                                 "non-finite", "count"]))
-    if kind == "flip-document":
-        data = bytearray(json.dumps(doc).encode("utf-8"))
-        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return bytes(data), raw, False
-    if kind == "flip-surfaces":
+    """_labelled(_LABELS, 3)'s ground_truth.f64 with one mutation, and whether
+    that mutation must make it invalid. A flipped byte may leave it valid
+    (say, a changed digit of a mantissa); the other mutations never do."""
+    raw = _labelled(_LABELS, 3).truth.surface_bytes()
+    kind = draw(st.sampled_from(["flip", "truncate", "append", "non-finite"]))
+    if kind == "flip":
         data = bytearray(raw)
-        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return json.dumps(doc).encode("utf-8"), bytes(data), False
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data), False
     if kind == "truncate":
         raw = raw[: draw(st.integers(0, len(raw) - 1))]
     elif kind == "append":
         raw += draw(st.binary(min_size=1, max_size=48))
-    elif kind == "non-finite":
+    else:
         xyz = np.frombuffer(raw, dtype="<u8").copy()
         mantissa = draw(st.integers(0, 2**52 - 1))  # 0 is an infinity, else a NaN
         sign = draw(st.sampled_from([0, 1 << 63]))
         xyz[draw(st.integers(0, xyz.size - 1))] = sign | 0x7FF0_0000_0000_0000 | mantissa
         raw = xyz.tobytes()
-    else:
-        stored = doc["instances"][draw(st.integers(0, len(doc["instances"]) - 1))]
-        value = draw(st.sampled_from(_NOT_A_COUNT + ["missing", "other"]))
-        if value == "missing":
-            del stored["surface_points"]
-        elif value == "other":  # a valid count that disagrees with the file's size
-            others = st.integers(1, 8).filter(lambda n: n != stored["surface_points"])
-            stored["surface_points"] = draw(others)
-        else:
-            stored["surface_points"] = value
-    return json.dumps(doc).encode("utf-8"), raw, True
+    return raw, True
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_mutated_ground_truth())
 def test_mutated_ground_truth_is_input_error_or_valid(tmp_path_factory, mutated):
-    document, surfaces, must_fail = mutated
+    surfaces, must_fail = mutated
     folder = tmp_path_factory.mktemp("truth")
-    (folder / "ground_truth.json").write_bytes(document)
+    save_artifacts(str(folder), _labelled(_LABELS, 3))
     (folder / "ground_truth.f64").write_bytes(surfaces)
     try:
-        load_ground_truth(str(folder / "ground_truth.json"))
+        truth = load_artifacts(str(folder)).truth
     except InputError:
         return
-    assert not must_fail, "a malformed ground truth loaded"
+    assert not must_fail, "a malformed ground_truth.f64 loaded"
+    assert [inst.instance_id for inst in truth.instances] == [10, 20, 30]
+    assert truth.surface_bytes() == surfaces
 
 
 # ---------------------------------------------------------------- artifacts
@@ -658,7 +737,7 @@ def test_artifact_directory_round_trip(tmp_path, prior):
     assert loaded.scene.to_json_str() == artifacts.scene.to_json_str()
     assert np.array_equal(loaded.depth.values, artifacts.depth.values)
     assert np.array_equal(loaded.rgb.values, artifacts.rgb.values)
-    assert loaded.truth.to_json_str() == artifacts.truth.to_json_str()
+    assert _ids_and_poses(loaded.truth) == _ids_and_poses(artifacts.truth)
     assert loaded.truth.surface_bytes() == artifacts.truth.surface_bytes()
     assert len(loaded.masks) == len(artifacts.masks)
     for a, b in zip(loaded.masks, artifacts.masks):

@@ -281,7 +281,7 @@ def _truth_with(prior, centers, target_id=0):
         pose = Pose(rotation=np.eye(3), translation=np.asarray(center, dtype=float))
         surface = prior.sample_ground_truth(pose, np.random.Generator(np.random.Philox(40 + i)))
         instances.append(
-            GroundTruthInstance(instance_id=i, ripeness=Ripeness.RIPE, pose=pose, surface=surface)
+            GroundTruthInstance(instance_id=i, pose=pose, surface=surface)
         )
     return GroundTruth(instances=tuple(instances))
 

@@ -18,6 +18,7 @@ from berrypick import (
     GroundTruth,
     Occluder,
     ParameterError,
+    PointCloud,
     RenderParams,
     Ripeness,
     SceneConfig,
@@ -271,14 +272,18 @@ def test_ground_truth_per_instance_sampling(prior):
         )
 
 
+def _ids_and_poses(truth):
+    return [(inst.instance_id, inst.pose.to_json()) for inst in truth.instances]
+
+
 def test_ground_truth_deterministic_and_round_trips(prior):
     scene = _single_berry_scene()
     a = sample_ground_truth(scene, prior, seed=8)
     b = sample_ground_truth(scene, prior, seed=8)
-    assert a.to_json_str() == b.to_json_str()
+    assert _ids_and_poses(a) == _ids_and_poses(b)
     assert a.surface_bytes() == b.surface_bytes()
-    loaded = GroundTruth.from_json(a.to_json(), a.surface_bytes())
-    assert loaded.to_json_str() == a.to_json_str()
+    loaded = GroundTruth.of(scene, [inst.surface for inst in a.instances])
+    assert _ids_and_poses(loaded) == _ids_and_poses(a)
     assert loaded.surface_bytes() == a.surface_bytes()
 
 
@@ -287,7 +292,7 @@ def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
     ss = np.random.SeedSequence(8).spawn(3)[2]
     a, b = (sample_ground_truth(scene, prior, seed=ss) for _ in range(2))
     fresh = sample_ground_truth(scene, prior, seed=np.random.SeedSequence(8, spawn_key=(2,)))
-    assert a.to_json_str() == b.to_json_str() == fresh.to_json_str()
+    assert _ids_and_poses(a) == _ids_and_poses(b) == _ids_and_poses(fresh)
     assert a.surface_bytes() == b.surface_bytes() == fresh.surface_bytes()
     assert ss.n_children_spawned == 0
 
@@ -301,17 +306,12 @@ def test_ground_truth_lookup_by_id(prior):
 
 @pytest.mark.parametrize("instance_id", [True, "0", 0.5, 0.0, None])
 def test_ground_truth_json_takes_only_integer_ids(prior, instance_id):
-    truth = sample_ground_truth(_single_berry_scene(), prior, seed=0)
-    obj = truth.to_json()
-    obj["instances"][0]["instance_id"] = instance_id
+    """A truth takes its ids from its scene, so the only JSON that gives it
+    ids is the scene's, which refuses any id that is not an integer."""
+    obj = _single_berry_scene().to_json()
+    obj["berries"][0]["instance_id"] = instance_id
     with pytest.raises(TypeError, match="instance_id must be an integer"):
-        GroundTruth.from_json(obj, truth.surface_bytes())
-
-
-def test_ground_truth_from_json_checks_the_payload_size(prior):
-    truth = sample_ground_truth(_single_berry_scene(), prior, seed=0)
-    with pytest.raises(ValueError, match="take 98296 bytes, not the 98304 bytes of 4096 surface points"):
-        GroundTruth.from_json(truth.to_json(), truth.surface_bytes()[:-8])
+        GroundTruth.of(SceneTemplate.from_json(obj), [PointCloud(xyz=np.zeros((1, 3)))])
 
 
 def test_ground_truth_rejects_duplicate_ids(prior):
