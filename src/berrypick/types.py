@@ -255,7 +255,7 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ParameterError("pose needs a 3x3 rotation and a 3-vector translation")
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+        if not (np.isfinite(r).all() and np.allclose(r @ r.T, np.eye(3), atol=1e-9)):
             raise ParameterError("rotation must be orthonormal")
         if np.linalg.det(r) < 0:
             raise ParameterError("rotation must be proper (det +1)")

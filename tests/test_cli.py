@@ -527,6 +527,10 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
          "scene.json: translation must be a list of numbers"),
         ("berries", "rotation", [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
          "scene.json: rotation must be a list of numbers"),
+        # Regression: an infinite entry reached the orthonormality check's
+        # matmul, which printed a RuntimeWarning above the error line.
+        ("berries", "rotation", [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]],
+         "scene.json: rotation must be orthonormal"),
         ("occluders", "center", [0.0, 0.0, "0.2"], "scene.json: center must be a list of numbers"),
         ("occluders", "normal", [0, 0, "1"], "scene.json: normal must be a list of numbers"),
         ("occluders", "semi_major", "0.02", "scene.json: semi_major must be a number, got '0.02'"),
@@ -534,9 +538,10 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
     ],
     ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf",
          "width-fraction", "width-string", "height-bool", "fx-bool", "translation-strings",
-         "rotation-bool", "occluder-center-string", "occluder-normal-string",
+         "rotation-bool", "rotation-inf", "occluder-center-string", "occluder-normal-string",
          "semi-major-string", "roll-bool"],
 )
+@pytest.mark.filterwarnings("error")
 def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):
     template = tmp_path / "template.json"
     template.write_text(json.dumps(SceneConfig(n_ripe=1, n_unripe=0, n_occluders=1).to_json()))

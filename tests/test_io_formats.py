@@ -31,7 +31,6 @@ from berrypick import (
     StorageError,
     generate_scene,
     render_scene_artifacts,
-    sample_ground_truth,
 )
 from berrypick.io_formats import (
     load_artifacts,
@@ -493,6 +492,7 @@ def _mutated_scene_document(draw):
     return json.dumps(doc).encode("utf-8"), True
 
 
+@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_mutated_scene_document())
 def test_mutated_scene_document_is_input_error_or_valid(tmp_path_factory, mutated):
