@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -183,3 +184,54 @@ def test_emit_report_unwritable_path(tmp_path):
 def test_load_metrics_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_metrics(str(tmp_path / "absent.json"))
+
+
+def _golden_trials():
+    """Every failure reason, hits, and empty and non-empty cd_mm with
+    shortest-repr floats that need all 17 digits."""
+    return [
+        _trial(scene_id=0, cd_mm=(0.1 + 0.2, 1.0 / 3.0)),
+        _trial(scene_id=1, detections=3, hit_ids=(4, 7), cd_mm=(2.5,)),
+        _trial(
+            scene_id=2, attempted=False, success=False, failure_reason=FailureReason.NO_RIPE
+        ),
+        _trial(
+            scene_id=3,
+            detections=2,
+            attempted=False,
+            success=False,
+            failure_reason=FailureReason.REGISTRATION_FAILURE,
+        ),
+        _trial(
+            scene_id=4,
+            attempted=False,
+            success=False,
+            cd_mm=(0.7071067811865476,),
+            failure_reason=FailureReason.INFEASIBLE_PATH,
+        ),
+        _trial(
+            scene_id=5,
+            success=False,
+            hit_ids=(2,),
+            cd_mm=(1e-5, 12345.678),
+            failure_reason=FailureReason.MISSED_GRASP,
+        ),
+    ]
+
+
+EMIT_REPORT_PINS = {
+    "metrics": "a9c8c11048fc24cd72421e741b7ec8ee5167102d30b37772cac65777b1211021",
+    "trials": "4b9406f25d1550731b704d759f77ee553389bdbb0d335ddf7a5b3d7391e90c94",
+    "comparison": "8c26051231029e79374f368fd5768617908611978a9c0b36a7bbf7d80d74e56f",
+}
+
+
+def test_emit_report_bytes_pinned(tmp_path):
+    """metrics.json, trials.csv and comparison.csv, byte for byte."""
+    trials = _golden_trials()
+    baseline = compute_metrics(_trials_from_counts(10, 8, 4, 4))
+    paths = emit_report(compute_metrics(trials), trials, str(tmp_path), baseline=baseline)
+    digests = {
+        name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in paths.items()
+    }
+    assert digests == EMIT_REPORT_PINS
