@@ -15,7 +15,6 @@ writing the output fails.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -24,11 +23,12 @@ import numpy as np
 from berrypick import (
     PipelineConfig,
     RenderParams,
+    SceneConfig,
     StrawberryPrior,
     run_completion_benchmark,
 )
-from berrypick.cli import _Parser, _load_template, _seed, run
-from berrypick.io_formats import _write_text
+from berrypick.cli import _Parser, _seed, run
+from berrypick.io_formats import read_json, write_json
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
@@ -56,7 +56,7 @@ def _run() -> int:
     parser.add_argument("--out", default=None, help="optional JSON stats path")
     args = parser.parse_args()
 
-    template = _load_template(args.template)
+    template = read_json(args.template, SceneConfig.from_json)
     start = time.perf_counter()
     cds = run_completion_benchmark(
         template,
@@ -86,7 +86,7 @@ def _run() -> int:
         f"p95 {_mm(stats['p95_mm'])}, max {_mm(stats['max_mm'])}, {stats['n_failed']} failed"
     )
     if args.out:
-        _write_text(args.out, json.dumps(stats, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        write_json(args.out, stats)
         print(f"stats written to {args.out}")
     return 0
 

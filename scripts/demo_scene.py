@@ -10,7 +10,6 @@ ripe target, 2 when writing the output fails.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -20,13 +19,14 @@ from berrypick import (
     NoRipeTargetError,
     PipelineConfig,
     RenderParams,
+    SceneConfig,
     StrawberryPrior,
     generate_scene,
     plan_and_run,
     render_scene_artifacts,
 )
-from berrypick.cli import _Parser, _load_template, _seed, run
-from berrypick.io_formats import _write_text, save_artifacts
+from berrypick.cli import _Parser, _seed, run
+from berrypick.io_formats import read_json, save_artifacts, write_json
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
@@ -44,7 +44,7 @@ def _run() -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
-    template = _load_template(args.template)
+    template = read_json(args.template, SceneConfig.from_json)
     prior = StrawberryPrior.builtin()
 
     gen_ss, render_ss, truth_ss = np.random.SeedSequence(args.seed).spawn(3)
@@ -60,7 +60,7 @@ def _run() -> int:
         print(f"no plan: {exc}")
         return 1
     plan_path = os.path.join(args.out, "plan.json")
-    _write_text(plan_path, json.dumps(plan, indent=2, sort_keys=True) + "\n")
+    write_json(plan_path, plan)
 
     print(f"artifacts: {args.out}")
     print(f"berries: {len(scene.berries)}, occluders: {len(scene.occluders)}")

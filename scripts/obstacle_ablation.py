@@ -20,12 +20,14 @@ from pathlib import Path
 from berrypick import (
     PipelineConfig,
     RenderParams,
+    SceneConfig,
     StrawberryPrior,
     compute_metrics,
     emit_ablation_report,
     run_ablation,
 )
-from berrypick.cli import _Parser, _load_template, _seed, run
+from berrypick.cli import _Parser, _seed, run
+from berrypick.io_formats import read_json
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
@@ -45,7 +47,7 @@ def _run() -> int:
     parser.add_argument("--out", default=None, help="optional report directory")
     args = parser.parse_args()
 
-    template = _load_template(args.template)
+    template = read_json(args.template, SceneConfig.from_json)
     cfg = PipelineConfig(inflation=args.inflation)
 
     start = time.perf_counter()

@@ -20,20 +20,19 @@ from .completion import complete_cloud
 from .errors import BerrypickError, InputError
 from .io_formats import (
     load_artifacts,
-    load_scene,
     read_json,
     read_ply,
     save_artifacts,
-    save_scene,
+    write_json,
     write_ply,
     _write_text,
 )
 from .metrics import (
+    MetricsReport,
     comparison_csv,
     compute_metrics,
     emit_ablation_report,
     emit_report,
-    load_metrics,
 )
 from .pipeline import (
     PipelineConfig,
@@ -44,7 +43,7 @@ from .pipeline import (
 )
 from .prior import StrawberryPrior
 from .render import RenderParams
-from .scene import SceneConfig, generate_scene
+from .scene import SceneConfig, SceneTemplate, generate_scene
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,17 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return PipelineConfig.from_json(read_json(path))
-
-
-def _load_template(path: str) -> SceneConfig:
-    obj = read_json(path)
-    try:
-        return SceneConfig.from_json(obj)
-    except (TypeError, BerrypickError) as exc:
-        raise InputError(f"invalid scene template {path}: {exc}") from exc
+    return PipelineConfig() if path is None else read_json(path, PipelineConfig.from_json)
 
 
 def _load_prior(spec: str) -> StrawberryPrior:
@@ -88,18 +77,18 @@ def _render_params(args) -> RenderParams:
 
 
 def _cmd_gen_scene(args) -> int:
-    template = _load_template(args.template)
+    template = read_json(args.template, SceneConfig.from_json)
     prior = StrawberryPrior.builtin()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     scene = generate_scene(template, prior, rng)
     os.makedirs(args.out, exist_ok=True)
-    save_scene(os.path.join(args.out, "scene.json"), scene)
+    write_json(os.path.join(args.out, "scene.json"), scene.to_json())
     print(os.path.join(args.out, "scene.json"))
     return 0
 
 
 def _cmd_render(args) -> int:
-    scene = load_scene(args.scene)
+    scene = read_json(args.scene, SceneTemplate.from_json)
     prior = StrawberryPrior.builtin()
     render_ss, truth_ss = np.random.SeedSequence(args.seed).spawn(2)
     artifacts = render_scene_artifacts(scene, prior, _render_params(args), render_ss, truth_ss)
@@ -116,10 +105,7 @@ def _cmd_complete(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_ply(os.path.join(args.out, "completed.ply"), result.cloud)
     report = {**result.pose.to_json(), "fitness_mm": result.fitness}
-    _write_text(
-        os.path.join(args.out, "completion.json"),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(args.out, "completion.json"), report)
     print(json.dumps({"fitness_mm": result.fitness}))
     return 0
 
@@ -128,13 +114,13 @@ def _cmd_plan(args) -> int:
     artifacts = load_artifacts(args.scene_dir)
     cfg = _load_config(args.config)
     plan = plan_scene(artifacts, cfg)
-    _write_text(args.out, json.dumps(plan, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, plan)
     print(args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    template = _load_template(args.template)
+    template = read_json(args.template, SceneConfig.from_json)
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.rng_seed
     params = _render_params(args)
@@ -164,10 +150,10 @@ def _cmd_eval_cd(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    ours = load_metrics(os.path.join(args.results, "metrics.json"))
+    ours = read_json(os.path.join(args.results, "metrics.json"), MetricsReport.from_json)
     lines = [json.dumps(ours.to_json(), indent=2, sort_keys=True)]
     if args.baseline:
-        baseline = load_metrics(os.path.join(args.baseline, "metrics.json"))
+        baseline = read_json(os.path.join(args.baseline, "metrics.json"), MetricsReport.from_json)
         table = comparison_csv(ours, baseline)
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -29,7 +29,8 @@ _EARLY_ACCEPT_MM = 1.0
 
 @dataclass(frozen=True)
 class IcpParams:
-    """Millimeter-denominated knobs; geometry math runs in meters."""
+    """Millimeter-denominated knobs; geometry math runs in meters.
+    restart_count beyond 4 adds nothing: there are four distinct restarts."""
 
     max_iterations: int = 40
     convergence_tol: float = 0.01
@@ -110,7 +111,7 @@ def _restart_rotations(count: int) -> list[np.ndarray]:
         rotation_about_axis(x, -np.pi / 2),
         rotation_about_axis(x, np.pi),
     ]
-    return [canonical[i % len(canonical)] for i in range(count)]
+    return canonical[:count]
 
 
 def _point_to_plane_step(
@@ -196,10 +197,11 @@ def icp_refine(
 ) -> IcpResult:
     """Point-to-surface ICP of the partial cloud onto the prior.
 
-    Runs restart_count attempts whose initial rotations differ by orthogonal
-    canonical rotations (identity, two 90-degree turns, one flip) and keeps
-    the best fitness. Raises RegistrationError when no restart ever finds a
-    correspondence within max_correspondence_dist.
+    Runs min(restart_count, 4) attempts whose initial rotations differ by
+    orthogonal canonical rotations (identity, two 90-degree turns, one flip),
+    the only four distinct restarts, and keeps the best fitness. Raises
+    RegistrationError when no restart ever finds a correspondence within
+    max_correspondence_dist.
     """
     if len(partial) < 3:
         raise InsufficientDataError("registration needs at least 3 points")

@@ -13,6 +13,13 @@ and pose are in scene.json alone; a leftover ground_truth.json is never
 opened. A directory without masks.pgm, written when each berry had its own
 mask_NNN.pgm, is refused with a message to re-render.
 
+read_json and write_json are the one JSON layer: every document the
+program reads (scene.json, the pipeline config, the scene template,
+metrics.json) goes through read_json, whose InputError names the file, and
+every document it writes (scene.json, plan.json, completion.json,
+metrics.json, the scripts' plan and stats) through write_json, sorted,
+indented and strict about NaN.
+
 Read-side problems (missing or malformed files, JSON that is not UTF-8 or
 nests too deeply) raise InputError; write-side failures raise StorageError.
 The CLI maps these to exit codes 1 and 2.
@@ -25,7 +32,7 @@ import os
 
 import numpy as np
 
-from .errors import InputError, ParameterError, StorageError
+from .errors import BerrypickError, InputError, ParameterError, StorageError
 from .pipeline import SceneArtifacts
 from .prior import SURFACE_POINTS
 from .render import GroundTruth
@@ -53,16 +60,33 @@ def _read_bytes(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def read_json(path: str):
-    """The JSON document at path. Bytes that are not UTF-8 or not JSON, and
-    nesting too deep to parse, raise InputError naming the file."""
+def read_json(path: str, parse):
+    """parse(document) for the JSON document at path. Bytes that are not
+    UTF-8 or not JSON, nesting too deep to parse, and a KeyError, TypeError,
+    ValueError or library error from parse each raise one InputError whose
+    message starts with the path."""
     data = _read_bytes(path)
     try:
-        return json.loads(data)
+        obj = json.loads(data)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise InputError(f"{path} is not valid JSON: nested too deeply") from None
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, BerrypickError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def write_json(path: str, obj) -> None:
+    """Writes obj as JSON with sorted keys, two-space indent and a final
+    newline. A NaN or infinity raises ParameterError naming the file, and
+    nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 # -- PLY ----------------------------------------------------------------------
@@ -194,21 +218,6 @@ def read_ppm(path: str) -> RgbImage:
     return RgbImage(values=_read_netpbm(path, b"P6", 255, np.uint8, 3).copy())
 
 
-# -- JSON documents -----------------------------------------------------------
-
-
-def save_scene(path: str, scene: SceneTemplate) -> None:
-    _write_text(path, scene.to_json_str() + "\n")
-
-
-def load_scene(path: str) -> SceneTemplate:
-    obj = read_json(path)
-    try:
-        return SceneTemplate.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid scene document {path}: {exc}") from exc
-
-
 # -- artifact directories -----------------------------------------------------
 
 
@@ -239,7 +248,7 @@ def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise StorageError(f"cannot create {out_dir}: {exc}") from exc
-    save_scene(os.path.join(out_dir, "scene.json"), scene)
+    write_json(os.path.join(out_dir, "scene.json"), scene.to_json())
     write_ppm(os.path.join(out_dir, "rgb.ppm"), artifacts.rgb)
     write_pgm16(os.path.join(out_dir, "depth.pgm"), artifacts.depth.values)
     write_pgm16(os.path.join(out_dir, "masks.pgm"), labels)
@@ -259,7 +268,7 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
             hint = _OLDER_MASKS if required == "masks.pgm" else ""
             raise InputError(f"scene artifacts missing {required} in {scene_dir}{hint}")
     masks_path = os.path.join(scene_dir, "masks.pgm")
-    scene = load_scene(os.path.join(scene_dir, "scene.json"))
+    scene = read_json(os.path.join(scene_dir, "scene.json"), SceneTemplate.from_json)
     rgb = read_ppm(os.path.join(scene_dir, "rgb.ppm"))
     depth = DepthImage(values=read_pgm16(os.path.join(scene_dir, "depth.pgm")))
     labels = read_pgm16(masks_path)

@@ -10,16 +10,14 @@ along so any alternative convention can be recomputed from the report.
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import InputError, ParameterError, StorageError
-from .io_formats import read_json
+from .io_formats import _write_text, write_json
+from .types import is_finite_number
 
 
 @dataclass(frozen=True)
@@ -60,11 +58,10 @@ class MetricsReport:
                 f"unknown: {sorted(set(obj) - names)}"
             )
         for name, value in obj.items():
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if name.startswith("n_"):
-                ok = number and isinstance(value, int) and value >= 0
+                ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
             else:
-                ok = (number and math.isfinite(value)) or (name.startswith("cd_") and value is None)
+                ok = is_finite_number(value) or (name.startswith("cd_") and value is None)
             if not ok:
                 raise InputError(f"metrics field {name} has invalid value {value!r}")
         try:
@@ -125,35 +122,26 @@ def emit_report(
     out_dir: str,
     baseline: MetricsReport | None = None,
 ) -> dict[str, str]:
-    """Write metrics.json and trials.csv; with a baseline report, also a
-    side-by-side comparison.csv including the rho deltas. Returns the paths."""
+    """Write metrics.json through write_json and trials.csv, one row per
+    trial under TRIALS_CSV_HEADER; with a baseline report, also
+    comparison_csv's side-by-side comparison.csv. Returns the paths written,
+    keyed "metrics", "trials" and "comparison". A failed write raises
+    StorageError."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-        paths = {}
-
-        metrics_path = os.path.join(out_dir, "metrics.json")
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths["metrics"] = metrics_path
-
-        trials_path = os.path.join(out_dir, "trials.csv")
-        with open(trials_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TRIALS_CSV_HEADER.split(","))
-            for r in results:
-                writer.writerow(_trial_row(r))
-        paths["trials"] = trials_path
-
-        if baseline is not None:
-            comparison_path = os.path.join(out_dir, "comparison.csv")
-            with open(comparison_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(comparison_csv(report, baseline))
-            paths["comparison"] = comparison_path
-
-        return paths
     except OSError as exc:
-        raise StorageError(f"failed writing report to {out_dir}: {exc}") from exc
+        raise StorageError(f"cannot create {out_dir}: {exc}") from exc
+    paths = {
+        "metrics": os.path.join(out_dir, "metrics.json"),
+        "trials": os.path.join(out_dir, "trials.csv"),
+    }
+    write_json(paths["metrics"], report.to_json())
+    rows = [TRIALS_CSV_HEADER, *(",".join(_trial_row(r)) for r in results)]
+    _write_text(paths["trials"], "\n".join(rows) + "\n")
+    if baseline is not None:
+        paths["comparison"] = os.path.join(out_dir, "comparison.csv")
+        _write_text(paths["comparison"], comparison_csv(report, baseline))
+    return paths
 
 
 def emit_ablation_report(reports: dict[str, MetricsReport], runs: dict, out_dir: str) -> None:
@@ -172,11 +160,3 @@ def comparison_csv(report: MetricsReport, baseline: MetricsReport) -> str:
         o = getattr(report, name)
         rows.append(f"{name},{b:.4f},{o:.4f},{o - b:.4f}")
     return "\n".join(rows) + "\n"
-
-
-def load_metrics(path: str) -> MetricsReport:
-    obj = read_json(path)
-    try:
-        return MetricsReport.from_json(obj)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc

@@ -8,7 +8,6 @@ geometry is in the camera frame, meters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -218,9 +217,6 @@ class SceneTemplate:
             "berries": [b.to_json() for b in self.berries],
             "occluders": [o.to_json() for o in self.occluders],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SceneTemplate":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,21 @@ def check_like(value, default, where: str) -> None:
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a number"
             raise InputError(f"{where} must be {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if not integer and not is_finite_number(value):
             raise InputError(f"{where} must be finite, got {value!r}")
 
 
 def _is_json_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float64 can hold: not a bool, nor an integer beyond
+    the float range, whose float() raises OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number whose float64 value is finite."""
+    return _is_json_number(value) and math.isfinite(value)
 
 
 def json_float(value, name: str) -> float:
@@ -255,7 +265,9 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ParameterError("pose needs a 3x3 rotation and a 3-vector translation")
-        if not (np.isfinite(r).all() and np.allclose(r @ r.T, np.eye(3), atol=1e-9)):
+        # An orthonormal matrix's entries lie in [-1, 1]; the bound refuses NaN
+        # and infinities and keeps r @ r.T from overflowing.
+        if not ((np.abs(r) <= 2).all() and np.allclose(r @ r.T, np.eye(3), atol=1e-9)):
             raise ParameterError("rotation must be orthonormal")
         if np.linalg.det(r) < 0:
             raise ParameterError("rotation must be proper (det +1)")

@@ -273,6 +273,62 @@ def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
+    "document, content, message",
+    [
+        ("config", {"voxel": {"voxel_size": "x"}}, "config.voxel.voxel_size must be a number"),
+        ("config", {"icp": {"restart_count": 0}},
+         "invalid config value: all registration parameters must be positive"),
+        ("template", {"n_ripe": 2.5}, "template.n_ripe must be an integer, got 2.5"),
+        ("scene", {"width": "640"}, "width must be an integer, got '640'"),
+        ("scene-dir", {"height": 1.5}, "height must be an integer, got 1.5"),
+        ("metrics", {**_METRICS, "n_trials": -1}, "metrics field n_trials has invalid value -1"),
+        # Regression: a JSON integer beyond float range ended in an
+        # OverflowError traceback.
+        ("config", {"p_ee": [0, 0, 10**400]}, "config.p_ee must be finite, got 1000"),
+        ("metrics", {**_METRICS, "rho_a": 10**400}, "metrics field rho_a has invalid value 1000"),
+    ],
+    ids=["config-schema", "config-value", "template", "render-scene", "plan-scene-dir", "metrics",
+         "config-huge-int", "metrics-huge-int"],
+)
+def test_malformed_document_error_starts_with_its_path(
+    tmp_path, rendered_dir, capsys, document, content, message
+):
+    folder = tmp_path / "bad"
+    folder.mkdir()
+    bad = folder / ("metrics.json" if document == "metrics" else f"{document}.json")
+    if document.startswith("scene"):
+        real = json.loads((rendered_dir / "scene.json").read_text())
+        content = {**real, **content}
+        if document == "scene-dir":
+            bad = rendered_dir / "scene.json"
+    bad.write_text(json.dumps(content))
+    out = str(tmp_path / "out")
+    args = {
+        "config": ["plan", "--scene-dir", str(rendered_dir), "--config", str(bad), "--out", out],
+        "template": ["gen-scene", "--template", str(bad), "--out", out],
+        "scene": ["render", "--scene", str(bad), "--out", out],
+        "scene-dir": ["plan", "--scene-dir", str(rendered_dir), "--out", out],
+        "metrics": ["report", "--results", str(folder)],
+    }[document]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert _single_error_line(capsys).startswith(f"error: {bad}: {message}")
+
+
+def test_degenerate_grid_resolution_is_one_clean_error(tmp_path, rendered_dir, capsys):
+    # Regression: a grid too fine for its extent overflowed the int cast of
+    # its cell counts and ended in "ValueError: negative dimensions".
+    config = tmp_path / "tiny.json"
+    config.write_text('{"grid_resolution": 1e-300}')
+    capsys.readouterr()
+    rc = main(["plan", "--scene-dir", str(rendered_dir), "--config", str(config),
+               "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert "cells, more than 1e+08" in _single_error_line(capsys)
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize(
     "header", ["ply\nformat\n", "ply\nformat ascii 1.0\nelement vertex x\nend_header\n"]
 )
 def test_malformed_ply_header_is_one_clean_error(tmp_path, capsys, header):
@@ -531,6 +587,14 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
         # matmul, which printed a RuntimeWarning above the error line.
         ("berries", "rotation", [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]],
          "scene.json: rotation must be orthonormal"),
+        # Regression: a JSON integer beyond float range ended in an
+        # OverflowError traceback, and an entry of 1e308 overflowed the
+        # orthonormality check's matmul with a RuntimeWarning.
+        ("intrinsics", "fx", 10**400, "scene.json: fx must be a number, got 1000"),
+        ("berries", "translation", [0, 0, -(10**400)],
+         "scene.json: translation must be a list of numbers"),
+        ("berries", "rotation", [[1e308, 0, 0], [0, 1, 0], [0, 0, 1]],
+         "scene.json: rotation must be orthonormal"),
         ("occluders", "center", [0.0, 0.0, "0.2"], "scene.json: center must be a list of numbers"),
         ("occluders", "normal", [0, 0, "1"], "scene.json: normal must be a list of numbers"),
         ("occluders", "semi_major", "0.02", "scene.json: semi_major must be a number, got '0.02'"),
@@ -538,7 +602,8 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
     ],
     ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf",
          "width-fraction", "width-string", "height-bool", "fx-bool", "translation-strings",
-         "rotation-bool", "rotation-inf", "occluder-center-string", "occluder-normal-string",
+         "rotation-bool", "rotation-inf", "fx-huge-int", "translation-huge-int",
+         "rotation-1e308", "occluder-center-string", "occluder-normal-string",
          "semi-major-string", "roll-bool"],
 )
 @pytest.mark.filterwarnings("error")

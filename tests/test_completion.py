@@ -21,6 +21,7 @@ from berrypick import (
     icp_refine,
     init_pose,
 )
+from berrypick import completion
 from berrypick.prior import SURFACE_POINTS
 from berrypick.types import Pose
 
@@ -183,3 +184,26 @@ def test_complete_output_is_the_posed_canonical_sampling(prior):
 def test_complete_needs_ten_points(prior):
     with pytest.raises(InsufficientDataError):
         complete_cloud(PointCloud(xyz=np.zeros((4, 3)) + [0, 0, 0.3]), prior)
+
+
+def test_restarts_beyond_four_repeat_nothing(prior, monkeypatch):
+    """There are four distinct restart rotations: restart_count=8 runs the
+    same four attempts as 4 and gives the same result."""
+    true = Pose(rotation=_rotation([0.2, 1.0, 0.0], 12.0), translation=np.array([0.0, 0.0, 0.36]))
+    cloud = _front_crop(_full_sample(prior, true, n=2500, seed=11), 0.5)
+    rng = np.random.Generator(np.random.Philox(5))
+    noisy = PointCloud(xyz=cloud.xyz + rng.normal(0.0, 0.003, cloud.xyz.shape))
+    init = Pose(rotation=np.eye(3), translation=true.translation + 0.004)
+    four = icp_refine(noisy, prior, init, IcpParams(restart_count=4))
+    assert four.fitness_mm > 1.0  # no early accept: every restart runs
+
+    calls = []
+    single = completion._icp_single
+    monkeypatch.setattr(completion, "_icp_single", lambda *a: calls.append(a) or single(*a))
+    eight = icp_refine(noisy, prior, init, IcpParams(restart_count=8))
+    assert len(calls) == 4
+    assert np.array_equal(eight.pose.rotation, four.pose.rotation)
+    assert np.array_equal(eight.pose.translation, four.pose.translation)
+    assert (eight.fitness_mm, eight.residual_history_mm, eight.converged, eight.restart_index) == (
+        four.fitness_mm, four.residual_history_mm, four.converged, four.restart_index
+    )

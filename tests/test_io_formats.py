@@ -20,7 +20,9 @@ from berrypick import (
     GroundTruth,
     InputError,
     InstanceMask,
+    MetricsReport,
     ParameterError,
+    PipelineConfig,
     PointCloud,
     Pose,
     RenderParams,
@@ -34,12 +36,12 @@ from berrypick import (
 )
 from berrypick.io_formats import (
     load_artifacts,
-    load_scene,
+    read_json,
     read_pgm16,
     read_ply,
     read_ppm,
     save_artifacts,
-    save_scene,
+    write_json,
     write_pgm16,
     write_ply,
     write_ppm,
@@ -514,21 +516,124 @@ def test_mutated_scene_document_is_input_error_or_valid(tmp_path_factory, mutate
 # ---------------------------------------------------------------- documents
 
 
+def _text(scene: SceneTemplate) -> str:
+    """The scene as JSON text, which tells -0.0 from 0.0 where == does not."""
+    return json.dumps(scene.to_json(), sort_keys=True)
+
+
 def test_scene_document_round_trip(tmp_path, prior):
     scene = _scene(prior)
     path = str(tmp_path / "scene.json")
-    save_scene(path, scene)
-    assert load_scene(path).to_json_str() == scene.to_json_str()
+    write_json(path, scene.to_json())
+    loaded = read_json(path, SceneTemplate.from_json)
+    assert _text(loaded) == _text(scene)
 
 
 def test_scene_document_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"berries": "nope"}')
     with pytest.raises(InputError):
-        load_scene(str(path))
+        read_json(str(path), SceneTemplate.from_json)
     path.write_text("not json at all")
     with pytest.raises(InputError):
-        load_scene(str(path))
+        read_json(str(path), SceneTemplate.from_json)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ParameterError, match=f"^{path}: Out of range float"):
+        write_json(str(path), {"a": [1.0, {"b": value}]})
+    assert not path.exists()
+
+
+def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(str(path), {"b": [1, -0.0], "a": None})
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    -0.0\n  ]\n}\n'
+
+
+_METRICS = MetricsReport(
+    rho_a=50.0, rho_s=40.0, rho_s_over_a=80.0, rho_h=10.0, cd_mean_mm=1.25, cd_median_mm=None,
+    n_trials=2, n_detections=2, n_attempts=1, n_successes=1, n_hit_trials=0,
+)
+_DOCUMENTS = {
+    "config": (PipelineConfig().to_json(), PipelineConfig.from_json),
+    "template": (SceneConfig(n_occluders=2).to_json(), SceneConfig.from_json),
+    "metrics": (_METRICS.to_json(), MetricsReport.from_json),
+}
+
+
+def _key_paths(value, path=()):
+    """The key path of every object member in a JSON value, at any depth."""
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _key_paths(v, path + (i,))]
+    if not isinstance(value, dict):
+        return []
+    return [p for k, v in value.items() for p in [path + (k,), *_key_paths(v, path + (k,))]]
+
+
+@st.composite
+def _mutated_document(draw, doc):
+    """doc's JSON text with one mutation: truncation, flipped bytes, a NaN or
+    infinity, two values swapped, a member removed, or a value (or the whole
+    document) replaced by arrays or objects nested 2 to 100000 deep."""
+    doc = json.loads(json.dumps(doc))
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    kind = draw(st.sampled_from(["truncate", "flip", "non-finite", "swap", "remove", "nest"]))
+    if kind == "truncate":
+        return text.encode("utf-8")[: draw(st.integers(0, len(text) - 3))]
+    if kind == "flip":
+        data = bytearray(text.encode("utf-8"))
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    leaves = _leaf_paths(doc)
+    if kind == "swap":
+        a, b = draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2, unique=True))
+        first = json.loads(json.dumps(doc))  # read both before writing either
+        for path, source in ((a, b), (b, a)):
+            value = first
+            for key in source:
+                value = value[key]
+            _set_at(doc, path, value)
+    elif kind == "remove":
+        path = draw(st.sampled_from(_key_paths(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    elif kind == "non-finite":
+        value = draw(st.sampled_from([math.nan, -math.inf, math.inf]))
+        _set_at(doc, draw(st.sampled_from(leaves)), value)
+    else:
+        depth = draw(st.sampled_from([2, 3, 64, 500, 990, 2000, 100_000]))
+        nested = ("[" * depth + "]" * depth) if draw(st.booleans()) else (
+            '{"a": ' * depth + "1" + "}" * depth
+        )
+        path = draw(st.sampled_from([()] + leaves))
+        if not path:
+            return nested.encode("utf-8")
+        _set_at(doc, path, "NESTED_HERE")
+        return json.dumps(doc).replace('"NESTED_HERE"', nested).encode("utf-8")
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(_DOCUMENTS))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_json_document_is_input_error_naming_it_or_valid(tmp_path_factory, name, data):
+    """The config, the template and metrics.json, read through read_json:
+    any mutation either parses or is one InputError that starts with the
+    file's path."""
+    doc, parse = _DOCUMENTS[name]
+    path = tmp_path_factory.mktemp(name) / f"{name}.json"
+    path.write_bytes(data.draw(_mutated_document(doc)))
+    try:
+        read_json(str(path), parse)
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}"), str(exc)
 
 
 def _ids_and_poses(truth):
@@ -734,7 +839,7 @@ def test_artifact_directory_round_trip(tmp_path, prior):
     out = str(tmp_path / "scene0")
     save_artifacts(out, artifacts)
     loaded = load_artifacts(out)
-    assert loaded.scene.to_json_str() == artifacts.scene.to_json_str()
+    assert _text(loaded.scene) == _text(artifacts.scene)
     assert np.array_equal(loaded.depth.values, artifacts.depth.values)
     assert np.array_equal(loaded.rgb.values, artifacts.rgb.values)
     assert _ids_and_poses(loaded.truth) == _ids_and_poses(artifacts.truth)
@@ -769,7 +874,7 @@ def test_camera_defaults_match_rendered_artifacts(tmp_path, prior):
     # intrinsics survive the JSON trip inside the scene document
     scene = _scene(prior)
     path = str(tmp_path / "scene.json")
-    save_scene(path, scene)
-    loaded = load_scene(path)
+    write_json(path, scene.to_json())
+    loaded = read_json(path, SceneTemplate.from_json)
     k = CameraIntrinsics()
     assert loaded.intrinsics == k

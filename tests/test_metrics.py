@@ -18,7 +18,8 @@ from berrypick import (
     compute_metrics,
     emit_report,
 )
-from berrypick.metrics import TRIALS_CSV_HEADER, load_metrics
+from berrypick.io_formats import read_json
+from berrypick.metrics import TRIALS_CSV_HEADER
 
 
 def _trial(
@@ -158,7 +159,7 @@ def test_emit_report_writes_expected_files(tmp_path):
     assert lines[1].startswith("0,1,true,true,0,,")
     assert lines[2] == "1,1,false,false,0,no_ripe,"
 
-    loaded = load_metrics(paths["metrics"])
+    loaded = read_json(paths["metrics"], MetricsReport.from_json)
     assert loaded == report
 
 
@@ -183,7 +184,7 @@ def test_emit_report_unwritable_path(tmp_path):
 
 def test_load_metrics_missing_file(tmp_path):
     with pytest.raises(InputError):
-        load_metrics(str(tmp_path / "absent.json"))
+        read_json(str(tmp_path / "absent.json"), MetricsReport.from_json)
 
 
 def _golden_trials():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,6 +138,18 @@ def test_occupancy_parameter_validation():
         build_occupancy(obstacles, resolution=0.0)
     with pytest.raises(ParameterError):
         build_occupancy(obstacles, inflation=-0.001)
+
+
+def test_a_grid_past_the_cell_limit_is_refused_before_allocation():
+    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.0, 0.0, 0.3], [0.05, 0.05, 0.35]])))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=r"needs 5.12e\+14 cells, more than 1e\+08"):
+            build_occupancy(obstacles, resolution=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------- grid object
