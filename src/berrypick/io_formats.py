@@ -13,12 +13,9 @@ and pose are in scene.json alone; a leftover ground_truth.json is never
 opened. A directory without masks.pgm, written when each berry had its own
 mask_NNN.pgm, is refused with a message to re-render.
 
-read_json and write_json are the one JSON layer: every document the
-program reads (scene.json, the pipeline config, the scene template,
-metrics.json) goes through read_json, whose InputError names the file, and
-every document it writes (scene.json, plan.json, completion.json,
-metrics.json, the scripts' plan and stats) through write_json, sorted,
-indented and strict about NaN.
+read_json and write_json are the one JSON layer: every JSON document is
+read through read_json, whose InputError starts with the file's path, and
+written through write_json, sorted, indented and refusing NaN.
 
 Read-side problems (missing or malformed files, JSON that is not UTF-8 or
 nests too deeply) raise InputError; write-side failures raise StorageError.
@@ -63,8 +60,7 @@ def _read_bytes(path: str) -> bytes:
 def read_json(path: str, parse):
     """parse(document) for the JSON document at path. Bytes that are not
     UTF-8 or not JSON, nesting too deep to parse, and a KeyError, TypeError,
-    ValueError or library error from parse each raise one InputError whose
-    message starts with the path."""
+    ValueError or library error from parse raise InputError prefixed by path."""
     data = _read_bytes(path)
     try:
         obj = json.loads(data)

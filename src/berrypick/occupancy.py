@@ -19,8 +19,7 @@ from scipy.spatial import cKDTree
 from .errors import ParameterError
 from .types import PointCloud
 
-# A grid holding more cells than this is refused before it is allocated:
-# about 2,000 times a cluttered scene's 5 mm grid, so a 0.5 mm grid still runs.
+# About 2,000 times a cluttered scene's 5 mm grid, so a 0.5 mm grid still runs.
 MAX_GRID_CELLS = 10**8
 
 
@@ -140,9 +139,7 @@ def build_occupancy(
         hi = np.asarray(bounds[1], dtype=np.float64)
         if (anchor < lo).any() or (anchor > hi).any():
             raise ParameterError("points fall outside the requested bounds")
-    # Counts stay floats until checked, so a tiny resolution reads inf cells
-    # rather than overflowing an int cast.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # float counts: a tiny resolution gives inf, not a bad int
         counts = np.maximum(np.ceil((hi - lo) / resolution), 1).tolist()
     if (n_cells := math.prod(counts)) > MAX_GRID_CELLS:
         raise ParameterError(

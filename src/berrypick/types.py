@@ -62,8 +62,7 @@ def check_like(value, default, where: str) -> None:
 
 
 def _is_json_number(value) -> bool:
-    """A JSON number a float64 can hold: not a bool, nor an integer beyond
-    the float range, whose float() raises OverflowError."""
+    """A JSON number a float64 holds: not a bool, nor an int float() overflows."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return isinstance(value, float) or abs(value) <= sys.float_info.max
@@ -265,8 +264,7 @@ class Pose:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ParameterError("pose needs a 3x3 rotation and a 3-vector translation")
-        # An orthonormal matrix's entries lie in [-1, 1]; the bound refuses NaN
-        # and infinities and keeps r @ r.T from overflowing.
+        # Entries of an orthonormal r lie in [-1, 1]: the bound refuses NaN, inf and overflow.
         if not ((np.abs(r) <= 2).all() and np.allclose(r @ r.T, np.eye(3), atol=1e-9)):
             raise ParameterError("rotation must be orthonormal")
         if np.linalg.det(r) < 0:

@@ -195,6 +195,9 @@ def test_a_plain_os_error_is_one_clean_error(capsys):
         ({"gripper_radius": float("nan")}, "config.gripper_radius must be finite"),
         ({"icp": {"convergence_tol": float("nan")}}, "config.icp.convergence_tol must be finite"),
         ({"weights": {"lambda0": 1.0}}, "unknown config keys: ['weights']"),
+        # Regression: a JSON integer beyond float range ended in an
+        # OverflowError traceback.
+        ({"p_ee": [0, 0, 10**400]}, "config.p_ee must be finite, got 1000"),
     ],
 )
 def test_mistyped_config_is_one_clean_error(tmp_path, template_path, capsys, config, message):
@@ -258,9 +261,12 @@ _METRICS = dict(
         (json.dumps({**_METRICS, "rho_a": "high"}), "metrics field rho_a has invalid value"),
         (json.dumps({**_METRICS, "rho_h": float("nan")}), "metrics field rho_h has invalid value"),
         (json.dumps({**_METRICS, "n_trials": 2.5}), "metrics field n_trials has invalid value"),
+        # Regression: a JSON integer beyond float range ended in an
+        # OverflowError traceback.
+        (json.dumps({**_METRICS, "rho_a": 10**400}), "metrics field rho_a has invalid value 1000"),
     ],
     ids=["missing", "invalid-json", "unknown-key", "not-an-object", "string-ratio", "nan-ratio",
-         "float-count"],
+         "float-count", "huge-int-ratio"],
 )
 def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
     results = tmp_path / "results"
@@ -282,13 +288,8 @@ def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
         ("scene", {"width": "640"}, "width must be an integer, got '640'"),
         ("scene-dir", {"height": 1.5}, "height must be an integer, got 1.5"),
         ("metrics", {**_METRICS, "n_trials": -1}, "metrics field n_trials has invalid value -1"),
-        # Regression: a JSON integer beyond float range ended in an
-        # OverflowError traceback.
-        ("config", {"p_ee": [0, 0, 10**400]}, "config.p_ee must be finite, got 1000"),
-        ("metrics", {**_METRICS, "rho_a": 10**400}, "metrics field rho_a has invalid value 1000"),
     ],
-    ids=["config-schema", "config-value", "template", "render-scene", "plan-scene-dir", "metrics",
-         "config-huge-int", "metrics-huge-int"],
+    ids=["config-schema", "config-value", "template", "render-scene", "plan-scene-dir", "metrics"],
 )
 def test_malformed_document_error_starts_with_its_path(
     tmp_path, rendered_dir, capsys, document, content, message

@@ -18,10 +18,10 @@ from berrypick import (
     RegistrationError,
     chamfer_metric_mm,
     complete_cloud,
+    completion,
     icp_refine,
     init_pose,
 )
-from berrypick import completion
 from berrypick.prior import SURFACE_POINTS
 from berrypick.types import Pose
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -233,6 +234,6 @@ def test_emit_report_bytes_pinned(tmp_path):
     baseline = compute_metrics(_trials_from_counts(10, 8, 4, 4))
     paths = emit_report(compute_metrics(trials), trials, str(tmp_path), baseline=baseline)
     digests = {
-        name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in paths.items()
+        name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in paths.items()
     }
     assert digests == EMIT_REPORT_PINS

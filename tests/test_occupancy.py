@@ -141,7 +141,8 @@ def test_occupancy_parameter_validation():
 
 
 def test_a_grid_past_the_cell_limit_is_refused_before_allocation():
-    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.0, 0.0, 0.3], [0.05, 0.05, 0.35]])))
+    corners = np.array([[0.0, 0.0, 0.3], [0.05, 0.05, 0.35]])
+    obstacles = ObstacleSet(points=PointCloud(xyz=corners))
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match=r"needs 5.12e\+14 cells, more than 1e\+08"):
