@@ -22,16 +22,20 @@ def _check_nonempty(p: np.ndarray, q: np.ndarray) -> None:
         raise ParameterError("chamfer distance needs two non-empty clouds")
 
 
-def chamfer_loss(p: PointCloud | np.ndarray, q: PointCloud | np.ndarray) -> float:
-    """Sum of squared nearest-neighbor distances in both directions.
-
-    Unnormalized, units are squared input units. Exact: nearest neighbors come
-    from a KD-tree with no approximation.
-    """
+def _nearest(
+    p: PointCloud | np.ndarray, q: PointCloud | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point of p's distance to its nearest point of q, and each point
+    of q's to its nearest of p. Exact: KD-tree queries with no approximation."""
     pa, qa = _as_xyz(p), _as_xyz(q)
     _check_nonempty(pa, qa)
-    d_pq, _ = cKDTree(qa).query(pa)
-    d_qp, _ = cKDTree(pa).query(qa)
+    return cKDTree(qa).query(pa)[0], cKDTree(pa).query(qa)[0]
+
+
+def chamfer_loss(p: PointCloud | np.ndarray, q: PointCloud | np.ndarray) -> float:
+    """Sum of squared nearest-neighbor distances in both directions.
+    Unnormalized, units are squared input units."""
+    d_pq, d_qp = _nearest(p, q)
     return float(np.sum(d_pq**2) + np.sum(d_qp**2))
 
 
@@ -56,8 +60,5 @@ def chamfer_metric_mm(p: PointCloud | np.ndarray, q: PointCloud | np.ndarray) ->
     0.5 * (mean_p min_q ||p-q|| + mean_q min_p ||p-q||) with inputs in meters.
     Scale-comparable across cloud sizes, unlike the squared-sum loss.
     """
-    pa, qa = _as_xyz(p), _as_xyz(q)
-    _check_nonempty(pa, qa)
-    d_pq, _ = cKDTree(qa).query(pa)
-    d_qp, _ = cKDTree(pa).query(qa)
+    d_pq, d_qp = _nearest(p, q)
     return float(0.5 * (d_pq.mean() + d_qp.mean()) * 1000.0)

@@ -122,15 +122,14 @@ def _cmd_plan(args) -> int:
 def _cmd_bench(args) -> int:
     template = read_json(args.template, SceneConfig.from_json)
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.rng_seed
     params = _render_params(args)
     if args.ablation:
-        runs = run_ablation(template, args.n, cfg, seed, params)
+        runs = run_ablation(template, args.n, cfg, args.seed, params)
         reports = {name: compute_metrics(results) for name, results in runs.items()}
         emit_ablation_report(reports, runs, args.out)
         summary = {name: reports[name].to_json() for name in reports}
     else:
-        results = run_benchmark(template, args.n, cfg, seed, params)
+        results = run_benchmark(template, args.n, cfg, args.seed, params)
         report = compute_metrics(results)
         emit_report(report, results, args.out)
         summary = report.to_json()
@@ -150,6 +149,8 @@ def _cmd_eval_cd(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.out and not args.baseline:
+        raise InputError("report --out writes comparison.csv, which needs --baseline")
     ours = read_json(os.path.join(args.results, "metrics.json"), MetricsReport.from_json)
     lines = [json.dumps(ours.to_json(), indent=2, sort_keys=True)]
     if args.baseline:
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a multi-scene benchmark")
     p.add_argument("--template", required=True)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--sigma-mm", type=float, default=1.0)
     p.add_argument("--dropout", type=float, default=0.02)

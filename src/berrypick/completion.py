@@ -64,9 +64,6 @@ class CompletionResult:
     pose: Pose
     fitness: float  # mean inlier residual, mm
 
-    def centroid(self) -> np.ndarray:
-        return self.cloud.centroid()
-
 
 def init_pose(partial: PointCloud, prior: StrawberryPrior) -> Pose:
     """Coarse pose guess from the partial cloud's centroid and PCA axis.
@@ -102,16 +99,13 @@ def init_pose(partial: PointCloud, prior: StrawberryPrior) -> Pose:
     return Pose(rotation=rotation, translation=translation)
 
 
-def _restart_rotations(count: int) -> list[np.ndarray]:
-    x = np.array([1.0, 0.0, 0.0])
-    y = np.array([0.0, 1.0, 0.0])
-    canonical = [
-        np.eye(3),
-        rotation_about_axis(y, np.pi / 2),
-        rotation_about_axis(x, -np.pi / 2),
-        rotation_about_axis(x, np.pi),
-    ]
-    return canonical[:count]
+# ICP restarts' rotations relative to the initial pose (see icp_refine)
+_RESTART_ROTATIONS = (
+    np.eye(3),
+    rotation_about_axis(np.array([0.0, 1.0, 0.0]), np.pi / 2),
+    rotation_about_axis(np.array([1.0, 0.0, 0.0]), -np.pi / 2),
+    rotation_about_axis(np.array([1.0, 0.0, 0.0]), np.pi),
+)
 
 
 def _point_to_plane_step(
@@ -207,11 +201,11 @@ def icp_refine(
         raise InsufficientDataError("registration needs at least 3 points")
     surface = prior.registration_surface()
     normals = prior.registration_normals()
-    tree = prior.registration_tree()
+    tree = prior.registration_tree
     xyz = partial.xyz
 
     best: IcpResult | None = None
-    for i, canonical in enumerate(_restart_rotations(params.restart_count)):
+    for i, canonical in enumerate(_RESTART_ROTATIONS[: params.restart_count]):
         start = Pose(rotation=init.rotation @ canonical, translation=init.translation)
         outcome = _icp_single(xyz, tree, surface, normals, start, params)
         if outcome is None:

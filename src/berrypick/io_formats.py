@@ -176,8 +176,11 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int
         if not token.isdigit():
             raise InputError(f"{path}: malformed header field {token[:16]!r}")
         fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
-    return fields[0], fields[1], fields[2], pos
+    if pos == len(data):
+        raise InputError(f"{path}: header ends without the whitespace byte after maxval")
+    if max(fields[:2]) > 2**31 - 1:
+        raise InputError(f"{path}: {fields[0]}x{fields[1]} image is too large")
+    return fields[0], fields[1], fields[2], pos + 1  # past that whitespace byte
 
 
 def _read_netpbm(path: str, magic: bytes, maxval: int, dtype, channels: int) -> np.ndarray:

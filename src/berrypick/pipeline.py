@@ -100,7 +100,6 @@ class PipelineConfig:
     gripper_radius: float = 0.015
     use_completion: bool = True
     use_obstacles: bool = True
-    rng_seed: int = 0
     p_ee: tuple[float, float, float] = (0.0, 0.0, 0.05)
 
     def __post_init__(self):
@@ -110,8 +109,6 @@ class PipelineConfig:
             raise ParameterError("inflation must be nonnegative")
         if self.gripper_radius <= 0:
             raise ParameterError("gripper_radius must be positive")
-        if self.rng_seed < 0:
-            raise ParameterError("rng_seed must be non-negative")
         object.__setattr__(self, "p_ee", tuple(float(v) for v in self.p_ee))
         if len(self.p_ee) != 3:
             raise ParameterError("p_ee must be a 3-vector")

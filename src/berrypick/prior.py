@@ -12,6 +12,7 @@ surfaces are both SURFACE_POINTS-point samplings of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -108,7 +109,7 @@ class StrawberryPrior:
 
     vertices: np.ndarray
     faces: np.ndarray
-    _sample_cache: dict = field(default_factory=dict, repr=False)
+    _sample_cache: dict = field(default_factory=dict, repr=False)  # canonical_samples(n)
     # the canonical_samples sizes the pipeline reads; perfbench warms them
     densities: ClassVar[tuple[int, ...]] = (SURFACE_POINTS,)
 
@@ -117,10 +118,18 @@ class StrawberryPrior:
         f = np.asarray(self.faces, dtype=np.int32)
         if v.ndim != 2 or v.shape[1] != 3 or f.ndim != 2 or f.shape[1] != 3:
             raise ParameterError("prior needs (V,3) vertices and (F,3) faces")
+        if not np.isfinite(v).all():
+            raise ParameterError("prior vertices must be finite")
+        if f.size and not 0 <= f.min() <= f.max() < len(v):
+            raise ParameterError(f"prior face indices must lie in 0..{len(v) - 1}")
         if not _check_watertight(f):
             raise ParameterError("prior mesh must be watertight")
         self.vertices = v
         self.faces = f
+        with np.errstate(all="ignore"):  # an overflowing area is refused, not warned about
+            area = self.triangle_areas().sum()
+        if not 0.0 < area < np.inf:
+            raise ParameterError(f"prior surface area must be finite and positive, got {area}")
 
     @classmethod
     def builtin(
@@ -133,14 +142,15 @@ class StrawberryPrior:
     @classmethod
     def from_obj(cls, path: str) -> "StrawberryPrior":
         """Load a z-up CAD mesh (vertices in meters); recenters to the
-        area-weighted surface centroid."""
+        area-weighted surface centroid. Every refusal is an InputError that
+        starts with the path."""
         vertices: list[list[float]] = []
         faces: list[list[int]] = []
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read prior mesh {path}: {exc}") from exc
+            raise InputError(f"{path}: cannot read prior mesh: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             parts = line.split()
             if not parts or parts[0] not in ("v", "f"):
@@ -164,16 +174,19 @@ class StrawberryPrior:
                     )
                 for k in range(1, len(idx) - 1):  # fan-triangulate polygons
                     faces.append([idx[0], idx[k], idx[k + 1]])
-        if not vertices or not faces:
-            raise ParameterError(f"no mesh data in {path}")
-        v = np.asarray(vertices)
-        f = np.asarray(faces, dtype=np.int32)
-        tri = v[f]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-        )
-        centroid = (tri.mean(axis=1) * areas[:, None]).sum(axis=0) / areas.sum()
-        return cls(vertices=v - centroid, faces=f)
+        try:
+            if not vertices or not faces:
+                raise ParameterError("no mesh data")
+            # checking the unshifted mesh first keeps the divisor finite and positive
+            mesh = cls(vertices=np.asarray(vertices), faces=np.asarray(faces, dtype=np.int32))
+            areas = mesh.triangle_areas()
+            with np.errstate(all="ignore"):  # an overflow leaves a non-finite vertex, refused
+                tri = mesh.vertices[mesh.faces]
+                centroid = (tri.mean(axis=1) * areas[:, None]).sum(axis=0) / areas.sum()
+                shifted = mesh.vertices - centroid
+            return cls(vertices=shifted, faces=mesh.faces)
+        except ParameterError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
     # -- geometric summaries -------------------------------------------------
 
@@ -209,34 +222,30 @@ class StrawberryPrior:
         lengths = np.linalg.norm(raw, axis=1)
         return raw / np.where(lengths > 0.0, lengths, 1.0)[:, None]
 
+    @cached_property
     def winding(self) -> int:
         """+1 when every face winds counter-clockwise seen from outside, so
         its right-hand normal points outward; -1 when every face winds the
         other way; 0 when the winding is inconsistent (some directed edge
-        appears twice) or the mesh encloses no volume. Cached."""
-        if "winding" not in self._sample_cache:
-            f = self.faces.astype(np.int64)
-            directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-            codes = directed[:, 0] * len(self.vertices) + directed[:, 1]
-            sign = 0
-            if len(np.unique(codes)) == len(codes):
-                tri = self.vertices[self.faces]
-                volume = np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
-                sign = int(np.sign(volume))
-            self._sample_cache["winding"] = sign
-        return self._sample_cache["winding"]
+        appears twice) or the mesh encloses no volume."""
+        f = self.faces.astype(np.int64)
+        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        codes = directed[:, 0] * len(self.vertices) + directed[:, 1]
+        if len(np.unique(codes)) < len(codes):
+            return 0
+        tri = self.vertices[self.faces]
+        return int(np.sign(np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))))
 
+    @cached_property
     def _face_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached area CDF over the faces, and each face's first vertex and
-        its two edge vectors from it."""
-        if "face_tables" not in self._sample_cache:
-            areas = self.triangle_areas()
-            # the CDF Generator.choice builds from p = areas / areas.sum()
-            cdf = (areas / areas.sum()).cumsum()
-            cdf /= cdf[-1]
-            v0, v1, v2 = (self.vertices[self.faces[:, i]] for i in range(3))
-            self._sample_cache["face_tables"] = (cdf, v0, v1 - v0, v2 - v0)
-        return self._sample_cache["face_tables"]
+        """Area CDF over the faces, and each face's first vertex and its two
+        edge vectors from it."""
+        areas = self.triangle_areas()
+        # the CDF Generator.choice builds from p = areas / areas.sum()
+        cdf = (areas / areas.sum()).cumsum()
+        cdf /= cdf[-1]
+        v0, v1, v2 = (self.vertices[self.faces[:, i]] for i in range(3))
+        return cdf, v0, v1 - v0, v2 - v0
 
     def _sample_faces(
         self, n: int, rng: np.random.Generator
@@ -246,7 +255,7 @@ class StrawberryPrior:
         followed by the barycentric mix on the gathered corners."""
         if n < 1:
             raise ParameterError("sample count must be positive")
-        cdf, v0, e1, e2 = self._face_tables()
+        cdf, v0, e1, e2 = self._face_tables
         chosen = cdf.searchsorted(rng.random(n), side="right")
         u = rng.random(n)
         v = rng.random(n)
@@ -267,27 +276,25 @@ class StrawberryPrior:
             self._sample_cache[n] = self.sample_surface(n, rng)
         return self._sample_cache[n]
 
+    @cached_property
     def _registration_sampling(self) -> tuple[np.ndarray, np.ndarray]:
-        if "registration" not in self._sample_cache:
-            n = _REGISTRATION_POINTS
-            rng = np.random.Generator(np.random.Philox(_REGISTRATION_SAMPLE_SEED + n))
-            points, chosen = self._sample_faces(n, rng)
-            self._sample_cache["registration"] = (points, self.face_normals()[chosen])
-        return self._sample_cache["registration"]
+        n = _REGISTRATION_POINTS
+        rng = np.random.Generator(np.random.Philox(_REGISTRATION_SAMPLE_SEED + n))
+        points, chosen = self._sample_faces(n, rng)
+        return points, self.face_normals()[chosen]
 
     def registration_surface(self) -> np.ndarray:
         """Cached dense canonical sampling serving as the ICP target surface."""
-        return self._registration_sampling()[0]
+        return self._registration_sampling[0]
 
     def registration_normals(self) -> np.ndarray:
         """Face normals matching registration_surface, one unit row per point."""
-        return self._registration_sampling()[1]
+        return self._registration_sampling[1]
 
+    @cached_property
     def registration_tree(self) -> cKDTree:
-        """Cached KD-tree over registration_surface, built once per prior."""
-        if "registration_tree" not in self._sample_cache:
-            self._sample_cache["registration_tree"] = cKDTree(self.registration_surface())
-        return self._sample_cache["registration_tree"]
+        """KD-tree over registration_surface, built once per prior."""
+        return cKDTree(self.registration_surface())
 
     def sample_ground_truth(self, pose: Pose, rng: np.random.Generator) -> PointCloud:
         """A posed SURFACE_POINTS-point surface sampling drawn from rng."""

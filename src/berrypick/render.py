@@ -10,9 +10,9 @@ depth comes back as a crop: the union of its triangles' boxes plus that
 box's corner. The crops are composited in object order over the union of
 their boxes, into one window of nearest depths and one of winning object
 indices; a surface takes a pixel only when strictly nearer, so a tie stays
-with the lower index. A berry is
-cast against its front faces only (see render_rgbd). Instance masks and
-visibility fractions come from the composite before sensor noise is applied.
+with the lower index. rasterize casts a berry against its front faces only
+(see render_rgbd). Instance masks and visibility fractions come from the
+composite before sensor noise is applied.
 
 Depth corruption mimics a structured-light sensor: quantize to millimeters,
 add Gaussian noise, re-quantize, then drop pixels to zero at a fixed rate.
@@ -89,16 +89,21 @@ def rasterize(
     k: CameraIntrinsics,
     width: int,
     height: int,
+    winding: int = 0,
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Depth (meters) of one mesh over its on-screen box, and that box's
     top-left pixel (row, col); np.inf where no surface is hit.
 
-    The box is the union of the kept faces' clipped pixel boxes. A mesh with
-    no face on screen gives a (0, 0) array. All faces are processed in one
-    flattened batch: every face contributes its screen bounding-box pixels to
-    a single candidate list, candidates failing the in-triangle test or
-    behind the camera are masked out, and surviving ray-plane depths are
-    scattered into the box with a running minimum.
+    winding is the mesh's StrawberryPrior.winding: with +1 or -1 only the
+    faces not clearly turned away from the camera are cast, those whose
+    screen-space doubled area, signed by the winding, is below 1e-9
+    (front-facing and edge-on faces); with 0 every face is cast. The box is
+    the union of the kept faces' clipped pixel boxes. A mesh with no face on
+    screen gives a (0, 0) array. All faces are processed in one flattened
+    batch: every face contributes its screen bounding-box pixels to a single
+    candidate list, candidates failing the in-triangle test or behind the
+    camera are masked out, and surviving ray-plane depths are scattered into
+    the box with a running minimum.
     """
     v = np.asarray(vertices, dtype=np.float64)
     f = np.asarray(faces, dtype=np.int64)
@@ -108,10 +113,16 @@ def rasterize(
         raise GeometryError("mesh extends behind the camera")
 
     z = v[:, 2]
-    us = k.fx * v[:, 0] / z + k.cx
-    vs = k.fy * v[:, 1] / z + k.cy
-    pu = us[f]  # (F, 3) screen coordinates per face corner
-    pv = vs[f]
+    pu = (k.fx * v[:, 0] / z + k.cx)[f]  # (F, 3) screen coordinates per face corner
+    pv = (k.fy * v[:, 1] / z + k.cy)[f]
+    # area2 = fx fy / (z0 z1 z2) * (n . p0) with n the face's right-hand
+    # normal, so it is positive exactly where that normal points away
+    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
+        pu[:, 2] - pu[:, 0]
+    )
+    if winding:
+        front = winding * area2 < 1e-9
+        f, pu, pv, area2 = f[front], pu[front], pv[front], area2[front]
 
     # clip in float so the int64 cast is always defined; a box clipped to
     # nothing stays empty (u1 < u0)
@@ -121,9 +132,6 @@ def rasterize(
     v1 = np.clip(np.floor(pv.max(axis=1)), -1, height - 1).astype(np.int64)
     wbox = u1 - u0 + 1
     hbox = v1 - v0 + 1
-    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
-        pu[:, 2] - pu[:, 0]
-    )
     keep = np.flatnonzero((wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12))
     if not len(keep):
         return np.full((0, 0), np.inf), (0, 0)
@@ -183,28 +191,6 @@ def rasterize(
     return depth, (row0, col0)
 
 
-def _front_faces(
-    vertices: np.ndarray, faces: np.ndarray, k: CameraIntrinsics, winding: int
-) -> np.ndarray:
-    """The faces of a closed mesh that are not clearly turned away from the
-    camera: those whose screen-space doubled area, signed by the prior's
-    winding, is below 1e-9 (front-facing and edge-on faces). All faces when
-    the winding is inconsistent (0) or when some vertex is not finite or not
-    in front of the camera, which rasterize then rejects."""
-    v = np.asarray(vertices, dtype=np.float64)
-    if not winding or not np.isfinite(v).all() or (v[:, 2] <= 1e-6).any():
-        return faces
-    z = v[:, 2]
-    pu = (k.fx * v[:, 0] / z + k.cx)[faces]
-    pv = (k.fy * v[:, 1] / z + k.cy)[faces]
-    # area2 = fx fy / (z0 z1 z2) * (n . p0) with n the face's right-hand
-    # normal, so it is positive exactly where that normal points away
-    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
-        pu[:, 2] - pu[:, 0]
-    )
-    return faces[winding * area2 < 1e-9]
-
-
 def _composite(
     scene: SceneTemplate, prior: StrawberryPrior
 ) -> tuple[RgbImage, DepthImage, tuple[InstanceMask, ...], dict[int, float]]:
@@ -213,19 +199,17 @@ def _composite(
     h, w = scene.height, scene.width
     k = scene.intrinsics
 
-    meshes: list[tuple[np.ndarray, np.ndarray]] = []
+    meshes: list[tuple[np.ndarray, np.ndarray, int]] = []
     colors: list[tuple[int, int, int]] = []
-    winding = prior.winding()
     for berry in scene.berries:
-        posed = berry.pose.apply(prior.vertices)
-        meshes.append((posed, _front_faces(posed, prior.faces, k, winding)))
+        meshes.append((berry.pose.apply(prior.vertices), prior.faces, prior.winding))
         colors.append(RIPE_COLOR if berry.ripeness is Ripeness.RIPE else UNRIPE_COLOR)
     for occ in scene.occluders:  # open leaves: both sides can face the camera
-        meshes.append(occ.mesh())
+        meshes.append((*occ.mesh(), 0))
         colors.append(LEAF_COLOR)
 
     # everything drawn lies in the union of the non-empty crops' windows
-    crops = [rasterize(mv, mf, k, w, h) for mv, mf in meshes]
+    crops = [rasterize(mv, mf, k, w, h, wind) for mv, mf, wind in meshes]
     drawn = np.array(
         [(r0, c0, r0 + c.shape[0], c0 + c.shape[1]) for c, (r0, c0) in crops if c.size]
         or [(0, 0, 0, 0)]
@@ -309,13 +293,14 @@ def render_rgbd(
 ) -> RenderResult:
     """Render the scene to RGB, noisy depth, per-berry masks and visibility.
 
-    Berries are cast against their front faces only. A ray's nearest hit on
-    a closed surface seen from outside is where it enters, on a face turned
-    toward the camera. The camera is always outside a berry: a berry around
-    it would have vertices at z <= 1e-6, which rasterize rejects. The rule
-    assumes a prior that is watertight, consistently wound and not
-    self-intersecting; a prior whose winding is inconsistent is cast against
-    every face. Leaves are open surfaces and are cast against every face.
+    Berries are rasterized with the prior's winding, so each is cast
+    against its front faces only. A ray's nearest hit on a closed surface
+    seen from outside is where it enters, on a face turned toward the
+    camera. The camera is always outside a berry: a berry around it would
+    have vertices at z <= 1e-6, which rasterize rejects. The rule assumes a
+    prior that is watertight, consistently wound and not self-intersecting;
+    a prior whose winding is inconsistent (0) is cast against every face.
+    Leaves are open surfaces and are rasterized with winding 0.
     """
     rgb, clean, masks, visibility = _composite(scene, prior)
     return RenderResult(

@@ -153,14 +153,6 @@ class RgbImage:
             v = v.astype(np.uint8)
         object.__setattr__(self, "values", v)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -209,14 +201,6 @@ class InstanceMask:
         if b.dtype != np.bool_:
             b = b.astype(bool)
         object.__setattr__(self, "bits", b)
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
 
     def pixel_count(self) -> int:
         return int(self.bits.sum())
@@ -271,10 +255,6 @@ class Pose:
             raise ParameterError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls()
 
     def apply(self, xyz: np.ndarray) -> np.ndarray:
         return np.asarray(xyz) @ self.rotation.T + self.translation

@@ -24,7 +24,7 @@ def prior() -> StrawberryPrior:
     return StrawberryPrior.builtin()
 
 
-def surface_distance_m(prior: StrawberryPrior, xyz, pose: Pose = Pose.identity()) -> np.ndarray:
+def surface_distance_m(prior: StrawberryPrior, xyz, pose: Pose = Pose()) -> np.ndarray:
     """Approximate unsigned distance from points to the posed prior surface:
     the distance to the nearest point of its dense registration sampling."""
     return cKDTree(pose.apply(prior.registration_surface())).query(np.asarray(xyz))[0]

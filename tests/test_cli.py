@@ -216,7 +216,7 @@ def _negative_seed_flag(tmp_path):
 def _negative_seed_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"rng_seed": -1}))
-    # --seed overrides the config's seed, but the config is still checked
+    # a config holds no seed: only --seed sets bench's seed
     return ["--config", str(path), "--seed", "3"]
 
 
@@ -229,7 +229,7 @@ _NEGATIVE_FLAG = "argument --seed: must be a non-negative integer, got '-1'"
         ("gen-scene", _negative_seed_flag, _NEGATIVE_FLAG),
         ("render", _negative_seed_flag, _NEGATIVE_FLAG),
         ("bench", _negative_seed_flag, _NEGATIVE_FLAG),
-        ("bench", _negative_seed_config, "rng_seed must be non-negative"),
+        ("bench", _negative_seed_config, "cfg.json: unknown config keys: ['rng_seed']"),
     ],
     ids=["gen-scene", "render", "bench", "bench-config"],
 )
@@ -243,6 +243,32 @@ def test_negative_seed_is_one_clean_error(tmp_path, template_path, capsys, comma
     assert rc == 1
     assert message in _single_error_line(capsys)
     assert not (tmp_path / "out").exists()
+
+
+def test_config_holding_rng_seed_is_an_unknown_key_naming_it(tmp_path, template_path, capsys):
+    # Regression: bench read a second seed from the config, which the
+    # runners ignored whenever --seed was given.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"rng_seed": 0}))
+    rc = main(["bench", "--template", template_path, "--config", str(path), "--n", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert _single_error_line(capsys) == f"error: {path}: unknown config keys: ['rng_seed']"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_out_without_baseline_is_one_clean_error(tmp_path, template_path, capsys):
+    # Regression: --out was read only with --baseline, so this exited 0 and
+    # wrote nothing.
+    bench_dir = tmp_path / "bench"
+    assert main(["bench", "--template", template_path, "--n", "1", "--out", str(bench_dir)]) == 0
+    capsys.readouterr()
+    rc = main(["report", "--results", str(bench_dir), "--out", str(tmp_path / "rep")])
+    assert rc == 1
+    assert _single_error_line(capsys) == (
+        "error: report --out writes comparison.csv, which needs --baseline"
+    )
+    assert not (tmp_path / "rep").exists()
 
 
 _METRICS = dict(
@@ -529,6 +555,20 @@ def test_deeply_nested_json_is_one_clean_error(tmp_path, rendered_dir, template_
     assert f"{bad} is not valid JSON: nested too deeply" in line
 
 
+@pytest.mark.parametrize("header", [b"P5 0 0 65535", b"P6 0 0 255"], ids=["pgm", "ppm"])
+def test_zero_size_netpbm_header_is_one_clean_error(tmp_path, rendered_dir, capsys, header):
+    # Regression: with no byte after maxval, the payload offset passed the
+    # end of the file and np.frombuffer ended in a ValueError traceback.
+    path = rendered_dir / ("depth.pgm" if header.startswith(b"P5") else "rgb.ppm")
+    path.write_bytes(header)
+    capsys.readouterr()
+    rc = main(["plan", "--scene-dir", str(rendered_dir), "--out", str(tmp_path / "p.json")])
+    assert rc == 1
+    assert _single_error_line(capsys) == (
+        f"error: {path}: header ends without the whitespace byte after maxval"
+    )
+
+
 @pytest.mark.parametrize("name", ["depth.pgm", "masks.pgm", "rgb.ppm"])
 def test_netpbm_bytes_after_the_payload_are_one_clean_error(tmp_path, rendered_dir, capsys, name):
     # Regression: a netpbm file read only the payload its header announced,
@@ -641,6 +681,36 @@ def test_malformed_obj_prior_is_one_clean_error(tmp_path, prior, capsys, body, m
                "--out", str(tmp_path / "c")])
     assert rc == 1
     assert message in _single_error_line(capsys)
+
+
+_TETRAHEDRON_FACES = "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("v 0 0 0\n" * 4 + _TETRAHEDRON_FACES,
+         "prior surface area must be finite and positive, got 0.0"),
+        ("v 1e308 1e308 1e308\nv -1e308 -1e308 1e308\nv -1e308 1e308 -1e308\n"
+         "v 1e308 -1e308 -1e308\n" + _TETRAHEDRON_FACES,
+         "prior surface area must be finite and positive, got nan"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "prior mesh must be watertight"),
+    ],
+    ids=["zero-area", "overflowing-area", "open"],
+)
+@pytest.mark.filterwarnings("error")
+def test_degenerate_obj_prior_is_one_clean_error_naming_it(
+    tmp_path, prior, capsys, body, message
+):
+    # Regression: a zero-area or overflowing prior divided by its area with
+    # a RuntimeWarning and ended in a cKDTree ValueError traceback; an open
+    # one's error did not name the file.
+    bad = tmp_path / "bad.obj"
+    bad.write_text(body)
+    rc = main(["complete", "--partial", _partial_ply(tmp_path, prior), "--prior", str(bad),
+               "--out", str(tmp_path / "c")])
+    assert rc == 1
+    assert _single_error_line(capsys) == f"error: {bad}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -140,7 +140,7 @@ def test_icp_residual_history_never_worsens(prior):
 def test_icp_needs_three_points(prior):
     cloud = PointCloud(xyz=np.zeros((2, 3)) + [0, 0, 0.36])
     with pytest.raises(InsufficientDataError):
-        icp_refine(cloud, prior, Pose.identity())
+        icp_refine(cloud, prior, Pose())
 
 
 def test_icp_params_validation():
@@ -178,7 +178,7 @@ def test_complete_output_is_the_posed_canonical_sampling(prior):
     assert len(result.cloud) == SURFACE_POINTS
     expected = result.pose.apply(prior.canonical_samples(SURFACE_POINTS))
     assert np.array_equal(result.cloud.xyz, expected)
-    assert np.linalg.norm(result.centroid() - true.translation) < 0.002
+    assert np.linalg.norm(result.cloud.centroid() - true.translation) < 0.002
 
 
 def test_complete_needs_ten_points(prior):

@@ -72,7 +72,6 @@ from berrypick.render import (
     GroundTruth,
     GroundTruthInstance,
     _as_seedseq,
-    _front_faces,
     _stream,
     rasterize,
 )
@@ -873,14 +872,19 @@ def test_culling_follows_the_prior_winding(prior, tmp_path):
     flipped = prior.faces.copy()
     flipped[100] = flipped[100, ::-1]
     one_flipped = _write_obj(tmp_path / "one_flipped.obj", prior.vertices, flipped)
-    assert (prior.winding(), inside_out.winding(), one_flipped.winding()) == (1, -1, 0)
+    assert (prior.winding, inside_out.winding, one_flipped.winding) == (1, -1, 0)
 
     posed = Pose(translation=np.array([0.0, 0.0, 0.36])).apply(prior.vertices)
     k = CameraIntrinsics()
-    front = _front_faces(posed, prior.faces, k, 1)
-    assert 0 < len(front) < 0.6 * len(prior.faces)
-    assert len(_front_faces(posed, prior.faces[:, ::-1], k, -1)) == len(front)
-    assert _front_faces(posed, flipped, k, 0) is flipped
+    every_face, origin = rasterize(posed, prior.faces, k, 640, 480)
+    for faces, winding in ((prior.faces, 1), (prior.faces[:, ::-1], -1), (flipped, 0)):
+        culled, at = rasterize(posed, faces, k, 640, 480, winding)
+        assert at == origin
+        assert np.array_equal(np.isfinite(culled), np.isfinite(every_face))
+    # the wrong sign keeps the faces turned away, so it shows the far side
+    back, _ = rasterize(posed, prior.faces, k, 640, 480, -1)
+    seen = np.isfinite(every_face)
+    assert np.array_equal(np.isfinite(back), seen) and (back[seen] > every_face[seen]).all()
 
     template = SceneConfig.from_json(json.loads((_TEMPLATES / "cluttered.json").read_text()))
     rng = np.random.Generator(np.random.Philox(23))

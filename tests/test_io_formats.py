@@ -7,6 +7,7 @@ import base64
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,70 @@ def test_ppm_rejects_pgm_magic(tmp_path):
     path.write_bytes(b"P5\n1 1\n255\n\x00")
     with pytest.raises(InputError):
         read_ppm(str(path))
+
+
+def test_header_dimension_past_2_31_is_input_error(tmp_path):
+    # Regression: a zero-pixel image with a 10**20-row header matched its
+    # empty payload, and the reshape ended in a ValueError.
+    path = tmp_path / "tall.pgm"
+    path.write_bytes(b"P5\n0 100000000000000000000\n65535\n")
+    with pytest.raises(InputError, match="^" + re.escape(
+            f"{path}: 0x100000000000000000000 image is too large")):
+        read_pgm16(str(path))
+
+
+_NETPBM = {"pgm": (b"P5", 65535, 1, 2), "ppm": (b"P6", 255, 3, 1)}
+
+
+@st.composite
+def _mutated_netpbm(draw, kind_of_file):
+    """A valid binary PGM or PPM with one mutation, and whether that mutation
+    must make it invalid. A flipped byte may leave it valid (say, a changed
+    sample); a cut, an extension or a header whose size the payload does
+    not match never does."""
+    magic, maxval, channels, itemsize = _NETPBM[kind_of_file]
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    payload = draw(st.binary(min_size=w * h * channels * itemsize,
+                             max_size=w * h * channels * itemsize))
+    comment = draw(st.sampled_from([b"", b"# a comment\n", b"#\n# two\n"]))
+    kind = draw(st.sampled_from(["valid", "truncate", "flip", "extend", "dimensions"]))
+    if kind == "dimensions":
+        w, h = (draw(st.sampled_from([0, 1, 7, 2**31 - 1, 2**31, 10**20])) for _ in range(2))
+        if w * h == 0:
+            payload = b""
+    data = magic + b"\n" + comment + f"{w} {h}\n{maxval}\n".encode() + payload
+    must_fail = kind in ("truncate", "extend") or (
+        kind == "dimensions" and (w * h * channels * itemsize != len(payload) or max(w, h) >= 2**31)
+    )
+    if kind == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif kind == "extend":
+        data += draw(st.binary(min_size=1, max_size=8))
+    elif kind == "flip":
+        data = bytearray(data)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data), must_fail
+
+
+@pytest.mark.parametrize("kind_of_file", ["pgm", "ppm"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_netpbm_is_input_error_naming_it_or_valid(tmp_path_factory, kind_of_file, data):
+    raw, must_fail = data.draw(_mutated_netpbm(kind_of_file))
+    path = tmp_path_factory.mktemp("pnm") / f"image.{kind_of_file}"
+    path.write_bytes(raw)
+    try:
+        if kind_of_file == "pgm":
+            values = read_pgm16(str(path))
+        else:
+            values = read_ppm(str(path)).values
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+        return
+    assert not must_fail, "a malformed image loaded"
+    assert values.dtype == (np.uint16 if kind_of_file == "pgm" else np.uint8)
+    assert values.ndim == (2 if kind_of_file == "pgm" else 3)
 
 
 # ---------------------------------------------------------------- masks

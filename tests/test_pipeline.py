@@ -200,7 +200,7 @@ def test_no_completion_variant_skips_completion(prior):
 
 
 def test_config_json_round_trip():
-    cfg = PipelineConfig(inflation=0.018, use_obstacles=False, rng_seed=5)
+    cfg = PipelineConfig(inflation=0.018, use_obstacles=False)
     again = PipelineConfig.from_json(cfg.to_json())
     assert again == cfg
 

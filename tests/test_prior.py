@@ -4,12 +4,16 @@ extents) rather than through the constructor's own validation."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import surface_distance_m
 
-from berrypick import ParameterError, StrawberryPrior, superellipsoid_mesh
+from berrypick import InputError, ParameterError, StrawberryPrior, superellipsoid_mesh
 from berrypick.prior import SURFACE_POINTS
 from berrypick.types import Pose, rotation_about_axis
 
@@ -164,5 +168,86 @@ def test_from_obj_fan_triangulates_and_recenters(tmp_path):
 def test_from_obj_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing here\n", encoding="utf-8")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError, match="^" + re.escape(f"{path}: no mesh data")):
         StrawberryPrior.from_obj(str(path))
+
+
+@pytest.mark.parametrize(
+    "vertices, faces, message",
+    [
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.nan]], None, "prior vertices must be finite"),
+        ([[0, 0, 0]] * 4, None, "prior surface area must be finite and positive, got 0.0"),
+        ([[1e308, 1e308, 1e308], [-1e308, -1e308, 1e308], [-1e308, 1e308, -1e308],
+          [1e308, -1e308, -1e308]], None, "prior surface area must be finite and positive"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 4]],
+         "prior face indices must lie in 0..3"),
+    ],
+    ids=["nan-vertex", "zero-area", "overflowing-area", "face-index-past-end"],
+)
+@pytest.mark.filterwarnings("error")
+def test_prior_refuses_a_mesh_it_cannot_sample(vertices, faces, message):
+    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]] if faces is None else faces
+    with pytest.raises(ParameterError, match="^" + re.escape(message)):
+        StrawberryPrior(vertices=np.array(vertices, dtype=float), faces=np.array(faces))
+
+
+_CUBE_OBJ = (
+    "# unit cube\n"
+    + "".join(f"v {x} {y} {z}\n" for x, y, z in [
+        (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
+    + "f 1 4 3 2\nf 5 6 7 8\nf 1 2 6 5\nf 2 3 7 6\nf 3 4 8 7\nf 4 1 5 8\n"
+)
+
+
+@st.composite
+def _mutated_obj(draw):
+    """The cube OBJ's bytes with one mutation, and whether that mutation must
+    make it invalid. A cut or a flipped byte may leave it valid (say, a cut
+    final newline or a changed coordinate); the other mutations never do."""
+    lines = _CUBE_OBJ.splitlines(keepends=True)
+    kind = draw(st.sampled_from(
+        ["truncate", "flip", "coordinate", "zero-area", "face-index", "polygon", "not-utf8"]))
+    if kind == "coordinate":
+        at = draw(st.integers(1, 8))
+        parts = lines[at].split()
+        parts[draw(st.integers(1, 3))] = draw(st.sampled_from(
+            ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "1e308", "-1e308"]))
+        lines[at] = " ".join(parts) + "\n"
+        # 1e308 beside coordinates of 1 overflows no area: it may load
+    elif kind == "zero-area":
+        lines[1:9] = ["v 0.5 0.5 0.5\n"] * 8
+    elif kind == "face-index":
+        at = draw(st.integers(9, 14))
+        parts = lines[at].split()
+        parts[draw(st.integers(1, 4))] = draw(st.sampled_from(["0", "-1", "-9", "9", "10000000000"]))
+        lines[at] = " ".join(parts) + "\n"
+    elif kind == "polygon":  # two quads joined into one hexagon leave the mesh open
+        lines[9:11] = ["f 1 4 3 2 6 5\n"]
+    data = "".join(lines).encode("utf-8")
+    if kind == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif kind == "flip":
+        data = bytearray(data)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    coordinate_ok = kind == "coordinate" and "1e308" in "".join(lines)
+    return bytes(data), kind not in ("truncate", "flip") and not coordinate_ok
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_mutated_obj())
+def test_mutated_obj_is_input_error_naming_it_or_valid(tmp_path_factory, mutated):
+    data, must_fail = mutated
+    path = tmp_path_factory.mktemp("obj") / "prior.obj"
+    path.write_bytes(data)
+    try:
+        prior = StrawberryPrior.from_obj(str(path))
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}:"), exc  # a line's error reads PATH:LINE: ...
+        return
+    assert not must_fail, "a malformed OBJ loaded"
+    assert np.isfinite(prior.vertices).all() and 0.0 < prior.triangle_areas().sum() < np.inf
