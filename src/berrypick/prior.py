@@ -76,31 +76,56 @@ def superellipsoid_mesh(
     north = np.array([[0.0, 0.0, c]])
     vertices = np.concatenate([south, rings.reshape(-1, 3), north], axis=0)
 
-    def ring_vertex(i: int, j: int) -> int:
-        return 1 + i * slices + (j % slices)
-
-    faces = []
-    for j in range(slices):  # south cap
-        faces.append([0, ring_vertex(0, j + 1), ring_vertex(0, j)])
-    for i in range(stacks - 2):
-        for j in range(slices):
-            v00 = ring_vertex(i, j)
-            v01 = ring_vertex(i, j + 1)
-            v10 = ring_vertex(i + 1, j)
-            v11 = ring_vertex(i + 1, j + 1)
-            faces.append([v00, v01, v11])
-            faces.append([v00, v11, v10])
-    top = len(vertices) - 1
-    for j in range(slices):  # north cap
-        faces.append([top, ring_vertex(stacks - 2, j), ring_vertex(stacks - 2, j + 1)])
-    return vertices, np.asarray(faces, dtype=np.int32)
+    # ring i's vertex j is 1 + i * slices + j; each row of quads and each cap
+    # runs j = 0..slices-1, a quad's two triangles side by side
+    ring = 1 + slices * np.arange(stacks - 1)[:, None]
+    here = ring + np.arange(slices)
+    ahead = ring + (np.arange(slices) + 1) % slices
+    south_cap = np.stack([np.zeros(slices, np.int64), ahead[0], here[0]], axis=1)
+    lower = np.stack([here[:-1], ahead[:-1], ahead[1:]], axis=-1)
+    upper = np.stack([here[:-1], ahead[1:], here[1:]], axis=-1)
+    quads = np.stack([lower, upper], axis=2)
+    north_cap = np.stack([np.full(slices, len(vertices) - 1), here[-1], ahead[-1]], axis=1)
+    faces = np.concatenate([south_cap, quads.reshape(-1, 3), north_cap])
+    return vertices, faces.astype(np.int32)
 
 
-def _check_watertight(faces: np.ndarray) -> bool:
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    _, counts = np.unique(edges, axis=0, return_counts=True)
+def _edge_codes(faces: np.ndarray, n_vertices: int, directed: bool) -> np.ndarray:
+    """One int64 code per face edge: a * n_vertices + b for the edge a -> b,
+    or min * n_vertices + max when not directed."""
+    start = faces.astype(np.int64).reshape(-1)
+    end = np.roll(faces, -1, axis=1).astype(np.int64).reshape(-1)
+    if not directed:
+        start, end = np.minimum(start, end), np.maximum(start, end)
+    return start * n_vertices + end
+
+
+def _check_watertight(faces: np.ndarray, n_vertices: int) -> bool:
+    """Every undirected edge is shared by exactly two faces."""
+    _, counts = np.unique(_edge_codes(faces, n_vertices, directed=False), return_counts=True)
     return bool((counts == 2).all())
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a CDF whose last value is 1.0. It splits [0, 1) into M
+    equal buckets, M a power of two at least twice len(cdf), so key * M is
+    exact and floor(key * M) is key's bucket b; guide[b] is the first index
+    whose CDF value exceeds b / M, so it never lies past the index that any
+    key in bucket b finds."""
+    buckets = 1 << (2 * len(cdf) - 1).bit_length()
+    return cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+
+
+def _search_cdf(cdf: np.ndarray, guide: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each key in [0, 1), the first index whose CDF value exceeds it
+    (cdf.searchsorted(keys, side="right")), stepping on from its guide entry.
+    cdf's last value is 1.0, above every key, so no step runs past the end."""
+    found = guide[(keys * len(guide)).astype(np.int64)]
+    behind = np.flatnonzero(cdf[found] <= keys)
+    while len(behind):
+        found[behind] += 1
+        behind = behind[cdf[found[behind]] <= keys[behind]]
+    return found
 
 
 @dataclass
@@ -122,7 +147,7 @@ class StrawberryPrior:
             raise ParameterError("prior vertices must be finite")
         if f.size and not 0 <= f.min() <= f.max() < len(v):
             raise ParameterError(f"prior face indices must lie in 0..{len(v) - 1}")
-        if not _check_watertight(f):
+        if not _check_watertight(f, len(v)):
             raise ParameterError("prior mesh must be watertight")
         self.vertices = v
         self.faces = f
@@ -142,8 +167,9 @@ class StrawberryPrior:
     @classmethod
     def from_obj(cls, path: str) -> "StrawberryPrior":
         """Load a z-up CAD mesh (vertices in meters); recenters to the
-        area-weighted surface centroid. Every refusal is an InputError that
-        starts with the path."""
+        area-weighted surface centroid. Face indices are absolute (1-based)
+        or relative (-1 is the last vertex defined above the face). Every
+        refusal is an InputError that starts with the path."""
         vertices: list[list[float]] = []
         faces: list[list[int]] = []
         try:
@@ -163,7 +189,10 @@ class StrawberryPrior:
                     if not np.isfinite(vertices[-1]).all():
                         raise ValueError("vertex coordinates must be finite")
                 else:
-                    idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
+                    # k counts from the first vertex, -k back from the last
+                    # one defined above the face
+                    idx = [int(tok.split("/")[0]) for tok in parts[1:]]
+                    idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: malformed {parts[0]!r} line: {exc}") from exc
             if parts[0] == "f":
@@ -228,24 +257,22 @@ class StrawberryPrior:
         its right-hand normal points outward; -1 when every face winds the
         other way; 0 when the winding is inconsistent (some directed edge
         appears twice) or the mesh encloses no volume."""
-        f = self.faces.astype(np.int64)
-        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        codes = directed[:, 0] * len(self.vertices) + directed[:, 1]
+        codes = _edge_codes(self.faces, len(self.vertices), directed=True)
         if len(np.unique(codes)) < len(codes):
             return 0
         tri = self.vertices[self.faces]
         return int(np.sign(np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))))
 
     @cached_property
-    def _face_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Area CDF over the faces, and each face's first vertex and its two
-        edge vectors from it."""
+    def _face_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Area CDF over the faces, its guide table, and each face's first
+        vertex and its two edge vectors from it."""
         areas = self.triangle_areas()
         # the CDF Generator.choice builds from p = areas / areas.sum()
         cdf = (areas / areas.sum()).cumsum()
         cdf /= cdf[-1]
         v0, v1, v2 = (self.vertices[self.faces[:, i]] for i in range(3))
-        return cdf, v0, v1 - v0, v2 - v0
+        return cdf, _guide_table(cdf), v0, v1 - v0, v2 - v0
 
     def _sample_faces(
         self, n: int, rng: np.random.Generator
@@ -255,8 +282,8 @@ class StrawberryPrior:
         followed by the barycentric mix on the gathered corners."""
         if n < 1:
             raise ParameterError("sample count must be positive")
-        cdf, v0, e1, e2 = self._face_tables
-        chosen = cdf.searchsorted(rng.random(n), side="right")
+        cdf, guide, v0, e1, e2 = self._face_tables
+        chosen = _search_cdf(cdf, guide, rng.random(n))
         u = rng.random(n)
         v = rng.random(n)
         flip = u + v > 1.0

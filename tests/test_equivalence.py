@@ -65,6 +65,14 @@ from berrypick import (
 )
 from berrypick.pipeline import extract_partials
 from berrypick.planning import _NEIGHBOR_STEPS, _segment_distances
+from berrypick import prior as prior_module
+from berrypick.errors import ParameterError
+from berrypick.prior import (
+    _check_watertight,
+    _guide_table,
+    _search_cdf,
+    superellipsoid_mesh,
+)
 from berrypick.render import (
     LEAF_COLOR,
     RIPE_COLOR,
@@ -595,6 +603,142 @@ def test_occupancy_margin_holds_on_the_sure_in_edge(resolution):
         )
 
 
+# ---------------------------------------------------------------- prior
+
+
+def reference_search_cdf(cdf, keys):
+    return cdf.searchsorted(keys, side="right")
+
+
+def _area_cdf(areas):
+    """The CDF StrawberryPrior._face_tables builds from its face areas."""
+    areas = np.asarray(areas, dtype=np.float64)
+    cdf = (areas / areas.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _boundary_keys(cdf, guide):
+    """Every CDF value below 1 and its neighbours, every bucket edge and its
+    neighbours, 0.0 and the largest double below 1."""
+    edges = np.arange(len(guide)) / len(guide)
+    points = np.concatenate([cdf[cdf < 1.0], edges])
+    keys = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0),
+                           [0.0, np.nextafter(1.0, 0.0)]])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+_AREAS = st.one_of(
+    # zero-area faces repeat a CDF value
+    st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e-3]), min_size=1, max_size=40),
+    # many tiny faces share one bucket, and one large face leaves buckets empty
+    st.tuples(st.integers(1, 60), st.floats(1e-12, 1e-3), st.integers(0, 5)).map(
+        lambda t: [t[1]] * t[0] + [1.0] + [t[1]] * t[2]),
+    st.lists(st.floats(0.0, 1e3), min_size=1, max_size=200),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(areas=_AREAS, seed=st.integers(0, 2**32 - 1))
+def test_guide_table_search_matches_searchsorted(areas, seed):
+    assume(sum(areas) > 0)
+    cdf = _area_cdf(areas)
+    guide = _guide_table(cdf)
+    assert len(guide) >= 2 * len(cdf) and len(guide) & (len(guide) - 1) == 0
+    keys = np.concatenate([_boundary_keys(cdf, guide), np.random.default_rng(seed).random(500)])
+    assert np.array_equal(_search_cdf(cdf, guide, keys), reference_search_cdf(cdf, keys))
+
+
+def test_guide_table_search_matches_searchsorted_on_the_builtin_prior(prior):
+    cdf, guide = prior._face_tables[:2]
+    keys = np.concatenate([_boundary_keys(cdf, guide), np.random.default_rng(5).random(16384)])
+    assert np.array_equal(_search_cdf(cdf, guide, keys), reference_search_cdf(cdf, keys))
+
+
+def reference_check_watertight(faces):
+    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    edges = np.sort(edges, axis=1)
+    _, counts = np.unique(edges, axis=0, return_counts=True)
+    return bool((counts == 2).all())
+
+
+def reference_winding(vertices, faces):
+    f = faces.astype(np.int64)
+    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    codes = directed[:, 0] * len(vertices) + directed[:, 1]
+    if len(np.unique(codes)) < len(codes):
+        return 0
+    tri = vertices[faces]
+    return int(np.sign(np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))))
+
+
+def _refusal(vertices, faces):
+    try:
+        StrawberryPrior(vertices=vertices, faces=faces)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+def test_edge_code_checks_match_unique_rows(prior, monkeypatch):
+    v, f = prior.vertices, prior.faces
+    flipped = f.copy()
+    flipped[100] = flipped[100, ::-1]
+    meshes = {
+        "closed": f,
+        "missing-face": np.delete(f, 7, axis=0),
+        "duplicated-face": np.concatenate([f, f[:1]]),
+        "flipped-face": flipped,
+        "empty": np.zeros((0, 3), dtype=np.int32),
+    }
+    refusals = {}
+    for name, faces in meshes.items():
+        assert _check_watertight(faces, len(v)) == reference_check_watertight(faces), name
+        refusals[name] = _refusal(v, faces)
+    assert StrawberryPrior(vertices=v, faces=flipped).winding == reference_winding(v, flipped) == 0
+    assert prior.winding == reference_winding(v, f) == 1
+
+    monkeypatch.setattr(prior_module, "_check_watertight",
+                        lambda faces, n_vertices: reference_check_watertight(faces))
+    assert {name: _refusal(v, faces) for name, faces in meshes.items()} == refusals
+    assert refusals == {
+        "closed": None,
+        "missing-face": "prior mesh must be watertight",
+        "duplicated-face": "prior mesh must be watertight",
+        "flipped-face": None,
+        "empty": "prior surface area must be finite and positive, got 0.0",
+    }
+
+
+def reference_superellipsoid_faces(stacks, slices):
+    def ring_vertex(i, j):
+        return 1 + i * slices + (j % slices)
+
+    faces = []
+    for j in range(slices):  # south cap
+        faces.append([0, ring_vertex(0, j + 1), ring_vertex(0, j)])
+    for i in range(stacks - 2):
+        for j in range(slices):
+            v00 = ring_vertex(i, j)
+            v01 = ring_vertex(i, j + 1)
+            v10 = ring_vertex(i + 1, j)
+            v11 = ring_vertex(i + 1, j + 1)
+            faces.append([v00, v01, v11])
+            faces.append([v00, v11, v10])
+    top = 1 + (stacks - 1) * slices
+    for j in range(slices):  # north cap
+        faces.append([top, ring_vertex(stacks - 2, j), ring_vertex(stacks - 2, j + 1)])
+    return np.asarray(faces, dtype=np.int32)
+
+
+@pytest.mark.parametrize("stacks, slices", [(3, 3), (7, 5), (24, 32)])
+def test_superellipsoid_faces_match_the_loop(stacks, slices):
+    vertices, faces = superellipsoid_mesh(0.012, 0.012, 0.0175, stacks=stacks, slices=slices)
+    expected = reference_superellipsoid_faces(stacks, slices)
+    assert faces.dtype == expected.dtype and np.array_equal(faces, expected)
+    assert len(vertices) == expected.max() + 1
+
+
 # ---------------------------------------------------------------- render
 
 
@@ -921,6 +1065,195 @@ def test_culled_render_matches_reference_near_edges_and_near_plane(
     berry = BerryInstance(0, pose, Ripeness.RIPE if ripe else Ripeness.UNRIPE)
     scene = SceneTemplate(berries=(berry,), occluders=(), intrinsics=_SMALL, width=64, height=48)
     _assert_renders_like_reference(scene, prior, (RenderParams(2.0, 0.05),), 0)
+
+
+def box_rasterize(
+    vertices: np.ndarray,
+    faces: np.ndarray,
+    k: CameraIntrinsics,
+    width: int,
+    height: int,
+    winding: int = 0,
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """rasterize as it was before row spans: every face tests every pixel of
+    its clipped box, row by row."""
+    v = np.asarray(vertices, dtype=np.float64)
+    f = np.asarray(faces, dtype=np.int64)
+    if not np.isfinite(v).all():
+        raise GeometryError("mesh has non-finite vertices")
+    if (v[:, 2] <= 1e-6).any():
+        raise GeometryError("mesh extends behind the camera")
+
+    z = v[:, 2]
+    pu = (k.fx * v[:, 0] / z + k.cx)[f]  # (F, 3) screen coordinates per face corner
+    pv = (k.fy * v[:, 1] / z + k.cy)[f]
+    # area2 = fx fy / (z0 z1 z2) * (n . p0) with n the face's right-hand
+    # normal, so it is positive exactly where that normal points away
+    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
+        pu[:, 2] - pu[:, 0]
+    )
+    if winding:
+        front = winding * area2 < 1e-9
+        f, pu, pv, area2 = f[front], pu[front], pv[front], area2[front]
+
+    # clip in float so the int64 cast is always defined; a box clipped to
+    # nothing stays empty (u1 < u0)
+    u0 = np.clip(np.ceil(pu.min(axis=1)), 0, width).astype(np.int64)
+    u1 = np.clip(np.floor(pu.max(axis=1)), -1, width - 1).astype(np.int64)
+    v0 = np.clip(np.ceil(pv.min(axis=1)), 0, height).astype(np.int64)
+    v1 = np.clip(np.floor(pv.max(axis=1)), -1, height - 1).astype(np.int64)
+    wbox = u1 - u0 + 1
+    hbox = v1 - v0 + 1
+    keep = np.flatnonzero((wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12))
+    if not len(keep):
+        return np.full((0, 0), np.inf), (0, 0)
+
+    pu, pv = pu[keep], pv[keep]
+    u0, v0, u1, v1 = u0[keep], v0[keep], u1[keep], v1[keep]
+    wbox, hbox = wbox[keep], hbox[keep]
+    sign = np.where(area2[keep] > 0, 1.0, -1.0)
+    row0, col0 = int(v0.min()), int(u0.min())
+    depth = np.full((int(v1.max()) - row0 + 1, int(u1.max()) - col0 + 1), np.inf)
+
+    # Each face's box as rows and columns: gv holds the pixel row of every
+    # (face, row), gu the pixel column of every (face, column). A candidate
+    # pixel pairs a row with each column of the same face, row by row.
+    n_faces = len(keep)
+    row_face = np.repeat(np.arange(n_faces), hbox)
+    col_face = np.repeat(np.arange(n_faces), wbox)
+    col_start = np.cumsum(wbox) - wbox
+    gv = v0[row_face] + np.arange(len(row_face)) - np.repeat(np.cumsum(hbox) - hbox, hbox)
+    gu = u0[col_face] + np.arange(len(col_face)) - np.repeat(col_start, wbox)
+    gv, gu = gv.astype(np.float64), gu.astype(np.float64)
+    span = wbox[row_face]  # candidates per row
+    row_start = np.cumsum(span) - span
+    n_cand = int(span.sum())
+    cand_col = np.repeat(col_start[row_face] - row_start, span) + np.arange(n_cand)
+
+    # Edge function du * (v - pv) - dv * (u - pu): its first product depends
+    # only on the row and its second only on the column, so each is computed
+    # once and gathered per candidate, the same float operations as per pixel.
+    # Negating a clockwise face's differences negates the edge function
+    # exactly, so the inside test is a plain >= 0.
+    inside = np.ones(n_cand, dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        du = sign * (pu[:, b] - pu[:, a])
+        dv = sign * (pv[:, b] - pv[:, a])
+        row_term = du[row_face] * (gv - pv[row_face, a])
+        col_term = dv[col_face] * (gu - pu[col_face, a])
+        inside &= np.repeat(row_term, span) - col_term[cand_col] >= 0
+    idx = np.flatnonzero(inside)
+    if not len(idx):
+        return depth, (row0, col0)
+
+    cand_row = np.repeat(np.arange(len(row_face)), span)[idx]
+    face = row_face[cand_row]
+    gu, gv = gu[cand_col[idx]], gv[cand_row]
+    tri = v[f[keep]]
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    # pixel ray (du, dv, 1): the intersection parameter equals z-depth
+    denom = n[face, 0] * (gu - k.cx) / k.fx + n[face, 1] * (gv - k.cy) / k.fy + n[face, 2]
+    plane = np.einsum("ij,ij->i", n, tri[:, 0])[face]
+    safe = np.abs(denom) > 1e-15
+    t = np.where(safe, plane / np.where(safe, denom, 1.0), np.inf)
+    hit = safe & (t > 1e-6)
+    if hit.any():
+        cell = (gv[hit] - row0) * depth.shape[1] + (gu[hit] - col0)
+        np.minimum.at(depth.reshape(-1), cell.astype(np.int64), t[hit])
+    return depth, (row0, col0)
+
+
+_UNIT = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)  # depth 2**k projects exactly
+
+
+def _nudge(x: float, ulps: int) -> float:
+    """x moved by ulps units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@st.composite
+def _screen_coordinate(draw):
+    """A coordinate in [-8, 72]: a fraction with a small denominator, which
+    puts crossings on or next to pixel centers, or any float."""
+    den = draw(st.sampled_from([1, 2, 3, 5, 7, 10, None]))
+    if den is None:
+        return draw(st.floats(-8.0, 72.0))
+    return draw(st.integers(-8 * den, 72 * den)) / den
+
+
+@st.composite
+def _screen_triangle(draw):
+    """Three vertices whose screen coordinates on _UNIT are exact: free, with
+    an edge within a hair of horizontal, or all inside one pixel, each
+    coordinate nudged by up to 2 ulps."""
+    corners = [[draw(_screen_coordinate()), draw(_screen_coordinate())] for _ in range(3)]
+    kind = draw(st.sampled_from(["free", "near-horizontal", "sub-pixel"]))
+    if kind == "near-horizontal":
+        corners[1][1] = corners[0][1] + draw(st.sampled_from([0.0, 1e-13, -1e-9, 1e-6, -3e-4]))
+    elif kind == "sub-pixel":
+        corners = [[corners[0][0] + draw(st.floats(0.0, 0.9)),
+                    corners[0][1] + draw(st.floats(0.0, 0.9))] for _ in range(3)]
+    rows = []
+    for u, v in corners:
+        z = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        nudges = st.sampled_from([1, -1, 2, -2, 0])
+        u, v = _nudge(u, draw(nudges)), _nudge(v, draw(nudges))
+        rows.append((u * z, v * z, z))
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(triangles=st.lists(_screen_triangle(), min_size=1, max_size=4),
+       winding=st.sampled_from([0, 1, -1]))
+def test_row_span_rasterize_matches_box_rasterize_on_triangles(triangles, winding):
+    vertices = np.array([corner for tri in triangles for corner in tri])
+    faces = np.arange(len(vertices)).reshape(-1, 3)
+    crop, origin = rasterize(vertices, faces, _UNIT, 64, 48, winding)
+    expected, expected_origin = box_rasterize(vertices, faces, _UNIT, 64, 48, winding)
+    assert origin == expected_origin
+    assert np.array_equal(crop, expected)
+
+
+def test_row_span_rasterize_matches_box_rasterize_on_nudged_lattice_triangles():
+    """Corners on whole or third pixels, each coordinate one ulp off: about
+    one triangle in a hundred has a pixel that passes the edge tests a hair
+    beyond its computed crossing, which the span's one-pixel margin keeps."""
+    rng = np.random.default_rng(2025)
+    faces = np.array([[0, 1, 2]])
+    for _ in range(1000):
+        den = rng.choice([1, 3])
+        corners = rng.integers(-8 * den, 72 * den, size=(3, 2)) / den
+        corners = np.nextafter(corners, corners + rng.choice([-1.0, 1.0], size=(3, 2)))
+        z = rng.choice([0.25, 0.5, 1.0, 2.0], size=(3, 1))
+        vertices = np.hstack([corners * z, z])
+        crop, origin = rasterize(vertices, faces, _UNIT, 64, 48)
+        expected, expected_origin = box_rasterize(vertices, faces, _UNIT, 64, 48)
+        assert origin == expected_origin
+        assert np.array_equal(crop, expected), corners.tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    u=st.floats(-100.0, 740.0), v=st.floats(-100.0, 580.0), z=st.floats(0.12, 0.6),
+    normal=st.tuples(*[st.floats(-1.0, 1.0)] * 2), semi_major=st.floats(0.005, 0.06),
+    aspect=st.floats(0.2, 1.0), roll=st.floats(0.0, 2 * np.pi),
+)
+def test_row_span_rasterize_matches_box_rasterize_on_leaf_fans(
+    u, v, z, normal, semi_major, aspect, roll
+):
+    """Leaf fans on the default 640 x 480 camera, whole or cut by the frame."""
+    k = CameraIntrinsics()
+    leaf = Occluder(center=np.array([(u - k.cx) * z / k.fx, (v - k.cy) * z / k.fy, z]),
+                    normal=np.array([*normal, 1.0]), semi_major=semi_major,
+                    semi_minor=aspect * semi_major, roll_rad=roll)
+    vertices, faces = leaf.mesh()
+    assume(vertices[:, 2].min() > 1e-6)
+    crop, origin = rasterize(vertices, faces, k, 640, 480)
+    expected, expected_origin = box_rasterize(vertices, faces, k, 640, 480)
+    assert origin == expected_origin
+    assert np.array_equal(crop, expected)
 
 
 # ---------------------------------------------------------------- ground truth

@@ -165,6 +165,40 @@ def test_from_obj_fan_triangulates_and_recenters(tmp_path):
     assert cube.vertices.mean(axis=0) == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
 
+_TETRAHEDRON_V = "v 0 0 0\nv 0.01 0 0\nv 0 0.01 0\nv 0 0 0.01\n"
+
+
+@pytest.mark.parametrize(
+    "relative",
+    [
+        _TETRAHEDRON_V + "f -4 -2 -3\nf -4 -1 -2\nf -4 -3 -1\nf -3 -2 -1\n",
+        _TETRAHEDRON_V + "f -4/1 -2/2/1 -3//3\nf 1/1/1 -1 3\nf -4 -3/7 -1\nf -3 -2 4//2\n",
+        # -k counts back from the last vertex defined above the face
+        "v 0 0 0\nv 0.01 0 0\nv 0 0.01 0\nf -3 -1 -2\nv 0 0 0.01\n"
+        "f -4 -1 -2\nf -4 -3 -1\nf -3 -2 -1\n",
+    ],
+    ids=["plain", "slashed", "interleaved"],
+)
+def test_from_obj_relative_indices_equal_their_absolute_twin(tmp_path, relative):
+    # Regression: a negative face index was read as 1-based absolute, so
+    # "f -4 -3 -2" ended in "face index out of range 1..4".
+    absolute = tmp_path / "absolute.obj"
+    absolute.write_text(_TETRAHEDRON_V + "f 1 3 2\nf 1 4 3\nf 1 2 4\nf 2 3 4\n")
+    rel = tmp_path / "relative.obj"
+    rel.write_text(relative)
+    twin, mesh = StrawberryPrior.from_obj(str(absolute)), StrawberryPrior.from_obj(str(rel))
+    assert np.array_equal(mesh.vertices, twin.vertices)
+    assert np.array_equal(mesh.faces, twin.faces)
+
+
+@pytest.mark.parametrize("index", ["0", "-5", "5"])
+def test_from_obj_face_index_outside_the_vertices_names_its_line(tmp_path, index):
+    path = tmp_path / "bad.obj"
+    path.write_text(_TETRAHEDRON_V + f"f 1 3 2\nf 1 4 3\nf 1 2 {index}\nf 2 3 4\n")
+    with pytest.raises(InputError, match="^" + re.escape(f"{path}:7: face index out of range 1..4")):
+        StrawberryPrior.from_obj(str(path))
+
+
 def test_from_obj_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.obj"
     path.write_text("# nothing here\n", encoding="utf-8")
@@ -219,7 +253,8 @@ def _mutated_obj(draw):
     elif kind == "face-index":
         at = draw(st.integers(9, 14))
         parts = lines[at].split()
-        parts[draw(st.integers(1, 4))] = draw(st.sampled_from(["0", "-1", "-9", "9", "10000000000"]))
+        index = draw(st.sampled_from(["0", "-1", "-9", "9", "10000000000"]))
+        parts[draw(st.integers(1, 4))] = index
         lines[at] = " ".join(parts) + "\n"
     elif kind == "polygon":  # two quads joined into one hexagon leave the mesh open
         lines[9:11] = ["f 1 4 3 2 6 5\n"]
@@ -234,7 +269,9 @@ def _mutated_obj(draw):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
     coordinate_ok = kind == "coordinate" and "1e308" in "".join(lines)
-    return bytes(data), kind not in ("truncate", "flip") and not coordinate_ok
+    # a relative index of -1 names vertex 8, and may leave the mesh closed
+    relative_ok = kind == "face-index" and index == "-1"
+    return bytes(data), kind not in ("truncate", "flip") and not coordinate_ok and not relative_ok
 
 
 @pytest.mark.filterwarnings("error")
