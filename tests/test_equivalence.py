@@ -7,8 +7,11 @@ np.unique rows, distance-transform occupancy with a queried doubt band
 against a query of every cell of the inflated box, the per-mesh crop
 renderer against a full-frame depth stack composited with argmin, the
 front-face, live-span renderer against the all-face, full-frame renderer it
-replaced, and the one-surface ground-truth draw against the three-surface
-draw it replaced. Outputs must match exactly.
+replaced, the row-span rasterizer against the box rasterizer it replaced,
+the one-surface ground-truth draw against the three-surface draw it
+replaced, and the prior's guide-table face lookup, edge-code mesh checks
+and numpy mesh faces against searchsorted, np.unique rows and the face
+loop. Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from berrypick import (
 from berrypick.pipeline import extract_partials
 from berrypick.planning import _NEIGHBOR_STEPS, _segment_distances
 from berrypick import prior as prior_module
-from berrypick.errors import ParameterError
+from berrypick.errors import GeometryError, ParameterError
 from berrypick.prior import (
     _check_watertight,
     _guide_table,
