@@ -1,7 +1,7 @@
 """Occlusion-aware strawberry perception-to-grasp pipeline with a built-in
 synthetic RGB-D scene simulator."""
 
-from .chamfer import chamfer_loss, chamfer_loss_brute, chamfer_metric_mm
+from .chamfer import chamfer_loss, chamfer_metric_mm
 from .completion import (
     CompletionResult,
     IcpParams,

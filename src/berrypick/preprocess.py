@@ -70,11 +70,19 @@ def project_point_cloud(
 def voxel_downsample(cloud: PointCloud, params: VoxelParams) -> PointCloud:
     """Bin points into cubes of edge voxel_size; every bin holding at least
     min_points members emits its centroid. Sparser bins are dropped as noise.
+    A voxel_size so small that a bin index reaches 2**62 raises ParameterError.
     """
     if len(cloud) == 0:
         return PointCloud.empty()
 
-    keys = np.floor(cloud.xyz / params.voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # an infinite key is refused below
+        keys = np.floor(cloud.xyz / params.voxel_size)
+    if not (np.abs(keys) < 2**62).all():
+        raise ParameterError(
+            f"voxel_size {params.voxel_size:g} m is too small for coordinates "
+            f"up to {np.abs(cloud.xyz).max():g} m"
+        )
+    keys = keys.astype(np.int64)
     # groups in lexicographic key order, as np.unique(axis=0) numbers them
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]

@@ -33,6 +33,18 @@ WORKSPACE_HI = np.array([0.09, 0.06, 0.42])
 
 _MAX_PLACEMENT_TRIES = 200
 
+# A leaf is a fan of _LEAF_SEGMENTS triangles around its center vertex 0.
+_LEAF_SEGMENTS = 24
+_LEAF_THETA = 2 * np.pi * np.arange(_LEAF_SEGMENTS) / _LEAF_SEGMENTS
+_LEAF_COS, _LEAF_SIN = np.cos(_LEAF_THETA), np.sin(_LEAF_THETA)
+_LEAF_FACES = np.array(
+    [[0, 1 + j, 1 + (j + 1) % _LEAF_SEGMENTS] for j in range(_LEAF_SEGMENTS)], dtype=np.int32
+)
+_LEAF_FACES.flags.writeable = False
+
+# Largest frame a scene may ask for (4096 x 4096), refused before any image is allocated.
+MAX_FRAME_PIXELS = 2**24
+
 
 @dataclass(frozen=True)
 class BerryInstance:
@@ -89,25 +101,22 @@ class Occluder:
         if not np.isfinite(self.roll_rad):
             raise ParameterError("occluder roll must be finite")
 
-    def mesh(self, segments: int = 24) -> tuple[np.ndarray, np.ndarray]:
-        """Triangle fan tessellating the ellipse, in the camera frame."""
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Triangle fan of _LEAF_SEGMENTS faces tessellating the ellipse, in
+        the camera frame. The faces are the shared, read-only _LEAF_FACES."""
         basis = rotation_aligning(np.array([0.0, 0.0, 1.0]), self.normal)
         roll = rotation_about_axis(np.array([0.0, 0.0, 1.0]), self.roll_rad)
         frame = basis @ roll
-        theta = 2 * np.pi * np.arange(segments) / segments
         rim_local = np.stack(
             [
-                self.semi_major * np.cos(theta),
-                self.semi_minor * np.sin(theta),
-                np.zeros(segments),
+                self.semi_major * _LEAF_COS,
+                self.semi_minor * _LEAF_SIN,
+                np.zeros(_LEAF_SEGMENTS),
             ],
             axis=1,
         )
         vertices = np.concatenate([[np.zeros(3)], rim_local], axis=0) @ frame.T + self.center
-        faces = np.array(
-            [[0, 1 + j, 1 + (j + 1) % segments] for j in range(segments)], dtype=np.int32
-        )
-        return vertices, faces
+        return vertices, _LEAF_FACES
 
     def to_json(self) -> dict:
         return {
@@ -207,6 +216,10 @@ class SceneTemplate:
         ids = [b.instance_id for b in self.berries]
         if len(set(ids)) != len(ids):
             raise ParameterError("duplicate berry instance ids")
+        if self.width * self.height > MAX_FRAME_PIXELS:
+            raise ParameterError(
+                f"a {self.width}x{self.height} frame has more than {MAX_FRAME_PIXELS} pixels"
+            )
         self.intrinsics.validate_for(self.width, self.height)
 
     def to_json(self) -> dict:

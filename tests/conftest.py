@@ -30,6 +30,26 @@ def surface_distance_m(prior: StrawberryPrior, xyz, pose: Pose = Pose()) -> np.n
     return cKDTree(pose.apply(prior.registration_surface())).query(np.asarray(xyz))[0]
 
 
+def chamfer_loss_brute(p, q) -> float:
+    """The oracle for chamfer_loss: every pair's squared distance, O(|P|*|Q|),
+    with no KD-tree. Each chunk of rows builds dx*dx + dy*dy + dz*dz one axis
+    at a time, in the order np.sum adds a point's three squared offsets."""
+    pa, qa = (np.asarray(getattr(c, "xyz", c), dtype=np.float64) for c in (p, q))
+    total = 0.0
+    for arr, other in ((pa, qa), (qa, pa)):
+        ox, oy, oz = np.ascontiguousarray(other.T)
+        mins = np.empty(len(arr))
+        for start in range(0, len(arr), 256):
+            rows = arr[start:start + 256]
+            dx, dy, dz = rows[:, 0, None] - ox, rows[:, 1, None] - oy, rows[:, 2, None] - oz
+            d = dx * dx
+            d += dy * dy
+            d += dz * dz
+            mins[start:start + 256] = d.min(axis=1)
+        total += float(np.sum(mins))
+    return total
+
+
 def _berry(instance_id: int, center, ripeness: Ripeness) -> BerryInstance:
     return BerryInstance(
         instance_id=instance_id,

@@ -13,6 +13,7 @@ import time
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from conftest import chamfer_loss_brute
 
 from berrypick import (
     FailureReason,
@@ -23,7 +24,6 @@ from berrypick import (
     SceneConfig,
     astar_grid,
     chamfer_loss,
-    chamfer_loss_brute,
     compute_metrics,
     emit_report,
     icp_refine,

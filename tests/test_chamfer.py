@@ -6,15 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import chamfer_loss_brute
 from hypothesis import given, settings, strategies as st
 
-from berrypick import (
-    ParameterError,
-    PointCloud,
-    chamfer_loss,
-    chamfer_loss_brute,
-    chamfer_metric_mm,
-)
+from berrypick import ParameterError, PointCloud, chamfer_loss, chamfer_metric_mm
 
 
 def test_brute_oracle_single_pair_by_hand():

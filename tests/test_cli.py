@@ -342,16 +342,27 @@ def test_malformed_document_error_starts_with_its_path(
     assert _single_error_line(capsys).startswith(f"error: {bad}: {message}")
 
 
-def test_degenerate_grid_resolution_is_one_clean_error(tmp_path, rendered_dir, capsys):
-    # Regression: a grid too fine for its extent overflowed the int cast of
-    # its cell counts and ended in "ValueError: negative dimensions".
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # Regression: a grid too fine for its extent overflowed the int cast
+        # of its cell counts and ended in "ValueError: negative dimensions".
+        ('{"grid_resolution": 1e-300}', "cells, more than 1e+08"),
+        # Regression: voxel keys this fine wrapped in the int64 cast with a
+        # RuntimeWarning, and every berry fell into one voxel.
+        ('{"voxel": {"voxel_size": 1e-300}}', "voxel_size 1e-300 m is too small"),
+    ],
+    ids=["grid-resolution", "voxel-size"],
+)
+@pytest.mark.filterwarnings("error")
+def test_degenerate_grid_resolution_is_one_clean_error(tmp_path, rendered_dir, capsys, body, message):
     config = tmp_path / "tiny.json"
-    config.write_text('{"grid_resolution": 1e-300}')
+    config.write_text(body)
     capsys.readouterr()
     rc = main(["plan", "--scene-dir", str(rendered_dir), "--config", str(config),
                "--out", str(tmp_path / "p.json")])
     assert rc == 1
-    assert "cells, more than 1e+08" in _single_error_line(capsys)
+    assert message in _single_error_line(capsys)
     assert not (tmp_path / "p.json").exists()
 
 
@@ -640,12 +651,15 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
         ("occluders", "normal", [0, 0, "1"], "scene.json: normal must be a list of numbers"),
         ("occluders", "semi_major", "0.02", "scene.json: semi_major must be a number, got '0.02'"),
         ("occluders", "roll_rad", False, "scene.json: roll_rad must be a number, got False"),
+        # Regression: a frame too large for numpy ended in a traceback from
+        # np.zeros, and a merely absurd one tried to allocate gigabytes.
+        (None, "width", 10**30, f"scene.json: a {10**30}x480 frame has more than 16777216 pixels"),
     ],
     ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf",
          "width-fraction", "width-string", "height-bool", "fx-bool", "translation-strings",
          "rotation-bool", "rotation-inf", "fx-huge-int", "translation-huge-int",
          "rotation-1e308", "occluder-center-string", "occluder-normal-string",
-         "semi-major-string", "roll-bool"],
+         "semi-major-string", "roll-bool", "width-huge"],
 )
 @pytest.mark.filterwarnings("error")
 def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):

@@ -9,9 +9,10 @@ renderer against a full-frame depth stack composited with argmin, the
 front-face, live-span renderer against the all-face, full-frame renderer it
 replaced, the row-span rasterizer against the box rasterizer it replaced,
 the one-surface ground-truth draw against the three-surface draw it
-replaced, and the prior's guide-table face lookup, edge-code mesh checks
+replaced, the prior's guide-table face lookup, edge-code mesh checks
 and numpy mesh faces against searchsorted, np.unique rows and the face
-loop. Outputs must match exactly.
+loop, and the one-axis-at-a-time chamfer oracle against the broadcast loop
+it replaced. Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import chamfer_loss_brute
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -1280,6 +1282,51 @@ def test_ground_truth_surface_equals_the_last_of_three_draws(prior):
         surface = prior.sample_ground_truth(pose, _stream(ss))
         expected = reference_ground_truth_surface(prior, pose, _stream(ss))
         assert np.array_equal(surface.xyz, expected.xyz)
+
+
+# ---------------------------------------------------------------- chamfer oracle
+
+
+def reference_chamfer_loss_brute(p, q) -> float:
+    """The retired oracle: a (chunk, |other|, 3) difference array, squared
+    and summed over its last axis."""
+    total = 0.0
+    chunk = 256
+    for arr, other in ((p, q), (q, p)):
+        mins = np.empty(len(arr))
+        for start in range(0, len(arr), chunk):
+            diff = arr[start:start + chunk, None, :] - other[None, :, :]
+            mins[start:start + chunk] = np.min(np.sum(diff * diff, axis=2), axis=1)
+        total += float(np.sum(mins))
+    return total
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(123)  # criterion 3's first 20 pairs, drawn as it draws them
+    for _ in range(20):
+        n, m = rng.integers(10, 2001, size=2)
+        yield rng.normal(scale=0.1, size=(n, 3)), rng.normal(scale=0.1, size=(m, 3))
+    # the hand cases of test_chamfer.py
+    yield np.array([[0.0, 0.0, 0.0]]), np.array([[3.0, 4.0, 0.0]])
+    yield np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+    pts = np.random.default_rng(0).normal(size=(40, 3))
+    yield pts, pts
+    # sizes on both sides of the 256-row chunk
+    rng = np.random.default_rng(7)
+    sizes = (1, 255, 256, 257, 513)
+    for n in sizes:
+        for m in sizes:
+            yield rng.normal(scale=0.1, size=(n, 3)), rng.normal(scale=0.1, size=(m, 3))
+    # duplicated points, within a cloud and shared between the two
+    base = rng.normal(scale=0.1, size=(300, 3))
+    yield np.repeat(base[:130], 2, axis=0), base[rng.integers(0, 300, 400)]
+    yield np.tile(base[:3], (100, 1)), np.concatenate([base[:3], base[::-1]])
+
+
+def test_lean_chamfer_oracle_equals_the_retired_loop():
+    for i, (p, q) in enumerate(_oracle_pairs()):
+        assert chamfer_loss_brute(p, q) == reference_chamfer_loss_brute(p, q), i
+        assert chamfer_loss_brute(PointCloud(xyz=p), PointCloud(xyz=q)) == chamfer_loss_brute(p, q)
 
 
 # ---------------------------------------------------------------- runners

@@ -215,7 +215,7 @@ def test_occluder_mesh_is_planar_fan():
         semi_minor=0.015,
         roll_rad=0.7,
     )
-    vertices, faces = occluder.mesh(segments=24)
+    vertices, faces = occluder.mesh()
     assert vertices.shape == (25, 3)
     assert faces.shape == (24, 3)
     offsets = (vertices - occluder.center) @ occluder.normal
