@@ -68,14 +68,25 @@ class OccupancyGrid:
         if self.occupied.shape != tuple(self.dims):
             raise ParameterError("occupancy array shape does not match dims")
 
+    def cells_of(self, points: np.ndarray) -> np.ndarray:
+        """The (N, 3) int cells holding (N, 3) points. A point outside the
+        grid raises ParameterError naming the first such point."""
+        points = np.asarray(points).reshape(-1, 3)
+        cells = np.floor((points - self.origin) / self.resolution).astype(int)
+        outside = ((cells < 0) | (cells >= self.dims)).any(axis=1)
+        if outside.any():
+            raise ParameterError(f"point {points[outside.argmax()]} outside grid bounds")
+        return cells
+
     def cell_of(self, point: np.ndarray) -> tuple[int, int, int]:
-        idx = np.floor((np.asarray(point) - self.origin) / self.resolution).astype(int)
-        if not self.in_bounds(tuple(idx)):
-            raise ParameterError(f"point {point} outside grid bounds")
-        return tuple(idx)
+        return tuple(self.cells_of(point)[0].tolist())
+
+    def centers_of(self, cells: np.ndarray) -> np.ndarray:
+        """World centers of (N, 3) int cells, as an (N, 3) array."""
+        return self.origin + (np.asarray(cells) + 0.5) * self.resolution
 
     def center_of(self, cell: tuple[int, int, int]) -> np.ndarray:
-        return self.origin + (np.asarray(cell) + 0.5) * self.resolution
+        return self.centers_of(cell)
 
     def in_bounds(self, cell: tuple[int, int, int]) -> bool:
         return all(0 <= c < d for c, d in zip(cell, self.dims))

@@ -48,6 +48,7 @@ from .occupancy import ObstacleSet, build_obstacles, build_occupancy
 from .planning import (
     Candidate,
     RobotState,
+    end_effector_position,
     estimate_grasp,
     plan_trajectory,
     select_target,
@@ -109,9 +110,7 @@ class PipelineConfig:
             raise ParameterError("inflation must be nonnegative")
         if self.gripper_radius <= 0:
             raise ParameterError("gripper_radius must be positive")
-        object.__setattr__(self, "p_ee", tuple(float(v) for v in self.p_ee))
-        if len(self.p_ee) != 3:
-            raise ParameterError("p_ee must be a 3-vector")
+        object.__setattr__(self, "p_ee", tuple(end_effector_position(self.p_ee).tolist()))
 
     def robot_state(self) -> RobotState:
         return RobotState(p_ee=np.array(self.p_ee), gripper_radius=self.gripper_radius)
@@ -354,9 +353,9 @@ def _execute(artifacts: SceneArtifacts, perception: Perception, planned, state: 
     if not trajectory.feasible:
         return _trial(perception, scene_id, FailureReason.INFEASIBLE_PATH)
 
-    for waypoint in trajectory.waypoints[1:-1]:  # independent post-hoc check
-        if grid.is_occupied(grid.cell_of(waypoint)):
-            raise ContractError("planned trajectory crosses an occupied cell")
+    cells = grid.cells_of(trajectory.waypoints[1:-1])  # independent post-hoc check
+    if grid.occupied[cells[:, 0], cells[:, 1], cells[:, 2]].any():
+        raise ContractError("planned trajectory crosses an occupied cell")
 
     outcome = simulate_execution(trajectory, artifacts.truth, target_id, state)
     reason = None if outcome.success else FailureReason.MISSED_GRASP

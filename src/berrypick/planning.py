@@ -8,10 +8,14 @@ deterministic tie-break so planning is reproducible bit for bit.
 
 A* first searches the octile corridor: the cells u with oct(start, u) +
 oct(u, goal) <= oct(start, goal), where oct is the 3D octile distance, a
-lower bound on the 26-connected cost. Blocking cells that lie on no
-minimum-cost path leaves the search's path and cost unchanged, so a corridor
-path no costlier than oct(start, goal) is the whole-grid answer; otherwise
-the same search runs on the whole grid. `astar_grid` states the lemma.
+lower bound on the 26-connected cost. That run covers only the start-goal
+box and takes only the monotone moves, which never step against the
+start-goal offset. Blocking cells, or removing moves, that lie on no
+minimum-cost path leaves the search's path and cost unchanged, and every
+path no costlier than oct(start, goal) stays in the corridor and moves
+monotonically, so such a corridor path is the whole-grid answer; otherwise
+the same search runs on the whole grid with all 26 moves. `astar_grid`
+states the lemma.
 """
 
 from __future__ import annotations
@@ -29,15 +33,32 @@ from .render import GroundTruth
 from .types import PointCloud, Ripeness
 
 
+# The largest |coordinate| of an end-effector position, in meters: far
+# beyond any scene, and small enough that no norm of the grasp geometry
+# can overflow.
+MAX_P_EE_M = 1e3
+
+
+def end_effector_position(p_ee) -> np.ndarray:
+    """p_ee as a float64 3-vector; ParameterError unless every coordinate
+    is finite and at most MAX_P_EE_M in magnitude."""
+    p = np.asarray(p_ee, dtype=np.float64)
+    if p.shape != (3,):
+        raise ParameterError("p_ee must be a 3-vector")
+    if not (np.abs(p) <= MAX_P_EE_M).all():
+        raise ParameterError(
+            f"p_ee coordinates must be finite and within {MAX_P_EE_M:g} m, got {p.tolist()}"
+        )
+    return p
+
+
 @dataclass(frozen=True)
 class RobotState:
     p_ee: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.05]))
     gripper_radius: float = 0.015
 
     def __post_init__(self):
-        object.__setattr__(self, "p_ee", np.asarray(self.p_ee, dtype=np.float64))
-        if self.p_ee.shape != (3,):
-            raise ParameterError("end-effector position must be a 3-vector")
+        object.__setattr__(self, "p_ee", end_effector_position(self.p_ee))
         if self.gripper_radius <= 0:
             raise ParameterError("gripper radius must be positive")
 
@@ -157,33 +178,43 @@ def astar_grid(
     grid resolution. Ties on f-value break toward the lower linearized cell
     index, making expansion order and the returned path deterministic.
 
-    The search first runs inside the octile corridor and falls back to the
-    whole grid only when the corridor cannot certify its answer. Both runs
-    are the same loop, `_search`, over different blocked maps, and the
+    The search first runs inside the octile corridor, over the moves a
+    certified path can take, and falls back to the whole grid and all 26
+    moves only when the corridor cannot certify its answer. Both runs are the
+    same loop, `_search`, over different blocked maps and move lists, and the
     corridor never changes the answer, by this lemma:
 
     Let S be the cells on at least one minimum-cost start-goal path. Blocking
-    any set of cells disjoint from S leaves the returned path and float cost
-    unchanged. (1) Every optimal predecessor of a cell in S is in S. (2) Path
+    any set of cells disjoint from S, and removing any set of moves (directed
+    edges) that lie on no minimum-cost path, leaves the returned path and
+    float cost unchanged. (1) Every optimal predecessor edge of a cell in S
+    lies on a minimum-cost path, so it is kept and its tail is in S. (2) Path
     costs are (a + b sqrt2 + c sqrt3) res for integer move counts, so a cell
-    outside S offers a cell of S a cost worse by far more than the 1e-15
-    improvement rule and never becomes its parent. (3) Cells of S pop in the
-    same relative (f, flat) order whatever else the heap holds, and both
-    searches stop when the goal pops.
+    or edge off every minimum-cost path offers a cell of S a cost worse by
+    far more than the 1e-15 improvement rule and never makes its parent.
+    (3) Cells of S pop in the same relative (f, flat) order whatever else the
+    heap holds, and both searches stop when the goal pops.
 
     Corridor rule: octile distance bounds the 26-connected cost from below
     even around obstacles, so every cell u of S has oct(start, u) +
     oct(u, goal) <= C*, the optimal cost. The first run also blocks the cells
-    where that sum exceeds B = oct(start, goal). If it finds a path of cost
-    at most B, then C* <= B, S lies inside the corridor, and by the lemma the
-    path is the whole-grid answer. Otherwise (no path, or a costlier one) the
-    loop runs again on the whole grid.
+    where that sum exceeds B = oct(start, goal), and uses only the monotone
+    moves: those whose every component is 0 or sign(goal - start) on its
+    axis, at most 7 of the 26. Every path that costs less than B +
+    2 (sqrt3 - sqrt2) is monotone: a step against the net offset on some
+    axis is matched by a step along it there, and zeroing that axis in both
+    steps keeps the net offset while shortening each step by at least
+    sqrt3 - sqrt2, which would leave a move sequence cheaper than B. So if
+    the first run finds a path of cost at most B, then C* <= B, S lies inside
+    the corridor, every minimum-cost path uses only monotone moves, and by
+    the lemma the path is the whole-grid answer. Otherwise (no path, or a
+    costlier one) the loop runs again on the whole grid with all 26 moves.
 
-    Flat indices address a one-cell-padded copy of the occupancy array whose
-    border reads blocked, which removes per-neighbor bounds checks from the
-    inner loop. Interior flat indices sort like the unpadded linear indices,
-    so the flat index itself is the tie key. Heuristic values come from a
-    table built once per run, over the cells that run can enter.
+    Each run addresses a copy of its cells with a one-cell border that reads
+    blocked, which removes per-neighbor bounds checks from the inner loop:
+    the start-goal box for the corridor, the whole grid for the fallback.
+    Row-major flat indices in either copy sort cells as the grid's linear
+    indices do, so the flat index itself is the tie key.
     """
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.in_bounds(cell):
@@ -192,17 +223,6 @@ def astar_grid(
         return None
 
     res = grid.resolution
-    nx, ny, nz = grid.dims
-    py, pz = ny + 2, nz + 2
-    padded = np.ones((nx + 2, py, pz), dtype=bool)
-    padded[1:-1, 1:-1, 1:-1] = grid.occupied
-
-    def flat(cell: tuple[int, int, int]) -> int:
-        return ((cell[0] + 1) * py + cell[1] + 1) * pz + cell[2] + 1
-
-    moves = [((di * py + dj) * pz + dk, step * res) for di, dj, dk, step in _NEIGHBOR_STEPS]
-    start_f, goal_f = flat(start), flat(goal)
-
     # Margins, in cells. Take n = nx + ny + nz and eps = 2**-53. The octile
     # sums are at most 2n and carry a rounding error below 20 n eps. A path
     # the certificate accepts costs about B <= 2n cells in at most 2n steps,
@@ -210,48 +230,66 @@ def astar_grid(
     # tol = 1e-14 n^2 > 90 n^2 eps, the certificate accepts cost <= B + tol,
     # and then every cell of S has a true octile sum <= C* <= B + tol plus
     # those errors, which stays below the corridor's cut at B + 2 tol.
-    n = nx + ny + nz
+    n = sum(grid.dims)
     tol = 1e-14 * n * n
     bound = float(_octile(*(abs(s - g) for s, g in zip(start, goal))))
     # Every octile sum is at least B, and octile distance grows by at least
     # sqrt3 - sqrt2 with each unit of any |offset|, so a cell outside the box
     # spanned by start and goal sums to more than B + 2 (sqrt3 - sqrt2) >
     # B + 2 tol: the corridor lies within the box.
-    box = tuple(slice(min(s, g) + 1, max(s, g) + 2) for s, g in zip(start, goal))
-    axes = np.ogrid[box]  # padded indices, one cell above grid indices
-    spread = sum(_octile(*(abs(i - c - 1) for i, c in zip(axes, end))) for end in (start, goal))
-    corridor = np.ones_like(padded)
-    corridor[box] = padded[box] | (spread > bound + 2 * tol)
+    lo = tuple(min(s, g) for s, g in zip(start, goal))
+    box = tuple(slice(a, max(s, g) + 1) for a, s, g in zip(lo, start, goal))
+    axes = np.ogrid[box]
+    spread = sum(_octile(*(abs(i - c) for i, c in zip(axes, end))) for end in (start, goal))
+    corridor = np.ones(tuple(b.stop - b.start + 2 for b in box), dtype=bool)
+    corridor[1:-1, 1:-1, 1:-1] = grid.occupied[box] | (spread > bound + 2 * tol)
+    sign = [int(g > s) - int(g < s) for s, g in zip(start, goal)]
+    monotone = [m for m in _NEIGHBOR_STEPS if all(d in (0, e) for d, e in zip(m, sign))]
 
-    # the corridor run reads the heuristic inside the box only
-    found = _search(corridor, _heuristic(padded.shape, goal, res, box), moves, start_f, goal_f)
+    found = _run(corridor, lo, monotone, start, goal, res)
     if found is None or found[1] > (bound + tol) * res:
-        whole = tuple(slice(0, n) for n in padded.shape)
-        found = _search(padded, _heuristic(padded.shape, goal, res, whole), moves, start_f, goal_f)
+        padded = np.ones(tuple(d + 2 for d in grid.dims), dtype=bool)
+        padded[1:-1, 1:-1, 1:-1] = grid.occupied
+        found = _run(padded, (0, 0, 0), _NEIGHBOR_STEPS, start, goal, res)
+    return found
+
+
+def _run(blocked_cells: np.ndarray, lo, steps, start, goal, res: float):
+    """`_search` over `blocked_cells`, a bordered copy whose index (1, 1, 1)
+    holds grid cell lo, with the moves `steps`: the path in grid cells and
+    its cost, or None."""
+    _, py, pz = blocked_cells.shape
+
+    def flat(cell) -> int:
+        return ((cell[0] - lo[0] + 1) * py + cell[1] - lo[1] + 1) * pz + cell[2] - lo[2] + 1
+
+    moves = [((di * py + dj) * pz + dk, step * res) for di, dj, dk, step in steps]
+    at = tuple(g - a + 1 for g, a in zip(goal, lo))
+    found = _search(
+        blocked_cells, _heuristic(blocked_cells.shape, at, res), moves, flat(start), flat(goal)
+    )
     if found is None:
         return None
     path = []
     for f in found[0]:
         x, rem = divmod(f, py * pz)
         y, z = divmod(rem, pz)
-        path.append((x - 1, y - 1, z - 1))
+        path.append((x - 1 + lo[0], y - 1 + lo[1], z - 1 + lo[2]))
     return path, found[1]
 
 
-def _heuristic(shape, goal, res: float, box: tuple[slice, ...]):
-    """Euclidean distance to the goal for each flat cell of a padded grid of
-    this shape, filled inside `box` (padded slices) and 0 elsewhere."""
-    table = array("d", [0.0]) * math.prod(shape)
+def _heuristic(shape, goal, res: float):
+    """Euclidean distance to the goal, times res, for each flat cell of an
+    array of this shape; goal is the goal's index in that array."""
     # squared cell distances are small integers, exact in float64, and sqrt
     # is correctly rounded, so each entry equals a per-cell math.sqrt
-    gx, gy, gz = (np.arange(b.start, b.stop) - (g + 1.0) for b, g in zip(box, goal))
+    gx, gy, gz = (np.arange(d) - float(g) for d, g in zip(shape, goal))
     dist = np.sqrt(gx[:, None, None] ** 2 + gy[None, :, None] ** 2 + gz[None, None, :] ** 2)
-    np.frombuffer(table, dtype=np.float64).reshape(shape)[box] = dist * res
-    return table
+    return array("d", (dist * res).tobytes())
 
 
 def _search(blocked_cells: np.ndarray, heuristic, moves, start_f: int, goal_f: int):
-    """The A* loop over flat cells of the padded grid: the flat path and its
+    """The A* loop over flat cells of a bordered copy: the flat path and its
     cost, or None. Cells of `blocked_cells` that read True are never entered."""
     # one byte per cell: nonzero once a cell is occupied or closed
     blocked = bytearray(blocked_cells.ravel().tobytes())
@@ -304,7 +342,7 @@ def plan_trajectory(grasp: GraspPose, grid: OccupancyGrid, state: RobotState) ->
         return Trajectory(waypoints=np.zeros((0, 3)), feasible=False)
 
     cells = leg1[0] + leg2[0][1:]
-    waypoints = np.array([grid.center_of(c) for c in cells])
+    waypoints = grid.centers_of(cells)
     waypoints[0] = state.p_ee
     waypoints[-1] = grasp.grasp_point
     return Trajectory(waypoints=waypoints, feasible=True)

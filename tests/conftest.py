@@ -1,10 +1,12 @@
 """Shared fixtures: the builtin prior and three hand-built fixture scenes
-(one per terminal pipeline outcome)."""
+(one per terminal pipeline outcome). Every hypothesis test draws the same
+examples on every run, so a failure always reproduces."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.spatial import cKDTree
 
 from berrypick import (
@@ -15,6 +17,9 @@ from berrypick import (
     StrawberryPrior,
 )
 from berrypick.types import Pose, rotation_aligning
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _PHI = (1 + 5 ** 0.5) / 2
 

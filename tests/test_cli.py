@@ -351,8 +351,11 @@ def test_malformed_document_error_starts_with_its_path(
         # Regression: voxel keys this fine wrapped in the int64 cast with a
         # RuntimeWarning, and every berry fell into one voxel.
         ('{"voxel": {"voxel_size": 1e-300}}', "voxel_size 1e-300 m is too small"),
+        # Regression: an end-effector this far out overflowed np.linalg.norm
+        # in estimate_grasp, with a RuntimeWarning above the error line.
+        ('{"p_ee": [1e300, 0, 0]}', "p_ee coordinates must be finite and within 1000 m"),
     ],
-    ids=["grid-resolution", "voxel-size"],
+    ids=["grid-resolution", "voxel-size", "p-ee-huge"],
 )
 @pytest.mark.filterwarnings("error")
 def test_degenerate_grid_resolution_is_one_clean_error(tmp_path, rendered_dir, capsys, body, message):

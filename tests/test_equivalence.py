@@ -174,8 +174,9 @@ def test_single_waypoint_touching_a_berry_counts_as_a_hit():
 # ---------------------------------------------------------------- A*
 
 
-def reference_astar(grid, start, goal):
-    """A* with per-push divmod heuristic and tie functions and a closed set."""
+def reference_astar(grid, start, goal, removed=frozenset()):
+    """A* with per-push divmod heuristic and tie functions and a closed set,
+    over all 26 moves except the directed (cell, cell) moves in `removed`."""
     if grid.is_occupied(start) or grid.is_occupied(goal):
         return None
     res = grid.resolution
@@ -202,6 +203,7 @@ def reference_astar(grid, start, goal):
         return ((x - 1) * ny + (y - 1)) * nz + (z - 1)
 
     moves = [((di * py + dj) * pz + dk, step * res) for di, dj, dk, step in _NEIGHBOR_STEPS]
+    removed = {(flat(a), flat(b)) for a, b in removed}
     start_f, goal_f = flat(start), flat(goal)
     g_cost = {start_f: 0.0}
     parent = {}
@@ -226,7 +228,7 @@ def reference_astar(grid, start, goal):
         base = g_cost[cell]
         for off, step in moves:
             nxt = cell + off
-            if occ[nxt] or nxt in closed:
+            if occ[nxt] or nxt in closed or (cell, nxt) in removed:
                 continue
             cand = base + step
             if cand < g_cost.get(nxt, math.inf) - 1e-15:
@@ -311,6 +313,42 @@ def test_blocking_cells_off_every_optimal_path_keeps_the_answer(
     assert astar_grid(narrowed, start, goal) == expected
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    density=st.sampled_from([0.0, 0.1, 0.3]),
+    resolution=st.sampled_from([1.0, 0.005, 0.25]),
+    drop_rate=st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_removing_moves_off_every_optimal_path_keeps_the_answer(
+    seed, dims, density, resolution, drop_rate
+):
+    # the lemma's edge form, behind the corridor's monotone moves: a move
+    # u -> v lies on a minimum-cost path when dist(start, u) + its cost +
+    # dist(v, goal) is the optimum; removing any other moves must not change
+    # the whole-grid search's path or float cost
+    rng = np.random.default_rng(seed)
+    occupied = rng.random(dims) < density
+    free = np.argwhere(~occupied)
+    if not len(free):
+        return
+    start, goal = (tuple(int(v) for v in free[i]) for i in rng.integers(0, len(free), 2))
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, dims=dims, occupied=occupied)
+    expected = reference_astar(grid, start, goal)
+
+    graph = _free_cell_graph(occupied, resolution).tocoo()
+    index = np.arange(occupied.size).reshape(dims)
+    from_start, from_goal = dijkstra(graph.tocsr(), indices=[index[start], index[goal]])
+    best = from_start[index[goal]]
+    through = from_start[graph.row] + graph.data + from_goal[graph.col]
+    on_optimal = np.isfinite(through) & (through <= best + 1e-9 * resolution)
+    drop = ~on_optimal & (rng.random(len(through)) < drop_rate)
+    cells = np.stack(np.unravel_index(np.arange(occupied.size), dims), axis=1).tolist()
+    removed = {(tuple(cells[u]), tuple(cells[v])) for u, v in zip(graph.row[drop], graph.col[drop])}
+    assert reference_astar(grid, start, goal, removed) == expected
+
+
 @pytest.fixture()
 def searches(monkeypatch):
     """Record each run of the search loop inside astar_grid."""
@@ -363,6 +401,70 @@ def test_corridor_branches_match_reference(searches, occupied, start, goal, runs
         assert (4, 9, 0) in found[0]
     if start == goal:
         assert found == ([start], 0.0)
+
+
+@pytest.mark.parametrize(
+    "start, goal",
+    [
+        ((0, 0, 0), (8, 6, 4)),
+        ((8, 1, 4), (2, 5, 0)),
+        ((1, 6, 3), (7, 6, 1)),
+        ((3, 2, 0), (3, 2, 4)),
+        ((2, 1, 3), (2, 1, 3)),
+    ],
+    ids=["three-axes", "three-axes-reversed", "two-axes", "one-axis", "start-is-goal"],
+)
+def test_certified_corridor_searches_the_box_with_monotone_moves(searches, start, goal):
+    grid = OccupancyGrid(
+        origin=np.zeros(3), resolution=0.005, dims=(9, 7, 5), occupied=np.zeros((9, 7, 5), bool)
+    )
+    assert astar_grid(grid, start, goal) == reference_astar(grid, start, goal)
+    assert len(searches) == 1
+    blocked, _, moves, _, _ = searches[0]
+    offset = [abs(s - g) for s, g in zip(start, goal)]
+    assert blocked.shape == tuple(d + 3 for d in offset)
+    border = np.ones(blocked.shape, bool)
+    border[1:-1, 1:-1, 1:-1] = False
+    assert blocked[border].all()
+    assert len(moves) == 2 ** sum(d > 0 for d in offset) - 1
+
+
+def _blob_grid(rng, dims=(30, 30, 75)):
+    """An ablation-sized grid: about a dozen solid balls of 2.5-6 cells
+    radius, like inflated berries and leaves around a 5 mm grid."""
+    index = np.indices(dims).reshape(3, -1).T
+    occupied = np.zeros(len(index), bool)
+    for _ in range(int(rng.integers(8, 16))):
+        center = rng.uniform((0, 0, 20), dims)
+        radius = rng.uniform(2.5, 6.0)
+        occupied |= ((index - center) ** 2).sum(axis=1) <= radius * radius
+    return occupied.reshape(dims)
+
+
+def test_astar_matches_reference_on_ablation_sized_grids(searches):
+    # legs like plan_trajectory's: about 60 cells from the end-effector to
+    # the pregrasp point, then a short approach; some grids put a ball on
+    # the first leg's straight line, which forces the whole-grid run
+    runs = []
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 27])
+        occupied = _blob_grid(rng)
+        start = (int(rng.integers(10, 20)), int(rng.integers(10, 20)), 2)
+        mid = (int(rng.integers(8, 22)), int(rng.integers(8, 22)), int(rng.integers(58, 66)))
+        goal = tuple(int(c + d) for c, d in zip(mid, rng.integers(-4, 5, 3)))
+        if seed % 2:
+            center = (np.add(start, mid) / 2)[:, None, None, None]
+            occupied |= ((np.indices(occupied.shape) - center) ** 2).sum(axis=0) <= 16.0
+        for cell in (start, mid, goal):
+            occupied[cell] = False
+        grid = OccupancyGrid(
+            origin=np.zeros(3), resolution=0.005, dims=occupied.shape, occupied=occupied
+        )
+        for a, b in ((start, mid), (mid, goal)):
+            searches.clear()
+            assert astar_grid(grid, a, b) == reference_astar(grid, a, b)
+            runs.append(len(searches))
+    assert runs.count(1) >= 1 and runs.count(2) >= 1
 
 
 # ---------------------------------------------------------------- perception

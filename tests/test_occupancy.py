@@ -168,6 +168,25 @@ def test_grid_cell_center_round_trip():
     assert grid.cell_of(center) == cell
 
 
+def test_whole_array_cells_and_centers_equal_the_per_point_formulas():
+    rng = np.random.default_rng(7)
+    grid = OccupancyGrid(
+        origin=np.array([-0.1234, 0.0071, 0.2999]), resolution=0.005, dims=(30, 30, 75),
+        occupied=np.zeros((30, 30, 75), dtype=bool),
+    )
+    points = grid.origin + rng.uniform(0.0, 1.0, (500, 3)) * np.multiply(grid.dims, 0.005)
+    cells = grid.cells_of(points)
+    for point, cell in zip(points, cells):
+        one = np.floor((point - grid.origin) / grid.resolution).astype(int)
+        assert tuple(one) == tuple(cell) == grid.cell_of(point)
+    centers = grid.centers_of(cells)
+    for cell, center in zip(cells, centers):
+        assert (grid.origin + (cell + 0.5) * grid.resolution == center).all()
+    assert grid.cells_of(np.zeros((0, 3))).shape == (0, 3)
+    with pytest.raises(ParameterError, match="outside grid bounds"):
+        grid.cells_of(np.vstack([points[:3], grid.origin - 1e-9, points[3:]]))
+
+
 def test_grid_validation():
     with pytest.raises(ParameterError):
         OccupancyGrid(

@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 from berrypick import (
+    ContractError,
     FailureReason,
     GeometryError,
     InputError,
     NoRipeTargetError,
+    OccupancyGrid,
     ParameterError,
     PipelineConfig,
     RenderParams,
+    RobotState,
     SceneArtifacts,
     SceneConfig,
+    Trajectory,
     TrialResult,
     plan_scene,
     render_scene_artifacts,
@@ -26,7 +30,7 @@ from berrypick import (
     run_pipeline,
     sample_ground_truth,
 )
-from berrypick.pipeline import _scene
+from berrypick.pipeline import _execute, _scene
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +138,31 @@ def test_plan_scene_reports_the_plan(success_artifacts, prior):
 
 
 # ---------------------------------------------------------------- trial result
+
+
+def _planned_through(*waypoints):
+    """A _plan result whose feasible trajectory visits these waypoints, on a
+    1 m grid of 4 x 4 x 4 cells whose only occupied cell is (2, 2, 2)."""
+    occupied = np.zeros((4, 4, 4), dtype=bool)
+    occupied[2, 2, 2] = True
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=1.0, dims=(4, 4, 4), occupied=occupied)
+    return 0, None, grid, Trajectory(waypoints=np.array(waypoints, dtype=float), feasible=True)
+
+
+@pytest.mark.parametrize(
+    "waypoints, error, message",
+    [
+        ([(0.5, 0.5, 0.5), (1.5, 1.5, 1.5), (2.9, 2.1, 2.5), (3.5, 3.5, 3.5)],
+         ContractError, "crosses an occupied cell"),
+        ([(0.5, 0.5, 0.5), (1.5, 1.5, 1.5), (1.5, 4.2, 1.5), (3.5, 3.5, 3.5)],
+         ParameterError, r"point \[1.5 4.2 1.5\] outside grid bounds"),
+    ],
+    ids=["occupied-waypoint", "off-grid-waypoint"],
+)
+def test_execute_checks_every_interior_waypoint_against_the_grid(waypoints, error, message):
+    # the check runs before the scene or the perception is read
+    with pytest.raises(error, match=message):
+        _execute(None, None, _planned_through(*waypoints), RobotState(), 0)
 
 
 def test_trial_result_success_implies_attempt():
