@@ -23,36 +23,13 @@ from .types import PointCloud
 MAX_GRID_CELLS = 10**8
 
 
-@dataclass(frozen=True)
-class ObstacleSet:
-    """Union of the non-target clouds: the ids of the berries it holds, and
-    the id it excludes."""
-
-    points: PointCloud
-    excluded_id: int | None = None
-    member_ids: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.excluded_id in self.member_ids:
-            raise ParameterError("obstacle set contains the target instance")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def build_obstacles(candidates, target_id: int) -> ObstacleSet:
+def build_obstacles(candidates, target_id: int) -> PointCloud:
     """Union of every candidate cloud except the target's.
 
     candidates: iterable of objects with .instance_id and .cloud (PointCloud).
     """
-    others = [c for c in candidates if c.instance_id != target_id]
-    if not others:
-        return ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
-    return ObstacleSet(
-        points=PointCloud(xyz=np.concatenate([c.cloud.xyz for c in others])),
-        excluded_id=target_id,
-        member_ids=frozenset(c.instance_id for c in others),
-    )
+    others = [c.cloud.xyz for c in candidates if c.instance_id != target_id]
+    return PointCloud(xyz=np.concatenate(others)) if others else PointCloud.empty()
 
 
 @dataclass(frozen=True)
@@ -78,21 +55,9 @@ class OccupancyGrid:
             raise ParameterError(f"point {points[outside.argmax()]} outside grid bounds")
         return cells
 
-    def cell_of(self, point: np.ndarray) -> tuple[int, int, int]:
-        return tuple(self.cells_of(point)[0].tolist())
-
     def centers_of(self, cells: np.ndarray) -> np.ndarray:
         """World centers of (N, 3) int cells, as an (N, 3) array."""
         return self.origin + (np.asarray(cells) + 0.5) * self.resolution
-
-    def center_of(self, cell: tuple[int, int, int]) -> np.ndarray:
-        return self.centers_of(cell)
-
-    def in_bounds(self, cell: tuple[int, int, int]) -> bool:
-        return all(0 <= c < d for c, d in zip(cell, self.dims))
-
-    def is_occupied(self, cell: tuple[int, int, int]) -> bool:
-        return bool(self.occupied[cell])
 
     @property
     def occupied_count(self) -> int:
@@ -100,7 +65,7 @@ class OccupancyGrid:
 
 
 def build_occupancy(
-    obstacles: ObstacleSet,
+    obstacles: PointCloud,
     resolution: float = 0.005,
     inflation: float = 0.015,
     include_points=None,
@@ -131,7 +96,7 @@ def build_occupancy(
     if inflation < 0:
         raise ParameterError("inflation must be nonnegative")
 
-    pts = obstacles.points.xyz if len(obstacles) else np.zeros((0, 3))
+    pts = obstacles.xyz
     anchors = [pts]
     if include_points is not None:
         extra = np.atleast_2d(np.asarray(include_points, dtype=np.float64))

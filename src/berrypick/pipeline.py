@@ -19,10 +19,14 @@ every variant: run_pipeline is _trials with one variant, and plan_scene
 reports _perceive and _plan as a dict, raising where a trial records a
 failure reason; plan_and_run gives both from one perception and one plan.
 Every benchmark draws scene i of a seed from one function, _generated, so
-each scene is built from its index alone. run_benchmark and run_ablation
-render those scenes in _scene and map _trials over them in _run_variants;
-run_completion_benchmark composites the same scenes, adds sensor noise only
-to those with a berry it scores, and scores completion only.
+each scene is built from its index alone, and each loops over the scene
+indices in order with one per-scene function of (the run's inputs, i):
+_run_variants, behind run_benchmark and run_ablation, calls _scene_trials,
+which renders scene i with render_scene_artifacts and runs it through
+_trials; run_completion_benchmark calls _scene_cds, which composites scene
+i, adds sensor noise only when it holds a berry it scores, and scores
+completion only. The loop merges the per-scene results in index order and
+truncates the completion distances to n_berries.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
     RegistrationError,
     SceneGenerationError,
 )
-from .occupancy import ObstacleSet, build_obstacles, build_occupancy
+from .occupancy import build_obstacles, build_occupancy
 from .planning import (
     Candidate,
     RobotState,
@@ -322,7 +326,7 @@ def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior:
             list(perception.candidates) + list(perception.leftovers), target_id
         )
     else:
-        obstacles = ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
+        obstacles = PointCloud.empty()
     grid = build_occupancy(
         obstacles,
         resolution=cfg.grid_resolution,
@@ -471,12 +475,14 @@ def _generated(template: SceneConfig, seed, index: int, prior: StrawberryPrior):
     return scene, render_ss, truth_ss
 
 
-def _scene(template: SceneConfig, seed, index: int, prior: StrawberryPrior,
-           render_params: RenderParams):
-    """Scene `index` of a seed's stream, its render, and the seed of its
-    ground truth."""
+def _scene_trials(template: SceneConfig, seed, render_params: RenderParams,
+                  prior: StrawberryPrior, variants: dict[str, PipelineConfig],
+                  cfg: PipelineConfig, index: int) -> dict[str, TrialResult]:
+    """Each variant's trial of scene `index` of a seed's stream, rendered
+    once and run through _trials."""
     scene, render_ss, truth_ss = _generated(template, seed, index, prior)
-    return scene, render_rgbd(scene, prior, render_params, render_ss), truth_ss
+    artifacts = render_scene_artifacts(scene, prior, render_params, render_ss, truth_ss)
+    return _trials(artifacts, variants, cfg, prior, index)
 
 
 def _run_variants(
@@ -488,17 +494,14 @@ def _run_variants(
     render_params: RenderParams,
     prior: StrawberryPrior | None,
 ) -> dict[str, list[TrialResult]]:
-    """Each variant's trials over the same n_scenes scenes, each scene
-    rendered once and run through _trials."""
+    """Each variant's trials over the same n_scenes scenes, in scene order."""
     if n_scenes < 1:
         raise ParameterError("n_scenes must be at least 1")
     prior = prior or StrawberryPrior.builtin()
     results: dict[str, list[TrialResult]] = {name: [] for name in variants}
     for i in range(n_scenes):
-        scene, rendered, truth_ss = _scene(template, seed, i, prior, render_params)
-        truth = sample_ground_truth(scene, prior, truth_ss)
-        artifacts = SceneArtifacts(scene, rendered.rgb, rendered.depth, rendered.masks, truth)
-        for name, trial in _trials(artifacts, variants, cfg, prior, i).items():
+        trials = _scene_trials(template, seed, render_params, prior, variants, cfg, i)
+        for name, trial in trials.items():
             results[name].append(trial)
     return results
 
@@ -535,6 +538,30 @@ def run_ablation(
     return _run_variants(template, n_scenes, variants, cfg, seed, render_params, prior)
 
 
+def _scene_cds(template: SceneConfig, seed, render_params: RenderParams,
+               prior: StrawberryPrior, cfg: PipelineConfig, min_visibility: float,
+               index: int) -> list[float]:
+    """The chamfer_metric_mm of every berry of scene `index` whose rendered
+    visibility reaches min_visibility, in mask order, with inf for a failed
+    completion; [] when no berry does.
+
+    Sensor noise and ground truth are drawn only for a scene with such a
+    berry. They draw from their own streams, so skipping them is safe.
+    """
+    scene, render_ss, truth_ss = _generated(template, seed, index, prior)
+    _, clean, masks, visibility = _composite(scene, prior)
+    eligible = [m for m in masks if visibility.get(m.instance_id, 0.0) >= min_visibility]
+    if not eligible:
+        return []
+    depth = _corrupt(clean, render_params, render_ss)
+    truth = sample_ground_truth(scene, prior, truth_ss)
+    cds = []
+    for mask, cloud in extract_partials(depth, scene.intrinsics, eligible, cfg):
+        done = _completed(cloud, mask.instance_id, truth, cfg, prior)
+        cds.append(float("inf") if done is None else done[1])
+    return cds
+
+
 def run_completion_benchmark(
     template: SceneConfig,
     n_berries: int,
@@ -547,34 +574,23 @@ def run_completion_benchmark(
     """Completion accuracy in isolation: the chamfer_metric_mm of the
     completed cloud against the true surface for n_berries berries drawn from freshly generated scenes.
 
-    Only berries whose rendered visibility reaches min_visibility count.
-    A completion failure on an eligible berry contributes inf rather than
-    being skipped, so systematic registration problems surface in the mean
-    instead of silently shrinking the sample.
+    Only berries whose rendered visibility reaches min_visibility count; a
+    min_visibility outside [0, 1], or NaN, raises ParameterError before any
+    scene is drawn. A completion failure on an eligible berry contributes
+    inf rather than being skipped, so systematic registration problems
+    surface in the mean instead of silently shrinking the sample.
     """
     if n_berries < 1:
         raise ParameterError("n_berries must be at least 1")
+    if not 0.0 <= min_visibility <= 1.0:
+        raise ParameterError(f"min_visibility must lie in [0, 1], got {min_visibility}")
     prior = prior or StrawberryPrior.builtin()
     cds: list[float] = []
     for i in range(20 * n_berries):  # generous budget for visibility rejections
+        cds += _scene_cds(template, seed, render_params, prior, cfg, min_visibility, i)
         if len(cds) >= n_berries:
-            break
-        scene, render_ss, truth_ss = _generated(template, seed, i, prior)
-        _, clean, masks, visibility = _composite(scene, prior)
-        eligible = [
-            m for m in masks if visibility.get(m.instance_id, 0.0) >= min_visibility
-        ][: n_berries - len(cds)]
-        if not eligible:
-            continue  # noise and ground truth draw from their own streams, so skipping is safe
-        depth = _corrupt(clean, render_params, render_ss)
-        truth = sample_ground_truth(scene, prior, truth_ss)
-        partials = extract_partials(depth, scene.intrinsics, eligible, cfg)
-        for mask, cloud in partials:
-            done = _completed(cloud, mask.instance_id, truth, cfg, prior)
-            cds.append(float("inf") if done is None else done[1])
-    if len(cds) < n_berries:
-        raise SceneGenerationError(
-            f"only {len(cds)} of {n_berries} berries met the "
-            f"{min_visibility:.0%} visibility floor within the scene budget"
-        )
-    return cds
+            return cds[:n_berries]
+    raise SceneGenerationError(
+        f"only {len(cds)} of {n_berries} berries met the "
+        f"{min_visibility:.0%} visibility floor within the scene budget"
+    )

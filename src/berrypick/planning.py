@@ -217,9 +217,9 @@ def astar_grid(
     indices do, so the flat index itself is the tie key.
     """
     for name, cell in (("start", start), ("goal", goal)):
-        if not grid.in_bounds(cell):
+        if not all(0 <= c < d for c, d in zip(cell, grid.dims)):
             raise ParameterError(f"{name} cell {cell} outside grid")
-    if grid.is_occupied(start) or grid.is_occupied(goal):
+    if grid.occupied[start] or grid.occupied[goal]:
         return None
 
     res = grid.resolution
@@ -330,9 +330,9 @@ def plan_trajectory(grasp: GraspPose, grid: OccupancyGrid, state: RobotState) ->
     endpoint cell or a disconnected grid) yields feasible=False rather than
     an exception; endpoints outside the grid raise ParameterError.
     """
-    start = grid.cell_of(state.p_ee)
-    mid = grid.cell_of(grasp.pregrasp_point)
-    goal = grid.cell_of(grasp.grasp_point)
+    start, mid, goal = map(
+        tuple, grid.cells_of([state.p_ee, grasp.pregrasp_point, grasp.grasp_point]).tolist()
+    )
 
     leg1 = astar_grid(grid, start, mid)
     if leg1 is None:

@@ -91,6 +91,12 @@ def json_floats(value, name: str) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+# The largest focal length, in pixels. A 640-pixel frame then spans under
+# 0.04 degrees, narrower than any camera lens, and the rasterizer's screen
+# areas, which scale with fx * fy, stay far from float overflow.
+MAX_FOCAL_PX = 1e6
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics in pixels."""
@@ -103,8 +109,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
             raise ParameterError("camera intrinsics must be finite")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ParameterError("focal lengths must be positive")
+        if not (0 < self.fx <= MAX_FOCAL_PX and 0 < self.fy <= MAX_FOCAL_PX):
+            raise ParameterError(f"focal lengths must be positive and at most {MAX_FOCAL_PX:g} px")
 
     def validate_for(self, width: int, height: int) -> None:
         if not (0 <= self.cx < width and 0 <= self.cy < height):

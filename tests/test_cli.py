@@ -657,12 +657,16 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
         # Regression: a frame too large for numpy ended in a traceback from
         # np.zeros, and a merely absurd one tried to allocate gigabytes.
         (None, "width", 10**30, f"scene.json: a {10**30}x480 frame has more than 16777216 pixels"),
+        # Regression: a finite but huge focal length overflowed the
+        # rasterizer's screen areas.
+        ("intrinsics", "fx", 1e200, "scene.json: focal lengths must be positive and at most 1e+06"),
+        ("intrinsics", "fy", 1e200, "scene.json: focal lengths must be positive and at most 1e+06"),
     ],
     ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf",
          "width-fraction", "width-string", "height-bool", "fx-bool", "translation-strings",
          "rotation-bool", "rotation-inf", "fx-huge-int", "translation-huge-int",
          "rotation-1e308", "occluder-center-string", "occluder-normal-string",
-         "semi-major-string", "roll-bool", "width-huge"],
+         "semi-major-string", "roll-bool", "width-huge", "fx-1e200", "fy-1e200"],
 )
 @pytest.mark.filterwarnings("error")
 def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):

@@ -11,8 +11,9 @@ replaced, the row-span rasterizer against the box rasterizer it replaced,
 the one-surface ground-truth draw against the three-surface draw it
 replaced, the prior's guide-table face lookup, edge-code mesh checks
 and numpy mesh faces against searchsorted, np.unique rows and the face
-loop, and the one-axis-at-a-time chamfer oracle against the broadcast loop
-it replaced. Outputs must match exactly.
+loop, the one-axis-at-a-time chamfer oracle against the broadcast loop
+it replaced, and the per-scene completion benchmark against the loop that
+truncated inside a scene. Outputs must match exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from berrypick import (
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
-    ObstacleSet,
     Occluder,
     OccupancyGrid,
     OutlierParams,
@@ -63,12 +63,15 @@ from berrypick import (
     render_rgbd,
     render_scene_artifacts,
     run_ablation,
+    pipeline,
     run_benchmark,
+    run_completion_benchmark,
     run_pipeline,
+    sample_ground_truth,
     simulate_execution,
     voxel_downsample,
 )
-from berrypick.pipeline import extract_partials
+from berrypick.pipeline import _completed, _generated, extract_partials
 from berrypick.planning import _NEIGHBOR_STEPS, _segment_distances
 from berrypick import prior as prior_module
 from berrypick.errors import GeometryError, ParameterError
@@ -85,6 +88,8 @@ from berrypick.render import (
     GroundTruth,
     GroundTruthInstance,
     _as_seedseq,
+    _composite,
+    _corrupt,
     _stream,
     rasterize,
 )
@@ -177,7 +182,7 @@ def test_single_waypoint_touching_a_berry_counts_as_a_hit():
 def reference_astar(grid, start, goal, removed=frozenset()):
     """A* with per-push divmod heuristic and tie functions and a closed set,
     over all 26 moves except the directed (cell, cell) moves in `removed`."""
-    if grid.is_occupied(start) or grid.is_occupied(goal):
+    if grid.occupied[start] or grid.occupied[goal]:
         return None
     res = grid.resolution
     nx, ny, nz = grid.dims
@@ -619,7 +624,7 @@ def reference_occupancy(obstacles, resolution, inflation, include_points=None, b
     """The occupancy build_occupancy made by querying every cell of the
     obstacles' inflated bounding box; the grid extent is build_occupancy's."""
     extent = build_occupancy(obstacles, resolution, inflation, include_points, bounds)
-    pts, lo, dims = obstacles.points.xyz, extent.origin, np.asarray(extent.dims)
+    pts, lo, dims = obstacles.xyz, extent.origin, np.asarray(extent.dims)
     occupied = np.zeros(extent.dims, dtype=bool)
     cells = np.clip(np.floor((pts - lo) / resolution).astype(int), 0, dims - 1)
     occupied[cells[:, 0], cells[:, 1], cells[:, 2]] = True
@@ -683,7 +688,7 @@ def test_occupancy_near_cells_match_whole_box_query(
                   xyz.max(axis=0) + rng.uniform(0.0, 0.01, 3))
         xyz[0] = bounds[0]
         xyz[-1] = bounds[1]
-    obstacles = ObstacleSet(points=PointCloud(xyz=xyz))
+    obstacles = PointCloud(xyz=xyz)
     extra = [[0.0, 0.0, 0.05]] if not pinned else None
     grid = build_occupancy(obstacles, resolution, inflation, extra, bounds)
     assert np.array_equal(
@@ -702,7 +707,7 @@ def test_occupancy_margin_holds_on_the_sure_in_edge(resolution):
     for _ in range(60):
         lo = np.round(rng.uniform(-20.0, 20.0, 3)) * resolution + rng.choice([0.0, 0.3, 1.3])
         point = lo + rng.integers(3, 6, 3) * resolution
-        obstacles = ObstacleSet(points=PointCloud(xyz=point[None]))
+        obstacles = PointCloud(xyz=point[None])
         bounds = (lo, lo + 10 * resolution)
         grid = build_occupancy(obstacles, resolution, inflation, bounds=bounds)
         assert np.array_equal(
@@ -1460,3 +1465,57 @@ def test_runners_match_per_scene_reference(prior):
     assert run_ablation(template, n, cfg, seed, params, prior) == expected
     for name, variant in variants.items():
         assert run_benchmark(template, n, variant, seed, params, prior) == expected[name]
+
+
+def reference_completion_benchmark(template, n_berries, cfg, seed, render_params,
+                                   min_visibility, prior):
+    """The completion loop that truncated inside a scene: it kept only the
+    eligible berries still needed before completing them."""
+    cds = []
+    for i in range(20 * n_berries):
+        if len(cds) >= n_berries:
+            break
+        scene, render_ss, truth_ss = _generated(template, seed, i, prior)
+        _, clean, masks, visibility = _composite(scene, prior)
+        eligible = [
+            m for m in masks if visibility.get(m.instance_id, 0.0) >= min_visibility
+        ][: n_berries - len(cds)]
+        if not eligible:
+            continue
+        depth = _corrupt(clean, render_params, render_ss)
+        truth = sample_ground_truth(scene, prior, truth_ss)
+        for mask, cloud in extract_partials(depth, scene.intrinsics, eligible, cfg):
+            done = _completed(cloud, mask.instance_id, truth, cfg, prior)
+            cds.append(float("inf") if done is None else done[1])
+    return cds
+
+
+def test_completion_benchmark_matches_the_truncating_loop(monkeypatch, prior):
+    """Criterion 1's template, which holds one berry per scene, and the
+    cluttered template with a count that ends inside a scene. Sensor noise
+    is drawn only for the scenes that hold an eligible berry."""
+    params, cfg = RenderParams(2.0, 0.05), PipelineConfig()
+    corrupted = []
+
+    def counted(*args):
+        corrupted.append(args)
+        return _corrupt(*args)
+
+    monkeypatch.setattr(pipeline, "_corrupt", counted)
+    single = SceneConfig(n_ripe=1, n_unripe=0, n_occluders=1, clutter_spacing=0.002)
+    expected = reference_completion_benchmark(single, 25, cfg, 7, params, 0.4, prior)
+    assert run_completion_benchmark(single, 25, cfg, 7, params, 0.4, prior) == expected
+    assert len(corrupted) == 25
+
+    cluttered = SceneConfig.from_json(
+        json.loads((Path(__file__).parents[1] / "templates" / "cluttered.json").read_text())
+    )
+    # scenes 0 and 1 of seed 7 hold 2 and 3 eligible berries
+    eligible = []
+    for i in range(2):
+        scene, _, _ = _generated(cluttered, 7, i, prior)
+        _, _, masks, visibility = _composite(scene, prior)
+        eligible.append(sum(visibility.get(m.instance_id, 0.0) >= 0.4 for m in masks))
+    assert eligible[0] < 4 < sum(eligible)
+    expected = reference_completion_benchmark(cluttered, 4, cfg, 7, params, 0.4, prior)
+    assert run_completion_benchmark(cluttered, 4, cfg, 7, params, 0.4, prior) == expected

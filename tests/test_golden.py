@@ -27,7 +27,7 @@ from berrypick import (
     run_benchmark,
     run_completion_benchmark,
 )
-from berrypick.pipeline import _scene, extract_partials
+from berrypick.pipeline import _generated, extract_partials
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
@@ -127,7 +127,8 @@ def partials_digest(prior) -> str:
     h = hashlib.sha256()
     cfg = PipelineConfig()
     for i in range(10):
-        scene, out, _ = _scene(_cluttered_template(), 20260816, i, prior, RENDER)
+        scene, render_ss, _ = _generated(_cluttered_template(), 20260816, i, prior)
+        out = render_rgbd(scene, prior, RENDER, render_ss)
         for mask, cloud in extract_partials(out.depth, scene.intrinsics, out.masks, cfg):
             h.update(str(mask.instance_id).encode())
             h.update(cloud.xyz.tobytes())

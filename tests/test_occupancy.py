@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from berrypick import (
-    ObstacleSet,
     OccupancyGrid,
     ParameterError,
     PointCloud,
@@ -40,7 +39,7 @@ def _grid_from(points, inflation, resolution=0.004, margin=0.02):
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0) - margin
     hi = pts.max(axis=0) + margin
-    obstacles = ObstacleSet(points=PointCloud(xyz=pts))
+    obstacles = PointCloud(xyz=pts)
     return build_occupancy(
         obstacles, resolution=resolution, inflation=inflation, bounds=(lo, hi)
     )
@@ -51,27 +50,26 @@ def _grid_from(points, inflation, resolution=0.004, margin=0.02):
 
 def test_occupancy_zero_inflation_marks_only_containing_cells():
     grid = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=np.array([[0.011, 0.012, 0.013]]))),
+        PointCloud(xyz=np.array([[0.011, 0.012, 0.013]])),
         resolution=0.01,
         inflation=0.0,
         bounds=(np.zeros(3), np.full(3, 0.04)),
     )
     assert grid.dims == (4, 4, 4)
     assert grid.occupied_count == 1
-    assert grid.is_occupied((1, 1, 1))
+    assert grid.occupied[1, 1, 1]
 
 
 def test_occupancy_inflation_reaches_corner_neighbors():
     # a point on the shared corner of eight cells, centers sqrt(3)*5mm away
     grid = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=np.array([[0.01, 0.01, 0.01]]))),
+        PointCloud(xyz=np.array([[0.01, 0.01, 0.01]])),
         resolution=0.01,
         inflation=0.009,
         bounds=(np.zeros(3), np.full(3, 0.04)),
     )
     assert grid.occupied_count == 8
-    for cell in np.ndindex(2, 2, 2):
-        assert grid.is_occupied(tuple(np.asarray(cell)))
+    assert grid.occupied[:2, :2, :2].all()
 
 
 # ---------------------------------------------------------------- oracle
@@ -93,10 +91,10 @@ def test_occupancy_monotone_in_obstacle_points():
     points = rng.uniform(0.0, 0.05, size=(40, 3))
     lo, hi = points.min(axis=0) - 0.02, points.max(axis=0) + 0.02
     full = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=points)), inflation=0.008, bounds=(lo, hi)
+        PointCloud(xyz=points), inflation=0.008, bounds=(lo, hi)
     )
     part = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=points[:15])), inflation=0.008, bounds=(lo, hi)
+        PointCloud(xyz=points[:15]), inflation=0.008, bounds=(lo, hi)
     )
     assert not (part.occupied & ~full.occupied).any()
 
@@ -108,24 +106,24 @@ def test_include_points_widen_without_occupying():
     obstacle = np.array([[0.0, 0.0, 0.35]])
     far = np.array([0.0, 0.0, 0.25])
     grid = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=obstacle)), include_points=[far]
+        PointCloud(xyz=obstacle), include_points=[far]
     )
-    cell = grid.cell_of(far)
-    assert not grid.is_occupied(cell)
-    tight = build_occupancy(ObstacleSet(points=PointCloud(xyz=obstacle)))
+    (cell,) = grid.cells_of(far)
+    assert not grid.occupied[tuple(cell)]
+    tight = build_occupancy(PointCloud(xyz=obstacle))
     assert grid.occupied_count == tight.occupied_count
     with pytest.raises(ParameterError):
-        tight.cell_of(far)
+        tight.cells_of(far)
 
 
 def test_explicit_bounds_reject_outside_points():
-    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.1, 0.0, 0.0]])))
+    obstacles = PointCloud(xyz=np.array([[0.1, 0.0, 0.0]]))
     with pytest.raises(ParameterError):
         build_occupancy(obstacles, bounds=(np.zeros(3), np.full(3, 0.05)))
 
 
 def test_empty_obstacles_need_include_points():
-    empty = ObstacleSet(points=PointCloud.empty())
+    empty = PointCloud.empty()
     with pytest.raises(ParameterError):
         build_occupancy(empty)
     grid = build_occupancy(empty, include_points=[[0.0, 0.0, 0.3]])
@@ -133,7 +131,7 @@ def test_empty_obstacles_need_include_points():
 
 
 def test_occupancy_parameter_validation():
-    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.0, 0.0, 0.3]])))
+    obstacles = PointCloud(xyz=np.array([[0.0, 0.0, 0.3]]))
     with pytest.raises(ParameterError):
         build_occupancy(obstacles, resolution=0.0)
     with pytest.raises(ParameterError):
@@ -142,7 +140,7 @@ def test_occupancy_parameter_validation():
 
 def test_a_grid_past_the_cell_limit_is_refused_before_allocation():
     corners = np.array([[0.0, 0.0, 0.3], [0.05, 0.05, 0.35]])
-    obstacles = ObstacleSet(points=PointCloud(xyz=corners))
+    obstacles = PointCloud(xyz=corners)
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match=r"needs 5.12e\+14 cells, more than 1e\+08"):
@@ -158,14 +156,14 @@ def test_a_grid_past_the_cell_limit_is_refused_before_allocation():
 
 def test_grid_cell_center_round_trip():
     grid = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=np.array([[0.02, 0.02, 0.35]]))),
+        PointCloud(xyz=np.array([[0.02, 0.02, 0.35]])),
         resolution=0.005,
     )
     point = np.array([0.021, 0.019, 0.352])
-    cell = grid.cell_of(point)
-    center = grid.center_of(cell)
+    cell = grid.cells_of(point)
+    center = grid.centers_of(cell)
     assert np.abs(center - point).max() <= grid.resolution / 2 + 1e-12
-    assert grid.cell_of(center) == cell
+    assert (grid.cells_of(center) == cell).all()
 
 
 def test_whole_array_cells_and_centers_equal_the_per_point_formulas():
@@ -178,7 +176,7 @@ def test_whole_array_cells_and_centers_equal_the_per_point_formulas():
     cells = grid.cells_of(points)
     for point, cell in zip(points, cells):
         one = np.floor((point - grid.origin) / grid.resolution).astype(int)
-        assert tuple(one) == tuple(cell) == grid.cell_of(point)
+        assert tuple(one) == tuple(cell) == tuple(grid.cells_of(point)[0])
     centers = grid.centers_of(cells)
     for cell, center in zip(cells, centers):
         assert (grid.origin + (cell + 0.5) * grid.resolution == center).all()
@@ -200,14 +198,7 @@ def test_grid_validation():
         )
 
 
-# ---------------------------------------------------------------- obstacle set
-
-
-def test_obstacle_set_rejects_target_points():
-    cloud = PointCloud(xyz=np.zeros((5, 3)))
-    with pytest.raises(ParameterError):
-        ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({3}))
-    assert ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({2})).member_ids == {2}
+# ---------------------------------------------------------------- obstacles
 
 
 def test_build_obstacles_unions_everything_but_the_target():
@@ -220,9 +211,7 @@ def test_build_obstacles_unions_everything_but_the_target():
     ]
     obstacles = build_obstacles(candidates, target_id=1)
     assert len(obstacles) == 8
-    assert obstacles.excluded_id == 1
-    assert obstacles.member_ids == {0, 2}
-    assert set(np.unique(obstacles.points.xyz)) == {0.0, 2.0}
+    assert set(np.unique(obstacles.xyz)) == {0.0, 2.0}
 
 
 def test_build_obstacles_with_only_the_target_is_empty():

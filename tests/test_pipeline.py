@@ -23,14 +23,15 @@ from berrypick import (
     SceneConfig,
     Trajectory,
     TrialResult,
+    pipeline,
     plan_scene,
     render_scene_artifacts,
     run_ablation,
     run_benchmark,
+    run_completion_benchmark,
     run_pipeline,
-    sample_ground_truth,
 )
-from berrypick.pipeline import _execute, _scene
+from berrypick.pipeline import _execute, _generated, _scene_trials
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +103,8 @@ def test_plan_scene_agrees_with_the_trials(caged_scene, prior):
     }
     runs = run_ablation(template, n, cfg, seed, params, prior)
     for i in range(n):
-        scene, rendered, truth_ss = _scene(template, seed, i, prior, params)
-        truth = sample_ground_truth(scene, prior, truth_ss)
-        artifacts = SceneArtifacts(scene, rendered.rgb, rendered.depth, rendered.masks, truth)
+        scene, render_ss, truth_ss = _generated(template, seed, i, prior)
+        artifacts = render_scene_artifacts(scene, prior, params, render_ss, truth_ss)
         for name, variant in variants.items():
             _assert_paths_agree(runs[name][i], _plan_or_error(artifacts, variant, prior))
 
@@ -213,6 +213,38 @@ def test_ablation_full_variant_matches_plain_benchmark(prior):
     assert ablation["full"] == plain
     for name in ("no_obstacles", "no_completion"):
         assert len(ablation[name]) == 3
+
+
+def test_scene_trials_alone_equal_the_ablation_in_any_order(prior):
+    cfg, seed, params, n = PipelineConfig(inflation=0.018), 7, RenderParams(2.0, 0.05), 5
+    runs = run_ablation(_small_template(), n, cfg, seed, params, prior)
+    variants = {
+        "full": cfg,
+        "no_obstacles": replace(cfg, use_obstacles=False),
+        "no_completion": replace(cfg, use_completion=False),
+    }
+    for i in np.random.default_rng(3).permutation(n).tolist():
+        trials = _scene_trials(_small_template(), seed, params, prior, variants, cfg, i)
+        assert trials == {name: runs[name][i] for name in variants}
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "floor, refused",
+    [(1.5, True), (-0.1, True), (float("nan"), True), (0.0, False), (1.0, False)],
+)
+def test_completion_benchmark_checks_the_visibility_floor_before_drawing(
+    monkeypatch, prior, floor, refused
+):
+    def drawn(*args):
+        raise _Drawn
+
+    monkeypatch.setattr(pipeline, "_generated", drawn)
+    with pytest.raises(ParameterError if refused else _Drawn):
+        run_completion_benchmark(_small_template(), 3, min_visibility=floor, prior=prior)
 
 
 def test_no_completion_variant_skips_completion(prior):

@@ -77,9 +77,9 @@ def _check_path(grid: OccupancyGrid, path, cost, start, goal):
     for a, b in zip(path, path[1:]):
         step = tuple(bi - ai for ai, bi in zip(a, b))
         assert step in _OFFSETS
-        assert not grid.is_occupied(b)
+        assert not grid.occupied[b]
         total += math.sqrt(sum(s * s for s in step)) * grid.resolution
-    assert not grid.is_occupied(path[0])
+    assert not grid.occupied[path[0]]
     assert cost == pytest.approx(total, rel=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_plan_trajectory_snaps_endpoints_and_visits_pregrasp():
     assert trajectory.feasible
     assert trajectory.waypoints[0] == pytest.approx(state.p_ee)
     assert trajectory.waypoints[-1] == pytest.approx(grasp.grasp_point)
-    mid_center = grid.center_of(grid.cell_of(grasp.pregrasp_point))
+    (mid_center,) = grid.centers_of(grid.cells_of(grasp.pregrasp_point))
     assert any(np.allclose(w, mid_center) for w in trajectory.waypoints)
     assert _path_length_m(trajectory) >= 0.31
 

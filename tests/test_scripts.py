@@ -101,6 +101,10 @@ _BAD_ARGS = {
     "template-bad-value": ["--template", "{tmp}/bad.json"],
 }
 _BAD_COUNTS = {"no-items": ["--n", "0"], "non-integer-count": ["--n", "x"]}
+_BAD_FLOORS = {
+    "visibility-above-one": ["--min-visibility", "1.5"],
+    "visibility-nan": ["--min-visibility", "nan"],
+}
 
 
 @pytest.mark.parametrize(
@@ -108,7 +112,7 @@ _BAD_COUNTS = {"no-items": ["--n", "0"], "non-integer-count": ["--n", "x"]}
     [
         pytest.param(name, args, id=f"{name}-{case}")
         for name, cases in [
-            ("completion_benchmark", {**_BAD_ARGS, **_BAD_COUNTS}),
+            ("completion_benchmark", {**_BAD_ARGS, **_BAD_COUNTS, **_BAD_FLOORS}),
             ("obstacle_ablation", {**_BAD_ARGS, **_BAD_COUNTS}),
             ("demo_scene", {key: [*args, "--out", "{tmp}/demo"] for key, args in _BAD_ARGS.items()}),
         ]
