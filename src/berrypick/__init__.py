@@ -23,7 +23,7 @@ from .errors import (
     StorageError,
 )
 from .metrics import MetricsReport, compute_metrics, emit_ablation_report, emit_report
-from .occupancy import OccupancyGrid, build_obstacles, build_occupancy
+from .occupancy import ObstacleSet, OccupancyGrid, build_obstacles, build_occupancy
 from .pipeline import (
     FailureReason,
     PipelineConfig,

@@ -23,13 +23,36 @@ from .types import PointCloud
 MAX_GRID_CELLS = 10**8
 
 
-def build_obstacles(candidates, target_id: int) -> PointCloud:
+@dataclass(frozen=True)
+class ObstacleSet:
+    """Union of the non-target clouds: the ids of the berries it holds, and
+    the id it excludes."""
+
+    points: PointCloud
+    excluded_id: int | None = None
+    member_ids: frozenset[int] = frozenset()
+
+    def __post_init__(self):
+        if self.excluded_id in self.member_ids:
+            raise ParameterError("obstacle set contains the target instance")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+def build_obstacles(candidates, target_id: int) -> ObstacleSet:
     """Union of every candidate cloud except the target's.
 
     candidates: iterable of objects with .instance_id and .cloud (PointCloud).
     """
-    others = [c.cloud.xyz for c in candidates if c.instance_id != target_id]
-    return PointCloud(xyz=np.concatenate(others)) if others else PointCloud.empty()
+    others = [c for c in candidates if c.instance_id != target_id]
+    if not others:
+        return ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
+    return ObstacleSet(
+        points=PointCloud(xyz=np.concatenate([c.cloud.xyz for c in others])),
+        excluded_id=target_id,
+        member_ids=frozenset(c.instance_id for c in others),
+    )
 
 
 @dataclass(frozen=True)
@@ -65,7 +88,7 @@ class OccupancyGrid:
 
 
 def build_occupancy(
-    obstacles: PointCloud,
+    obstacles: ObstacleSet,
     resolution: float = 0.005,
     inflation: float = 0.015,
     include_points=None,
@@ -96,7 +119,7 @@ def build_occupancy(
     if inflation < 0:
         raise ParameterError("inflation must be nonnegative")
 
-    pts = obstacles.xyz
+    pts = obstacles.points.xyz if len(obstacles) else np.zeros((0, 3))
     anchors = [pts]
     if include_points is not None:
         extra = np.atleast_2d(np.asarray(include_points, dtype=np.float64))

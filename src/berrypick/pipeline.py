@@ -32,7 +32,7 @@ truncates the completion distances to n_berries.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import (
     RegistrationError,
     SceneGenerationError,
 )
-from .occupancy import build_obstacles, build_occupancy
+from .occupancy import ObstacleSet, build_obstacles, build_occupancy
 from .planning import (
     Candidate,
     RobotState,
@@ -152,17 +152,7 @@ class SceneArtifacts:
     truth: GroundTruth
 
     def __post_init__(self):
-        missing = [
-            name
-            for name, value in (
-                ("scene", self.scene),
-                ("rgb", self.rgb),
-                ("depth", self.depth),
-                ("masks", self.masks),
-                ("truth", self.truth),
-            )
-            if value is None
-        ]
+        missing = [f.name for f in fields(self) if getattr(self, f.name) is None]
         if missing:
             raise InputError(f"scene artifacts missing: {missing}")
 
@@ -326,7 +316,7 @@ def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior:
             list(perception.candidates) + list(perception.leftovers), target_id
         )
     else:
-        obstacles = PointCloud.empty()
+        obstacles = ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
     grid = build_occupancy(
         obstacles,
         resolution=cfg.grid_resolution,
@@ -498,12 +488,9 @@ def _run_variants(
     if n_scenes < 1:
         raise ParameterError("n_scenes must be at least 1")
     prior = prior or StrawberryPrior.builtin()
-    results: dict[str, list[TrialResult]] = {name: [] for name in variants}
-    for i in range(n_scenes):
-        trials = _scene_trials(template, seed, render_params, prior, variants, cfg, i)
-        for name, trial in trials.items():
-            results[name].append(trial)
-    return results
+    scenes = [_scene_trials(template, seed, render_params, prior, variants, cfg, i)
+              for i in range(n_scenes)]
+    return {name: [trials[name] for trials in scenes] for name in variants}
 
 
 def run_benchmark(

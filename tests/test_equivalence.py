@@ -39,6 +39,7 @@ from berrypick import (
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
+    ObstacleSet,
     Occluder,
     OccupancyGrid,
     OutlierParams,
@@ -624,7 +625,7 @@ def reference_occupancy(obstacles, resolution, inflation, include_points=None, b
     """The occupancy build_occupancy made by querying every cell of the
     obstacles' inflated bounding box; the grid extent is build_occupancy's."""
     extent = build_occupancy(obstacles, resolution, inflation, include_points, bounds)
-    pts, lo, dims = obstacles.xyz, extent.origin, np.asarray(extent.dims)
+    pts, lo, dims = obstacles.points.xyz, extent.origin, np.asarray(extent.dims)
     occupied = np.zeros(extent.dims, dtype=bool)
     cells = np.clip(np.floor((pts - lo) / resolution).astype(int), 0, dims - 1)
     occupied[cells[:, 0], cells[:, 1], cells[:, 2]] = True
@@ -688,7 +689,7 @@ def test_occupancy_near_cells_match_whole_box_query(
                   xyz.max(axis=0) + rng.uniform(0.0, 0.01, 3))
         xyz[0] = bounds[0]
         xyz[-1] = bounds[1]
-    obstacles = PointCloud(xyz=xyz)
+    obstacles = ObstacleSet(points=PointCloud(xyz=xyz))
     extra = [[0.0, 0.0, 0.05]] if not pinned else None
     grid = build_occupancy(obstacles, resolution, inflation, extra, bounds)
     assert np.array_equal(
@@ -707,7 +708,7 @@ def test_occupancy_margin_holds_on_the_sure_in_edge(resolution):
     for _ in range(60):
         lo = np.round(rng.uniform(-20.0, 20.0, 3)) * resolution + rng.choice([0.0, 0.3, 1.3])
         point = lo + rng.integers(3, 6, 3) * resolution
-        obstacles = PointCloud(xyz=point[None])
+        obstacles = ObstacleSet(points=PointCloud(xyz=point[None]))
         bounds = (lo, lo + 10 * resolution)
         grid = build_occupancy(obstacles, resolution, inflation, bounds=bounds)
         assert np.array_equal(

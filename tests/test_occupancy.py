@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from berrypick import (
+    ObstacleSet,
     OccupancyGrid,
     ParameterError,
     PointCloud,
@@ -39,7 +40,7 @@ def _grid_from(points, inflation, resolution=0.004, margin=0.02):
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0) - margin
     hi = pts.max(axis=0) + margin
-    obstacles = PointCloud(xyz=pts)
+    obstacles = ObstacleSet(points=PointCloud(xyz=pts))
     return build_occupancy(
         obstacles, resolution=resolution, inflation=inflation, bounds=(lo, hi)
     )
@@ -50,7 +51,7 @@ def _grid_from(points, inflation, resolution=0.004, margin=0.02):
 
 def test_occupancy_zero_inflation_marks_only_containing_cells():
     grid = build_occupancy(
-        PointCloud(xyz=np.array([[0.011, 0.012, 0.013]])),
+        ObstacleSet(points=PointCloud(xyz=np.array([[0.011, 0.012, 0.013]]))),
         resolution=0.01,
         inflation=0.0,
         bounds=(np.zeros(3), np.full(3, 0.04)),
@@ -63,7 +64,7 @@ def test_occupancy_zero_inflation_marks_only_containing_cells():
 def test_occupancy_inflation_reaches_corner_neighbors():
     # a point on the shared corner of eight cells, centers sqrt(3)*5mm away
     grid = build_occupancy(
-        PointCloud(xyz=np.array([[0.01, 0.01, 0.01]])),
+        ObstacleSet(points=PointCloud(xyz=np.array([[0.01, 0.01, 0.01]]))),
         resolution=0.01,
         inflation=0.009,
         bounds=(np.zeros(3), np.full(3, 0.04)),
@@ -91,10 +92,10 @@ def test_occupancy_monotone_in_obstacle_points():
     points = rng.uniform(0.0, 0.05, size=(40, 3))
     lo, hi = points.min(axis=0) - 0.02, points.max(axis=0) + 0.02
     full = build_occupancy(
-        PointCloud(xyz=points), inflation=0.008, bounds=(lo, hi)
+        ObstacleSet(points=PointCloud(xyz=points)), inflation=0.008, bounds=(lo, hi)
     )
     part = build_occupancy(
-        PointCloud(xyz=points[:15]), inflation=0.008, bounds=(lo, hi)
+        ObstacleSet(points=PointCloud(xyz=points[:15])), inflation=0.008, bounds=(lo, hi)
     )
     assert not (part.occupied & ~full.occupied).any()
 
@@ -106,24 +107,24 @@ def test_include_points_widen_without_occupying():
     obstacle = np.array([[0.0, 0.0, 0.35]])
     far = np.array([0.0, 0.0, 0.25])
     grid = build_occupancy(
-        PointCloud(xyz=obstacle), include_points=[far]
+        ObstacleSet(points=PointCloud(xyz=obstacle)), include_points=[far]
     )
     (cell,) = grid.cells_of(far)
     assert not grid.occupied[tuple(cell)]
-    tight = build_occupancy(PointCloud(xyz=obstacle))
+    tight = build_occupancy(ObstacleSet(points=PointCloud(xyz=obstacle)))
     assert grid.occupied_count == tight.occupied_count
     with pytest.raises(ParameterError):
         tight.cells_of(far)
 
 
 def test_explicit_bounds_reject_outside_points():
-    obstacles = PointCloud(xyz=np.array([[0.1, 0.0, 0.0]]))
+    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.1, 0.0, 0.0]])))
     with pytest.raises(ParameterError):
         build_occupancy(obstacles, bounds=(np.zeros(3), np.full(3, 0.05)))
 
 
 def test_empty_obstacles_need_include_points():
-    empty = PointCloud.empty()
+    empty = ObstacleSet(points=PointCloud.empty())
     with pytest.raises(ParameterError):
         build_occupancy(empty)
     grid = build_occupancy(empty, include_points=[[0.0, 0.0, 0.3]])
@@ -131,7 +132,7 @@ def test_empty_obstacles_need_include_points():
 
 
 def test_occupancy_parameter_validation():
-    obstacles = PointCloud(xyz=np.array([[0.0, 0.0, 0.3]]))
+    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.0, 0.0, 0.3]])))
     with pytest.raises(ParameterError):
         build_occupancy(obstacles, resolution=0.0)
     with pytest.raises(ParameterError):
@@ -140,7 +141,7 @@ def test_occupancy_parameter_validation():
 
 def test_a_grid_past_the_cell_limit_is_refused_before_allocation():
     corners = np.array([[0.0, 0.0, 0.3], [0.05, 0.05, 0.35]])
-    obstacles = PointCloud(xyz=corners)
+    obstacles = ObstacleSet(points=PointCloud(xyz=corners))
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match=r"needs 5.12e\+14 cells, more than 1e\+08"):
@@ -156,7 +157,7 @@ def test_a_grid_past_the_cell_limit_is_refused_before_allocation():
 
 def test_grid_cell_center_round_trip():
     grid = build_occupancy(
-        PointCloud(xyz=np.array([[0.02, 0.02, 0.35]])),
+        ObstacleSet(points=PointCloud(xyz=np.array([[0.02, 0.02, 0.35]]))),
         resolution=0.005,
     )
     point = np.array([0.021, 0.019, 0.352])
@@ -198,7 +199,14 @@ def test_grid_validation():
         )
 
 
-# ---------------------------------------------------------------- obstacles
+# ---------------------------------------------------------------- obstacle set
+
+
+def test_obstacle_set_rejects_target_points():
+    cloud = PointCloud(xyz=np.zeros((5, 3)))
+    with pytest.raises(ParameterError):
+        ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({3}))
+    assert ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({2})).member_ids == {2}
 
 
 def test_build_obstacles_unions_everything_but_the_target():
@@ -211,7 +219,9 @@ def test_build_obstacles_unions_everything_but_the_target():
     ]
     obstacles = build_obstacles(candidates, target_id=1)
     assert len(obstacles) == 8
-    assert set(np.unique(obstacles.xyz)) == {0.0, 2.0}
+    assert obstacles.excluded_id == 1
+    assert obstacles.member_ids == {0, 2}
+    assert set(np.unique(obstacles.points.xyz)) == {0.0, 2.0}
 
 
 def test_build_obstacles_with_only_the_target_is_empty():
