@@ -104,9 +104,9 @@ def _cmd_complete(args) -> int:
     result = complete_cloud(cloud, prior, cfg.icp)
     os.makedirs(args.out, exist_ok=True)
     write_ply(os.path.join(args.out, "completed.ply"), result.cloud)
-    report = {**result.pose.to_json(), "fitness_mm": result.fitness}
-    write_json(os.path.join(args.out, "completion.json"), report)
-    print(json.dumps({"fitness_mm": result.fitness}))
+    fitness = {"fitness_mm": result.icp.fitness_mm}
+    write_json(os.path.join(args.out, "completion.json"), {**result.icp.pose.to_json(), **fitness})
+    print(json.dumps(fitness))
     return 0
 
 

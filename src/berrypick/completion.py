@@ -38,31 +38,33 @@ class IcpParams:
     restart_count: int = 4
 
     def __post_init__(self):
-        if (
-            self.max_iterations <= 0
-            or self.convergence_tol <= 0
-            or self.max_correspondence_dist <= 0
-            or self.restart_count <= 0
-        ):
+        values = (self.max_iterations, self.convergence_tol, self.max_correspondence_dist,
+                  self.restart_count)
+        if not all(v > 0 for v in values):
             raise ParameterError("all registration parameters must be positive")
 
 
 @dataclass(frozen=True)
 class IcpResult:
+    """The best restart: its pose, its residuals in mm at each improvement
+    (the last is its fitness), whether it converged, and its restart index."""
+
     pose: Pose
-    fitness_mm: float
     residual_history_mm: tuple[float, ...]
     converged: bool
     restart_index: int
 
+    @property
+    def fitness_mm(self) -> float:
+        return self.residual_history_mm[-1]
+
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Completed surface plus the recovered pose."""
+    """Completed surface plus the registration that posed it."""
 
     cloud: PointCloud
-    pose: Pose
-    fitness: float  # mean inlier residual, mm
+    icp: IcpResult
 
 
 def init_pose(partial: PointCloud, prior: StrawberryPrior) -> Pose:
@@ -129,9 +131,10 @@ def _icp_single(
     normals: np.ndarray,
     init: Pose,
     params: IcpParams,
-) -> tuple[Pose, float, tuple[float, ...], bool] | None:
-    """One restart. Returns (pose, fitness_mm, history_mm, converged), or None
-    when the initialization finds no correspondences at all."""
+    restart_index: int,
+) -> IcpResult | None:
+    """One restart, or None when the initialization finds no correspondences
+    at all."""
     max_dist = params.max_correspondence_dist / 1000.0
     tol = params.convergence_tol / 1000.0
 
@@ -177,10 +180,9 @@ def _icp_single(
             converged = True
             break
 
-    if not np.isfinite(best_residual):
+    if not history:
         return None
-    best_pose = Pose(rotation=best[0], translation=best[1])
-    return best_pose, best_residual * 1000.0, tuple(history), converged
+    return IcpResult(Pose(*best), tuple(history), converged, restart_index)
 
 
 def icp_refine(
@@ -207,18 +209,11 @@ def icp_refine(
     best: IcpResult | None = None
     for i, canonical in enumerate(_RESTART_ROTATIONS[: params.restart_count]):
         start = Pose(rotation=init.rotation @ canonical, translation=init.translation)
-        outcome = _icp_single(xyz, tree, surface, normals, start, params)
+        outcome = _icp_single(xyz, tree, surface, normals, start, params, i)
         if outcome is None:
             continue
-        pose, fitness_mm, history, converged = outcome
-        if best is None or fitness_mm < best.fitness_mm:
-            best = IcpResult(
-                pose=pose,
-                fitness_mm=fitness_mm,
-                residual_history_mm=history,
-                converged=converged,
-                restart_index=i,
-            )
+        if best is None or outcome.fitness_mm < best.fitness_mm:
+            best = outcome
         if best.fitness_mm <= _EARLY_ACCEPT_MM:
             break
 
@@ -235,12 +230,8 @@ def complete_cloud(
     prior: StrawberryPrior,
     params: IcpParams = IcpParams(),
 ) -> CompletionResult:
-    """Register the prior to the partial scan and emit its posed sampling."""
-    if len(partial) < _MIN_PARTIAL_POINTS:
-        raise InsufficientDataError(
-            f"completion needs at least {_MIN_PARTIAL_POINTS} points, got {len(partial)}"
-        )
-    init = init_pose(partial, prior)
-    result = icp_refine(partial, prior, init, params)
-    cloud = PointCloud(xyz=result.pose.apply(prior.canonical_samples(SURFACE_POINTS)))
-    return CompletionResult(cloud=cloud, pose=result.pose, fitness=result.fitness_mm)
+    """Register the prior to the partial scan and emit its posed sampling.
+    Fewer than init_pose's minimum of points raises InsufficientDataError."""
+    icp = icp_refine(partial, prior, init_pose(partial, prior), params)
+    cloud = PointCloud(xyz=icp.pose.apply(prior.canonical_samples(SURFACE_POINTS)))
+    return CompletionResult(cloud=cloud, icp=icp)

@@ -25,16 +25,9 @@ MAX_GRID_CELLS = 10**8
 
 @dataclass(frozen=True)
 class ObstacleSet:
-    """Union of the non-target clouds: the ids of the berries it holds, and
-    the id it excludes."""
+    """Union of the non-target clouds."""
 
     points: PointCloud
-    excluded_id: int | None = None
-    member_ids: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.excluded_id in self.member_ids:
-            raise ParameterError("obstacle set contains the target instance")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -45,28 +38,24 @@ def build_obstacles(candidates, target_id: int) -> ObstacleSet:
 
     candidates: iterable of objects with .instance_id and .cloud (PointCloud).
     """
-    others = [c for c in candidates if c.instance_id != target_id]
-    if not others:
-        return ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
-    return ObstacleSet(
-        points=PointCloud(xyz=np.concatenate([c.cloud.xyz for c in others])),
-        excluded_id=target_id,
-        member_ids=frozenset(c.instance_id for c in others),
-    )
+    others = [c.cloud.xyz for c in candidates if c.instance_id != target_id]
+    points = PointCloud(xyz=np.concatenate(others)) if others else PointCloud.empty()
+    return ObstacleSet(points=points)
 
 
 @dataclass(frozen=True)
 class OccupancyGrid:
     origin: np.ndarray  # world position of the (0,0,0) cell's min corner
     resolution: float
-    dims: tuple[int, int, int]
-    occupied: np.ndarray  # bool, shape dims
+    occupied: np.ndarray  # bool, one entry per cell; its shape is dims
 
     def __post_init__(self):
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ParameterError("grid resolution must be positive")
-        if self.occupied.shape != tuple(self.dims):
-            raise ParameterError("occupancy array shape does not match dims")
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.occupied.shape
 
     def cells_of(self, points: np.ndarray) -> np.ndarray:
         """The (N, 3) int cells holding (N, 3) points. A point outside the
@@ -114,9 +103,9 @@ def build_occupancy(
     The margin, 1e-13 times the grid's largest |coordinate| plus inflation
     and resolution, is derived where it is set.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ParameterError("resolution must be positive")
-    if inflation < 0:
+    if not inflation >= 0:
         raise ParameterError("inflation must be nonnegative")
 
     pts = obstacles.points.xyz if len(obstacles) else np.zeros((0, 3))
@@ -197,4 +186,4 @@ def build_occupancy(
             occupied[near[:, 0], near[:, 1], near[:, 2]] = True
             crop |= sure
 
-    return OccupancyGrid(origin=lo, resolution=resolution, dims=dims, occupied=occupied)
+    return OccupancyGrid(origin=lo, resolution=resolution, occupied=occupied)

@@ -52,7 +52,6 @@ from .occupancy import ObstacleSet, build_obstacles, build_occupancy
 from .planning import (
     Candidate,
     RobotState,
-    end_effector_position,
     estimate_grasp,
     plan_trajectory,
     select_target,
@@ -108,16 +107,15 @@ class PipelineConfig:
     p_ee: tuple[float, float, float] = (0.0, 0.0, 0.05)
 
     def __post_init__(self):
-        if self.grid_resolution <= 0:
+        if not self.grid_resolution > 0:
             raise ParameterError("grid_resolution must be positive")
-        if self.inflation < 0:
+        if not self.inflation >= 0:
             raise ParameterError("inflation must be nonnegative")
-        if self.gripper_radius <= 0:
-            raise ParameterError("gripper_radius must be positive")
-        object.__setattr__(self, "p_ee", tuple(end_effector_position(self.p_ee).tolist()))
+        # RobotState checks p_ee and gripper_radius
+        object.__setattr__(self, "p_ee", tuple(self.robot_state().p_ee.tolist()))
 
     def robot_state(self) -> RobotState:
-        return RobotState(p_ee=np.array(self.p_ee), gripper_radius=self.gripper_radius)
+        return RobotState(p_ee=self.p_ee, gripper_radius=self.gripper_radius)
 
     def to_json(self) -> dict:
         return {**asdict(self), "p_ee": list(self.p_ee)}
@@ -159,17 +157,22 @@ class SceneArtifacts:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial. failure_reason None: its path ran and the grasp landed;
+    MISSED_GRASP: its path ran and missed; any other reason: no path ran."""
+
     scene_id: int
     detections: int
-    attempted: bool
-    success: bool
     hit_ids: frozenset[int]
     cd_mm: tuple[float, ...]
     failure_reason: FailureReason | None
 
-    def __post_init__(self):
-        if self.success and not self.attempted:
-            raise ParameterError("a successful trial must have been attempted")
+    @property
+    def attempted(self) -> bool:
+        return self.failure_reason in (None, FailureReason.MISSED_GRASP)
+
+    @property
+    def success(self) -> bool:
+        return self.failure_reason is None
 
     @property
     def cd_mm_mean(self) -> float | None:
@@ -316,7 +319,7 @@ def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior:
             list(perception.candidates) + list(perception.leftovers), target_id
         )
     else:
-        obstacles = ObstacleSet(points=PointCloud.empty(), excluded_id=target_id)
+        obstacles = ObstacleSet(points=PointCloud.empty())
     grid = build_occupancy(
         obstacles,
         resolution=cfg.grid_resolution,
@@ -331,8 +334,6 @@ def _trial(perception: Perception, scene_id: int, reason: FailureReason | None,
     return TrialResult(
         scene_id=scene_id,
         detections=perception.detections,
-        attempted=outcome is not None,
-        success=outcome is not None and outcome.success,
         hit_ids=frozenset() if outcome is None else outcome.hits,
         cd_mm=perception.cd_mm,
         failure_reason=reason,

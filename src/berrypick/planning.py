@@ -59,7 +59,7 @@ class RobotState:
 
     def __post_init__(self):
         object.__setattr__(self, "p_ee", end_effector_position(self.p_ee))
-        if self.gripper_radius <= 0:
+        if not self.gripper_radius > 0:
             raise ParameterError("gripper radius must be positive")
 
 
@@ -87,7 +87,7 @@ class GraspPose:
         object.__setattr__(self, "approach_dir", np.asarray(self.approach_dir, dtype=np.float64))
         if abs(np.linalg.norm(self.approach_dir) - 1.0) > 1e-9:
             raise ParameterError("approach direction must be a unit vector")
-        if self.pregrasp_offset <= 0:
+        if not self.pregrasp_offset > 0:
             raise ParameterError("pregrasp offset must be positive")
 
     @property
@@ -97,13 +97,16 @@ class GraspPose:
 
 @dataclass(frozen=True)
 class Trajectory:
-    waypoints: np.ndarray  # (N, 3)
-    feasible: bool
+    waypoints: np.ndarray  # (N, 3); N = 0 when no path was found
 
     def __post_init__(self):
         object.__setattr__(
             self, "waypoints", np.asarray(self.waypoints, dtype=np.float64).reshape(-1, 3)
         )
+
+    @property
+    def feasible(self) -> bool:
+        return len(self.waypoints) > 0
 
 
 def select_target(candidates, p_ee: np.ndarray) -> int:
@@ -327,8 +330,9 @@ def plan_trajectory(grasp: GraspPose, grid: OccupancyGrid, state: RobotState) ->
 
     Waypoints are free-cell centers; the first and last are snapped to the
     exact end-effector and grasp positions. Infeasibility (an occupied
-    endpoint cell or a disconnected grid) yields feasible=False rather than
-    an exception; endpoints outside the grid raise ParameterError.
+    endpoint cell or a disconnected grid) yields a trajectory with no
+    waypoints rather than an exception; endpoints outside the grid raise
+    ParameterError.
     """
     start, mid, goal = map(
         tuple, grid.cells_of([state.p_ee, grasp.pregrasp_point, grasp.grasp_point]).tolist()
@@ -336,16 +340,16 @@ def plan_trajectory(grasp: GraspPose, grid: OccupancyGrid, state: RobotState) ->
 
     leg1 = astar_grid(grid, start, mid)
     if leg1 is None:
-        return Trajectory(waypoints=np.zeros((0, 3)), feasible=False)
+        return Trajectory(waypoints=np.zeros((0, 3)))
     leg2 = astar_grid(grid, mid, goal)
     if leg2 is None:
-        return Trajectory(waypoints=np.zeros((0, 3)), feasible=False)
+        return Trajectory(waypoints=np.zeros((0, 3)))
 
     cells = leg1[0] + leg2[0][1:]
     waypoints = grid.centers_of(cells)
     waypoints[0] = state.p_ee
     waypoints[-1] = grasp.grasp_point
-    return Trajectory(waypoints=waypoints, feasible=True)
+    return Trajectory(waypoints=waypoints)
 
 
 @dataclass(frozen=True)
@@ -391,7 +395,7 @@ def simulate_execution(
     radius. By the triangle inequality no other segment can come within the
     gripper radius of the surface; a 1e-9 m slack absorbs rounding.
     """
-    if not trajectory.feasible or len(trajectory.waypoints) == 0:
+    if not trajectory.feasible:
         raise ParameterError("execution requires a feasible trajectory")
 
     true_center = truth.instance(target_id).pose.translation

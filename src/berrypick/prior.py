@@ -56,7 +56,7 @@ def superellipsoid_mesh(
     e_ns shapes the pole-to-pole profile (>1 tapers the poles), e_ew the
     equatorial cross-section. Returns (vertices, faces) of a watertight mesh.
     """
-    if min(a, b, c) <= 0:
+    if not all(v > 0 for v in (a, b, c)):
         raise ParameterError("semi-axes must be positive")
     if stacks < 3 or slices < 3:
         raise ParameterError("tessellation too coarse")

@@ -45,6 +45,11 @@ _LEAF_FACES.flags.writeable = False
 # Largest frame a scene may ask for (4096 x 4096), refused before any image is allocated.
 MAX_FRAME_PIXELS = 2**24
 
+# Most berries of each ripeness, and most occluders, a template may ask for: far above the
+# shipped templates' 8 objects, with both ripenesses together below the 65,535 berries that
+# masks.pgm can label. SceneConfig refuses more before generation draws anything.
+MAX_SCENE_OBJECTS = 1000
+
 
 @dataclass(frozen=True)
 class BerryInstance:
@@ -161,8 +166,9 @@ class SceneConfig:
     workspace_hi: tuple[float, float, float] = tuple(WORKSPACE_HI)
 
     def __post_init__(self):
-        if self.n_ripe < 0 or self.n_unripe < 0 or self.n_occluders < 0:
-            raise ParameterError("object counts must be nonnegative")
+        counts = (self.n_ripe, self.n_unripe, self.n_occluders)
+        if not all(0 <= n <= MAX_SCENE_OBJECTS for n in counts):
+            raise ParameterError(f"object counts must lie in [0, {MAX_SCENE_OBJECTS}]")
         values = [
             self.clutter_spacing,
             self.max_tilt_rad,

@@ -119,6 +119,18 @@ class CameraIntrinsics:
             )
 
 
+def _unsigned(values: np.ndarray, dtype, message: str) -> np.ndarray:
+    """values as the unsigned integer type dtype, cast from an integer array
+    within its range; any other array raises ParameterError(message)."""
+    if values.dtype == dtype:
+        return values
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ParameterError(message)
+    if values.min(initial=0) < 0 or values.max(initial=0) > np.iinfo(dtype).max:
+        raise ParameterError(message)
+    return values.astype(dtype)
+
+
 @dataclass(frozen=True)
 class DepthImage:
     """Depth in millimeters, uint16, 0 marks an invalid pixel (no return)."""
@@ -129,12 +141,8 @@ class DepthImage:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise ParameterError("depth image must be 2-D (H, W)")
-        if v.dtype != np.uint16:
-            if np.issubdtype(v.dtype, np.integer) and v.min(initial=0) >= 0 and v.max(initial=0) <= 65535:
-                v = v.astype(np.uint16)
-            else:
-                raise ParameterError("depth image must be 16-bit unsigned millimeters")
-        object.__setattr__(self, "values", v)
+        message = "depth image must be 16-bit unsigned millimeters"
+        object.__setattr__(self, "values", _unsigned(v, np.uint16, message))
 
     @property
     def height(self) -> int:
@@ -155,9 +163,8 @@ class RgbImage:
         v = np.asarray(self.values)
         if v.ndim != 3 or v.shape[2] != 3:
             raise ParameterError("rgb image must have shape (H, W, 3)")
-        if v.dtype != np.uint8:
-            v = v.astype(np.uint8)
-        object.__setattr__(self, "values", v)
+        message = "rgb image must hold 8-bit values"
+        object.__setattr__(self, "values", _unsigned(v, np.uint8, message))
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,7 @@ class VoxelParams:
     min_points: int = 30
 
     def __post_init__(self):
-        if self.voxel_size <= 0:
+        if not self.voxel_size > 0:
             raise ParameterError("voxel_size must be positive")
         if self.min_points < 1:
             raise ParameterError("min_points must be >= 1")
@@ -238,7 +245,7 @@ class OutlierParams:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ParameterError("k_neighbors must be >= 1")
-        if self.std_ratio <= 0:
+        if not self.std_ratio > 0:
             raise ParameterError("std_ratio must be positive")
 
 

@@ -183,7 +183,7 @@ def test_criterion_4_planner_optimality():
         pick = rng.choice(len(free), size=2, replace=False)
         start, goal = tuple(free[pick[0]]), tuple(free[pick[1]])
         grid = OccupancyGrid(
-            origin=np.zeros(3), resolution=1.0, dims=(32, 32, 32), occupied=occupied
+            origin=np.zeros(3), resolution=1.0, occupied=occupied
         )
         outcome = astar_grid(grid, start, goal)
         reference = _dijkstra_reference(occupied, start, goal)

@@ -20,6 +20,18 @@ def test_benchmark_pins_hold():
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 
 
+def test_benchmark_harness_tests_pass():
+    # Deselected: the golden-digest test is the check test_benchmark_pins_hold
+    # already runs through perfbench/pin.py, and the tail-percentile test is
+    # seconds of harness arithmetic that never calls berrypick.
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench", "-q",
+         "-k", "not golden_digests and not tail_percentile_is_highest"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+
+
 def test_every_traced_layer_is_reached(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")

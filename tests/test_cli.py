@@ -311,11 +311,14 @@ def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
         ("config", {"icp": {"restart_count": 0}},
          "invalid config value: all registration parameters must be positive"),
         ("template", {"n_ripe": 2.5}, "template.n_ripe must be an integer, got 2.5"),
+        ("template", {"n_occluders": 10**9}, "object counts must lie in [0, 1000]"),
+        ("template", {"n_ripe": 1001}, "object counts must lie in [0, 1000]"),
         ("scene", {"width": "640"}, "width must be an integer, got '640'"),
         ("scene-dir", {"height": 1.5}, "height must be an integer, got 1.5"),
         ("metrics", {**_METRICS, "n_trials": -1}, "metrics field n_trials has invalid value -1"),
     ],
-    ids=["config-schema", "config-value", "template", "render-scene", "plan-scene-dir", "metrics"],
+    ids=["config-schema", "config-value", "template", "template-n_occluders", "template-n_ripe",
+         "render-scene", "plan-scene-dir", "metrics"],
 )
 def test_malformed_document_error_starts_with_its_path(
     tmp_path, rendered_dir, capsys, document, content, message

@@ -176,9 +176,22 @@ def test_complete_output_is_the_posed_canonical_sampling(prior):
     true = Pose(rotation=np.eye(3), translation=np.array([0.0, 0.0, 0.36]))
     result = complete_cloud(_full_sample(prior, true, n=1000), prior)
     assert len(result.cloud) == SURFACE_POINTS
-    expected = result.pose.apply(prior.canonical_samples(SURFACE_POINTS))
+    expected = result.icp.pose.apply(prior.canonical_samples(SURFACE_POINTS))
     assert np.array_equal(result.cloud.xyz, expected)
     assert np.linalg.norm(result.cloud.centroid() - true.translation) < 0.002
+
+
+def test_complete_cloud_keeps_the_registration_it_posed_with(prior):
+    true = Pose(rotation=_rotation([1.0, 0.0, 0.3], 10.0), translation=np.array([0.0, 0.0, 0.36]))
+    partial = _front_crop(_full_sample(prior, true, n=3000, seed=9), 0.5)
+    icp = complete_cloud(partial, prior).icp
+    direct = icp_refine(partial, prior, init_pose(partial, prior))
+    assert np.array_equal(icp.pose.rotation, direct.pose.rotation)
+    assert np.array_equal(icp.pose.translation, direct.pose.translation)
+    assert (icp.fitness_mm, icp.residual_history_mm, icp.converged, icp.restart_index) == (
+        direct.fitness_mm, direct.residual_history_mm, direct.converged, direct.restart_index
+    )
+    assert icp.fitness_mm == icp.residual_history_mm[-1]
 
 
 def test_complete_needs_ten_points(prior):

@@ -161,7 +161,7 @@ def test_broad_phase_execution_matches_brute_force(seed, n_waypoints, graze, rad
     if graze:
         inst = truth.instances[int(rng.integers(1, len(truth.instances)))]
         waypoints = waypoints[: n_waypoints // 2] + _grazing_waypoints(rng, inst, radius)
-    trajectory = Trajectory(waypoints=np.array(waypoints), feasible=True)
+    trajectory = Trajectory(waypoints=np.array(waypoints))
     outcome = simulate_execution(trajectory, truth, 0, RobotState(gripper_radius=radius))
     assert outcome.hits == reference_hits(trajectory, truth, 0, radius)
 
@@ -171,7 +171,7 @@ def test_single_waypoint_touching_a_berry_counts_as_a_hit():
     truth = _blob_truth(rng, 2)
     inst = truth.instances[1]
     point = inst.surface.xyz[0] + [0.0, 0.0, 0.004]
-    trajectory = Trajectory(waypoints=point[None, :], feasible=True)
+    trajectory = Trajectory(waypoints=point[None, :])
     state = RobotState(gripper_radius=0.005)
     assert simulate_execution(trajectory, truth, 0, state).hits == {1}
     assert reference_hits(trajectory, truth, 0, 0.005) == {1}
@@ -256,7 +256,7 @@ def test_astar_matches_reference_on_tie_heavy_grids(seed, dims, density, resolut
     rng = np.random.default_rng(seed)
     occupied = rng.random(dims) < density
     grid = OccupancyGrid(
-        origin=np.zeros(3), resolution=resolution, dims=dims, occupied=occupied
+        origin=np.zeros(3), resolution=resolution, occupied=occupied
     )
     for _ in range(3):
         start = tuple(int(rng.integers(0, d)) for d in dims)
@@ -301,7 +301,7 @@ def test_blocking_cells_off_every_optimal_path_keeps_the_answer(
     if not len(free):
         return
     start, goal = (tuple(int(v) for v in free[i]) for i in rng.integers(0, len(free), 2))
-    grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, dims=dims, occupied=occupied)
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, occupied=occupied)
     expected = reference_astar(grid, start, goal)
 
     index = np.arange(occupied.size).reshape(dims)
@@ -340,7 +340,7 @@ def test_removing_moves_off_every_optimal_path_keeps_the_answer(
     if not len(free):
         return
     start, goal = (tuple(int(v) for v in free[i]) for i in rng.integers(0, len(free), 2))
-    grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, dims=dims, occupied=occupied)
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, occupied=occupied)
     expected = reference_astar(grid, start, goal)
 
     graph = _free_cell_graph(occupied, resolution).tocoo()
@@ -398,7 +398,7 @@ def _walled_in_goal():
 )
 def test_corridor_branches_match_reference(searches, occupied, start, goal, runs, resolution):
     grid = OccupancyGrid(
-        origin=np.zeros(3), resolution=resolution, dims=occupied.shape, occupied=occupied
+        origin=np.zeros(3), resolution=resolution, occupied=occupied
     )
     found = astar_grid(grid, start, goal)
     assert found == reference_astar(grid, start, goal)
@@ -422,7 +422,7 @@ def test_corridor_branches_match_reference(searches, occupied, start, goal, runs
 )
 def test_certified_corridor_searches_the_box_with_monotone_moves(searches, start, goal):
     grid = OccupancyGrid(
-        origin=np.zeros(3), resolution=0.005, dims=(9, 7, 5), occupied=np.zeros((9, 7, 5), bool)
+        origin=np.zeros(3), resolution=0.005, occupied=np.zeros((9, 7, 5), bool)
     )
     assert astar_grid(grid, start, goal) == reference_astar(grid, start, goal)
     assert len(searches) == 1
@@ -464,7 +464,7 @@ def test_astar_matches_reference_on_ablation_sized_grids(searches):
         for cell in (start, mid, goal):
             occupied[cell] = False
         grid = OccupancyGrid(
-            origin=np.zeros(3), resolution=0.005, dims=occupied.shape, occupied=occupied
+            origin=np.zeros(3), resolution=0.005, occupied=occupied
         )
         for a, b in ((start, mid), (mid, goal)):
             searches.clear()

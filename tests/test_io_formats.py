@@ -242,6 +242,17 @@ def test_pgm16_malformed_header(tmp_path, data):
         read_pgm16(str(path))
 
 
+@pytest.mark.parametrize("value", [300, -1, 1.5], ids=["300", "-1", "1.5"])
+def test_rgb_image_refuses_values_outside_8_bits(value):
+    with pytest.raises(ParameterError, match="8-bit"):
+        RgbImage(values=np.full((1, 1, 3), value))
+
+
+def test_rgb_image_casts_integers_within_8_bits():
+    image = RgbImage(values=np.array([[[0, 128, 255]]], dtype=np.int64))
+    assert image.values.dtype == np.uint8 and image.values.tolist() == [[[0, 128, 255]]]
+
+
 def test_ppm_round_trip(tmp_path):
     values = np.random.default_rng(2).integers(0, 256, size=(8, 9, 3), dtype=np.uint8)
     path = str(tmp_path / "img.ppm")

@@ -170,7 +170,7 @@ def test_grid_cell_center_round_trip():
 def test_whole_array_cells_and_centers_equal_the_per_point_formulas():
     rng = np.random.default_rng(7)
     grid = OccupancyGrid(
-        origin=np.array([-0.1234, 0.0071, 0.2999]), resolution=0.005, dims=(30, 30, 75),
+        origin=np.array([-0.1234, 0.0071, 0.2999]), resolution=0.005,
         occupied=np.zeros((30, 30, 75), dtype=bool),
     )
     points = grid.origin + rng.uniform(0.0, 1.0, (500, 3)) * np.multiply(grid.dims, 0.005)
@@ -187,26 +187,17 @@ def test_whole_array_cells_and_centers_equal_the_per_point_formulas():
 
 
 def test_grid_validation():
-    with pytest.raises(ParameterError):
-        OccupancyGrid(
-            origin=np.zeros(3), resolution=0.0, dims=(2, 2, 2),
-            occupied=np.zeros((2, 2, 2), dtype=bool),
-        )
-    with pytest.raises(ParameterError):
-        OccupancyGrid(
-            origin=np.zeros(3), resolution=0.01, dims=(2, 2, 2),
-            occupied=np.zeros((2, 2, 3), dtype=bool),
-        )
+    for resolution in (0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            OccupancyGrid(
+                origin=np.zeros(3), resolution=resolution,
+                occupied=np.zeros((2, 2, 2), dtype=bool),
+            )
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=0.01, occupied=np.zeros((2, 2, 3), bool))
+    assert grid.dims == (2, 2, 3)
 
 
 # ---------------------------------------------------------------- obstacle set
-
-
-def test_obstacle_set_rejects_target_points():
-    cloud = PointCloud(xyz=np.zeros((5, 3)))
-    with pytest.raises(ParameterError):
-        ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({3}))
-    assert ObstacleSet(points=cloud, excluded_id=3, member_ids=frozenset({2})).member_ids == {2}
 
 
 def test_build_obstacles_unions_everything_but_the_target():
@@ -219,8 +210,6 @@ def test_build_obstacles_unions_everything_but_the_target():
     ]
     obstacles = build_obstacles(candidates, target_id=1)
     assert len(obstacles) == 8
-    assert obstacles.excluded_id == 1
-    assert obstacles.member_ids == {0, 2}
     assert set(np.unique(obstacles.points.xyz)) == {0.0, 2.0}
 
 

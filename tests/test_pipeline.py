@@ -4,6 +4,7 @@ and strict config parsing."""
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from berrypick import (
     ContractError,
     FailureReason,
     GeometryError,
+    GraspPose,
+    IcpParams,
     InputError,
     NoRipeTargetError,
     OccupancyGrid,
+    OutlierParams,
     ParameterError,
     PipelineConfig,
     RenderParams,
@@ -23,6 +27,7 @@ from berrypick import (
     SceneConfig,
     Trajectory,
     TrialResult,
+    VoxelParams,
     pipeline,
     plan_scene,
     render_scene_artifacts,
@@ -30,6 +35,7 @@ from berrypick import (
     run_benchmark,
     run_completion_benchmark,
     run_pipeline,
+    superellipsoid_mesh,
 )
 from berrypick.pipeline import _execute, _generated, _scene_trials
 
@@ -145,8 +151,8 @@ def _planned_through(*waypoints):
     1 m grid of 4 x 4 x 4 cells whose only occupied cell is (2, 2, 2)."""
     occupied = np.zeros((4, 4, 4), dtype=bool)
     occupied[2, 2, 2] = True
-    grid = OccupancyGrid(origin=np.zeros(3), resolution=1.0, dims=(4, 4, 4), occupied=occupied)
-    return 0, None, grid, Trajectory(waypoints=np.array(waypoints, dtype=float), feasible=True)
+    grid = OccupancyGrid(origin=np.zeros(3), resolution=1.0, occupied=occupied)
+    return 0, None, grid, Trajectory(waypoints=np.array(waypoints, dtype=float))
 
 
 @pytest.mark.parametrize(
@@ -165,12 +171,22 @@ def test_execute_checks_every_interior_waypoint_against_the_grid(waypoints, erro
         _execute(None, None, _planned_through(*waypoints), RobotState(), 0)
 
 
-def test_trial_result_success_implies_attempt():
-    with pytest.raises(ParameterError):
-        TrialResult(
-            scene_id=0, detections=1, attempted=False, success=True,
-            hit_ids=frozenset(), cd_mm=(), failure_reason=None,
-        )
+# attempted and success by failure reason; every reason must have a row
+_OUTCOMES = {
+    None: (True, True),
+    FailureReason.MISSED_GRASP: (True, False),
+    FailureReason.NO_RIPE: (False, False),
+    FailureReason.REGISTRATION_FAILURE: (False, False),
+    FailureReason.INFEASIBLE_PATH: (False, False),
+}
+
+
+@pytest.mark.parametrize("reason", [None, *FailureReason])
+def test_trial_outcome_follows_its_failure_reason(reason):
+    trial = TrialResult(
+        scene_id=0, detections=1, hit_ids=frozenset(), cd_mm=(), failure_reason=reason
+    )
+    assert (trial.attempted, trial.success) == _OUTCOMES[reason]
 
 
 def test_artifacts_reject_missing_pieces(success_artifacts):
@@ -282,6 +298,26 @@ def test_config_rejects_bad_values():
         PipelineConfig.from_json({"icp": {"restart_count": 0}})
     with pytest.raises(InputError):
         PipelineConfig.from_json([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (PipelineConfig, "grid_resolution"),
+        (PipelineConfig, "inflation"),
+        (PipelineConfig, "gripper_radius"),
+        (RobotState, "gripper_radius"),
+        (VoxelParams, "voxel_size"),
+        (OutlierParams, "std_ratio"),
+        (IcpParams, "convergence_tol"),
+        (IcpParams, "max_correspondence_dist"),
+        (partial(GraspPose, np.zeros(3), np.array([1.0, 0.0, 0.0])), "pregrasp_offset"),
+        (partial(superellipsoid_mesh, b=0.01, c=0.01), "a"),
+    ],
+)
+def test_nan_parameter_is_refused(make, field):
+    with pytest.raises(ParameterError):
+        make(**{field: float("nan")})
 
 
 def test_config_validation_direct():

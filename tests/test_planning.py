@@ -67,7 +67,7 @@ def _dijkstra_cost(occupied: np.ndarray, start, goal, resolution: float) -> floa
 def _grid(occupied: np.ndarray, resolution: float = 0.005) -> OccupancyGrid:
     return OccupancyGrid(
         origin=np.zeros(3), resolution=resolution,
-        dims=occupied.shape, occupied=occupied,
+        occupied=occupied,
     )
 
 
@@ -238,7 +238,7 @@ def _path_length_m(trajectory: Trajectory) -> float:
 def test_plan_trajectory_snaps_endpoints_and_visits_pregrasp():
     grid = OccupancyGrid(
         origin=np.array([-0.05, -0.05, 0.0]), resolution=0.01,
-        dims=(10, 10, 45), occupied=np.zeros((10, 10, 45), dtype=bool),
+        occupied=np.zeros((10, 10, 45), dtype=bool),
     )
     state = RobotState(p_ee=np.array([0.0, 0.0, 0.05]))
     grasp = GraspPose(
@@ -260,7 +260,7 @@ def test_plan_trajectory_reports_infeasibility():
     occupied[:, :, 30:] = True  # grasp region walled off
     grid = OccupancyGrid(
         origin=np.array([-0.05, -0.05, 0.0]), resolution=0.01,
-        dims=(10, 10, 45), occupied=occupied,
+        occupied=occupied,
     )
     grasp = GraspPose(
         grasp_point=np.array([0.0, 0.0, 0.36]),
@@ -289,10 +289,10 @@ def _truth_with(prior, centers, target_id=0):
 def test_simulate_execution_success_and_miss(prior):
     truth = _truth_with(prior, [(0.0, 0.0, 0.36)])
     good = Trajectory(
-        waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.355]]), feasible=True
+        waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.355]])
     )
     miss = Trajectory(
-        waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.33]]), feasible=True
+        waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.33]])
     )
     state = RobotState()
     assert simulate_execution(good, truth, 0, state).success
@@ -302,7 +302,7 @@ def test_simulate_execution_success_and_miss(prior):
 def test_simulate_execution_detects_swept_collisions(prior):
     truth = _truth_with(prior, [(0.0, 0.0, 0.36), (0.012, 0.0, 0.25), (0.2, 0.0, 0.30)])
     through = Trajectory(
-        waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.36]]), feasible=True
+        waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.36]])
     )
     outcome = simulate_execution(through, truth, 0, RobotState())
     assert 1 in outcome.hits  # brushed on the way up
@@ -310,8 +310,17 @@ def test_simulate_execution_detects_swept_collisions(prior):
     assert 0 not in outcome.hits  # the target never counts against itself
 
 
+def test_trajectory_is_feasible_when_it_has_a_waypoint(prior):
+    # test_simulate_execution_requires_feasibility runs the empty one
+    truth = _truth_with(prior, [(0.0, 0.0, 0.36)])
+    assert not Trajectory(waypoints=np.zeros((0, 3))).feasible
+    one = Trajectory(waypoints=[[0.0, 0.0, 0.36]])
+    assert one.feasible
+    assert simulate_execution(one, truth, 0, RobotState()).success
+
+
 def test_simulate_execution_requires_feasibility(prior):
     truth = _truth_with(prior, [(0.0, 0.0, 0.36)])
-    bad = Trajectory(waypoints=np.zeros((0, 3)), feasible=False)
+    bad = Trajectory(waypoints=np.zeros((0, 3)))
     with pytest.raises(ParameterError):
         simulate_execution(bad, truth, 0, RobotState())
