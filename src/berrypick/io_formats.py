@@ -34,7 +34,7 @@ from .pipeline import SceneArtifacts
 from .prior import SURFACE_POINTS
 from .render import GroundTruth
 from .scene import SceneTemplate
-from .types import DepthImage, InstanceMask, PointCloud, RgbImage
+from .types import DepthImage, InstanceMask, PointCloud, RgbImage, nonzero_box
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -228,7 +228,7 @@ def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
     Anything else raises ParameterError before any file is written."""
     scene, masks, truth = artifacts.scene, artifacts.masks, artifacts.truth
     labels = np.zeros((scene.height, scene.width), dtype=np.uint16)
-    if [(m.instance_id, m.ripeness, m.bits.shape) for m in masks] != [
+    if [(m.instance_id, m.ripeness, m.shape) for m in masks] != [
         (b.instance_id, b.ripeness, labels.shape) for b in scene.berries
     ]:
         raise ParameterError("masks.pgm needs one frame-sized mask per berry, in berries order")
@@ -240,8 +240,8 @@ def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
             "order, with its berry's id and pose"
         )
     for k, mask in enumerate(masks, start=1):
-        np.copyto(labels, k, where=mask.bits)
-    if np.count_nonzero(labels) != sum(np.count_nonzero(m.bits) for m in masks):
+        np.copyto(labels[mask.window], k, where=mask.crop)
+    if np.count_nonzero(labels) != sum(m.pixel_count() for m in masks):
         raise ParameterError("masks overlap, so masks.pgm cannot hold them")
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -295,8 +295,12 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
     top = int(labels.max(initial=0))
     if top > n:
         raise InputError(f"{masks_path}: label {top} names no berry, as scene.json has {n}")
+    # every label lies in the labelled box, so each berry's crop is cut from it
+    box = nonzero_box(labels)
+    offset, labelled = (box[0].start, box[1].start), labels[box]
     masks = tuple(
-        InstanceMask(bits=labels == k, instance_id=b.instance_id, ripeness=b.ripeness)
+        InstanceMask(crop=labelled == k, offset=offset, shape=labels.shape,
+                     instance_id=b.instance_id, ripeness=b.ripeness)
         for k, b in enumerate(scene.berries, start=1)
     )
     return SceneArtifacts(scene=scene, rgb=rgb, depth=depth, masks=masks, truth=truth)

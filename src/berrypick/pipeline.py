@@ -219,32 +219,44 @@ def extract_partials(
     back-projection of the mask's own pixels, voxel downsampling and outlier
     removal.
 
-    The filter reads the union bounding box of the masks, grown by the filter
-    radius, and computes the masked pixels only: extraction zeroes every
-    other pixel. Every masked pixel's window lies inside that crop or meets
-    the image edge, where the crop replicates the same edge pixels, and
-    projection keeps row-major pixel order, so each cloud equals the one a
-    whole-frame pass would give.
+    The filter reads the union bounding box of the masks' crops, grown by
+    the filter radius, and computes the masked pixels only: extraction
+    zeroes every other pixel. Every masked pixel's window lies inside that
+    box or meets the image edge, where the box replicates the same edge
+    pixels, and projection keeps row-major pixel order, so each cloud equals
+    the one a whole-frame pass would give.
+
+    Raises ParameterError when a mask's frame differs from the depth image.
     """
-    union = np.zeros(depth.values.shape, dtype=bool)
     for mask in masks:
-        union |= mask.bits
-    rows = np.flatnonzero(union.any(axis=1))
-    cols = np.flatnonzero(union.any(axis=0))
-    if not len(rows):
+        if mask.shape != depth.values.shape:
+            raise ParameterError(
+                f"mask of instance {mask.instance_id} has frame shape {mask.shape}, "
+                f"but the depth image has {depth.values.shape}"
+            )
+    boxes = [(*m.offset, *np.add(m.offset, m.crop.shape)) for m in masks if m.crop.size]
+    if not boxes:
         return [(mask, PointCloud.empty()) for mask in masks]
+    top, left = np.min(boxes, axis=0)[:2]
+    bottom, right = np.max(boxes, axis=0)[2:]
     r = _MEDIAN_WINDOW // 2
-    v0, v1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, depth.height)
-    u0, u1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, depth.width)
+    v0, v1 = max(top - r, 0), min(bottom + r, depth.height)
+    u0, u1 = max(left - r, 0), min(right + r, depth.width)
+
+    def in_box(mask: InstanceMask) -> np.ndarray:
+        placed = np.zeros((v1 - v0, u1 - u0), dtype=bool)
+        (row, col), (h, w) = mask.offset, mask.crop.shape
+        placed[row - v0 : row - v0 + h, col - u0 : col - u0 + w] = mask.crop
+        return placed
+
+    windows = [in_box(mask) for mask in masks]
     filtered = median_filter(
-        DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW, where=union[v0:v1, u0:u1]
+        DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW, where=np.logical_or.reduce(windows)
     )
     origin = (int(u0), int(v0))
     partials = []
-    for mask in masks:
-        lifted = project_point_cloud(
-            extract_masked(filtered, mask.bits[v0:v1, u0:u1]), intrinsics, origin
-        )
+    for mask, window in zip(masks, windows):
+        lifted = project_point_cloud(extract_masked(filtered, window), intrinsics, origin)
         partial = voxel_downsample(lifted, cfg.voxel)
         partials.append((mask, remove_outliers(partial, cfg.outliers)))
     return partials

@@ -410,12 +410,10 @@ def simulate_execution(
     for inst in truth.instances:
         if inst.instance_id == target_id:
             continue
-        center = inst.pose.translation
-        surface = inst.surface.xyz
-        reach = np.linalg.norm(surface - center, axis=1).max() + state.gripper_radius
-        near = _point_segments_distances(center, starts, ends) <= reach + 1e-9
+        reach = inst.radius + state.gripper_radius
+        near = _point_segments_distances(inst.pose.translation, starts, ends) <= reach + 1e-9
         for a, b in zip(starts[near], ends[near]):
-            if _segment_distances(surface, a, b).min() <= state.gripper_radius:
+            if _segment_distances(inst.surface.xyz, a, b).min() <= state.gripper_radius:
                 hits.add(inst.instance_id)
                 break
     return ExecutionOutcome(success=success, hits=frozenset(hits))

@@ -26,6 +26,7 @@ dropout uniforms from the first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -288,11 +289,11 @@ def _composite(
     masks = []
     visibility: dict[int, float] = {}
     for i, berry in enumerate(scene.berries):
-        own = winner[windows[i]] == i
-        bits = np.zeros((h, w), dtype=bool)
-        bits[frame][windows[i]] = own
+        rows, cols = windows[i]
+        own = winner[rows, cols] == i
         masks.append(
-            InstanceMask(bits=bits, instance_id=berry.instance_id, ripeness=berry.ripeness)
+            InstanceMask(crop=own, offset=(top + rows.start, left + cols.start), shape=(h, w),
+                         instance_id=berry.instance_id, ripeness=berry.ripeness)
         )
         visibility[berry.instance_id] = float(own.sum()) / solo[i] if solo[i] else 0.0
 
@@ -372,6 +373,11 @@ class GroundTruthInstance:
     def surfaces(self) -> tuple[PointCloud]:
         """(surface,), the form perfbench's artifact round-trip check zips."""
         return (self.surface,)
+
+    @cached_property
+    def radius(self) -> float:
+        """The farthest surface point's distance from the true center."""
+        return float(np.linalg.norm(self.surface.xyz - self.pose.translation, axis=1).max())
 
 
 @dataclass(frozen=True)

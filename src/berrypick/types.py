@@ -199,24 +199,79 @@ class PointCloud:
         return self.xyz.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class InstanceMask:
-    """Binary per-pixel instance mask with a ripeness label."""
+def nonzero_box(values: np.ndarray) -> tuple[slice, slice]:
+    """The rows and columns of the tightest box holding every nonzero entry
+    of a 2-D array; two empty slices at (0, 0) when there is none."""
+    rows = np.flatnonzero(values.any(axis=1))
+    if not len(rows):
+        return slice(0, 0), slice(0, 0)
+    cols = np.flatnonzero(values.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
-    bits: np.ndarray  # (H, W) bool
+
+@dataclass(frozen=True, init=False)
+class InstanceMask:
+    """Binary per-pixel instance mask with a ripeness label.
+
+    A berry covers a small part of the frame, so the mask holds only the
+    tight bounding-box crop of its pixels: `crop` is (h, w) bool, its top-left
+    pixel sits at `offset` (row, column) of a frame of `shape` (H, W), and
+    its edge rows and columns each hold a pixel. An empty mask has a (0, 0)
+    crop at (0, 0). `bits` builds the full-frame (H, W) view on each read.
+    """
+
+    crop: np.ndarray
+    offset: tuple[int, int]
+    shape: tuple[int, int]
     instance_id: int
     ripeness: Ripeness
 
-    def __post_init__(self):
-        b = np.asarray(self.bits)
-        if b.ndim != 2:
+    def __init__(self, bits=None, *, instance_id: int, ripeness: Ripeness,
+                 crop=None, offset=(0, 0), shape=None):
+        """Either `bits`, the full (H, W) frame, or `crop`, a window of the
+        frame at `offset` in a frame of `shape`; both are cropped tight."""
+        if (bits is None) == (crop is None) or bits is not None and (
+            shape is not None or tuple(offset) != (0, 0)
+        ):
+            raise ParameterError(
+                "an instance mask takes full-frame bits, or a crop with its offset and frame shape"
+            )
+        window = np.asarray(crop if bits is None else bits)
+        if window.ndim != 2:
             raise ParameterError("mask bits must be 2-D (H, W)")
-        if b.dtype != np.bool_:
-            b = b.astype(bool)
-        object.__setattr__(self, "bits", b)
+        shape = window.shape if shape is None else tuple(int(n) for n in shape)
+        offset = tuple(int(n) for n in offset)
+        if len(shape) != 2 or len(offset) != 2 or min(*shape, *offset) < 0 or any(
+            o + n > s for o, n, s in zip(offset, window.shape, shape)
+        ):
+            raise ParameterError(f"a {window.shape} mask crop at {offset} lies outside {shape}")
+        window = window.astype(bool, copy=False)
+        rows, cols = nonzero_box(window)
+        tight = window[rows, cols]
+        if tight.size < window.size:  # hold no view of the larger window
+            tight = tight.copy()
+        offset = (offset[0] + rows.start, offset[1] + cols.start) if tight.size else (0, 0)
+        object.__setattr__(self, "crop", tight)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "instance_id", instance_id)
+        object.__setattr__(self, "ripeness", ripeness)
+
+    @property
+    def window(self) -> tuple[slice, slice]:
+        """The frame's rows and columns under `crop`."""
+        (r, c), (h, w) = self.offset, self.crop.shape
+        return slice(r, r + h), slice(c, c + w)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The full-frame (H, W) bool mask, built on each read."""
+        frame = np.zeros(self.shape, dtype=bool)
+        frame[self.window] = self.crop
+        return frame
 
     def pixel_count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.crop))
 
 
 @dataclass(frozen=True)

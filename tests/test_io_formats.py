@@ -11,8 +11,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from berrypick import (
     BerryInstance,
@@ -369,6 +370,64 @@ def _assert_same_masks(loaded, saved):
     ]
     for a, b in zip(loaded, saved, strict=True):
         assert a.bits.dtype == np.bool_ and np.array_equal(a.bits, b.bits)
+        assert (a.offset, a.shape) == (b.offset, b.shape) and np.array_equal(a.crop, b.crop)
+
+
+def _pixel(shape, row, col) -> np.ndarray:
+    bits = np.zeros(shape, dtype=bool)
+    bits[row, col] = True
+    return bits
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)))
+@example(np.zeros((4, 5), dtype=bool))
+@example(np.ones((4, 5), dtype=bool))
+@example(_pixel((4, 5), 2, 3))
+@example(_pixel((4, 5), 0, 2))  # one per frame edge: top, bottom, left, right
+@example(_pixel((4, 5), 3, 2))
+@example(_pixel((4, 5), 1, 0))
+@example(_pixel((4, 5), 1, 4))
+def test_instance_mask_holds_a_tight_crop_of_its_frame(bits):
+    mask = InstanceMask(bits=bits, instance_id=3, ripeness=Ripeness.RIPE)
+    assert mask.bits.dtype == np.bool_ and np.array_equal(mask.bits, bits)
+    assert mask.pixel_count() == bits.sum() and mask.shape == bits.shape
+    crop = mask.crop
+    if bits.any():
+        assert crop[0].any() and crop[-1].any() and crop[:, 0].any() and crop[:, -1].any()
+    else:
+        assert crop.shape == (0, 0) and mask.offset == (0, 0)
+
+
+def test_instance_mask_crops_a_window_placed_in_its_frame():
+    window = np.zeros((3, 4), dtype=bool)
+    window[1, 1:3] = True
+    mask = InstanceMask(crop=window, offset=(2, 5), shape=(6, 9), instance_id=1,
+                        ripeness=Ripeness.UNRIPE)
+    assert (mask.offset, mask.crop.shape, mask.pixel_count()) == ((3, 6), (1, 2), 2)
+    expected = np.zeros((6, 9), dtype=bool)
+    expected[3, 6:8] = True
+    assert np.array_equal(mask.bits, expected)
+    relabelled = dataclasses.replace(mask, ripeness=Ripeness.RIPE)
+    assert relabelled.offset == (3, 6) and np.array_equal(relabelled.bits, expected)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"bits": np.ones((2, 2)), "crop": np.ones((2, 2)), "shape": (2, 2)},
+        {"bits": np.ones((2, 2)), "offset": (1, 0)},
+        {"bits": np.ones((2, 2)), "shape": (3, 3)},
+        {"crop": np.ones((2, 2)), "offset": (1, 0), "shape": (2, 2)},
+        {"crop": np.ones((2, 2)), "offset": (-1, 0), "shape": (3, 3)},
+        {"bits": np.ones((2, 2, 2))},
+    ],
+    ids=["neither", "both", "bits-offset", "bits-shape", "past-edge", "negative", "3-d"],
+)
+def test_instance_mask_refuses_a_crop_outside_its_frame(kwargs):
+    with pytest.raises(ParameterError):
+        InstanceMask(**kwargs, instance_id=1, ripeness=Ripeness.RIPE)
 
 
 def test_mask_round_trip(tmp_path, prior):
@@ -398,9 +457,10 @@ def test_mask_pgm_bytes_match_the_where_encoding(tmp_path, seed):
     labels = rng.integers(0, n + 1, size=(h, w)) * (rng.random((h, w)) < rng.random())
     artifacts = _labelled(labels, n)
     if seed % 2:  # strided, non-contiguous views
-        masks = [dataclasses.replace(m, bits=np.ascontiguousarray(m.bits.T).T)
-                 for m in artifacts.masks]
-        assert not masks[0].bits.flags.c_contiguous
+        views = [np.ascontiguousarray(m.bits.T).T for m in artifacts.masks]
+        assert not views[0].flags.c_contiguous
+        masks = [InstanceMask(bits=v, instance_id=m.instance_id, ripeness=m.ripeness)
+                 for v, m in zip(views, artifacts.masks)]
         artifacts = dataclasses.replace(artifacts, masks=tuple(masks))
     save_artifacts(str(tmp_path), artifacts)
     encoded = sum(np.where(m.bits, k, 0) for k, m in enumerate(artifacts.masks, start=1))
@@ -425,18 +485,27 @@ def _edit(index, field, value):
     return edit
 
 
+def _edit_bits(index, value):
+    """Rebuilds mask `index` from value(its full-frame bits)."""
+    def edit(masks):
+        m = masks[index]
+        changed = InstanceMask(bits=value(m.bits), instance_id=m.instance_id, ripeness=m.ripeness)
+        return masks[:index] + (changed,) + masks[index + 1 :]
+    return edit
+
+
 _ONE_PER_BERRY = "one frame-sized mask per berry, in berries order"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_edit(1, "bits", lambda m: m.bits | (np.arange(3) == 1)), "masks overlap"),
+        (_edit_bits(1, lambda bits: bits | (np.arange(3) == 1)), "masks overlap"),
         (lambda masks: masks[::-1], _ONE_PER_BERRY),
         (lambda masks: masks[:1], _ONE_PER_BERRY),
         (_edit(0, "ripeness", lambda m: Ripeness.UNRIPE), _ONE_PER_BERRY),
         (_edit(0, "instance_id", lambda m: 11), _ONE_PER_BERRY),
-        (_edit(0, "bits", lambda m: m.bits[:, :2]), _ONE_PER_BERRY),
+        (_edit_bits(0, lambda bits: bits[:, :2]), _ONE_PER_BERRY),
     ],
     ids=["overlap", "reversed", "missing", "ripeness", "instance-id", "frame"],
 )

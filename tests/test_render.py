@@ -7,6 +7,9 @@ of that foundation.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import surface_distance_m
@@ -30,6 +33,9 @@ from berrypick import (
 from berrypick.prior import SURFACE_POINTS
 from berrypick.render import LEAF_COLOR, RIPE_COLOR, UNRIPE_COLOR, rasterize
 from berrypick.types import Pose
+
+
+TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def _berry(instance_id, center, ripeness=Ripeness.RIPE):
@@ -199,6 +205,16 @@ def test_render_masks_partition_valid_pixels(prior):
     assert (covered == (result.clean_depth.values > 0)).all()
 
 
+def test_cluttered_scene_masks_hold_less_than_one_frame(prior):
+    """Each mask holds its bounding-box crop, not a full frame: a cluttered
+    scene's five masks take fewer bytes than one (H, W) bool frame."""
+    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
+    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(11)))
+    masks = render_rgbd(scene, prior, RenderParams(0.0, 0.0)).masks
+    assert len(masks) == 5 and any(m.pixel_count() for m in masks)
+    assert sum(m.crop.nbytes for m in masks) < scene.height * scene.width
+
+
 def test_render_noise_statistics(prior):
     sigma = 3.0
     rate = 0.10
@@ -295,6 +311,12 @@ def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
     assert _ids_and_poses(a) == _ids_and_poses(b) == _ids_and_poses(fresh)
     assert a.surface_bytes() == b.surface_bytes() == fresh.surface_bytes()
     assert ss.n_children_spawned == 0
+
+
+def test_ground_truth_radius_is_the_farthest_surface_point(prior):
+    (inst,) = sample_ground_truth(_single_berry_scene(), prior, seed=0).instances
+    distances = np.linalg.norm(inst.surface.xyz - inst.pose.translation, axis=1)
+    assert inst.radius == distances.max() and inst.radius is inst.radius
 
 
 def test_ground_truth_lookup_by_id(prior):

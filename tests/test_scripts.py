@@ -139,3 +139,18 @@ def test_unwritable_script_output_is_one_clean_error(monkeypatch, tmp_path, caps
     assert _run(monkeypatch, name, *count, "--out", str(blocker / "out")) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("workload, seed", [("ablation", "20260816"), ("scene_dir_plan", "11")])
+def test_layer_calls_prints_the_same_document_twice(monkeypatch, capsys, workload, seed):
+    """Call counts and digests over a fixed op count depend on the program
+    only, so two runs print the same document."""
+    args = ("--workload", workload, "--seed", seed, "--ops", "2")
+    outputs = []
+    for _ in range(2):
+        assert _run(monkeypatch, "layer_calls", *args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert len(doc["digests"]) == 2 and doc["failures"] == [] and doc["absent_layers"] == []
+    assert doc["layers"]["preprocess.median_filter"]["calls"] > 0
