@@ -425,7 +425,7 @@ def test_instance_mask_crops_a_window_placed_in_its_frame():
     ],
     ids=["neither", "both", "bits-offset", "bits-shape", "past-edge", "negative", "3-d"],
 )
-def test_instance_mask_refuses_a_crop_outside_its_frame(kwargs):
+def test_instance_mask_refuses_malformed_arguments(kwargs):
     with pytest.raises(ParameterError):
         InstanceMask(**kwargs, instance_id=1, ripeness=Ripeness.RIPE)
 
