@@ -5,8 +5,10 @@ Each digest is a sha256 over per-trial tuples (scene id, detections,
 attempted, success, sorted hit ids, failure reason, completion distances
 rounded to 1e-6 mm). The render digest covers every output of
 ``render_rgbd`` bit for bit, and the partials digest every denoised partial
-cloud that ``extract_partials`` hands to completion. Change a pin only for an intended behaviour
-change and record why in CHANGES.md.
+cloud that ``extract_partials`` hands to completion. The command-line digest
+covers what a fixed chain of commands prints and every file it writes.
+Change a pin only for an intended behaviour change and record why in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from berrypick import (
     run_benchmark,
     run_completion_benchmark,
 )
+from berrypick.cli import main
+from berrypick.io_formats import load_artifacts, write_ply
 from berrypick.pipeline import _generated, extract_partials
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
@@ -38,6 +42,38 @@ COMPLETION_PIN = "50ca39c8e5440f4e809ed313fafc6617f9553d9cd901855657df32338c72ca
 RENDER_PIN = "3ead8cbe809fc14a8b92c461864d9cb87f7def1928c914d550d0ae659d763283"
 BENCHMARK_PIN = "0c1567971661a2dade95f0ea277c462cabb36045877582174a3ca8e791906fad"
 PARTIALS_PIN = "2ff51aa66ccc141f43008c66a261944b0cd63edf1cbd2c43e6028d85f727999a"
+CLI_PIN = "2ccee8b41482550ea9f6ae10388566d833a3ec72b38faf9405c8f93c4f8382f1"
+
+# The command-line chain, run from inside an empty temporary directory so
+# that every path it names, and so every line it prints, is relative. "partial.ply" and
+# "truth.ply" are written between `plan` and `complete` from the rendered
+# scene, see cli_digest.
+CLI_CHAIN = [
+    ["gen-scene", "--template", "template.json", "--seed", "3", "--out", "scene"],
+    ["render", "--scene", "scene/scene.json", "--seed", "0", "--out", "art"],
+    ["plan", "--scene-dir", "art", "--out", "plan.json"],
+    ["complete", "--partial", "partial.ply", "--out", "completed"],
+    ["eval-cd", "--pred", "completed/completed.ply", "--truth", "truth.ply"],
+    ["bench", "--template", "template.json", "--n", "2", "--seed", "3", "--out", "bench"],
+    ["bench", "--template", "template.json", "--n", "2", "--seed", "3", "--ablation",
+     "--out", "ablation"],
+    ["report", "--results", "bench", "--baseline", "ablation/no_obstacles", "--out", "report"],
+]
+CLI_FILES = [
+    "scene/scene.json",
+    *(f"art/{name}" for name in
+      ("scene.json", "rgb.ppm", "depth.pgm", "masks.pgm", "ground_truth.f64")),
+    "plan.json",
+    "partial.ply",
+    "truth.ply",
+    "completed/completed.ply",
+    "completed/completion.json",
+    *(f"{run}/{name}" for run in ("bench", "ablation", "ablation/full",
+                                  "ablation/no_obstacles", "ablation/no_completion")
+      for name in ("metrics.json", "trials.csv")),
+    "ablation/comparison.csv",
+    "report/comparison.csv",
+]
 
 
 def _sha256(obj) -> str:
@@ -135,6 +171,39 @@ def partials_digest(prior) -> str:
     return h.hexdigest()
 
 
+def _write_chain_clouds() -> None:
+    """The first berry's partial cloud and true surface of the scene that
+    `render` wrote to art/, as the PLY inputs of `complete` and `eval-cd`."""
+    artifacts = load_artifacts("art")
+    mask, cloud = extract_partials(
+        artifacts.depth, artifacts.scene.intrinsics, artifacts.masks, PipelineConfig()
+    )[0]
+    write_ply("partial.ply", cloud)
+    write_ply("truth.ply", artifacts.truth.instance(mask.instance_id).surface)
+
+
+def cli_digest(capsys) -> str:
+    """Each CLI_CHAIN command's argv, exit code and stdout, then each
+    CLI_FILES path and its bytes, in list order, run in the current
+    directory."""
+    Path("template.json").write_bytes((TEMPLATES / "cluttered.json").read_bytes())
+    h = hashlib.sha256()
+    for argv in CLI_CHAIN:
+        if argv[0] == "complete":
+            _write_chain_clouds()
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        h.update(json.dumps([argv, code, out.out]).encode())
+    for name in CLI_FILES:
+        path = Path(name)
+        assert path.is_file(), f"{name} was not written"
+        data = path.read_bytes()
+        h.update(json.dumps([name, len(data)]).encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def test_ablation_outcomes_are_pinned(prior):
     assert ablation_digest(prior) == ABLATION_PIN
 
@@ -153,3 +222,8 @@ def test_render_outputs_are_pinned(prior):
 
 def test_partial_clouds_are_pinned(prior):
     assert partials_digest(prior) == PARTIALS_PIN
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digest(capsys) == CLI_PIN
