@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InsufficientDataError, ParameterError, RegistrationError
 from .prior import SURFACE_POINTS, StrawberryPrior
-from .types import PointCloud, Pose, rotation_about_axis, rotation_aligning
+from .types import ArrayRecord, PointCloud, Pose, rotation_about_axis, rotation_aligning
 
 _MIN_PARTIAL_POINTS = 10
 
@@ -44,8 +44,8 @@ class IcpParams:
             raise ParameterError("all registration parameters must be positive")
 
 
-@dataclass(frozen=True)
-class IcpResult:
+@dataclass(frozen=True, eq=False)
+class IcpResult(ArrayRecord):
     """The best restart: its pose, its residuals in mm at each improvement
     (the last is its fitness), whether it converged, and its restart index."""
 
@@ -59,8 +59,8 @@ class IcpResult:
         return self.residual_history_mm[-1]
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+@dataclass(frozen=True, eq=False)
+class CompletionResult(ArrayRecord):
     """Completed surface plus the registration that posed it."""
 
     cloud: PointCloud

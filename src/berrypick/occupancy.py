@@ -17,14 +17,14 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError
-from .types import PointCloud
+from .types import ArrayRecord, PointCloud
 
 # About 2,000 times a cluttered scene's 5 mm grid, so a 0.5 mm grid still runs.
 MAX_GRID_CELLS = 10**8
 
 
-@dataclass(frozen=True)
-class ObstacleSet:
+@dataclass(frozen=True, eq=False)
+class ObstacleSet(ArrayRecord):
     """Union of the non-target clouds."""
 
     points: PointCloud
@@ -43,8 +43,8 @@ def build_obstacles(candidates, target_id: int) -> ObstacleSet:
     return ObstacleSet(points=points)
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
+@dataclass(frozen=True, eq=False)
+class OccupancyGrid(ArrayRecord):
     origin: np.ndarray  # world position of the (0,0,0) cell's min corner
     resolution: float
     occupied: np.ndarray  # bool, one entry per cell; its shape is dims

@@ -75,6 +75,7 @@ from .render import (
 )
 from .scene import SceneConfig, SceneTemplate, generate_scene
 from .types import (
+    ArrayRecord,
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
@@ -139,8 +140,8 @@ class PipelineConfig:
             raise InputError(f"invalid config value: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SceneArtifacts:
+@dataclass(frozen=True, eq=False)
+class SceneArtifacts(ArrayRecord):
     """Everything a trial consumes: sensor images, oracle masks, ground truth."""
 
     scene: SceneTemplate
@@ -193,8 +194,8 @@ def render_scene_artifacts(
     )
 
 
-@dataclass(frozen=True)
-class Perception:
+@dataclass(frozen=True, eq=False)
+class Perception(ArrayRecord):
     """What the perception half of a trial produced."""
 
     detections: int

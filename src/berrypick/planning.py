@@ -30,7 +30,7 @@ import numpy as np
 from .errors import GeometryError, NoRipeTargetError, ParameterError
 from .occupancy import OccupancyGrid
 from .render import GroundTruth
-from .types import PointCloud, Ripeness
+from .types import ArrayRecord, PointCloud, Ripeness
 
 
 # The largest |coordinate| of an end-effector position, in meters: far
@@ -52,8 +52,8 @@ def end_effector_position(p_ee) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class RobotState:
+@dataclass(frozen=True, eq=False)
+class RobotState(ArrayRecord):
     p_ee: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.05]))
     gripper_radius: float = 0.015
 
@@ -63,8 +63,8 @@ class RobotState:
             raise ParameterError("gripper radius must be positive")
 
 
-@dataclass(frozen=True)
-class Candidate:
+@dataclass(frozen=True, eq=False)
+class Candidate(ArrayRecord):
     """One detected berry as the planner sees it: a cloud with identity."""
 
     instance_id: int
@@ -76,8 +76,8 @@ class Candidate:
         return self.cloud.centroid()
 
 
-@dataclass(frozen=True)
-class GraspPose:
+@dataclass(frozen=True, eq=False)
+class GraspPose(ArrayRecord):
     grasp_point: np.ndarray
     approach_dir: np.ndarray
     pregrasp_offset: float
@@ -95,8 +95,8 @@ class GraspPose:
         return self.grasp_point - self.pregrasp_offset * self.approach_dir
 
 
-@dataclass(frozen=True)
-class Trajectory:
+@dataclass(frozen=True, eq=False)
+class Trajectory(ArrayRecord):
     waypoints: np.ndarray  # (N, 3); N = 0 when no path was found
 
     def __post_init__(self):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InputError, ParameterError
-from .types import PointCloud, Pose
+from .types import ArrayRecord, PointCloud, Pose
 
 # Points in every completed cloud and every ground-truth surface.
 SURFACE_POINTS = 4096
@@ -128,13 +128,13 @@ def _search_cdf(cdf: np.ndarray, guide: np.ndarray, keys: np.ndarray) -> np.ndar
     return found
 
 
-@dataclass
-class StrawberryPrior:
+@dataclass(eq=False)
+class StrawberryPrior(ArrayRecord):
     """Canonical berry surface and its cached samplings."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    _sample_cache: dict = field(default_factory=dict, repr=False)  # canonical_samples(n)
+    _sample_cache: dict = field(default_factory=dict, repr=False, compare=False)  # canonical_samples(n)
     # the canonical_samples sizes the pipeline reads; perfbench warms them
     densities: ClassVar[tuple[int, ...]] = (SURFACE_POINTS,)
 

@@ -34,6 +34,7 @@ from .errors import GeometryError, ParameterError
 from .prior import StrawberryPrior
 from .scene import SceneTemplate
 from .types import (
+    ArrayRecord,
     CameraIntrinsics,
     DepthImage,
     InstanceMask,
@@ -63,8 +64,8 @@ class RenderParams:
             raise ParameterError("dropout rate must lie in [0, 1)")
 
 
-@dataclass
-class RenderResult:
+@dataclass(frozen=True, eq=False)
+class RenderResult(ArrayRecord):
     rgb: RgbImage
     depth: DepthImage
     clean_depth: DepthImage
@@ -361,8 +362,8 @@ def render_rgbd(
     )
 
 
-@dataclass(frozen=True)
-class GroundTruthInstance:
+@dataclass(frozen=True, eq=False)
+class GroundTruthInstance(ArrayRecord):
     """True pose and surface sampling for one berry."""
 
     instance_id: int
@@ -380,8 +381,8 @@ class GroundTruthInstance:
         return float(np.linalg.norm(self.surface.xyz - self.pose.translation, axis=1).max())
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+@dataclass(frozen=True, eq=False)
+class GroundTruth(ArrayRecord):
     """Every berry's true pose and surface. Built from a scene by of(), berry
     k takes its id and pose from scene.berries[k], so a scene directory
     stores only the surfaces: surface_bytes() is every instance's (N, 3)

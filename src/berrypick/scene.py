@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ParameterError, SceneGenerationError
 from .prior import StrawberryPrior
 from .types import (
+    ArrayRecord,
     CameraIntrinsics,
     Pose,
     Ripeness,
@@ -51,8 +52,8 @@ MAX_FRAME_PIXELS = 2**24
 MAX_SCENE_OBJECTS = 1000
 
 
-@dataclass(frozen=True)
-class BerryInstance:
+@dataclass(frozen=True, eq=False)
+class BerryInstance(ArrayRecord):
     """One berry: the shared prior under a rigid pose, with a ripeness label."""
 
     instance_id: int
@@ -79,8 +80,8 @@ class BerryInstance:
         )
 
 
-@dataclass(frozen=True)
-class Occluder:
+@dataclass(frozen=True, eq=False)
+class Occluder(ArrayRecord):
     """Planar elliptical leaf: center, unit normal, in-plane semi-axes."""
 
     center: np.ndarray
@@ -208,8 +209,8 @@ class SceneConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()})
 
 
-@dataclass(frozen=True)
-class SceneTemplate:
+@dataclass(frozen=True, eq=False)
+class SceneTemplate(ArrayRecord):
     """A fully specified scene: berries, occluders, camera."""
 
     berries: tuple[BerryInstance, ...]

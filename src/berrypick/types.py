@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,6 +91,32 @@ def json_floats(value, name: str) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+class ArrayRecord:
+    """Value equality for a dataclass that holds a numpy array, itself or in
+    a record it holds, and declares `eq=False`. The generated `==` would ask
+    an array for its truth value, which raises. Here two records are equal
+    when they are of one type and every compared field is equal: an array
+    by shape, dtype and values, anything else by its own `==`. Such a record
+    is not hashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same_value(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+
+def _same_value(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.shape == b.shape and a.dtype == b.dtype and bool(np.array_equal(a, b))
+        )
+    return a == b
+
+
 # The largest focal length, in pixels. A 640-pixel frame then spans under
 # 0.04 degrees, narrower than any camera lens, and the rasterizer's screen
 # areas, which scale with fx * fy, stay far from float overflow.
@@ -131,8 +157,8 @@ def _unsigned(values: np.ndarray, dtype, message: str) -> np.ndarray:
     return values.astype(dtype)
 
 
-@dataclass(frozen=True)
-class DepthImage:
+@dataclass(frozen=True, eq=False)
+class DepthImage(ArrayRecord):
     """Depth in millimeters, uint16, 0 marks an invalid pixel (no return)."""
 
     values: np.ndarray
@@ -153,8 +179,8 @@ class DepthImage:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class RgbImage:
+@dataclass(frozen=True, eq=False)
+class RgbImage(ArrayRecord):
     """8-bit RGB image, shape (H, W, 3)."""
 
     values: np.ndarray
@@ -167,8 +193,8 @@ class RgbImage:
         object.__setattr__(self, "values", _unsigned(v, np.uint8, message))
 
 
-@dataclass(frozen=True)
-class PointCloud:
+@dataclass(frozen=True, eq=False)
+class PointCloud(ArrayRecord):
     """Ordered point positions: xyz is (N, 3) float64 meters, camera frame.
 
     Treated as immutable after construction; operations return new clouds.
@@ -209,8 +235,8 @@ def nonzero_box(values: np.ndarray) -> tuple[slice, slice]:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-@dataclass(frozen=True, init=False)
-class InstanceMask:
+@dataclass(frozen=True, kw_only=True, eq=False)
+class InstanceMask(ArrayRecord):
     """Binary per-pixel instance mask with a ripeness label.
 
     A berry covers a small part of the frame, so the mask holds only the
@@ -218,29 +244,22 @@ class InstanceMask:
     pixel sits at `offset` (row, column) of a frame of `shape` (H, W), and
     its edge rows and columns each hold a pixel. An empty mask has a (0, 0)
     crop at (0, 0). `bits` builds the full-frame (H, W) view on each read.
+    Any window passed as `crop` is cropped tight, and `shape` defaults to
+    the window's, so a full frame is passed as `crop` alone.
     """
 
     crop: np.ndarray
-    offset: tuple[int, int]
-    shape: tuple[int, int]
+    offset: tuple[int, int] = (0, 0)
+    shape: tuple[int, int] | None = None
     instance_id: int
     ripeness: Ripeness
 
-    def __init__(self, bits=None, *, instance_id: int, ripeness: Ripeness,
-                 crop=None, offset=(0, 0), shape=None):
-        """Either `bits`, the full (H, W) frame, or `crop`, a window of the
-        frame at `offset` in a frame of `shape`; both are cropped tight."""
-        if (bits is None) == (crop is None) or bits is not None and (
-            shape is not None or tuple(offset) != (0, 0)
-        ):
-            raise ParameterError(
-                "an instance mask takes full-frame bits, or a crop with its offset and frame shape"
-            )
-        window = np.asarray(crop if bits is None else bits)
+    def __post_init__(self):
+        window = np.asarray(self.crop)
         if window.ndim != 2:
             raise ParameterError("mask bits must be 2-D (H, W)")
-        shape = window.shape if shape is None else tuple(int(n) for n in shape)
-        offset = tuple(int(n) for n in offset)
+        shape = window.shape if self.shape is None else tuple(int(n) for n in self.shape)
+        offset = tuple(int(n) for n in self.offset)
         if len(shape) != 2 or len(offset) != 2 or min(*shape, *offset) < 0 or any(
             o + n > s for o, n, s in zip(offset, window.shape, shape)
         ):
@@ -254,8 +273,6 @@ class InstanceMask:
         object.__setattr__(self, "crop", tight)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "instance_id", instance_id)
-        object.__setattr__(self, "ripeness", ripeness)
 
     @property
     def window(self) -> tuple[slice, slice]:
@@ -304,8 +321,8 @@ class OutlierParams:
             raise ParameterError("std_ratio must be positive")
 
 
-@dataclass(frozen=True)
-class Pose:
+@dataclass(frozen=True, eq=False)
+class Pose(ArrayRecord):
     """Rigid transform: p_out = rotation @ p_in + translation."""
 
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))

@@ -186,11 +186,7 @@ def test_complete_cloud_keeps_the_registration_it_posed_with(prior):
     partial = _front_crop(_full_sample(prior, true, n=3000, seed=9), 0.5)
     icp = complete_cloud(partial, prior).icp
     direct = icp_refine(partial, prior, init_pose(partial, prior))
-    assert np.array_equal(icp.pose.rotation, direct.pose.rotation)
-    assert np.array_equal(icp.pose.translation, direct.pose.translation)
-    assert (icp.fitness_mm, icp.residual_history_mm, icp.converged, icp.restart_index) == (
-        direct.fitness_mm, direct.residual_history_mm, direct.converged, direct.restart_index
-    )
+    assert icp == direct
     assert icp.fitness_mm == icp.residual_history_mm[-1]
 
 
@@ -215,8 +211,4 @@ def test_restarts_beyond_four_repeat_nothing(prior, monkeypatch):
     monkeypatch.setattr(completion, "_icp_single", lambda *a: calls.append(a) or single(*a))
     eight = icp_refine(noisy, prior, init, IcpParams(restart_count=8))
     assert len(calls) == 4
-    assert np.array_equal(eight.pose.rotation, four.pose.rotation)
-    assert np.array_equal(eight.pose.translation, four.pose.translation)
-    assert (eight.fitness_mm, eight.residual_history_mm, eight.converged, eight.restart_index) == (
-        four.fitness_mm, four.residual_history_mm, four.converged, four.restart_index
-    )
+    assert eight == four

@@ -496,7 +496,7 @@ def _assert_same_cloud(a: PointCloud, b: PointCloud):
 def _rect_mask(shape, instance_id, v0, v1, u0, u1):
     bits = np.zeros(shape, dtype=bool)
     bits[v0:v1, u0:u1] = True
-    return InstanceMask(bits=bits, instance_id=instance_id, ripeness=Ripeness.RIPE)
+    return InstanceMask(crop=bits, instance_id=instance_id, ripeness=Ripeness.RIPE)
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,7 +529,7 @@ def test_cropped_partials_equal_whole_frame_when_masks_touch_borders(seed, side)
 
 def test_partials_of_empty_masks_are_empty():
     shape = (10, 12)
-    masks = [InstanceMask(bits=np.zeros(shape, bool), instance_id=1, ripeness=Ripeness.RIPE)]
+    masks = [InstanceMask(crop=np.zeros(shape, bool), instance_id=1, ripeness=Ripeness.RIPE)]
     depth = DepthImage(values=np.full(shape, 400, dtype=np.uint16))
     partials = extract_partials(depth, CameraIntrinsics(cx=5.5, cy=4.5), masks, PipelineConfig())
     assert [len(c) for _, c in partials] == [0]
@@ -1389,7 +1389,7 @@ def test_ground_truth_surface_equals_the_last_of_three_draws(prior):
         ss = np.random.SeedSequence(seed)
         surface = prior.sample_ground_truth(pose, _stream(ss))
         expected = reference_ground_truth_surface(prior, pose, _stream(ss))
-        assert np.array_equal(surface.xyz, expected.xyz)
+        assert surface == expected
 
 
 # ---------------------------------------------------------------- chamfer oracle

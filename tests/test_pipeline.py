@@ -62,7 +62,7 @@ def test_a_mask_of_another_frame_size_is_refused(success_artifacts, prior):
     """A mask must cover the depth image's frame; plan_scene and run_pipeline
     refuse one that does not, naming the berry and both shapes."""
     (mask,) = success_artifacts.masks
-    narrow = InstanceMask(bits=mask.bits[:, :-1], instance_id=mask.instance_id,
+    narrow = InstanceMask(crop=mask.bits[:, :-1], instance_id=mask.instance_id,
                           ripeness=mask.ripeness)
     artifacts = replace(success_artifacts, masks=(narrow,))
     message = r"mask of instance 0 has frame shape \(480, 639\), but the depth image has \(480, 640\)"

@@ -187,8 +187,7 @@ def test_from_obj_relative_indices_equal_their_absolute_twin(tmp_path, relative)
     rel = tmp_path / "relative.obj"
     rel.write_text(relative)
     twin, mesh = StrawberryPrior.from_obj(str(absolute)), StrawberryPrior.from_obj(str(rel))
-    assert np.array_equal(mesh.vertices, twin.vertices)
-    assert np.array_equal(mesh.faces, twin.faces)
+    assert mesh == twin
 
 
 @pytest.mark.parametrize("index", ["0", "-5", "5"])

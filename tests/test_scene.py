@@ -174,7 +174,7 @@ def test_cluttered_scene_with_a_renormalizing_leaf_normal_round_trips(prior):
         not np.array_equal(o.normal / np.linalg.norm(o.normal), o.normal) for o in scene.occluders
     )
     loaded = _save_load(scene)
-    assert loaded.to_json() == scene.to_json()
+    assert loaded == scene
     for a, b in zip(loaded.occluders, scene.occluders):
         assert a.normal.tobytes() == b.normal.tobytes()
 
@@ -184,7 +184,7 @@ def test_saved_scenes_load_as_saved(prior):
     config = SceneConfig(n_ripe=1, n_unripe=0, n_occluders=4)
     for seed in range(2000):
         scene = generate_scene(config, prior, np.random.Generator(np.random.Philox(seed)))
-        assert _save_load(scene).to_json() == scene.to_json(), seed
+        assert _save_load(scene) == scene, seed
 
 
 def test_loading_normalizes_a_stored_normal_that_is_not_unit(prior):
