@@ -2,7 +2,13 @@
 
 PLY and scene coordinates are written with repr(), which emits the shortest
 decimal string that round-trips to the same float64, so save/load is exact.
-Depth images are 16-bit big-endian PGM with millimeter values.
+Depth images are 16-bit big-endian PGM with millimeter values. The RGB image
+is a full-frame binary PPM, written from the image's crop a band of rows at
+a time and cropped again when read.
+
+Binary files are written as a header and then array buffers, with no joined
+copy of the file, and read into one bytearray that the returned arrays wrap,
+big-endian samples swapped in place.
 
 A scene directory holds five files, and scene.json's "berries" list indexes
 the others: masks.pgm, a label image in the same PGM format, gives berry k's
@@ -24,6 +30,7 @@ The CLI maps these to exit codes 1 and 2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -37,24 +44,43 @@ from .scene import SceneTemplate
 from .types import DepthImage, InstanceMask, PointCloud, RgbImage, nonzero_box
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_parts(path: str, parts) -> None:
+    """Writes each bytes-like part of the iterable in turn, a header and
+    then arrays, so no joined copy of the file is made."""
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise StorageError(f"failed writing {path}: {exc}") from exc
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    _write_parts(path, [data])
 
 
 def _write_text(path: str, text: str) -> None:
     _write_bytes(path, text.encode("utf-8"))
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_bytes(path: str) -> bytearray:
+    """The file's bytes in one buffer sized from its status, so an array can
+    wrap them without a copy."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            del data[fh.readinto(data) :]  # a file that shrank since fstat
+            data += fh.read()  # one that grew, or a pipe
+            return data
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _native(values: np.ndarray) -> np.ndarray:
+    """values in the machine's byte order, swapped in place when it differs."""
+    if values.dtype.isnative:
+        return values
+    return values.byteswap(inplace=True).view(values.dtype.newbyteorder())
 
 
 def read_json(path: str, parse):
@@ -174,7 +200,7 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int
             pos += 1
         token = data[start:pos]
         if not token.isdigit():
-            raise InputError(f"{path}: malformed header field {token[:16]!r}")
+            raise InputError(f"{path}: malformed header field {bytes(token[:16])!r}")
         fields.append(int(token))
     if pos == len(data):
         raise InputError(f"{path}: header ends without the whitespace byte after maxval")
@@ -185,7 +211,8 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path: str) -> tuple[int, int
 
 def _read_netpbm(path: str, magic: bytes, maxval: int, dtype, channels: int) -> np.ndarray:
     """The (H, W) or (H, W, channels) samples of a binary PGM or PPM file
-    whose maxval must be `maxval`."""
+    whose maxval must be `maxval`, in native byte order over the file's
+    buffer."""
     data = _read_bytes(path)
     w, h, found, offset = _parse_netpbm_header(data, magic, path)
     if found != maxval:
@@ -195,26 +222,38 @@ def _read_netpbm(path: str, magic: bytes, maxval: int, dtype, channels: int) -> 
     found = max(len(data) - offset, 0)
     if found != expected:
         raise InputError(f"{path}: {found} payload bytes, but the {w}x{h} header gives {expected}")
-    return np.frombuffer(data, dtype=dtype, offset=offset).reshape(shape)
+    return _native(np.frombuffer(data, dtype=dtype, offset=offset).reshape(shape))
+
+
+def _netpbm_header(magic: str, width: int, height: int, maxval: int) -> bytes:
+    return f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
 
 
 def write_pgm16(path: str, values: np.ndarray) -> None:
     """Writes (H, W) samples in 0..65535, a depth map or a label image."""
     h, w = values.shape
-    _write_bytes(path, f"P5\n{w} {h}\n65535\n".encode("ascii") + values.astype(">u2").tobytes())
+    samples = np.ascontiguousarray(values, dtype=">u2")
+    _write_parts(path, [_netpbm_header("P5", w, h, 65535), samples])
 
 
 def read_pgm16(path: str) -> np.ndarray:
-    return _read_netpbm(path, b"P5", 65535, ">u2", 1).astype(np.uint16)
+    return _read_netpbm(path, b"P5", 65535, ">u2", 1)
+
+
+# RGB bytes that write_ppm builds from an image's crop and writes at a time
+_BAND_BYTES = 1 << 18
 
 
 def write_ppm(path: str, rgb: RgbImage) -> None:
-    h, w = rgb.values.shape[:2]
-    _write_bytes(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.values.tobytes())
+    """Writes the full frame, built from the crop a band of rows at a time."""
+    h, w = rgb.shape
+    rows = max(1, _BAND_BYTES // max(1, 3 * w))
+    bands = (rgb.band(r, min(r + rows, h)) for r in range(0, h, rows))
+    _write_parts(path, itertools.chain([_netpbm_header("P6", w, h, 255)], bands))
 
 
 def read_ppm(path: str) -> RgbImage:
-    return RgbImage(values=_read_netpbm(path, b"P6", 255, np.uint8, 3).copy())
+    return RgbImage(crop=_read_netpbm(path, b"P6", 255, np.uint8, 3))
 
 
 # -- artifact directories -----------------------------------------------------
@@ -251,7 +290,10 @@ def save_artifacts(out_dir: str, artifacts: SceneArtifacts) -> None:
     write_ppm(os.path.join(out_dir, "rgb.ppm"), artifacts.rgb)
     write_pgm16(os.path.join(out_dir, "depth.pgm"), artifacts.depth.values)
     write_pgm16(os.path.join(out_dir, "masks.pgm"), labels)
-    _write_bytes(os.path.join(out_dir, "ground_truth.f64"), truth.surface_bytes())
+    _write_parts(
+        os.path.join(out_dir, "ground_truth.f64"),
+        (np.ascontiguousarray(t.surface.xyz, dtype="<f8") for t in truth.instances),
+    )
 
 
 _OLDER_MASKS = (
@@ -276,7 +318,7 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
     if len(payload) != 24 * SURFACE_POINTS * n:
         raise InputError(f"{truth_path} holds {len(payload)} bytes, but scene.json's {n} "
                          f"berries take {24 * SURFACE_POINTS * n}")
-    xyz = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, SURFACE_POINTS, 3)
+    xyz = _native(np.frombuffer(payload, dtype="<f8")).reshape(n, SURFACE_POINTS, 3)
     bad = np.flatnonzero(~np.isfinite(xyz.reshape(-1, 3)).all(axis=1))
     if bad.size:
         raise InputError(f"{truth_path}: non-finite coordinate in row {bad[0]}")
@@ -284,7 +326,7 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
 
     # the images must show the scene: one frame size, labels it knows
     h, w = scene.height, scene.width
-    images = [("rgb.ppm", rgb.values.shape[:2]), ("depth.pgm", depth.values.shape),
+    images = [("rgb.ppm", rgb.shape), ("depth.pgm", depth.values.shape),
               ("masks.pgm", labels.shape)]
     for name, (ih, iw) in images:
         if (ih, iw) != (h, w):

@@ -33,9 +33,11 @@ _REGISTRATION_SAMPLE_SEED = 86017
 
 # Ground truth used to draw a 256- and a 1,024-point surface from each
 # berry's stream before the one it keeps. An n-point draw takes 3n doubles
-# (n face choices, 2n barycentric coordinates), so discarding this many
-# keeps the surface, and every result scored against it, bit-identical.
+# (n face choices, 2n barycentric coordinates), so skipping this many keeps
+# the surface, and every result scored against it, bit-identical. They are
+# skipped by advancing the Philox counter, whose every step yields 4 doubles.
 _RETIRED_GROUND_TRUTH_DRAWS = 3 * (256 + 1024)
+assert _RETIRED_GROUND_TRUTH_DRAWS % 4 == 0
 
 
 def _signed_pow(u: np.ndarray, e: float) -> np.ndarray:
@@ -324,6 +326,11 @@ class StrawberryPrior(ArrayRecord):
         return cKDTree(self.registration_surface())
 
     def sample_ground_truth(self, pose: Pose, rng: np.random.Generator) -> PointCloud:
-        """A posed SURFACE_POINTS-point surface sampling drawn from rng."""
-        rng.random(_RETIRED_GROUND_TRUTH_DRAWS)
+        """A posed SURFACE_POINTS-point surface sampling drawn from rng.
+
+        rng is a fresh Philox stream, as render.sample_ground_truth gives
+        each berry: advancing its counter then skips exactly the retired
+        draws. Any other stream still gives a valid sampling.
+        """
+        rng.bit_generator.advance(_RETIRED_GROUND_TRUTH_DRAWS // 4)
         return PointCloud(xyz=pose.apply(self.sample_surface(SURFACE_POINTS, rng)))

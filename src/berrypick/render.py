@@ -13,14 +13,18 @@ their boxes, into one window of nearest depths and one of winning object
 indices; a surface takes a pixel only when strictly nearer, so a tie stays
 with the lower index. rasterize casts a berry against its front faces only
 (see render_rgbd). Instance masks and visibility fractions come from the
-composite before sensor noise is applied.
+composite before sensor noise is applied. The RGB image and each mask hold
+only the crop of that window that they draw; depth stays full-frame, since
+every preprocessing stage reads it whole.
 
 Depth corruption mimics a structured-light sensor: quantize to millimeters,
 add Gaussian noise, re-quantize, then drop pixels to zero at a fixed rate.
 Each live pixel takes the draws a row-major, full-frame draw would give it,
 so a pixel's draw does not depend on what the scene puts elsewhere, but only
 the live span is drawn: the Gaussians up to the last live pixel, and the
-dropout uniforms from the first.
+dropout uniforms from the first. The span is drawn in chunks of
+_DRAW_CHUNK pixels, so the draws held at once stay a fixed size however
+much of the frame is live.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ LEAF_COLOR = (26, 77, 41)
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 _NARROW = 8  # widest face box, in columns, that rasterize tests whole
+_DRAW_CHUNK = 2**15  # sensor-noise draws _corrupt holds at once
 
 
 @dataclass(frozen=True)
@@ -285,8 +290,7 @@ def _composite(
 
     # the palette's last row is the background, which winner -1 selects
     palette = np.array([*colors, (0, 0, 0)], dtype=np.uint8)
-    rgb = np.zeros((h, w, 3), dtype=np.uint8)
-    rgb[frame] = np.take(palette, winner, axis=0)
+    rgb = RgbImage(crop=np.take(palette, winner, axis=0), offset=(top, left), shape=(h, w))
     masks = []
     visibility: dict[int, float] = {}
     for i, berry in enumerate(scene.berries):
@@ -302,7 +306,18 @@ def _composite(
     valid = winner >= 0
     mm = np.rint(nearest[valid] * 1000.0)
     clean_mm[frame][valid] = np.clip(mm, 0, 65535).astype(np.uint16)
-    return RgbImage(values=rgb), DepthImage(values=clean_mm), tuple(masks), visibility
+    return rgb, DepthImage(values=clean_mm), tuple(masks), visibility
+
+
+def _live_span(depth: np.ndarray) -> tuple[int, int]:
+    """The row-major index of a depth frame's first live pixel and one past
+    its last; (0, 0) when none is live."""
+    rows = np.flatnonzero(depth.any(axis=1))
+    if not len(rows):
+        return 0, 0
+    top, bottom, width = int(rows[0]), int(rows[-1]), depth.shape[1]
+    first = top * width + int(np.flatnonzero(depth[top])[0])
+    return first, bottom * width + int(np.flatnonzero(depth[bottom])[-1]) + 1
 
 
 def _corrupt(
@@ -315,23 +330,31 @@ def _corrupt(
     but only the live span is drawn: the Gaussians up to the last live pixel
     (a prefix of the full-frame draw) and the uniforms from the first live
     pixel rounded down to a multiple of 4, reached by advancing the Philox
-    counter, whose every step yields 4 doubles.
+    counter, whose every step yields 4 doubles. The span is walked in chunks
+    of _DRAW_CHUNK pixels, each drawing its part of both streams, which
+    consumes each stream as one draw of the whole span would; so only one
+    chunk's draws and live pixels are held at once.
     """
     noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
+    sigma, rate = params.noise_sigma_mm, params.dropout_rate
+    source = clean.values.reshape(-1)
     noisy = clean.values.copy()
     flat = noisy.reshape(-1)
-    live = np.flatnonzero(flat)
-    if not len(live):
-        return DepthImage(values=noisy)
-    if params.noise_sigma_mm > 0:
-        jitter = _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=live[-1] + 1)
-        flat[live] = np.clip(np.rint(flat[live] + jitter[live]), 0, 65535).astype(np.uint16)
-    if params.dropout_rate > 0:
-        start = int(live[0]) // 4 * 4
-        draw = _stream(drop_ss)
-        draw.bit_generator.advance(start // 4)
-        uniform = draw.random(live[-1] + 1 - start)
-        flat[live[uniform[live - start] < params.dropout_rate]] = 0
+    first, end = _live_span(clean.values)
+    start = first // 4 * 4
+    noise, drop = _stream(noise_ss), _stream(drop_ss)
+    drop.bit_generator.advance(start // 4)
+    for lo in range(0, end, _DRAW_CHUNK):
+        hi = min(lo + _DRAW_CHUNK, end)
+        cells = np.flatnonzero(source[lo:hi])
+        chunk = flat[lo:hi]
+        if sigma > 0:
+            moved = noise.normal(0.0, sigma, size=hi - lo)[cells]
+            moved += chunk[cells]
+            chunk[cells] = np.clip(np.rint(moved, out=moved), 0, 65535, out=moved)
+        if rate > 0 and hi > start:
+            skip = max(start - lo, 0)  # no cell lies before start
+            chunk[cells[drop.random(hi - lo - skip)[cells - skip] < rate]] = 0
     return DepthImage(values=noisy)
 
 

@@ -4,6 +4,8 @@ examples on every run, so a failure always reproduces."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -33,6 +35,16 @@ def surface_distance_m(prior: StrawberryPrior, xyz, pose: Pose = Pose()) -> np.n
     """Approximate unsigned distance from points to the posed prior surface:
     the distance to the nearest point of its dense registration sampling."""
     return cKDTree(pose.apply(prior.registration_surface())).query(np.asarray(xyz))[0]
+
+
+def traced_peak(fn, *args) -> int:
+    """The largest traced allocation total, in bytes, while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def chamfer_loss_brute(p, q) -> float:

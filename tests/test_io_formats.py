@@ -8,9 +8,11 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -50,6 +52,8 @@ from berrypick.io_formats import (
 )
 from berrypick.prior import SURFACE_POINTS
 from berrypick.types import RgbImage
+
+TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def _scene(prior, seed=0):
@@ -244,19 +248,73 @@ def test_pgm16_malformed_header(tmp_path, data):
 @pytest.mark.parametrize("value", [300, -1, 1.5], ids=["300", "-1", "1.5"])
 def test_rgb_image_refuses_values_outside_8_bits(value):
     with pytest.raises(ParameterError, match="8-bit"):
-        RgbImage(values=np.full((1, 1, 3), value))
+        RgbImage(crop=np.full((1, 1, 3), value))
 
 
 def test_rgb_image_casts_integers_within_8_bits():
-    image = RgbImage(values=np.array([[[0, 128, 255]]], dtype=np.int64))
+    image = RgbImage(crop=np.array([[[0, 128, 255]]], dtype=np.int64))
     assert image.values.dtype == np.uint8 and image.values.tolist() == [[[0, 128, 255]]]
 
 
 def test_ppm_round_trip(tmp_path):
     values = np.random.default_rng(2).integers(0, 256, size=(8, 9, 3), dtype=np.uint8)
     path = str(tmp_path / "img.ppm")
-    write_ppm(path, RgbImage(values=values))
+    write_ppm(path, RgbImage(crop=values))
     assert np.array_equal(read_ppm(path).values, values)
+
+
+def test_ppm_round_trip_of_a_black_frame(tmp_path):
+    rgb = RgbImage(crop=np.zeros((5, 4, 3), dtype=np.uint8))
+    assert (rgb.crop.shape, rgb.offset, rgb.shape) == ((0, 0, 3), (0, 0), (5, 4))
+    path = tmp_path / "black.ppm"
+    write_ppm(str(path), rgb)
+    assert path.read_bytes() == b"P6\n4 5\n255\n" + bytes(5 * 4 * 3)
+    assert read_ppm(str(path)) == rgb
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 8), (6, 0), (6, 8)])
+def test_ppm_round_trip_of_one_pixel_in_a_corner(tmp_path, row, col):
+    values = np.zeros((7, 9, 3), dtype=np.uint8)
+    values[row, col] = (0, 1, 200)
+    rgb = RgbImage(crop=values)
+    assert (rgb.crop.shape, rgb.offset) == ((1, 1, 3), (row, col))
+    path = tmp_path / "corner.ppm"
+    write_ppm(str(path), rgb)
+    assert path.read_bytes() == b"P6\n9 7\n255\n" + values.tobytes()
+    loaded = read_ppm(str(path))
+    assert loaded == rgb and np.array_equal(loaded.values, values)
+
+
+def test_image_writers_write_the_bytes_of_the_whole_frame(tmp_path):
+    """A depth map passed as a column-major view, and an RGB image drawn in
+    a window away from every edge and written over several bands, keep the
+    bytes of their frames written whole."""
+    rng = np.random.default_rng(6)
+    depth = rng.integers(0, 65536, size=(150, 700), dtype=np.uint16)
+    write_pgm16(str(tmp_path / "d.pgm"), np.asfortranarray(depth))
+    expected = b"P5\n700 150\n65535\n" + depth.astype(">u2").tobytes()
+    assert (tmp_path / "d.pgm").read_bytes() == expected
+    assert np.array_equal(read_pgm16(str(tmp_path / "d.pgm")), depth)
+
+    values = np.zeros((150, 700, 3), dtype=np.uint8)
+    values[40:131, 3:650] = rng.integers(0, 256, size=(91, 647, 3))
+    write_ppm(str(tmp_path / "c.ppm"), RgbImage(crop=values))
+    assert (tmp_path / "c.ppm").read_bytes() == b"P6\n700 150\n255\n" + values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"crop": np.ones((2, 2, 3)), "offset": (1, 0), "shape": (2, 2)},
+        {"crop": np.ones((2, 2, 3)), "offset": (0, -1), "shape": (3, 3)},
+        {"crop": np.ones((2, 2)), "shape": (2, 2)},
+        {"crop": np.ones((2, 2, 4))},
+    ],
+    ids=["past-edge", "negative", "2-d", "4-channel"],
+)
+def test_rgb_image_refuses_malformed_arguments(kwargs):
+    with pytest.raises(ParameterError):
+        RgbImage(**kwargs)
 
 
 def test_ppm_rejects_pgm_magic(tmp_path):
@@ -350,7 +408,7 @@ def _labelled(labels: np.ndarray, n: int) -> SceneArtifacts:
     rng = np.random.default_rng(n)
     return SceneArtifacts(
         scene=scene,
-        rgb=RgbImage(values=np.zeros((h, w, 3), dtype=np.uint8)),
+        rgb=RgbImage(crop=np.zeros((h, w, 3), dtype=np.uint8)),
         depth=DepthImage(values=np.zeros((h, w), dtype=np.uint16)),
         masks=tuple(
             InstanceMask(crop=labels == k, instance_id=i, ripeness=r)
@@ -480,6 +538,20 @@ def test_a_scene_directory_holds_five_files(tmp_path, prior):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "depth.pgm", "ground_truth.f64", "masks.pgm", "rgb.ppm", "scene.json"
     ]
+
+
+def test_save_artifacts_builds_no_image_beyond_a_frame_and_the_labels(tmp_path, prior):
+    """Saving the 640x480 cluttered scene allocates, at its peak, less than
+    one RGB frame and the masks' label image together: the RGB is written a
+    band at a time, each 16-bit image through one big-endian copy, and the
+    surfaces as they are held."""
+    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
+    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(11)))
+    artifacts = render_scene_artifacts(scene, prior, RenderParams(2.0, 0.05), 1, 2)
+    peak = traced_peak(save_artifacts, str(tmp_path), artifacts)
+    h, w = scene.height, scene.width
+    assert (h, w) == (480, 640) and peak < h * w * 3 + h * w * 2
+    assert load_artifacts(str(tmp_path)) == artifacts
 
 
 def _edit(index, field, value):

@@ -24,6 +24,7 @@ from berrypick import (
     render_scene_artifacts,
 )
 from berrypick.pipeline import _perceive, _plan, extract_partials
+from berrypick.types import RgbImage
 
 TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
@@ -110,3 +111,22 @@ def test_an_array_field_equals_only_an_array_of_its_shape_dtype_and_values():
     assert grid(np.zeros(3)) == grid(np.zeros(3))
     for origin in (np.zeros(3, np.float32), np.zeros((1, 3)), np.zeros(4), [0.0, 0.0, 0.0]):
         assert grid(np.zeros(3)) != grid(origin) and grid(origin) != grid(np.zeros(3))
+
+
+def test_rgb_images_are_equal_exactly_when_their_frames_are():
+    """An RgbImage holds the tight crop of its drawn pixels, so a frame and
+    a window of it placed at its offset make one value."""
+    frame = np.zeros((6, 7, 3), dtype=np.uint8)
+    frame[2:4, 1:5] = np.random.default_rng(4).integers(1, 256, size=(2, 4, 3))
+    whole = RgbImage(crop=frame)
+    placed = RgbImage(crop=frame[1:5, :6], offset=(1, 0), shape=(6, 7))
+    assert (whole.crop.shape, whole.offset) == ((2, 4, 3), (2, 1))
+    assert whole == placed and np.array_equal(placed.values, frame)
+
+    moved = np.roll(frame, 1, axis=1)
+    changed = frame.copy()
+    changed[0, 6, 2] = 1  # a new drawn pixel widens the crop
+    for other in (moved, changed, frame[:, :6]):
+        assert RgbImage(crop=other) != whole and whole != RgbImage(crop=other)
+    black = [RgbImage(crop=np.zeros((6, n, 3), dtype=np.uint8)) for n in (7, 8)]
+    assert black[0] != black[1] and black[0].crop.shape == black[1].crop.shape == (0, 0, 3)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import surface_distance_m
+from conftest import surface_distance_m, traced_peak
 
 from berrypick import (
     BerryInstance,
@@ -31,8 +31,18 @@ from berrypick import (
     sample_ground_truth,
 )
 from berrypick.prior import SURFACE_POINTS
-from berrypick.render import LEAF_COLOR, RIPE_COLOR, UNRIPE_COLOR, rasterize
-from berrypick.types import Pose
+from berrypick.render import (
+    _DRAW_CHUNK,
+    LEAF_COLOR,
+    RIPE_COLOR,
+    UNRIPE_COLOR,
+    _as_seedseq,
+    _composite,
+    _corrupt,
+    _stream,
+    rasterize,
+)
+from berrypick.types import DepthImage, Pose
 
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
@@ -255,6 +265,84 @@ def test_render_takes_a_seed_sequence_as_a_value(prior):
     fresh = render_rgbd(scene, prior, params, seed=np.random.SeedSequence(21, spawn_key=(1,)))
     assert a == b == fresh
     assert ss.n_children_spawned == 0
+
+
+def _one_shot_corrupt(clean: np.ndarray, params: RenderParams, seed) -> np.ndarray:
+    """_corrupt with each stream's live span drawn in one call: the Gaussians
+    up to the last live pixel, the uniforms from the first rounded down to a
+    multiple of 4."""
+    noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
+    noisy = clean.copy()
+    flat = noisy.reshape(-1)
+    live = np.flatnonzero(flat)
+    if not len(live):
+        return noisy
+    if params.noise_sigma_mm > 0:
+        jitter = _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=live[-1] + 1)
+        flat[live] = np.clip(np.rint(flat[live] + jitter[live]), 0, 65535).astype(np.uint16)
+    if params.dropout_rate > 0:
+        start = int(live[0]) // 4 * 4
+        draw = _stream(drop_ss)
+        draw.bit_generator.advance(start // 4)
+        uniform = draw.random(live[-1] + 1 - start)
+        flat[live[uniform[live - start] < params.dropout_rate]] = 0
+    return noisy
+
+
+def _depth_frame(live_cells, shape=(300, 400)) -> np.ndarray:
+    frame = np.zeros(shape, dtype=np.uint16)
+    frame.reshape(-1)[np.asarray(live_cells, dtype=np.int64)] = 400 + np.arange(len(live_cells))
+    return frame
+
+
+_C = _DRAW_CHUNK
+_LIVE_FRAMES = {
+    # spans that start, end and hold pixels on both sides of chunk edges
+    "across-edges": [_C - 1, _C, 2 * _C - 3, 2 * _C, 2 * _C + 1, 3 * _C + 7],
+    "one-edge": [_C - 2, _C + 2],
+    "block": list(range(_C - 500, 2 * _C + 500, 3)),
+    "edge-start": [2 * _C, 2 * _C + 9, 3 * _C - 1],
+    "only-last": [300 * 400 - 1],
+    "only-first": [0],
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("params", [RenderParams(2.0, 0.05), RenderParams(0.0, 0.3),
+                                    RenderParams(3.0, 0.0), RenderParams(0.0, 0.0)],
+                         ids=["both", "no-noise", "no-dropout", "neither"])
+@pytest.mark.parametrize("name", sorted(_LIVE_FRAMES))
+def test_chunked_corrupt_equals_one_shot_draw(name, params):
+    clean = _depth_frame(_LIVE_FRAMES[name])
+    for seed in (0, 7, np.random.SeedSequence(3, spawn_key=(1,))):
+        out = _corrupt(DepthImage(values=clean), params, seed).values
+        assert np.array_equal(out, _one_shot_corrupt(clean, params, seed))
+
+
+@pytest.fixture(scope="module")
+def cluttered_frame(prior):
+    """The 640x480 cluttered scene at seed 11 and its clean composite."""
+    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
+    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(11)))
+    return scene, _composite(scene, prior)
+
+
+def test_corrupt_holds_at_most_one_chunk_of_draws(cluttered_frame):
+    """Drawing this frame's live span in one call peaks at about 5.1 MB;
+    drawing it a chunk at a time, at about 1.2 MB."""
+    _, (_, clean, _, _) = cluttered_frame
+    assert clean.values.shape == (480, 640) and np.count_nonzero(clean.values)
+    for params in (RenderParams(), RenderParams(2.0, 0.05)):
+        assert traced_peak(_corrupt, clean, params, 5) < 2_000_000
+
+
+def test_rgb_holds_less_than_one_frame(cluttered_frame):
+    """The rendered RGB holds its drawn crop, and builds the frame it stands for."""
+    scene, (rgb, clean, _, _) = cluttered_frame
+    assert rgb.crop.nbytes < scene.height * scene.width * 3
+    values = rgb.values
+    assert values.shape == (scene.height, scene.width, 3)
+    assert ((values != 0).any(axis=2) == (clean.values > 0)).all()
 
 
 def test_render_params_validation():

@@ -154,3 +154,21 @@ def test_layer_calls_prints_the_same_document_twice(monkeypatch, capsys, workloa
     doc = json.loads(outputs[0])
     assert len(doc["digests"]) == 2 and doc["failures"] == [] and doc["absent_layers"] == []
     assert doc["layers"]["preprocess.median_filter"]["calls"] > 0
+
+
+@pytest.mark.parametrize("workload", ["ablation", "scene_dir_plan"])
+def test_peak_memory_credits_the_whole_rise_to_known_phases(monkeypatch, capsys, workload):
+    """The phases' rises add up to the run's, and the functions the script
+    wraps to time scene_dir_plan's phases are put back."""
+    from berrypick import io_formats
+
+    originals = (io_formats.save_artifacts, io_formats.load_artifacts, pipeline.plan_scene)
+    assert _run(monkeypatch, "peak_memory", "--workload", workload, "--ops", "2") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["workload"], doc["ops"], doc["failures"]) == (workload, 2, [])
+    inner = {"save", "load", "plan"} if workload == "scene_dir_plan" else set()
+    assert set(doc["phases"]) <= {"setup", "prepare", "op", "check"} | inner
+    total = sum(phase["rise_mb"] for phase in doc["phases"].values())
+    assert total == pytest.approx(doc["peak_mb"] - doc["start_mb"], abs=0.01)
+    assert all(op in (None, 0, 1) for phase in doc["phases"].values() for op in phase["ops"])
+    assert (io_formats.save_artifacts, io_formats.load_artifacts, pipeline.plan_scene) == originals
