@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chamfer import chamfer_loss, chamfer_metric_mm
+from .chamfer import chamfer_figures
 from .completion import complete_cloud
 from .errors import BerrypickError, InputError
 from .io_formats import (
@@ -44,6 +44,7 @@ from .pipeline import (
 from .prior import StrawberryPrior
 from .render import RenderParams
 from .scene import SceneConfig, SceneTemplate, generate_scene
+from .types import PointCloud
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,13 +138,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _nonempty_ply(path: str) -> PointCloud:
+    cloud = read_ply(path)
+    if len(cloud) == 0:
+        raise InputError(f"{path}: chamfer distance needs a non-empty cloud")
+    return cloud
+
+
 def _cmd_eval_cd(args) -> int:
-    pred = read_ply(args.pred)
-    truth = read_ply(args.truth)
-    out = {
-        "chamfer_loss": chamfer_loss(pred, truth),
-        "chamfer_metric_mm": chamfer_metric_mm(pred, truth),
-    }
+    pred, truth = (_nonempty_ply(path) for path in (args.pred, args.truth))
+    loss, metric_mm = chamfer_figures(pred, truth)
+    out = {"chamfer_loss": loss, "chamfer_metric_mm": metric_mm}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

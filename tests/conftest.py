@@ -47,24 +47,26 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def nearest_sq_brute(xyz, other) -> np.ndarray:
+    """Each row of xyz's squared distance to its nearest row of other, with
+    no KD-tree. Each chunk of rows builds dx*dx + dy*dy + dz*dz one axis at a
+    time, in the order np.sum adds a point's three squared offsets."""
+    ox, oy, oz = np.ascontiguousarray(other.T)
+    mins = np.empty(len(xyz))
+    for start in range(0, len(xyz), 256):
+        rows = xyz[start:start + 256]
+        dx, dy, dz = rows[:, 0, None] - ox, rows[:, 1, None] - oy, rows[:, 2, None] - oz
+        d = dx * dx
+        d += dy * dy
+        d += dz * dz
+        mins[start:start + 256] = d.min(axis=1)
+    return mins
+
+
 def chamfer_loss_brute(p, q) -> float:
-    """The oracle for chamfer_loss: every pair's squared distance, O(|P|*|Q|),
-    with no KD-tree. Each chunk of rows builds dx*dx + dy*dy + dz*dz one axis
-    at a time, in the order np.sum adds a point's three squared offsets."""
+    """The oracle for chamfer_loss: every pair's squared distance, O(|P|*|Q|)."""
     pa, qa = (np.asarray(getattr(c, "xyz", c), dtype=np.float64) for c in (p, q))
-    total = 0.0
-    for arr, other in ((pa, qa), (qa, pa)):
-        ox, oy, oz = np.ascontiguousarray(other.T)
-        mins = np.empty(len(arr))
-        for start in range(0, len(arr), 256):
-            rows = arr[start:start + 256]
-            dx, dy, dz = rows[:, 0, None] - ox, rows[:, 1, None] - oy, rows[:, 2, None] - oz
-            d = dx * dx
-            d += dy * dy
-            d += dz * dz
-            mins[start:start + 256] = d.min(axis=1)
-        total += float(np.sum(mins))
-    return total
+    return float(np.sum(nearest_sq_brute(pa, qa))) + float(np.sum(nearest_sq_brute(qa, pa)))
 
 
 def _berry(instance_id: int, center, ripeness: Ripeness) -> BerryInstance:

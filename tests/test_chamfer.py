@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import chamfer_loss_brute
+from conftest import chamfer_loss_brute, nearest_sq_brute
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from berrypick import ParameterError, PointCloud, chamfer_loss, chamfer_metric_mm
+from berrypick.chamfer import _nearest
+from berrypick.types import Pose, rotation_aligning
 
 
 def test_brute_oracle_single_pair_by_hand():
@@ -82,3 +85,99 @@ def test_empty_cloud_rejected():
         chamfer_loss(np.zeros((0, 3)), pts)
     with pytest.raises(ParameterError):
         chamfer_metric_mm(pts, np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[np.nan, 0.0, 0.0]]),
+        np.array([[0.0, np.inf, 0.0], [1.0, 2.0, 3.0]]),
+        np.zeros((3, 2)),
+        np.zeros(3),
+    ],
+    ids=["nan", "inf", "two-columns", "one-dimensional"],
+)
+def test_malformed_array_is_a_parameter_error(bad):
+    good = np.zeros((2, 3))
+    with pytest.raises(ParameterError):
+        chamfer_metric_mm(bad, good)
+    with pytest.raises(ParameterError):
+        chamfer_loss(good, bad)
+
+
+# ------------------------------------------------- bit-exact nearest distances
+
+
+def _assert_exact_nearest(p, q):
+    """_nearest's per-point distances are np.sqrt of the brute squared minima,
+    bit for bit, in both directions and in input order."""
+    d_pq, d_qp = _nearest(p, q)
+    assert np.array_equal(d_pq, np.sqrt(nearest_sq_brute(p, q)))
+    assert np.array_equal(d_qp, np.sqrt(nearest_sq_brute(q, p)))
+
+
+def _default_layout_metric_mm(p, q) -> float:
+    """chamfer_metric_mm's formula on scipy's default (balanced, 16-point
+    leaf) trees, queried in input order."""
+    d_pq, d_qp = cKDTree(q).query(p)[0], cKDTree(p).query(q)[0]
+    return float(0.5 * (d_pq.mean() + d_qp.mean()) * 1000.0)
+
+
+@given(
+    n=st.integers(1, 300),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_nearest_is_bit_exact_property(n, m, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.05, 0.05, size=(n, 3))
+    q = rng.uniform(-0.05, 0.05, size=(m, 3))
+    _assert_exact_nearest(p, q)
+    assert chamfer_metric_mm(p, q) == _default_layout_metric_mm(p, q)
+
+
+def test_nearest_is_bit_exact_on_a_lattice_with_ties():
+    # Dyadic coordinates make every offset exact: each cell center is the
+    # same distance from its cell's eight corners, so each of its queries
+    # meets an exact eight-way tie.
+    axis = np.arange(6) / 8.0
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    centers = lattice[lattice.max(axis=1) < axis[-1]] + 1.0 / 16.0
+    _, d_center = _nearest(lattice, centers)
+    assert np.all(d_center == np.sqrt(3.0) / 16.0)
+    _assert_exact_nearest(lattice, centers)
+    assert chamfer_metric_mm(lattice, centers) == _default_layout_metric_mm(lattice, centers)
+
+
+def test_nearest_is_bit_exact_with_duplicated_points():
+    rng = np.random.default_rng(4)
+    base = rng.normal(scale=0.02, size=(40, 3))
+    p = np.repeat(base, 5, axis=0)
+    q = np.concatenate([base[::3], base[::3], rng.normal(scale=0.02, size=(30, 3))])
+    _assert_exact_nearest(p, q)
+    d_pq, _ = _nearest(p, q)
+    assert np.array_equal(d_pq.reshape(40, 5), np.repeat(d_pq[::5, None], 5, axis=1))
+
+
+def test_nearest_is_bit_exact_for_a_single_point():
+    p = np.array([[0.01, -0.02, 0.3]])
+    q = np.random.default_rng(5).normal(loc=0.3, scale=0.02, size=(50, 3))
+    _assert_exact_nearest(p, q)
+    _assert_exact_nearest(p, p)
+    assert chamfer_metric_mm(p, q) == _default_layout_metric_mm(p, q)
+
+
+def test_nearest_is_bit_exact_on_posed_prior_samplings(prior):
+    tilt = rotation_aligning(np.array([0.0, 0.0, 1.0]), np.array([0.2, -0.1, 1.0]))
+    truth = prior.sample_ground_truth(
+        Pose(rotation=np.eye(3), translation=np.array([0.01, -0.005, 0.36])),
+        np.random.Generator(np.random.Philox(6)),
+    )
+    completed = prior.sample_ground_truth(
+        Pose(rotation=tilt, translation=np.array([0.0105, -0.0048, 0.3603])),
+        np.random.Generator(np.random.Philox(7)),
+    )
+    assert len(truth) == len(completed) == 4096
+    _assert_exact_nearest(completed.xyz, truth.xyz)
+    assert chamfer_metric_mm(completed, truth) == _default_layout_metric_mm(completed.xyz, truth.xyz)

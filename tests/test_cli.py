@@ -384,6 +384,17 @@ def test_malformed_ply_header_is_one_clean_error(tmp_path, capsys, header):
     assert "malformed PLY header line" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("empty_side", ["--pred", "--truth"])
+def test_eval_cd_names_an_empty_cloud(tmp_path, capsys, empty_side):
+    empty = tmp_path / "empty.ply"
+    write_ply(str(empty), PointCloud.empty())
+    good = tmp_path / "good.ply"
+    write_ply(str(good), PointCloud(xyz=np.zeros((1, 3))))
+    paths = {"--pred": str(good), "--truth": str(good), empty_side: str(empty)}
+    assert main(["eval-cd", *(item for pair in paths.items() for item in pair)]) == 1
+    assert _single_error_line(capsys) == f"error: {empty}: chamfer distance needs a non-empty cloud"
+
+
 @pytest.fixture()
 def rendered_dir(tmp_path, template_path):
     scene_dir = tmp_path / "scene"
