@@ -17,7 +17,7 @@ import numpy as np
 
 from .chamfer import chamfer_figures
 from .completion import complete_cloud
-from .errors import BerrypickError, InputError
+from .errors import BerrypickError, InputError, InsufficientDataError, RegistrationError
 from .io_formats import (
     load_artifacts,
     read_json,
@@ -102,7 +102,10 @@ def _cmd_complete(args) -> int:
     cloud = read_ply(args.partial)
     prior = _load_prior(args.prior)
     cfg = _load_config(args.config)
-    result = complete_cloud(cloud, prior, cfg.icp)
+    try:
+        result = complete_cloud(cloud, prior, cfg.icp)
+    except (InsufficientDataError, RegistrationError) as exc:
+        raise InputError(f"{args.partial}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     write_ply(os.path.join(args.out, "completed.ply"), result.cloud)
     fitness = {"fitness_mm": result.icp.fitness_mm}

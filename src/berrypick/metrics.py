@@ -11,13 +11,13 @@ along so any alternative convention can be recomputed from the report.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InputError, ParameterError, StorageError
 from .io_formats import _write_text, write_json
-from .types import is_finite_number
+from .types import check_like
 
 
 @dataclass(frozen=True)
@@ -41,33 +41,31 @@ class MetricsReport:
                 raise ParameterError(f"{name} = {value} outside [0, 100]")
         if self.rho_s > self.rho_a + 1e-9:
             raise ParameterError("success rate cannot exceed attempt rate")
+        for name in ("n_trials", "n_detections", "n_attempts", "n_successes", "n_hit_trials"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} = {getattr(self, name)} is negative")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, obj) -> "MetricsReport":
-        """Strict parse: exactly the report's keys, counts as integers, the
-        ratios as finite numbers and the CD statistics as numbers or null."""
-        if not isinstance(obj, dict):
-            raise InputError("a metrics report must be a JSON object")
-        names = {f.name for f in fields(cls)}
-        if set(obj) != names:
-            raise InputError(
-                f"metrics keys missing: {sorted(names - set(obj))}, "
-                f"unknown: {sorted(set(obj) - names)}"
-            )
-        for name, value in obj.items():
-            if name.startswith("n_"):
-                ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
-            else:
-                ok = is_finite_number(value) or (name.startswith("cd_") and value is None)
-            if not ok:
-                raise InputError(f"metrics field {name} has invalid value {value!r}")
+        """Strict parse against _METRICS_SHAPE: exactly the report's keys,
+        counts as integers, the ratios as finite numbers and the CD
+        statistics as finite numbers or null."""
+        check_like(obj, _METRICS_SHAPE, "metrics")
+        missing = set(_METRICS_SHAPE) - set(obj)
+        if missing:
+            raise InputError(f"metrics keys missing: {sorted(missing)}")
         try:
             return cls(**obj)
         except ParameterError as exc:
             raise InputError(f"invalid metrics report: {exc}") from exc
+
+
+# The document compute_metrics writes, with no CD statistics: the shape
+# MetricsReport.from_json checks every metrics.json against.
+_METRICS_SHAPE = MetricsReport(0.0, 0.0, 0.0, 0.0, None, None, 0, 0, 0, 0, 0).to_json()
 
 
 def compute_metrics(results) -> MetricsReport:

@@ -20,9 +20,6 @@ from .types import (
     Pose,
     Ripeness,
     check_like,
-    json_float,
-    json_floats,
-    json_int,
     rotation_about_axis,
     rotation_aligning,
 )
@@ -73,11 +70,7 @@ class BerryInstance(ArrayRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BerryInstance":
-        return cls(
-            instance_id=json_int(obj["instance_id"], "instance_id"),
-            pose=Pose.from_json(obj),
-            ripeness=Ripeness(obj["ripeness"]),
-        )
+        return cls(obj["instance_id"], Pose.from_json(obj), Ripeness(obj["ripeness"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,16 +128,16 @@ class Occluder(ArrayRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Occluder":
-        """Strict parse. A stored normal that is already unit to within 1e-12
-        is kept bit for bit: normalizing a unit float64 vector again can move
-        its last bit, and a saved scene must load as the scene that was saved."""
-        normal = json_floats(obj["normal"], "normal")
+        """A stored normal that is already unit to within 1e-12 is kept bit
+        for bit: normalizing a unit float64 vector again can move its last
+        bit, and a saved scene must load as the scene that was saved."""
+        normal = np.asarray(obj["normal"], dtype=np.float64)
         occluder = cls(
-            center=json_floats(obj["center"], "center"),
+            center=obj["center"],
             normal=normal,
-            semi_major=json_float(obj["semi_major"], "semi_major"),
-            semi_minor=json_float(obj["semi_minor"], "semi_minor"),
-            roll_rad=json_float(obj["roll_rad"], "roll_rad"),
+            semi_major=float(obj["semi_major"]),
+            semi_minor=float(obj["semi_minor"]),
+            roll_rad=float(obj["roll_rad"]),
         )
         if abs(np.linalg.norm(normal) - 1.0) <= 1e-12:
             object.__setattr__(occluder, "normal", normal)
@@ -240,14 +233,26 @@ class SceneTemplate(ArrayRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SceneTemplate":
+        """Strict parse against _SCENE_SHAPE: unknown keys and mistyped
+        values anywhere in the document are rejected. "occluders" may be
+        left out; any other missing key raises KeyError."""
+        check_like(obj, _SCENE_SHAPE, "scene")
         k = obj["intrinsics"]
         return cls(
             berries=tuple(BerryInstance.from_json(b) for b in obj["berries"]),
             occluders=tuple(Occluder.from_json(o) for o in obj.get("occluders", ())),
-            intrinsics=CameraIntrinsics(*(json_float(k[f], f) for f in ("fx", "fy", "cx", "cy"))),
-            width=json_int(obj["width"], "width"),
-            height=json_int(obj["height"], "height"),
+            intrinsics=CameraIntrinsics(*(float(k[f]) for f in ("fx", "fy", "cx", "cy"))),
+            width=obj["width"],
+            height=obj["height"],
         )
+
+
+# The document a scene with one berry and one occluder writes: the shape
+# SceneTemplate.from_json checks every scene.json against.
+_SCENE_SHAPE = SceneTemplate(
+    berries=(BerryInstance(0, Pose(), Ripeness.RIPE),),
+    occluders=(Occluder(np.zeros(3), np.array([0.0, 0.0, 1.0]), 1.0, 1.0),),
+).to_json()
 
 
 def _hanging_pose(rng: np.random.Generator, center: np.ndarray, max_tilt_rad: float) -> Pose:

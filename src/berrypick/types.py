@@ -9,7 +9,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -23,72 +22,53 @@ class Ripeness(enum.Enum):
     UNRIPE = "unripe"
 
 
-def json_int(value, name: str) -> int:
-    """An integer read from JSON: only a JSON integer, not a bool, float or
-    string, is accepted; anything else raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def check_like(value, default, where: str) -> None:
-    """Reject a JSON value whose shape or type differs from the default's:
-    objects may hold only the default's keys, a float field also takes an
-    int, booleans never count as numbers, and NaN and infinities are
-    refused."""
-    if isinstance(default, dict):
+def check_like(value, example, where: str) -> None:
+    """Reject a JSON value whose shape or type differs from the example's,
+    naming the value by where, its path from the document's name. The
+    example decides each rule:
+      * an object may hold only the example's keys, each value checked
+        against the example's (a key it lacks is not refused here);
+      * a list whose example holds one object takes any number of such
+        objects, and any other list exactly as many items as the example;
+      * a string takes a string, and true or false a boolean;
+      * an integer takes an integer, a float an integer or a float, and
+        None null or such a number. A boolean never counts as a number,
+        and NaN, infinities and integers beyond float range are refused.
+    """
+    if isinstance(example, dict):
         if not isinstance(value, dict):
             raise InputError(f"{where} must be a JSON object")
-        unknown = set(value) - set(default)
+        unknown = set(value) - set(example)
         if unknown:
             raise InputError(f"unknown {where} keys: {sorted(unknown)}")
         for key, item in value.items():
-            check_like(item, default[key], f"{where}.{key}")
-    elif isinstance(default, list):
-        if not isinstance(value, list) or len(value) != len(default):
-            raise InputError(f"{where} must be a list of {len(default)} numbers")
-        for item, item_default in zip(value, default):
-            check_like(item, item_default, where)
-    elif isinstance(default, bool):
+            check_like(item, example[key], f"{where}.{key}")
+    elif isinstance(example, list):
+        if len(example) == 1 and isinstance(example[0], dict):
+            if not isinstance(value, list):
+                raise InputError(f"{where} must be a list of JSON objects")
+            example = example * len(value)
+        elif not isinstance(value, list) or len(value) != len(example):
+            items = "lists" if isinstance(example[0], list) else "numbers"
+            raise InputError(f"{where} must be a list of {len(example)} {items}")
+        for item, item_example in zip(value, example):
+            check_like(item, item_example, where)
+    elif isinstance(example, str):
+        if not isinstance(value, str):
+            raise InputError(f"{where} must be a string, got {value!r}")
+    elif isinstance(example, bool):
         if not isinstance(value, bool):
             raise InputError(f"{where} must be true or false")
-    else:
-        integer = isinstance(default, int)
+    elif value is not None or example is not None:
+        integer = isinstance(example, int)
         if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
             kind = "an integer" if integer else "a number"
-            raise InputError(f"{where} must be {kind}, got {value!r}")
-        if not integer and not is_finite_number(value):
+            or_null = " or null" if example is None else ""
+            raise InputError(f"{where} must be {kind}{or_null}, got {value!r}")
+        # Python compares an int with a float exactly, so this refuses NaN,
+        # infinities and every int beyond the largest float.
+        if not integer and not abs(value) <= sys.float_info.max:
             raise InputError(f"{where} must be finite, got {value!r}")
-
-
-def _is_json_number(value) -> bool:
-    """A JSON number a float64 holds: not a bool, nor an int float() overflows."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
-
-
-def is_finite_number(value) -> bool:
-    """A JSON number whose float64 value is finite."""
-    return _is_json_number(value) and math.isfinite(value)
-
-
-def json_float(value, name: str) -> float:
-    """A number read from JSON: a JSON integer or float, not a bool or string."""
-    if not _is_json_number(value):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def json_floats(value, name: str) -> np.ndarray:
-    """A list, or a list of lists, of JSON numbers as a float64 array."""
-
-    def numbers(v):
-        return isinstance(v, list) and all(map(_is_json_number, v))
-
-    if not (numbers(value) or isinstance(value, list) and all(map(numbers, value))):
-        raise TypeError(f"{name} must be a list of numbers, got {value!r}")
-    return np.asarray(value, dtype=np.float64)
 
 
 class ArrayRecord:
@@ -393,10 +373,7 @@ class Pose(ArrayRecord):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Pose":
-        return cls(
-            rotation=json_floats(obj["rotation"], "rotation"),
-            translation=json_floats(obj["translation"], "translation"),
-        )
+        return cls(rotation=obj["rotation"], translation=obj["translation"])
 
 
 def rotation_about_axis(axis: np.ndarray, angle_rad: float) -> np.ndarray:

@@ -282,14 +282,14 @@ _METRICS = dict(
     [
         (None, "cannot read"),
         ("{bad", "is not valid JSON"),
-        ('{"x": 1}', "metrics keys missing"),
+        ('{"x": 1}', "unknown metrics keys: ['x']"),
         ("[1]", "must be a JSON object"),
-        (json.dumps({**_METRICS, "rho_a": "high"}), "metrics field rho_a has invalid value"),
-        (json.dumps({**_METRICS, "rho_h": float("nan")}), "metrics field rho_h has invalid value"),
-        (json.dumps({**_METRICS, "n_trials": 2.5}), "metrics field n_trials has invalid value"),
+        (json.dumps({**_METRICS, "rho_a": "high"}), "metrics.rho_a must be a number, got 'high'"),
+        (json.dumps({**_METRICS, "rho_h": float("nan")}), "metrics.rho_h must be finite, got nan"),
+        (json.dumps({**_METRICS, "n_trials": 2.5}), "metrics.n_trials must be an integer, got 2.5"),
         # Regression: a JSON integer beyond float range ended in an
         # OverflowError traceback.
-        (json.dumps({**_METRICS, "rho_a": 10**400}), "metrics field rho_a has invalid value 1000"),
+        (json.dumps({**_METRICS, "rho_a": 10**400}), "metrics.rho_a must be finite, got 1000"),
     ],
     ids=["missing", "invalid-json", "unknown-key", "not-an-object", "string-ratio", "nan-ratio",
          "float-count", "huge-int-ratio"],
@@ -313,12 +313,17 @@ def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
         ("template", {"n_ripe": 2.5}, "template.n_ripe must be an integer, got 2.5"),
         ("template", {"n_occluders": 10**9}, "object counts must lie in [0, 1000]"),
         ("template", {"n_ripe": 1001}, "object counts must lie in [0, 1000]"),
-        ("scene", {"width": "640"}, "width must be an integer, got '640'"),
-        ("scene-dir", {"height": 1.5}, "height must be an integer, got 1.5"),
-        ("metrics", {**_METRICS, "n_trials": -1}, "metrics field n_trials has invalid value -1"),
+        ("scene", {"width": "640"}, "scene.width must be an integer, got '640'"),
+        ("scene-dir", {"height": 1.5}, "scene.height must be an integer, got 1.5"),
+        ("metrics", {**_METRICS, "n_trials": -1}, "invalid metrics report: n_trials = -1 is negative"),
+        ("template", {"n_ripe": 1, "colour": "red"}, "unknown template keys: ['colour']"),
+        ("scene", {"camera_model": "pinhole"}, "unknown scene keys: ['camera_model']"),
+        ("scene-dir", {"camera_model": "pinhole"}, "unknown scene keys: ['camera_model']"),
+        ("metrics", {**_METRICS, "rho_x": 1.0}, "unknown metrics keys: ['rho_x']"),
     ],
     ids=["config-schema", "config-value", "template", "template-n_occluders", "template-n_ripe",
-         "render-scene", "plan-scene-dir", "metrics"],
+         "render-scene", "plan-scene-dir", "metrics", "template-unknown-key",
+         "render-scene-unknown-key", "plan-scene-dir-unknown-key", "metrics-unknown-key"],
 )
 def test_malformed_document_error_starts_with_its_path(
     tmp_path, rendered_dir, capsys, document, content, message
@@ -393,6 +398,18 @@ def test_eval_cd_names_an_empty_cloud(tmp_path, capsys, empty_side):
     paths = {"--pred": str(good), "--truth": str(good), empty_side: str(empty)}
     assert main(["eval-cd", *(item for pair in paths.items() for item in pair)]) == 1
     assert _single_error_line(capsys) == f"error: {empty}: chamfer distance needs a non-empty cloud"
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_complete_names_a_cloud_too_small_to_register(tmp_path, capsys, n):
+    # Regression: the error line gave the point count but not the file.
+    small = tmp_path / "small.ply"
+    write_ply(str(small), PointCloud(xyz=np.arange(3 * n, dtype=float).reshape(n, 3)))
+    assert main(["complete", "--partial", str(small), "--out", str(tmp_path / "c")]) == 1
+    assert _single_error_line(capsys) == (
+        f"error: {small}: pose initialization needs at least 10 points, got {n}"
+    )
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.fixture()
@@ -519,9 +536,9 @@ def _set_first(name, key, field, value):
     "corrupt, message",
     [
         (_set_first("scene.json", "berries", "instance_id", "0"),
-         "scene.json: instance_id must be an integer, got '0'"),
+         "scene.json: scene.berries.instance_id must be an integer, got '0'"),
         (_set_first("scene.json", "berries", "instance_id", False),
-         "scene.json: instance_id must be an integer, got False"),
+         "scene.json: scene.berries.instance_id must be an integer, got False"),
     ],
     ids=["scene-id-string", "scene-id-bool"],
 )
@@ -636,38 +653,46 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value, message",
     [
-        ("berries", "translation", [float("nan"), 0.0, 0.36], "berry translation must be finite"),
-        ("occluders", "center", [0.0, float("inf"), 0.2], "occluder center and normal must be finite"),
-        ("occluders", "normal", [0.0, 0.0, float("nan")], "occluder center and normal must be finite"),
-        ("occluders", "semi_major", float("inf"), "occluder semi-axes must be finite"),
-        ("intrinsics", "fx", float("inf"), "camera intrinsics must be finite"),
+        ("berries", "translation", [float("nan"), 0.0, 0.36],
+         "scene.json: scene.berries.translation must be finite, got nan"),
+        ("occluders", "center", [0.0, float("inf"), 0.2],
+         "scene.json: scene.occluders.center must be finite, got inf"),
+        ("occluders", "normal", [0.0, 0.0, float("nan")],
+         "scene.json: scene.occluders.normal must be finite, got nan"),
+        ("occluders", "semi_major", float("inf"),
+         "scene.json: scene.occluders.semi_major must be finite, got inf"),
+        ("intrinsics", "fx", float("inf"), "scene.json: scene.intrinsics.fx must be finite, got inf"),
         # Regression: int() and float() used to take fractions, strings and
         # bools, so "width": 640.9 rendered a 640-wide frame and "0.36" read
         # as 0.36. A section of None edits the top level of scene.json.
-        (None, "width", 640.9, "scene.json: width must be an integer, got 640.9"),
-        (None, "width", "640", "scene.json: width must be an integer, got '640'"),
-        (None, "height", True, "scene.json: height must be an integer, got True"),
-        ("intrinsics", "fx", True, "scene.json: fx must be a number, got True"),
+        (None, "width", 640.9, "scene.json: scene.width must be an integer, got 640.9"),
+        (None, "width", "640", "scene.json: scene.width must be an integer, got '640'"),
+        (None, "height", True, "scene.json: scene.height must be an integer, got True"),
+        ("intrinsics", "fx", True, "scene.json: scene.intrinsics.fx must be a number, got True"),
         ("berries", "translation", ["0.0", "0.0", "0.36"],
-         "scene.json: translation must be a list of numbers"),
+         "scene.json: scene.berries.translation must be a number, got '0.0'"),
         ("berries", "rotation", [[True, 0, 0], [0, 1, 0], [0, 0, 1]],
-         "scene.json: rotation must be a list of numbers"),
+         "scene.json: scene.berries.rotation must be a number, got True"),
         # Regression: an infinite entry reached the orthonormality check's
         # matmul, which printed a RuntimeWarning above the error line.
         ("berries", "rotation", [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]],
-         "scene.json: rotation must be orthonormal"),
+         "scene.json: scene.berries.rotation must be finite, got inf"),
         # Regression: a JSON integer beyond float range ended in an
         # OverflowError traceback, and an entry of 1e308 overflowed the
         # orthonormality check's matmul with a RuntimeWarning.
-        ("intrinsics", "fx", 10**400, "scene.json: fx must be a number, got 1000"),
+        ("intrinsics", "fx", 10**400, "scene.json: scene.intrinsics.fx must be finite, got 1000"),
         ("berries", "translation", [0, 0, -(10**400)],
-         "scene.json: translation must be a list of numbers"),
+         "scene.json: scene.berries.translation must be finite, got -1000"),
         ("berries", "rotation", [[1e308, 0, 0], [0, 1, 0], [0, 0, 1]],
          "scene.json: rotation must be orthonormal"),
-        ("occluders", "center", [0.0, 0.0, "0.2"], "scene.json: center must be a list of numbers"),
-        ("occluders", "normal", [0, 0, "1"], "scene.json: normal must be a list of numbers"),
-        ("occluders", "semi_major", "0.02", "scene.json: semi_major must be a number, got '0.02'"),
-        ("occluders", "roll_rad", False, "scene.json: roll_rad must be a number, got False"),
+        ("occluders", "center", [0.0, 0.0, "0.2"],
+         "scene.json: scene.occluders.center must be a number, got '0.2'"),
+        ("occluders", "normal", [0, 0, "1"],
+         "scene.json: scene.occluders.normal must be a number, got '1'"),
+        ("occluders", "semi_major", "0.02",
+         "scene.json: scene.occluders.semi_major must be a number, got '0.02'"),
+        ("occluders", "roll_rad", False,
+         "scene.json: scene.occluders.roll_rad must be a number, got False"),
         # Regression: a frame too large for numpy ended in a traceback from
         # np.zeros, and a merely absurd one tried to allocate gigabytes.
         (None, "width", 10**30, f"scene.json: a {10**30}x480 frame has more than 16777216 pixels"),

@@ -25,6 +25,7 @@ from berrypick import (
     InputError,
     InstanceMask,
     MetricsReport,
+    Occluder,
     ParameterError,
     PipelineConfig,
     PointCloud,
@@ -683,10 +684,14 @@ def _set_at(doc, path, value):
 def _mutated_scene_document(draw):
     """_labelled(_LABELS, 3)'s scene.json with one mutation, and whether that
     mutation must make it invalid. A flipped byte may leave it valid (say, a
-    changed digit of a coordinate); the other mutations never do."""
+    changed digit of a coordinate); the other mutations never do. An extra
+    key goes in at the top level, in the intrinsics, in a berry or in an
+    occluder added for it."""
     doc = _labelled(_LABELS, 3).scene.to_json()
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    kind = draw(st.sampled_from(["truncate", "flip", "non-finite", "swap", "remove", "nest"]))
+    kind = draw(st.sampled_from(
+        ["truncate", "flip", "non-finite", "swap", "remove", "nest", "extra"]
+    ))
     if kind == "truncate":
         return text.encode("utf-8")[: draw(st.integers(0, len(text) - 3))], True
     if kind == "flip":
@@ -695,7 +700,15 @@ def _mutated_scene_document(draw):
             data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
         return bytes(data), False
     berry = doc["berries"][draw(st.integers(0, len(doc["berries"]) - 1))]
-    if kind == "swap":
+    if kind == "extra":
+        leaf = Occluder(np.array([0.0, 0.0, 0.2]), np.array([0.0, 0.0, 1.0]), 0.01, 0.01)
+        doc["occluders"] = [leaf.to_json()]
+        parts = {"top": doc, "intrinsics": doc["intrinsics"], "berry": berry,
+                 "occluder": doc["occluders"][0]}
+        part = parts[draw(st.sampled_from(sorted(parts)))]
+        key = draw(st.sampled_from(["camera_model", "scale", "skew", "thickness"]))
+        part[key] = draw(st.sampled_from([0, 1.5, "x", None, [], {}]))
+    elif kind == "swap":
         a, b = draw(st.lists(st.sampled_from(sorted(berry)), min_size=2, max_size=2,
                              unique=True))
         berry[a], berry[b] = berry[b], berry[a]

@@ -19,6 +19,7 @@ from berrypick import (
     CameraIntrinsics,
     GeometryError,
     GroundTruth,
+    InputError,
     Occluder,
     ParameterError,
     PointCloud,
@@ -413,8 +414,9 @@ def test_ground_truth_json_takes_only_integer_ids(prior, instance_id):
     ids is the scene's, which refuses any id that is not an integer."""
     obj = _single_berry_scene().to_json()
     obj["berries"][0]["instance_id"] = instance_id
-    with pytest.raises(TypeError, match="instance_id must be an integer"):
+    with pytest.raises(InputError) as exc:
         GroundTruth.of(SceneTemplate.from_json(obj), [PointCloud(xyz=np.zeros((1, 3)))])
+    assert str(exc.value) == f"scene.berries.instance_id must be an integer, got {instance_id!r}"
 
 
 def test_ground_truth_rejects_duplicate_ids(prior):

@@ -12,6 +12,7 @@ import pytest
 from berrypick import (
     BerryInstance,
     CameraIntrinsics,
+    InputError,
     Occluder,
     ParameterError,
     Ripeness,
@@ -202,9 +203,11 @@ def test_scene_template_rejects_duplicate_ids():
 @pytest.mark.parametrize("instance_id", [True, "1", 1.5, 1.0, None])
 def test_berry_json_takes_only_integer_ids(instance_id):
     berry = BerryInstance(1, Pose(np.eye(3), np.array([0.0, 0.0, 0.35])), Ripeness.RIPE)
-    obj = dict(berry.to_json(), instance_id=instance_id)
-    with pytest.raises(TypeError, match="instance_id must be an integer"):
-        BerryInstance.from_json(obj)
+    obj = SceneTemplate(berries=(berry,)).to_json()
+    obj["berries"][0]["instance_id"] = instance_id
+    with pytest.raises(InputError) as exc:
+        SceneTemplate.from_json(obj)
+    assert str(exc.value) == f"scene.berries.instance_id must be an integer, got {instance_id!r}"
 
 
 def test_occluder_mesh_is_planar_fan():
