@@ -30,24 +30,18 @@ import numpy as np
 from .errors import GeometryError, NoRipeTargetError, ParameterError
 from .occupancy import OccupancyGrid
 from .render import GroundTruth
-from .types import ArrayRecord, PointCloud, Ripeness
-
-
-# The largest |coordinate| of an end-effector position, in meters: far
-# beyond any scene, and small enough that no norm of the grasp geometry
-# can overflow.
-MAX_P_EE_M = 1e3
+from .types import MAX_LENGTH_M, ArrayRecord, PointCloud, Ripeness
 
 
 def end_effector_position(p_ee) -> np.ndarray:
     """p_ee as a float64 3-vector; ParameterError unless every coordinate
-    is finite and at most MAX_P_EE_M in magnitude."""
+    is finite and at most MAX_LENGTH_M in magnitude."""
     p = np.asarray(p_ee, dtype=np.float64)
     if p.shape != (3,):
         raise ParameterError("p_ee must be a 3-vector")
-    if not (np.abs(p) <= MAX_P_EE_M).all():
+    if not (np.abs(p) <= MAX_LENGTH_M).all():
         raise ParameterError(
-            f"p_ee coordinates must be finite and within {MAX_P_EE_M:g} m, got {p.tolist()}"
+            f"p_ee coordinates must be finite and within {MAX_LENGTH_M:g} m, got {p.tolist()}"
         )
     return p
 

@@ -408,8 +408,7 @@ class GroundTruthInstance(ArrayRecord):
 class GroundTruth(ArrayRecord):
     """Every berry's true pose and surface. Built from a scene by of(), berry
     k takes its id and pose from scene.berries[k], so a scene directory
-    stores only the surfaces: surface_bytes() is every instance's (N, 3)
-    coordinates as little-endian float64, row-major, in instance order.
+    stores only the surfaces.
     """
 
     instances: tuple[GroundTruthInstance, ...]
@@ -435,11 +434,6 @@ class GroundTruth(ArrayRecord):
             if inst.instance_id == instance_id:
                 return inst
         raise KeyError(instance_id)
-
-    def surface_bytes(self) -> bytes:
-        return b"".join(
-            inst.surface.xyz.astype("<f8", copy=False).tobytes() for inst in self.instances
-        )
 
 
 def sample_ground_truth(

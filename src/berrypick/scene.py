@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ParameterError, SceneGenerationError
 from .prior import StrawberryPrior
 from .types import (
+    MAX_LENGTH_M,
     ArrayRecord,
     CameraIntrinsics,
     Pose,
@@ -88,7 +89,10 @@ class Occluder(ArrayRecord):
         center = np.asarray(self.center, dtype=np.float64)
         if not (np.isfinite(center).all() and np.isfinite(n).all()):
             raise ParameterError("occluder center and normal must be finite")
-        norm = np.linalg.norm(n)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(n)
+        if not np.isfinite(norm):
+            raise ParameterError("occluder normal must have a finite length")
         if norm < 1e-12:
             raise ParameterError("occluder normal must be nonzero")
         object.__setattr__(self, "center", center)
@@ -174,6 +178,15 @@ class SceneConfig:
         ]
         if not np.isfinite(values).all():
             raise ParameterError("scene config values must be finite")
+        lengths = [
+            self.clutter_spacing,
+            self.occluder_lateral_sigma,
+            *self.occluder_semi_axis_range,
+            *self.workspace_lo,
+            *self.workspace_hi,
+        ]
+        if not all(abs(v) <= MAX_LENGTH_M for v in lengths):
+            raise ParameterError(f"scene config lengths must lie within {MAX_LENGTH_M:g} m")
         if self.clutter_spacing < 0:
             raise ParameterError("clutter_spacing must be nonnegative")
         if self.max_tilt_rad < 0 or self.occluder_lateral_sigma < 0:

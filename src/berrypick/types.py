@@ -16,6 +16,11 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 
+# The largest length or |coordinate|, in meters, that a scene template or an
+# end-effector position may hold: far beyond any scene, and small enough that
+# no norm of the scene's or the grasp's geometry can overflow.
+MAX_LENGTH_M = 1e3
+
 
 class Ripeness(enum.Enum):
     RIPE = "ripe"

@@ -11,9 +11,7 @@ import math
 import time
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
-from conftest import chamfer_loss_brute
+from conftest import CLUTTERED, MOVES, SINGLE_BERRY, chamfer_loss_brute, dijkstra_cost, rodrigues
 
 from berrypick import (
     FailureReason,
@@ -51,10 +49,9 @@ def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_completion_accuracy(prior):
-    template = SceneConfig(n_ripe=1, n_unripe=0, n_occluders=1, clutter_spacing=0.002)
     start = time.perf_counter()
     cds = run_completion_benchmark(
-        template,
+        SINGLE_BERRY,
         100,
         PipelineConfig(),
         seed=7,
@@ -79,18 +76,10 @@ def test_criterion_1_completion_accuracy(prior):
 
 
 def test_criterion_2_obstacle_ablation(prior):
-    template = SceneConfig(
-        n_ripe=2,
-        n_unripe=3,
-        n_occluders=3,
-        clutter_spacing=0.002,
-        workspace_lo=(-0.05, -0.04, 0.31),
-        workspace_hi=(0.05, 0.04, 0.40),
-    )
     cfg = PipelineConfig(inflation=0.018)
     start = time.perf_counter()
     runs = run_ablation(
-        template,
+        CLUTTERED,
         100,
         cfg,
         seed=20260816,
@@ -144,34 +133,6 @@ def test_criterion_3_chamfer_oracle():
 
 # ---------------------------------------------------------------- criterion 4
 
-_STEPS = [
-    (di, dj, dk)
-    for di in (-1, 0, 1)
-    for dj in (-1, 0, 1)
-    for dk in (-1, 0, 1)
-    if (di, dj, dk) != (0, 0, 0)
-]
-
-
-def _dijkstra_reference(occupied, start, goal):
-    free = ~occupied
-    shape = occupied.shape
-    index = np.arange(occupied.size).reshape(shape)
-    rows, cols, data = [], [], []
-    for off in _STEPS:
-        src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape))
-        dst = tuple(slice(max(0, o), s - max(0, -o)) for o, s in zip(off, shape))
-        ok = (free[src] & free[dst]).ravel()
-        rows.append(index[src].ravel()[ok])
-        cols.append(index[dst].ravel()[ok])
-        data.append(np.full(ok.sum(), math.sqrt(sum(o * o for o in off))))
-    graph = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(occupied.size, occupied.size),
-    )
-    return float(dijkstra(graph, indices=int(index[start]))[index[goal]])
-
-
 def test_criterion_4_planner_optimality():
     rng = np.random.default_rng(2024)
     start_time = time.perf_counter()
@@ -186,7 +147,7 @@ def test_criterion_4_planner_optimality():
             origin=np.zeros(3), resolution=1.0, occupied=occupied
         )
         outcome = astar_grid(grid, start, goal)
-        reference = _dijkstra_reference(occupied, start, goal)
+        reference = dijkstra_cost(occupied, start, goal)
         if outcome is None:
             if not math.isinf(reference):
                 _verdict(4, "planner optimality", False,
@@ -202,7 +163,7 @@ def test_criterion_4_planner_optimality():
         total = 0.0
         for a, b in zip(path, path[1:]):
             step = tuple(y - x for x, y in zip(a, b))
-            assert step in _STEPS
+            assert step in MOVES
             assert not occupied[b]
             total += math.sqrt(sum(s * s for s in step))
         assert not occupied[path[0]]
@@ -222,23 +183,13 @@ def test_criterion_4_planner_optimality():
 # ---------------------------------------------------------------- criterion 5
 
 
-def _random_rotation(rng, max_degrees):
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    theta = np.radians(rng.uniform(0.0, max_degrees))
-    k = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
-
-
 def test_criterion_5_registration_recovery(prior):
     base = np.array([0.0, 0.0, 0.36])
     recovered = 0
     monotone = True
     for i in range(100):
         rng = np.random.default_rng(500 + i)
-        rotation = _random_rotation(rng, 20.0)
+        rotation = rodrigues(rng.normal(size=3), rng.uniform(0.0, 20.0))
         offset = rng.normal(size=3)
         offset *= rng.uniform(0.0, 0.01) / np.linalg.norm(offset)
         true = Pose(rotation=rotation, translation=base + offset)

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import base64
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TEMPLATES
 
 from berrypick import PointCloud, SceneConfig
 from berrypick.cli import main, run
 from berrypick.io_formats import write_ply
 from berrypick.types import Pose
-
-TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 
 @pytest.fixture()
@@ -320,10 +318,21 @@ def test_malformed_metrics_is_one_clean_error(tmp_path, capsys, text, message):
         ("scene", {"camera_model": "pinhole"}, "unknown scene keys: ['camera_model']"),
         ("scene-dir", {"camera_model": "pinhole"}, "unknown scene keys: ['camera_model']"),
         ("metrics", {**_METRICS, "rho_x": 1.0}, "unknown metrics keys: ['rho_x']"),
+        # Regression: a template's lengths were checked only for finiteness.
+        # This workspace ended in an OverflowError traceback from rng.uniform,
+        # one 1e300 m away printed a RuntimeWarning above the error line, and
+        # this sigma passed gen-scene and overflowed the renderer.
+        ("template", {"workspace_lo": [-1e308, -1e308, 1.0], "workspace_hi": [1e308, 1e308, 2.0]},
+         "scene config lengths must lie within 1000 m"),
+        ("template", {"workspace_lo": [1e300, 0, 1e300], "workspace_hi": [1.1e300, 0.1, 1.1e300]},
+         "scene config lengths must lie within 1000 m"),
+        ("template", {"occluder_lateral_sigma": 1e300},
+         "scene config lengths must lie within 1000 m"),
     ],
     ids=["config-schema", "config-value", "template", "template-n_occluders", "template-n_ripe",
          "render-scene", "plan-scene-dir", "metrics", "template-unknown-key",
-         "render-scene-unknown-key", "plan-scene-dir-unknown-key", "metrics-unknown-key"],
+         "render-scene-unknown-key", "plan-scene-dir-unknown-key", "metrics-unknown-key",
+         "template-workspace-1e308", "template-workspace-1e300-away", "template-sigma-1e300"],
 )
 def test_malformed_document_error_starts_with_its_path(
     tmp_path, rendered_dir, capsys, document, content, message
@@ -700,12 +709,17 @@ def test_duplicate_truth_id_is_one_clean_error(tmp_path, capsys):
         # rasterizer's screen areas.
         ("intrinsics", "fx", 1e200, "scene.json: focal lengths must be positive and at most 1e+06"),
         ("intrinsics", "fy", 1e200, "scene.json: focal lengths must be positive and at most 1e+06"),
+        # Regression: a normal whose length overflowed was stored as (0, 0, 0)
+        # with a RuntimeWarning, and rendering failed on it later.
+        ("occluders", "normal", [1e300, 1e300, 0],
+         "scene.json: occluder normal must have a finite length"),
     ],
     ids=["berry-nan", "occluder-center-inf", "occluder-normal-nan", "semi-major-inf", "fx-inf",
          "width-fraction", "width-string", "height-bool", "fx-bool", "translation-strings",
          "rotation-bool", "rotation-inf", "fx-huge-int", "translation-huge-int",
          "rotation-1e308", "occluder-center-string", "occluder-normal-string",
-         "semi-major-string", "roll-bool", "width-huge", "fx-1e200", "fy-1e200"],
+         "semi-major-string", "roll-bool", "width-huge", "fx-1e200", "fy-1e200",
+         "occluder-normal-1e300"],
 )
 @pytest.mark.filterwarnings("error")
 def test_non_finite_scene_coordinates_are_one_clean_error(tmp_path, capsys, section, key, value, message):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import rodrigues
 
 from berrypick import (
     IcpParams,
@@ -24,16 +25,6 @@ from berrypick import (
 )
 from berrypick.prior import SURFACE_POINTS
 from berrypick.types import Pose
-
-
-def _rotation(axis, degrees):
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    theta = np.radians(degrees)
-    k = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
 
 
 def _full_sample(prior, pose, n=2000, seed=0):
@@ -90,12 +81,12 @@ def test_init_pose_needs_ten_points(prior):
 
 def test_icp_recovers_small_perturbation(prior):
     true = Pose(
-        rotation=_rotation([1.0, 0.3, 0.2], 8.0),
+        rotation=rodrigues([1.0, 0.3, 0.2], 8.0),
         translation=np.array([0.004, -0.002, 0.355]),
     )
     partial = _front_crop(_full_sample(prior, true, n=3000, seed=3), 0.6)
     init = Pose(
-        rotation=_rotation([0.0, 1.0, 0.0], 5.0) @ true.rotation,
+        rotation=rodrigues([0.0, 1.0, 0.0], 5.0) @ true.rotation,
         translation=true.translation + np.array([0.002, 0.002, -0.001]),
     )
     result = icp_refine(partial, prior, init)
@@ -125,7 +116,7 @@ def test_icp_gives_up_when_nothing_is_in_range(prior):
 
 def test_icp_residual_history_never_worsens(prior):
     true = Pose(
-        rotation=_rotation([0.2, 1.0, 0.0], 12.0),
+        rotation=rodrigues([0.2, 1.0, 0.0], 12.0),
         translation=np.array([-0.006, 0.003, 0.37]),
     )
     partial = _front_crop(_full_sample(prior, true, n=2500, seed=11), 0.5)
@@ -163,7 +154,7 @@ def test_complete_full_sample_reconstructs_below_a_millimeter(prior):
 
 def test_complete_forty_percent_view_stays_within_two_millimeters(prior):
     true = Pose(
-        rotation=_rotation([1.0, 0.0, 0.3], 10.0),
+        rotation=rodrigues([1.0, 0.0, 0.3], 10.0),
         translation=np.array([0.005, -0.003, 0.36]),
     )
     partial = _front_crop(_full_sample(prior, true, n=5000, seed=7), 0.4)
@@ -182,7 +173,7 @@ def test_complete_output_is_the_posed_canonical_sampling(prior):
 
 
 def test_complete_cloud_keeps_the_registration_it_posed_with(prior):
-    true = Pose(rotation=_rotation([1.0, 0.0, 0.3], 10.0), translation=np.array([0.0, 0.0, 0.36]))
+    true = Pose(rotation=rodrigues([1.0, 0.0, 0.3], 10.0), translation=np.array([0.0, 0.0, 0.36]))
     partial = _front_crop(_full_sample(prior, true, n=3000, seed=9), 0.5)
     icp = complete_cloud(partial, prior).icp
     direct = icp_refine(partial, prior, init_pose(partial, prior))
@@ -198,7 +189,7 @@ def test_complete_needs_ten_points(prior):
 def test_restarts_beyond_four_repeat_nothing(prior, monkeypatch):
     """There are four distinct restart rotations: restart_count=8 runs the
     same four attempts as 4 and gives the same result."""
-    true = Pose(rotation=_rotation([0.2, 1.0, 0.0], 12.0), translation=np.array([0.0, 0.0, 0.36]))
+    true = Pose(rotation=rodrigues([0.2, 1.0, 0.0], 12.0), translation=np.array([0.0, 0.0, 0.36]))
     cloud = _front_crop(_full_sample(prior, true, n=2500, seed=11), 0.5)
     rng = np.random.Generator(np.random.Philox(5))
     noisy = PointCloud(xyz=cloud.xyz + rng.normal(0.0, 0.003, cloud.xyz.shape))

@@ -19,18 +19,23 @@ truncated inside a scene. Outputs must match exactly.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chamfer_loss_brute
+from conftest import (
+    CLUTTERED,
+    MOVES,
+    SINGLE_BERRY,
+    ablation_variants,
+    chamfer_loss_brute,
+    free_cell_graph,
+    posed_berry,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
@@ -48,7 +53,6 @@ from berrypick import (
     Ripeness,
     RenderParams,
     RobotState,
-    SceneConfig,
     SceneTemplate,
     StrawberryPrior,
     Trajectory,
@@ -73,7 +77,7 @@ from berrypick import (
     voxel_downsample,
 )
 from berrypick.pipeline import _completed, _generated, extract_partials
-from berrypick.planning import _NEIGHBOR_STEPS, _segment_distances
+from berrypick.planning import _segment_distances
 from berrypick import prior as prior_module
 from berrypick.errors import GeometryError, ParameterError
 from berrypick.prior import (
@@ -208,7 +212,7 @@ def reference_astar(grid, start, goal, removed=frozenset()):
         y, z = divmod(rem, pz)
         return ((x - 1) * ny + (y - 1)) * nz + (z - 1)
 
-    moves = [((di * py + dj) * pz + dk, step * res) for di, dj, dk, step in _NEIGHBOR_STEPS]
+    moves = [((di * py + dj) * pz + dk, step * res) for (di, dj, dk), step in MOVES.items()]
     removed = {(flat(a), flat(b)) for a, b in removed}
     start_f, goal_f = flat(start), flat(goal)
     g_cost = {start_f: 0.0}
@@ -264,23 +268,6 @@ def test_astar_matches_reference_on_tie_heavy_grids(seed, dims, density, resolut
         assert astar_grid(grid, start, goal) == reference_astar(grid, start, goal)
 
 
-def _free_cell_graph(occupied, resolution):
-    """The 26-connected free-cell graph with Euclidean edge costs, as a
-    sparse matrix over linear cell indices."""
-    free = ~occupied
-    index = np.arange(occupied.size).reshape(occupied.shape)
-    rows, cols, data = [], [], []
-    for di, dj, dk, step in _NEIGHBOR_STEPS:
-        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip((di, dj, dk), occupied.shape))
-        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip((di, dj, dk), occupied.shape))
-        ok = (free[src] & free[dst]).ravel()
-        rows.append(index[src].ravel()[ok])
-        cols.append(index[dst].ravel()[ok])
-        data.append(np.full(ok.sum(), step * resolution))
-    n = occupied.size
-    return csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), (n, n))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -306,7 +293,7 @@ def test_blocking_cells_off_every_optimal_path_keeps_the_answer(
 
     index = np.arange(occupied.size).reshape(dims)
     from_start, from_goal = dijkstra(
-        _free_cell_graph(occupied, resolution), indices=[index[start], index[goal]]
+        free_cell_graph(occupied, resolution), indices=[index[start], index[goal]]
     )
     best = from_start[index[goal]]
     through = from_start + from_goal
@@ -343,7 +330,7 @@ def test_removing_moves_off_every_optimal_path_keeps_the_answer(
     grid = OccupancyGrid(origin=np.zeros(3), resolution=resolution, occupied=occupied)
     expected = reference_astar(grid, start, goal)
 
-    graph = _free_cell_graph(occupied, resolution).tocoo()
+    graph = free_cell_graph(occupied, resolution).tocoo()
     index = np.arange(occupied.size).reshape(dims)
     from_start, from_goal = dijkstra(graph.tocsr(), indices=[index[start], index[goal]])
     best = from_start[index[goal]]
@@ -944,12 +931,6 @@ def reference_render(scene, prior, params, seed):
     return rgb, noisy, clean_mm, masks, visibility
 
 
-def _posed_berry(instance_id, center, ripeness=Ripeness.RIPE):
-    return BerryInstance(
-        instance_id=instance_id, pose=Pose(translation=np.asarray(center, float)), ripeness=ripeness
-    )
-
-
 def _leaf(center, semi_major=0.02):
     return Occluder(center=np.asarray(center, float), normal=np.array([0.1, -0.2, 1.0]),
                     semi_major=semi_major, semi_minor=0.6 * semi_major, roll_rad=0.4)
@@ -958,13 +939,13 @@ def _leaf(center, semi_major=0.02):
 def _edge_case_scenes(prior):
     k = CameraIntrinsics()
     twins = SceneTemplate(  # identical berries and identical leaves: exact depth ties
-        berries=(_posed_berry(0, (0.01, 0.0, 0.35)), _posed_berry(1, (0.01, 0.0, 0.35))),
+        berries=(posed_berry(0, (0.01, 0.0, 0.35)), posed_berry(1, (0.01, 0.0, 0.35))),
         occluders=(_leaf((0.0, 0.0, 0.25)), _leaf((0.0, 0.0, 0.25))),
         intrinsics=k,
     )
     cut = SceneTemplate(  # one berry cut by each image edge, one leaf across a corner
         berries=tuple(
-            _posed_berry(i, c, Ripeness.UNRIPE if i % 2 else Ripeness.RIPE)
+            posed_berry(i, c, Ripeness.UNRIPE if i % 2 else Ripeness.RIPE)
             for i, c in enumerate(
                 [(-0.135, 0.0, 0.33), (0.135, 0.0, 0.33), (0.0, -0.1, 0.33), (0.0, 0.1, 0.33)]
             )
@@ -973,7 +954,7 @@ def _edge_case_scenes(prior):
         intrinsics=k,
     )
     offscreen = SceneTemplate(
-        berries=(_posed_berry(0, (0.5, 0.0, 0.33)), _posed_berry(1, (0.0, 0.0, 0.36))),
+        berries=(posed_berry(0, (0.5, 0.0, 0.33)), posed_berry(1, (0.0, 0.0, 0.36))),
         occluders=(_leaf((0.0, 0.6, 0.3)),),
         intrinsics=k,
     )
@@ -981,7 +962,7 @@ def _edge_case_scenes(prior):
         berries=(), occluders=(_leaf((0.0, 0.0, 0.3)), _leaf((0.01, 0.005, 0.28))), intrinsics=k
     )
     small = SceneTemplate(  # a frame narrower than the berry's on-screen box
-        berries=(_posed_berry(0, (0.0, 0.0, 0.33)),),
+        berries=(posed_berry(0, (0.0, 0.0, 0.33)),),
         intrinsics=CameraIntrinsics(fx=800.0, fy=800.0, cx=9.5, cy=7.5),
         width=20,
         height=16,
@@ -991,10 +972,8 @@ def _edge_case_scenes(prior):
 
 def test_crop_render_matches_full_frame_reference(prior):
     scenes = _edge_case_scenes(prior)
-    template = SceneConfig(n_ripe=2, n_unripe=3, n_occluders=3, clutter_spacing=0.002,
-                           workspace_lo=(-0.05, -0.04, 0.31), workspace_hi=(0.05, 0.04, 0.40))
     rng = np.random.Generator(np.random.Philox(3))
-    scenes += [generate_scene(template, prior, rng) for _ in range(4)]
+    scenes += [generate_scene(CLUTTERED, prior, rng) for _ in range(4)]
     for i, scene in enumerate(scenes):
         for params in (RenderParams(2.0, 0.05), RenderParams(0.0, 0.0)):
             out = render_rgbd(scene, prior, params, np.random.SeedSequence(i))
@@ -1087,7 +1066,6 @@ def _assert_renders_like_reference(scene, prior, params_list, seed):
     return int(live[0]) if len(live) else None
 
 
-_TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 _ZERO_PARAMS = (RenderParams(0.0, 0.0), RenderParams(0.0, 0.05), RenderParams(2.0, 0.0))
 
 
@@ -1096,14 +1074,13 @@ def test_front_face_live_span_render_matches_all_face_reference(prior):
     settings; the edge-case scenes, a blank frame and three scenes of each
     template also at zero noise, zero dropout or both."""
     k = CameraIntrinsics()
-    blank = SceneTemplate(berries=(_posed_berry(0, (0.5, 0.0, 0.33)),), occluders=(), intrinsics=k)
+    blank = SceneTemplate(berries=(posed_berry(0, (0.5, 0.0, 0.33)),), occluders=(), intrinsics=k)
     firsts = []
     for i, scene in enumerate([*_edge_case_scenes(prior), blank]):
         params = (RenderParams(2.0, 0.05), RenderParams(), *_ZERO_PARAMS)
         firsts.append(_assert_renders_like_reference(scene, prior, params, i))
     assert firsts[-1] is None  # the blank frame draws nothing
-    for name in ("cluttered", "single_berry"):
-        template = SceneConfig.from_json(json.loads((_TEMPLATES / f"{name}.json").read_text()))
+    for template in (CLUTTERED, SINGLE_BERRY):
         rng = np.random.Generator(np.random.Philox(19))
         for i in range(40):
             scene = generate_scene(template, prior, rng)
@@ -1143,10 +1120,9 @@ def test_culling_follows_the_prior_winding(prior, tmp_path):
     seen = np.isfinite(every_face)
     assert np.array_equal(np.isfinite(back), seen) and (back[seen] > every_face[seen]).all()
 
-    template = SceneConfig.from_json(json.loads((_TEMPLATES / "cluttered.json").read_text()))
     rng = np.random.Generator(np.random.Philox(23))
     cut = _edge_case_scenes(prior)[1]
-    scenes = [cut, *(generate_scene(template, prior, rng) for _ in range(4))]
+    scenes = [cut, *(generate_scene(CLUTTERED, prior, rng) for _ in range(4))]
     for mesh in (inside_out, one_flipped):
         for i, scene in enumerate(scenes):
             _assert_renders_like_reference(scene, mesh, (RenderParams(2.0, 0.05),), i)
@@ -1444,15 +1420,9 @@ def test_runners_match_per_scene_reference(prior):
     """Every ablation variant and run_benchmark against a hand loop that
     generates, renders and runs each scene of SeedSequence(seed).spawn(n)
     on its own."""
-    template = SceneConfig(n_ripe=2, n_unripe=3, n_occluders=3, clutter_spacing=0.002,
-                           workspace_lo=(-0.05, -0.04, 0.31), workspace_hi=(0.05, 0.04, 0.40))
-    params = RenderParams(2.0, 0.05)
+    template, params = CLUTTERED, RenderParams(2.0, 0.05)
     cfg = PipelineConfig(inflation=0.018)
-    variants = {
-        "full": cfg,
-        "no_obstacles": replace(cfg, use_obstacles=False),
-        "no_completion": replace(cfg, use_completion=False),
-    }
+    variants = ablation_variants(cfg)
     n, seed = 4, 20260816
     expected = {name: [] for name in variants}
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n)):
@@ -1503,20 +1473,16 @@ def test_completion_benchmark_matches_the_truncating_loop(monkeypatch, prior):
         return _corrupt(*args)
 
     monkeypatch.setattr(pipeline, "_corrupt", counted)
-    single = SceneConfig(n_ripe=1, n_unripe=0, n_occluders=1, clutter_spacing=0.002)
-    expected = reference_completion_benchmark(single, 25, cfg, 7, params, 0.4, prior)
-    assert run_completion_benchmark(single, 25, cfg, 7, params, 0.4, prior) == expected
+    expected = reference_completion_benchmark(SINGLE_BERRY, 25, cfg, 7, params, 0.4, prior)
+    assert run_completion_benchmark(SINGLE_BERRY, 25, cfg, 7, params, 0.4, prior) == expected
     assert len(corrupted) == 25
 
-    cluttered = SceneConfig.from_json(
-        json.loads((Path(__file__).parents[1] / "templates" / "cluttered.json").read_text())
-    )
     # scenes 0 and 1 of seed 7 hold 2 and 3 eligible berries
     eligible = []
     for i in range(2):
-        scene, _, _ = _generated(cluttered, 7, i, prior)
+        scene, _, _ = _generated(CLUTTERED, 7, i, prior)
         _, _, masks, visibility = _composite(scene, prior)
         eligible.append(sum(visibility.get(m.instance_id, 0.0) >= 0.4 for m in masks))
     assert eligible[0] < 4 < sum(eligible)
-    expected = reference_completion_benchmark(cluttered, 4, cfg, 7, params, 0.4, prior)
-    assert run_completion_benchmark(cluttered, 4, cfg, 7, params, 0.4, prior) == expected
+    expected = reference_completion_benchmark(CLUTTERED, 4, cfg, 7, params, 0.4, prior)
+    assert run_completion_benchmark(CLUTTERED, 4, cfg, 7, params, 0.4, prior) == expected

@@ -18,11 +18,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+from conftest import CLUTTERED, SINGLE_BERRY, TEMPLATES
 
 from berrypick import (
     PipelineConfig,
     RenderParams,
-    SceneConfig,
     generate_scene,
     render_rgbd,
     run_ablation,
@@ -32,8 +32,6 @@ from berrypick import (
 from berrypick.cli import main
 from berrypick.io_formats import load_artifacts, write_ply
 from berrypick.pipeline import _generated, extract_partials
-
-TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 RENDER = RenderParams(noise_sigma_mm=2.0, dropout_rate=0.05)
 
@@ -92,20 +90,9 @@ def _trial_tuple(t) -> list:
     ]
 
 
-def _cluttered_template() -> SceneConfig:
-    return SceneConfig(
-        n_ripe=2,
-        n_unripe=3,
-        n_occluders=3,
-        clutter_spacing=0.002,
-        workspace_lo=(-0.05, -0.04, 0.31),
-        workspace_hi=(0.05, 0.04, 0.40),
-    )
-
-
 def ablation_digest(prior) -> str:
     runs = run_ablation(
-        _cluttered_template(), 20, PipelineConfig(inflation=0.018), seed=20260816,
+        CLUTTERED, 20, PipelineConfig(inflation=0.018), seed=20260816,
         render_params=RENDER, prior=prior,
     )
     return _sha256({name: [_trial_tuple(t) for t in trials] for name, trials in sorted(runs.items())})
@@ -115,7 +102,7 @@ def benchmark_digest(prior) -> str:
     """run_benchmark on the ablation template, with and without obstacles."""
     runs = {
         name: run_benchmark(
-            _cluttered_template(), 10, cfg, seed=20260816, render_params=RENDER, prior=prior
+            CLUTTERED, 10, cfg, seed=20260816, render_params=RENDER, prior=prior
         )
         for name, cfg in (
             ("full", PipelineConfig(inflation=0.018)),
@@ -126,9 +113,8 @@ def benchmark_digest(prior) -> str:
 
 
 def completion_digest(prior) -> str:
-    template = SceneConfig(n_ripe=1, n_unripe=0, n_occluders=1, clutter_spacing=0.002)
     cds = run_completion_benchmark(
-        template, 20, PipelineConfig(), seed=7, render_params=RENDER,
+        SINGLE_BERRY, 20, PipelineConfig(), seed=7, render_params=RENDER,
         min_visibility=0.4, prior=prior,
     )
     return _sha256([round(cd, 6) for cd in cds])
@@ -138,8 +124,7 @@ def render_digest(prior) -> str:
     """rgb, noisy and clean depth, mask ids and bits, and visibility of ten
     scenes per shipped template, with and without sensor noise."""
     h = hashlib.sha256()
-    for name in ("cluttered.json", "single_berry.json"):
-        template = SceneConfig.from_json(json.loads((TEMPLATES / name).read_text()))
+    for template in (CLUTTERED, SINGLE_BERRY):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4242)))
         for i in range(10):
             scene = generate_scene(template, prior, rng)
@@ -163,7 +148,7 @@ def partials_digest(prior) -> str:
     h = hashlib.sha256()
     cfg = PipelineConfig()
     for i in range(10):
-        scene, render_ss, _ = _generated(_cluttered_template(), 20260816, i, prior)
+        scene, render_ss, _ = _generated(CLUTTERED, 20260816, i, prior)
         out = render_rgbd(scene, prior, RENDER, render_ss)
         for mask, cloud in extract_partials(out.depth, scene.intrinsics, out.masks, cfg):
             h.update(str(mask.instance_id).encode())

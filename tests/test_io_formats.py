@@ -8,11 +8,10 @@ import dataclasses
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import CLUTTERED, flipped, surface_bytes, traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -53,8 +52,6 @@ from berrypick.io_formats import (
 )
 from berrypick.prior import SURFACE_POINTS
 from berrypick.types import RgbImage
-
-TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
 
 
 def _scene(prior, seed=0):
@@ -181,9 +178,7 @@ def _mutated_ply(draw):
     if kind == "truncate":
         data = data[: draw(st.integers(0, len(data) - 1))]
     elif kind == "flip":
-        data = bytearray(data)
-        for _ in range(draw(st.integers(1, 3))):
-            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        data = flipped(draw, data)
     return bytes(data), kind == "non-finite"
 
 
@@ -363,9 +358,7 @@ def _mutated_netpbm(draw, kind_of_file):
     elif kind == "extend":
         data += draw(st.binary(min_size=1, max_size=8))
     elif kind == "flip":
-        data = bytearray(data)
-        for _ in range(draw(st.integers(1, 3))):
-            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        data = flipped(draw, data)
     return bytes(data), must_fail
 
 
@@ -546,8 +539,7 @@ def test_save_artifacts_builds_no_image_beyond_a_frame_and_the_labels(tmp_path, 
     one RGB frame and the masks' label image together: the RGB is written a
     band at a time, each 16-bit image through one big-endian copy, and the
     surfaces as they are held."""
-    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
-    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(11)))
+    scene = generate_scene(CLUTTERED, prior, np.random.Generator(np.random.Philox(11)))
     artifacts = render_scene_artifacts(scene, prior, RenderParams(2.0, 0.05), 1, 2)
     peak = traced_peak(save_artifacts, str(tmp_path), artifacts)
     h, w = scene.height, scene.width
@@ -637,9 +629,7 @@ def _mutated_label_image(draw):
     elif kind == "extend":
         data = header + payload + draw(st.binary(min_size=1, max_size=32))
     elif kind == "flip":
-        data = bytearray(header + payload)
-        for _ in range(draw(st.integers(1, 3))):
-            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        data = flipped(draw, header + payload)
     elif kind == "maxval-255":
         data = b"P5\n5 3\n255\n" + payload[: draw(st.sampled_from([15, 30]))]
     else:
@@ -695,10 +685,7 @@ def _mutated_scene_document(draw):
     if kind == "truncate":
         return text.encode("utf-8")[: draw(st.integers(0, len(text) - 3))], True
     if kind == "flip":
-        data = bytearray(text.encode("utf-8"))
-        for _ in range(draw(st.integers(1, 3))):
-            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return bytes(data), False
+        return flipped(draw, text.encode("utf-8")), False
     berry = doc["berries"][draw(st.integers(0, len(doc["berries"]) - 1))]
     if kind == "extra":
         leaf = Occluder(np.array([0.0, 0.0, 0.2]), np.array([0.0, 0.0, 1.0]), 0.01, 0.01)
@@ -730,7 +717,6 @@ def _mutated_scene_document(draw):
     return json.dumps(doc).encode("utf-8"), True
 
 
-@pytest.mark.filterwarnings("error")
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_mutated_scene_document())
 def test_mutated_scene_document_is_input_error_or_valid(tmp_path_factory, mutated):
@@ -821,10 +807,7 @@ def _mutated_document(draw, doc):
     if kind == "truncate":
         return text.encode("utf-8")[: draw(st.integers(0, len(text) - 3))]
     if kind == "flip":
-        data = bytearray(text.encode("utf-8"))
-        for _ in range(draw(st.integers(1, 3))):
-            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return bytes(data)
+        return flipped(draw, text.encode("utf-8"))
     leaves = _leaf_paths(doc)
     if kind == "swap":
         a, b = draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2, unique=True))
@@ -850,7 +833,6 @@ def _mutated_document(draw, doc):
     return json.dumps(doc).encode("utf-8")
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(_DOCUMENTS))
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
@@ -872,7 +854,7 @@ def test_ground_truth_document_round_trip(tmp_path, prior):
     save_artifacts(str(tmp_path), artifacts)
     loaded, truth = load_artifacts(str(tmp_path)).truth, artifacts.truth
     assert loaded == truth
-    assert loaded.surface_bytes() == truth.surface_bytes()
+    assert surface_bytes(loaded) == surface_bytes(truth)
 
 
 def test_ground_truth_surfaces_are_little_endian_float64_beside_the_document(tmp_path, prior):
@@ -909,7 +891,7 @@ def test_a_leftover_ground_truth_json_is_never_opened(tmp_path, prior, leftover)
     (tmp_path / "ground_truth.json").write_text(text)
     beside = load_artifacts(str(tmp_path)).truth
     assert beside == without == artifacts.truth
-    assert beside.surface_bytes() == without.surface_bytes() == artifacts.truth.surface_bytes()
+    assert surface_bytes(beside) == surface_bytes(without) == surface_bytes(artifacts.truth)
 
 
 def _saved_truth(tmp_path):
@@ -1018,13 +1000,10 @@ def _mutated_ground_truth(draw):
     """_labelled(_LABELS, 3)'s ground_truth.f64 with one mutation, and whether
     that mutation must make it invalid. A flipped byte may leave it valid
     (say, a changed digit of a mantissa); the other mutations never do."""
-    raw = _labelled(_LABELS, 3).truth.surface_bytes()
+    raw = surface_bytes(_labelled(_LABELS, 3).truth)
     kind = draw(st.sampled_from(["flip", "truncate", "append", "non-finite"]))
     if kind == "flip":
-        data = bytearray(raw)
-        for _ in range(draw(st.integers(1, 3))):
-            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return bytes(data), False
+        return flipped(draw, raw), False
     if kind == "truncate":
         raw = raw[: draw(st.integers(0, len(raw) - 1))]
     elif kind == "append":
@@ -1051,7 +1030,7 @@ def test_mutated_ground_truth_is_input_error_or_valid(tmp_path_factory, mutated)
         return
     assert not must_fail, "a malformed ground_truth.f64 loaded"
     assert [inst.instance_id for inst in truth.instances] == [10, 20, 30]
-    assert truth.surface_bytes() == surfaces
+    assert surface_bytes(truth) == surfaces
 
 
 # ---------------------------------------------------------------- artifacts
@@ -1066,7 +1045,7 @@ def test_artifact_directory_round_trip(tmp_path, prior):
     loaded = load_artifacts(out)
     assert loaded == artifacts
     assert _text(loaded.scene) == _text(artifacts.scene)
-    assert loaded.truth.surface_bytes() == artifacts.truth.surface_bytes()
+    assert surface_bytes(loaded.truth) == surface_bytes(artifacts.truth)
 
 
 def test_load_artifacts_requires_every_file(tmp_path, prior):

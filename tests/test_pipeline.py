@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import CLUTTERED, ablation_variants
 
 from berrypick import (
     ContractError,
@@ -112,18 +113,12 @@ def _assert_paths_agree(trial, plan):
 def test_plan_scene_agrees_with_the_trials(caged_scene, prior):
     """Every variant's trials of 16 golden ablation-template scenes, and a
     caged scene, against plan_scene on the same artifacts."""
-    template = SceneConfig(n_ripe=2, n_unripe=3, n_occluders=3, clutter_spacing=0.002,
-                           workspace_lo=(-0.05, -0.04, 0.31), workspace_hi=(0.05, 0.04, 0.40))
     params, seed, n = RenderParams(2.0, 0.05), 20260816, 16
     cfg = PipelineConfig(inflation=0.018)
-    variants = {
-        "full": cfg,
-        "no_obstacles": replace(cfg, use_obstacles=False),
-        "no_completion": replace(cfg, use_completion=False),
-    }
-    runs = run_ablation(template, n, cfg, seed, params, prior)
+    variants = ablation_variants(cfg)
+    runs = run_ablation(CLUTTERED, n, cfg, seed, params, prior)
     for i in range(n):
-        scene, render_ss, truth_ss = _generated(template, seed, i, prior)
+        scene, render_ss, truth_ss = _generated(CLUTTERED, seed, i, prior)
         artifacts = render_scene_artifacts(scene, prior, params, render_ss, truth_ss)
         for name, variant in variants.items():
             _assert_paths_agree(runs[name][i], _plan_or_error(artifacts, variant, prior))
@@ -248,11 +243,7 @@ def test_ablation_full_variant_matches_plain_benchmark(prior):
 def test_scene_trials_alone_equal_the_ablation_in_any_order(prior):
     cfg, seed, params, n = PipelineConfig(inflation=0.018), 7, RenderParams(2.0, 0.05), 5
     runs = run_ablation(_small_template(), n, cfg, seed, params, prior)
-    variants = {
-        "full": cfg,
-        "no_obstacles": replace(cfg, use_obstacles=False),
-        "no_completion": replace(cfg, use_completion=False),
-    }
+    variants = ablation_variants(cfg)
     for i in np.random.default_rng(3).permutation(n).tolist():
         trials = _scene_trials(_small_template(), seed, params, prior, variants, cfg, i)
         assert trials == {name: runs[name][i] for name in variants}

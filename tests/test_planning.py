@@ -7,10 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import MOVES, dijkstra_cost
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from berrypick import (
     Candidate,
@@ -33,36 +32,6 @@ from berrypick import (
 )
 from berrypick.types import Pose
 
-_OFFSETS = [
-    (di, dj, dk)
-    for di in (-1, 0, 1)
-    for dj in (-1, 0, 1)
-    for dk in (-1, 0, 1)
-    if (di, dj, dk) != (0, 0, 0)
-]
-
-
-def _dijkstra_cost(occupied: np.ndarray, start, goal, resolution: float) -> float:
-    """Reference shortest-path cost over the same 26-connected free-cell graph,
-    built edge-list style and solved by scipy's Dijkstra."""
-    free = ~occupied
-    shape = occupied.shape
-    index = np.arange(occupied.size).reshape(shape)
-    rows, cols, data = [], [], []
-    for off in _OFFSETS:
-        src = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(off, shape))
-        dst = tuple(slice(max(0, o), s - max(0, -o)) for o, s in zip(off, shape))
-        ok = (free[src] & free[dst]).ravel()
-        rows.append(index[src].ravel()[ok])
-        cols.append(index[dst].ravel()[ok])
-        data.append(np.full(ok.sum(), math.sqrt(sum(o * o for o in off)) * resolution))
-    graph = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(occupied.size, occupied.size),
-    )
-    dist = dijkstra(graph, indices=int(index[start]))
-    return float(dist[index[goal]])
-
 
 def _grid(occupied: np.ndarray, resolution: float = 0.005) -> OccupancyGrid:
     return OccupancyGrid(
@@ -76,7 +45,7 @@ def _check_path(grid: OccupancyGrid, path, cost, start, goal):
     total = 0.0
     for a, b in zip(path, path[1:]):
         step = tuple(bi - ai for ai, bi in zip(a, b))
-        assert step in _OFFSETS
+        assert step in MOVES
         assert not grid.occupied[b]
         total += math.sqrt(sum(s * s for s in step)) * grid.resolution
     assert not grid.occupied[path[0]]
@@ -104,7 +73,7 @@ def test_astar_routes_through_the_only_hole():
     path, cost = astar_grid(grid, start, goal)
     assert (4, 4, 4) in path
     _check_path(grid, path, cost, start, goal)
-    assert cost == pytest.approx(_dijkstra_cost(occupied, start, goal, 0.005), rel=1e-12)
+    assert cost == pytest.approx(dijkstra_cost(occupied, start, goal, 0.005), rel=1e-12)
 
 
 def test_astar_blocked_wall_is_unreachable():
@@ -112,7 +81,7 @@ def test_astar_blocked_wall_is_unreachable():
     occupied[3, :, :] = True
     grid = _grid(occupied)
     assert astar_grid(grid, (0, 0, 0), (5, 5, 5)) is None
-    assert math.isinf(_dijkstra_cost(occupied, (0, 0, 0), (5, 5, 5), 0.005))
+    assert math.isinf(dijkstra_cost(occupied, (0, 0, 0), (5, 5, 5), 0.005))
 
 
 def test_astar_occupied_endpoints_yield_none():
@@ -140,7 +109,7 @@ def test_astar_cost_matches_dijkstra(seed):
     start, goal = (tuple(free[i]) for i in rng.choice(len(free), size=2, replace=False))
     grid = _grid(occupied)
     outcome = astar_grid(grid, start, goal)
-    reference = _dijkstra_cost(occupied, start, goal, grid.resolution)
+    reference = dijkstra_cost(occupied, start, goal, grid.resolution)
     if outcome is None:
         assert math.isinf(reference)
     else:

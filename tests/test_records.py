@@ -5,18 +5,16 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CLUTTERED
 
 from berrypick import (
     CameraIntrinsics,
     OccupancyGrid,
     PipelineConfig,
     RenderParams,
-    SceneConfig,
     build_obstacles,
     complete_cloud,
     generate_scene,
@@ -26,7 +24,6 @@ from berrypick import (
 from berrypick.pipeline import _perceive, _plan, extract_partials
 from berrypick.types import RgbImage
 
-TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 RECORDS = [
     "DepthImage", "RgbImage", "PointCloud", "InstanceMask", "Pose",
@@ -44,9 +41,8 @@ RECORDS = [
 def records(prior) -> dict:
     """One instance of each record, by class name, from one rendered,
     perceived and planned cluttered scene."""
-    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
-    scene = generate_scene(template, prior, rng)
+    scene = generate_scene(CLUTTERED, prior, rng)
     artifacts = render_scene_artifacts(scene, prior, RenderParams(), 0, 1)
     cfg = PipelineConfig()
     perception = _perceive(artifacts, cfg, prior, [True])[True]

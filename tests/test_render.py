@@ -7,15 +7,11 @@ of that foundation.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
-from conftest import surface_distance_m, traced_peak
+from conftest import CLUTTERED, posed_berry, surface_bytes, surface_distance_m, traced_peak
 
 from berrypick import (
-    BerryInstance,
     CameraIntrinsics,
     GeometryError,
     GroundTruth,
@@ -43,23 +39,12 @@ from berrypick.render import (
     _stream,
     rasterize,
 )
-from berrypick.types import DepthImage, Pose
-
-
-TEMPLATES = Path(__file__).resolve().parents[1] / "templates"
-
-
-def _berry(instance_id, center, ripeness=Ripeness.RIPE):
-    return BerryInstance(
-        instance_id=instance_id,
-        pose=Pose(rotation=np.eye(3), translation=np.asarray(center, dtype=float)),
-        ripeness=ripeness,
-    )
+from berrypick.types import DepthImage
 
 
 def _single_berry_scene(z=0.36, ripeness=Ripeness.RIPE):
     return SceneTemplate(
-        berries=(_berry(0, (0.0, 0.0, z), ripeness),),
+        berries=(posed_berry(0, (0.0, 0.0, z), ripeness),),
         occluders=(),
         intrinsics=CameraIntrinsics(),
     )
@@ -172,7 +157,7 @@ def test_render_depth_points_lie_on_true_surface(prior):
 
 def test_render_ties_go_to_the_lower_instance(prior):
     scene = SceneTemplate(
-        berries=(_berry(0, (0.0, 0.0, 0.36)), _berry(1, (0.0, 0.0, 0.36))),
+        berries=(posed_berry(0, (0.0, 0.0, 0.36)), posed_berry(1, (0.0, 0.0, 0.36))),
         occluders=(),
         intrinsics=CameraIntrinsics(),
     )
@@ -192,7 +177,7 @@ def test_render_occluder_lowers_visibility(prior):
         semi_minor=0.006,
     )
     scene = SceneTemplate(
-        berries=(_berry(0, (0.0, 0.0, 0.36)),),
+        berries=(posed_berry(0, (0.0, 0.0, 0.36)),),
         occluders=(leaf,),
         intrinsics=CameraIntrinsics(),
     )
@@ -219,8 +204,7 @@ def test_render_masks_partition_valid_pixels(prior):
 def test_cluttered_scene_masks_hold_less_than_one_frame(prior):
     """Each mask holds its bounding-box crop, not a full frame: a cluttered
     scene's five masks take fewer bytes than one (H, W) bool frame."""
-    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
-    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(11)))
+    scene = generate_scene(CLUTTERED, prior, np.random.Generator(np.random.Philox(11)))
     masks = render_rgbd(scene, prior, RenderParams(0.0, 0.0)).masks
     assert len(masks) == 5 and any(m.pixel_count() for m in masks)
     assert sum(m.crop.nbytes for m in masks) < scene.height * scene.width
@@ -323,8 +307,7 @@ def test_chunked_corrupt_equals_one_shot_draw(name, params):
 @pytest.fixture(scope="module")
 def cluttered_frame(prior):
     """The 640x480 cluttered scene at seed 11 and its clean composite."""
-    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
-    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(11)))
+    scene = generate_scene(CLUTTERED, prior, np.random.Generator(np.random.Philox(11)))
     return scene, _composite(scene, prior)
 
 
@@ -361,7 +344,7 @@ def test_render_params_validation():
 
 def test_ground_truth_per_instance_sampling(prior):
     scene = SceneTemplate(
-        berries=(_berry(0, (0.0, 0.02, 0.35)), _berry(1, (0.04, 0.0, 0.40))),
+        berries=(posed_berry(0, (0.0, 0.02, 0.35)), posed_berry(1, (0.04, 0.0, 0.40))),
         occluders=(),
         intrinsics=CameraIntrinsics(),
     )
@@ -379,10 +362,10 @@ def test_ground_truth_deterministic_and_round_trips(prior):
     a = sample_ground_truth(scene, prior, seed=8)
     b = sample_ground_truth(scene, prior, seed=8)
     assert a == b
-    assert a.surface_bytes() == b.surface_bytes()
+    assert surface_bytes(a) == surface_bytes(b)
     loaded = GroundTruth.of(scene, [inst.surface for inst in a.instances])
     assert loaded == a
-    assert loaded.surface_bytes() == a.surface_bytes()
+    assert surface_bytes(loaded) == surface_bytes(a)
 
 
 def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
@@ -391,7 +374,7 @@ def test_ground_truth_takes_a_seed_sequence_as_a_value(prior):
     a, b = (sample_ground_truth(scene, prior, seed=ss) for _ in range(2))
     fresh = sample_ground_truth(scene, prior, seed=np.random.SeedSequence(8, spawn_key=(2,)))
     assert a == b == fresh
-    assert a.surface_bytes() == b.surface_bytes() == fresh.surface_bytes()
+    assert surface_bytes(a) == surface_bytes(b) == surface_bytes(fresh)
     assert ss.n_children_spawned == 0
 
 

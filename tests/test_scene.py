@@ -4,10 +4,10 @@ guarantees, and determinism of the generator under a fixed stream."""
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import CLUTTERED, SINGLE_BERRY, TEMPLATES
 
 from berrypick import (
     BerryInstance,
@@ -22,8 +22,6 @@ from berrypick import (
     generate_scene,
 )
 from berrypick.types import Pose
-
-TEMPLATES = Path(__file__).resolve().parent.parent / "templates"
 
 
 def _rng(seed):
@@ -143,6 +141,14 @@ def test_config_validation():
             SceneConfig(**bad)
 
 
+def test_shipped_templates_are_the_tests_templates():
+    """Each template file parses to exactly the config the tests and golden
+    pins use, so an edit to a file cannot move a pin unnoticed."""
+    for name, template in (("cluttered", CLUTTERED), ("single_berry", SINGLE_BERRY)):
+        text = (TEMPLATES / f"{name}.json").read_text()
+        assert SceneConfig.from_json(json.loads(text)) == template
+
+
 def test_config_json_round_trip():
     config = SceneConfig(
         n_ripe=1,
@@ -168,9 +174,8 @@ def _save_load(scene: SceneTemplate) -> SceneTemplate:
 def test_cluttered_scene_with_a_renormalizing_leaf_normal_round_trips(prior):
     """Scene [11, 3, 375] of the cluttered template has a leaf normal that a
     second normalization moves in its last bit; loading keeps it as saved."""
-    template = SceneConfig.from_json(json.loads((TEMPLATES / "cluttered.json").read_text()))
     gen_ss = np.random.SeedSequence([11, 3, 375]).spawn(3)[0]
-    scene = generate_scene(template, prior, np.random.Generator(np.random.Philox(gen_ss)))
+    scene = generate_scene(CLUTTERED, prior, np.random.Generator(np.random.Philox(gen_ss)))
     assert any(
         not np.array_equal(o.normal / np.linalg.norm(o.normal), o.normal) for o in scene.occluders
     )

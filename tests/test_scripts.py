@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import TEMPLATES
 
 from berrypick import complete_cloud, pipeline
 from berrypick.cli import main as cli_main
@@ -54,7 +55,7 @@ def test_completion_benchmark(monkeypatch, tmp_path, capsys):
 
 
 def test_completion_benchmark_with_every_berry_failed(monkeypatch, tmp_path, capsys):
-    template = str(SCRIPTS.parent / "templates" / "cluttered.json")
+    template = str(TEMPLATES / "cluttered.json")
     stats = tmp_path / "stats.json"
     args = ("--n", "1", "--seed", "1", "--template", template, "--min-visibility", "0")
     assert _run(monkeypatch, "completion_benchmark", *args, "--out", str(stats)) == 0
@@ -71,7 +72,7 @@ def test_completion_benchmark_with_every_berry_failed(monkeypatch, tmp_path, cap
 def test_cli_and_script_write_the_same_ablation_reports(monkeypatch, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"inflation": 0.018}))
-    template = str(SCRIPTS.parent / "templates" / "cluttered.json")
+    template = str(TEMPLATES / "cluttered.json")
     common = ["--template", template, "--n", "2", "--seed", "3", "--sigma-mm", "2",
               "--dropout", "0.05"]
     via_cli, via_script = tmp_path / "cli", tmp_path / "script"
