@@ -26,7 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from perfbench_setup import ROOT, load_workload
 
 
 def main(argv=None) -> int:
@@ -38,17 +39,7 @@ def main(argv=None) -> int:
     if args.seed < 0 or args.ops < 1:
         parser.error("--seed must be >= 0 and --ops >= 1")
 
-    for path in (ROOT / "perfbench", ROOT / "src"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
-    import harness
-
-    harness.pin_threads()  # before workloads imports numpy
-    import workloads
-
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
-    workload = workloads.WORKLOADS[args.workload]
+    harness, workloads, workload = load_workload(parser, args.workload)
 
     tracer = harness.Tracer(workloads.LAYERS)
     log = harness.OpLog()

@@ -38,7 +38,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from perfbench_setup import ROOT, load_workload
 
 # phases inside a workload's op: (phase, module, function the op calls)
 INNER = {
@@ -92,17 +93,7 @@ def main(argv=None) -> int:
     if args.ops < 1 or (args.seed is not None and args.seed < 0):
         parser.error("--ops must be >= 1 and --seed >= 0")
 
-    for path in (ROOT / "perfbench", ROOT / "src"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
-    import harness
-
-    harness.pin_threads()  # before workloads imports numpy
-    import workloads
-
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
-    workload = workloads.WORKLOADS[args.workload]
+    harness, _, workload = load_workload(parser, args.workload)
     seed = workload.dev_seed if args.seed is None else args.seed
 
     ledger = Ledger(harness.peak_rss_mb)

@@ -7,6 +7,7 @@ time budgets are fixed; editing them weakens the gate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -133,16 +134,27 @@ def test_criterion_3_chamfer_oracle():
 
 # ---------------------------------------------------------------- criterion 4
 
-def test_criterion_4_planner_optimality():
+def _criterion_4_cases():
+    """(occupied, start, goal): 50 random grids, then a free grid crossed
+    corner to corner along each of the 8 octant diagonals, whose only
+    optimal path repeats one (+-1, +-1, +-1) move, so each such move is used."""
     rng = np.random.default_rng(2024)
-    start_time = time.perf_counter()
-    solved = 0
-    disconnected = 0
     for _ in range(50):
         occupied = rng.random((32, 32, 32)) < 0.2
         free = np.argwhere(~occupied)
         pick = rng.choice(len(free), size=2, replace=False)
-        start, goal = tuple(free[pick[0]]), tuple(free[pick[1]])
+        yield occupied, tuple(free[pick[0]]), tuple(free[pick[1]])
+    open_grid = np.zeros((32, 32, 32), dtype=bool)
+    for signs in itertools.product((-1, 1), repeat=3):
+        start = tuple(0 if s > 0 else 31 for s in signs)
+        yield open_grid, start, tuple(31 - c for c in start)
+
+
+def test_criterion_4_planner_optimality():
+    start_time = time.perf_counter()
+    solved = 0
+    disconnected = 0
+    for occupied, start, goal in _criterion_4_cases():
         grid = OccupancyGrid(
             origin=np.zeros(3), resolution=1.0, occupied=occupied
         )
@@ -157,7 +169,7 @@ def test_criterion_4_planner_optimality():
         path, cost = outcome
         if not math.isclose(cost, reference, rel_tol=1e-9, abs_tol=1e-9):
             _verdict(4, "planner optimality", False,
-                     f"cost {cost!r} vs Dijkstra {reference!r}")
+                     f"cost {cost!r} vs Dijkstra {reference!r} from {start} to {goal}")
         # independent re-check: endpoints, connectivity, freedom, cost re-sum
         assert path[0] == start and path[-1] == goal
         total = 0.0
@@ -175,8 +187,8 @@ def test_criterion_4_planner_optimality():
         4,
         "planner optimality",
         ok,
-        f"50 grids ({solved} solved, {disconnected} disconnected, all matching "
-        f"Dijkstra, paths re-checked), {elapsed:.1f} s (<= 30)",
+        f"50 grids and 8 diagonals ({solved} solved, {disconnected} disconnected, all "
+        f"matching Dijkstra, paths re-checked), {elapsed:.1f} s (<= 30)",
     )
 
 

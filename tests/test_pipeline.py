@@ -8,9 +8,10 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import CLUTTERED, ablation_variants
+from conftest import CLUTTERED, SINGLE_BERRY, ablation_variants
 
 from berrypick import (
+    Candidate,
     ContractError,
     FailureReason,
     GeometryError,
@@ -23,10 +24,13 @@ from berrypick import (
     OutlierParams,
     ParameterError,
     PipelineConfig,
+    PointCloud,
     RenderParams,
+    Ripeness,
     RobotState,
     SceneArtifacts,
     SceneConfig,
+    SceneGenerationError,
     Trajectory,
     TrialResult,
     VoxelParams,
@@ -39,7 +43,7 @@ from berrypick import (
     run_pipeline,
     superellipsoid_mesh,
 )
-from berrypick.pipeline import _execute, _generated, _scene_trials
+from berrypick.pipeline import Perception, _execute, _finish_trial, _generated, _scene_trials
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +184,21 @@ def test_execute_checks_every_interior_waypoint_against_the_grid(waypoints, erro
         _execute(None, None, _planned_through(*waypoints), RobotState(), 0)
 
 
+def test_a_target_straight_above_the_gripper_is_an_infeasible_path(prior):
+    """No horizontal approach reaches a berry directly above p_ee: the grasp
+    raises GeometryError, and the trial ends as an infeasible path."""
+    cfg = PipelineConfig()
+    above = np.array(cfg.p_ee) + np.array([0.0, -0.1, 0.0])  # the camera's y points down
+    target = Candidate(instance_id=4, ripeness=Ripeness.RIPE,
+                       cloud=PointCloud(xyz=above + np.zeros((8, 3))))
+    perception = Perception(detections=1, ripe_detected=True, candidates=(target,),
+                            leftovers=(), cd_mm=(0.7,))
+    # the scene's artifacts are read only once a path is planned
+    trial = _finish_trial(None, perception, cfg, prior, scene_id=3)
+    assert trial == TrialResult(scene_id=3, detections=1, hit_ids=frozenset(), cd_mm=(0.7,),
+                                failure_reason=FailureReason.INFEASIBLE_PATH)
+
+
 # attempted and success by failure reason; every reason must have a row
 _OUTCOMES = {
     None: (True, True),
@@ -266,6 +285,14 @@ def test_completion_benchmark_checks_the_visibility_floor_before_drawing(
     monkeypatch.setattr(pipeline, "_generated", drawn)
     with pytest.raises(ParameterError if refused else _Drawn):
         run_completion_benchmark(_small_template(), 3, min_visibility=floor, prior=prior)
+
+
+def test_completion_benchmark_raises_when_no_berry_meets_the_floor(prior):
+    """The single-berry template's occluder sits on the berry's sight line,
+    so no berry is ever fully visible: the scene budget runs out."""
+    message = "only 0 of 1 berries met the 100% visibility floor within the scene budget"
+    with pytest.raises(SceneGenerationError, match=message):
+        run_completion_benchmark(SINGLE_BERRY, 1, min_visibility=1.0, prior=prior)
 
 
 def test_no_completion_variant_skips_completion(prior):

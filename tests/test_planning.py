@@ -241,6 +241,28 @@ def test_plan_trajectory_reports_infeasibility():
     assert len(trajectory.waypoints) == 0
 
 
+def test_plan_trajectory_reports_a_walled_off_last_leg():
+    """The pregrasp is reachable but a wall between it and the grasp blocks
+    the second leg: no trajectory."""
+    occupied = np.zeros((10, 10, 45), dtype=bool)
+    occupied[:, :, 34] = True  # between the pregrasp (z cell 32) and the grasp (36)
+    grid = OccupancyGrid(
+        origin=np.array([-0.05, -0.05, 0.0]), resolution=0.01,
+        occupied=occupied,
+    )
+    grasp = GraspPose(
+        grasp_point=np.array([0.0, 0.0, 0.36]),
+        approach_dir=np.array([0.0, 0.0, 1.0]),
+        pregrasp_offset=0.034,
+    )
+    state = RobotState()
+    start, mid = map(tuple, grid.cells_of([state.p_ee, grasp.pregrasp_point]).tolist())
+    assert astar_grid(grid, start, mid) is not None
+    trajectory = plan_trajectory(grasp, grid, state)
+    assert not trajectory.feasible
+    assert trajectory.waypoints.shape == (0, 3)
+
+
 # ---------------------------------------------------------------- execution
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import flipped, surface_distance_m
 
 from berrypick import InputError, ParameterError, StrawberryPrior, superellipsoid_mesh
-from berrypick.prior import SURFACE_POINTS
+from berrypick.prior import _REGISTRATION_POINTS, _REGISTRATION_SAMPLE_SEED, SURFACE_POINTS
 from berrypick.types import Pose, rotation_about_axis
 
 
@@ -88,7 +88,8 @@ def test_surface_sampling_is_area_uniform(prior):
 
 def reference_sample_surface(prior, n, rng):
     """The draw the cached face tables replaced: rng.choice over the face
-    areas, then the barycentric mix on the gathered corners."""
+    areas, then the barycentric mix on the gathered corners. Returns the
+    points and the face of each."""
     areas = prior.triangle_areas()
     chosen = rng.choice(len(prior.faces), size=n, p=areas / areas.sum())
     tri = prior.vertices[prior.faces[chosen]]
@@ -97,16 +98,32 @@ def reference_sample_surface(prior, n, rng):
     flip = u + v > 1.0
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
-    return tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
+    points = tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
+    return points, chosen
 
 
-@pytest.mark.parametrize("n", [1, 7, SURFACE_POINTS])
+@pytest.mark.parametrize("n", [1, 7, SURFACE_POINTS, 16384])
 def test_surface_sampling_matches_the_choice_draw(prior, n):
     for seed in range(20):
         rng, ref_rng = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-        expected = reference_sample_surface(prior, n, ref_rng)
-        assert np.array_equal(prior.sample_surface(n, rng), expected)
+        expected, _ = reference_sample_surface(prior, n, ref_rng)
+        points = prior.sample_surface(n, rng)
+        assert points.shape == (n, 3) and points.dtype == np.float64
+        assert points.flags.c_contiguous
+        assert np.array_equal(points, expected)
         assert rng.random() == ref_rng.random()  # the same number of draws taken
+
+
+def test_registration_sampling_matches_the_choice_draw():
+    """The ICP target and its normals equal the reference draw from their
+    fixed stream, bit for bit, each normal its point's face normal."""
+    prior = StrawberryPrior.builtin()  # a fresh prior, so its cache is built here
+    n = _REGISTRATION_POINTS
+    rng = np.random.Generator(np.random.Philox(_REGISTRATION_SAMPLE_SEED + n))
+    expected, chosen = reference_sample_surface(prior, n, rng)
+    assert prior.registration_surface().tobytes() == expected.tobytes()
+    assert prior.registration_normals().tobytes() == prior.face_normals()[chosen].tobytes()
+    assert prior.registration_surface().shape == prior.registration_normals().shape == (n, 3)
 
 
 def test_canonical_samples_cached_and_deterministic(prior):

@@ -21,7 +21,7 @@ from berrypick import (
     SceneTemplate,
     generate_scene,
 )
-from berrypick.types import Pose
+from berrypick.types import MAX_LENGTH_M, Pose, rotation_aligning
 
 
 def _rng(seed):
@@ -139,6 +139,43 @@ def test_config_validation():
     ):
         with pytest.raises(ParameterError):
             SceneConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "key, at",
+    [("clutter_spacing", None), ("occluder_lateral_sigma", None),
+     ("occluder_semi_axis_range", 1), ("workspace_lo", 0), ("workspace_hi", 2)],
+)
+def test_template_lengths_reach_max_length_and_no_further(key, at):
+    """A template length of MAX_LENGTH_M loads; the next float past it, or
+    below its negative, is refused."""
+    past = float(np.nextafter(MAX_LENGTH_M, np.inf))
+    sign = -1.0 if key == "workspace_lo" else 1.0
+    for length, accepted in ((MAX_LENGTH_M, True), (past, False)):
+        obj = SceneConfig().to_json()
+        if at is None:
+            obj[key] = sign * length
+        else:
+            obj[key][at] = sign * length
+        if accepted:
+            assert SceneConfig.from_json(obj).to_json() == obj
+        else:
+            with pytest.raises(ParameterError, match="scene config lengths must lie within 1000 m"):
+                SceneConfig.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -2.0),
+     (0.3, -0.5, 0.8), (0.95, 0.1, -0.2)],
+)
+def test_rotation_aligning_turns_a_direction_to_its_opposite(a):
+    a = np.array(a)
+    unit = a / np.linalg.norm(a)
+    r = rotation_aligning(a, -3.0 * a)
+    assert r @ unit == pytest.approx(-unit, abs=1e-12)
+    assert r.T @ r == pytest.approx(np.eye(3), abs=1e-12)
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shipped_templates_are_the_tests_templates():
