@@ -29,9 +29,6 @@ class ObstacleSet(ArrayRecord):
 
     points: PointCloud
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def build_obstacles(candidates, target_id: int) -> ObstacleSet:
     """Union of every candidate cloud except the target's.
@@ -81,13 +78,11 @@ def build_occupancy(
     resolution: float = 0.005,
     inflation: float = 0.015,
     include_points=None,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OccupancyGrid:
     """Rasterize inflated obstacles into a grid that covers both the obstacle
     extent and any extra points of interest (end-effector, grasp region).
 
     include_points widens the bounds without marking anything occupied.
-    bounds, when given, pins the grid extent exactly (points outside raise).
     A grid of more than MAX_GRID_CELLS cells raises ParameterError.
 
     A free cell is decided by d, its distance to the nearest occupied cell's
@@ -108,25 +103,15 @@ def build_occupancy(
     if not inflation >= 0:
         raise ParameterError("inflation must be nonnegative")
 
-    pts = obstacles.points.xyz if len(obstacles) else np.zeros((0, 3))
-    anchors = [pts]
-    if include_points is not None:
-        extra = np.atleast_2d(np.asarray(include_points, dtype=np.float64))
-        anchors.append(extra)
-    anchor_rows = [a for a in anchors if len(a)]
-    if not anchor_rows:
+    pts = obstacles.points.xyz
+    extra = () if include_points is None else (np.asarray(include_points, np.float64).reshape(-1, 3),)
+    anchor = np.concatenate([pts, *extra])
+    if not len(anchor):
         raise ParameterError("cannot size a grid with no obstacles and no points")
-    anchor = np.concatenate(anchor_rows, axis=0)
 
     pad = inflation + 2 * resolution
-    if bounds is None:
-        lo = anchor.min(axis=0) - pad
-        hi = anchor.max(axis=0) + pad
-    else:
-        lo = np.asarray(bounds[0], dtype=np.float64)
-        hi = np.asarray(bounds[1], dtype=np.float64)
-        if (anchor < lo).any() or (anchor > hi).any():
-            raise ParameterError("points fall outside the requested bounds")
+    lo = anchor.min(axis=0) - pad
+    hi = anchor.max(axis=0) + pad
     with np.errstate(over="ignore"):  # float counts: a tiny resolution gives inf, not a bad int
         counts = np.maximum(np.ceil((hi - lo) / resolution), 1).tolist()
     if (n_cells := math.prod(counts)) > MAX_GRID_CELLS:

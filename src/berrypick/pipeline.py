@@ -4,29 +4,20 @@ One trial runs: oracle detections -> depth filtering -> per-instance
 extraction and back-projection, downsampling, outlier removal -> completion of
 every instance -> ripe target selection -> obstacle union -> occupancy grid ->
 grasp estimation -> A* planning -> simulated execution against ground truth.
-Each stage's failure maps to a recorded reason; a trial never raises for an
-algorithmic failure, so batches always run to completion.
+A trial never raises for an algorithmic failure: _trial maps the stage where
+it stopped to a FailureReason, so batches always run to completion.
 
 Two ablation switches mirror the evaluation design: use_completion=False
 feeds the denoised partial clouds straight to planning, and
 use_obstacles=False plans through an empty occupancy map.
 
-Each job has one path. _perceive detects, tests ripeness and extracts the
-partial clouds of a scene once, then completes them per completion mode;
-_completed is the one step that pairs a completion with its chamfer score.
-_plan runs target selection through A*, and _trials runs one scene through
-every variant: run_pipeline is _trials with one variant, and plan_scene
-reports _perceive and _plan as a dict, raising where a trial records a
-failure reason; plan_and_run gives both from one perception and one plan.
-Every benchmark draws scene i of a seed from one function, _generated, so
-each scene is built from its index alone, and each loops over the scene
-indices in order with one per-scene function of (the run's inputs, i):
-_run_variants, behind run_benchmark and run_ablation, calls _scene_trials,
-which renders scene i with render_scene_artifacts and runs it through
-_trials; run_completion_benchmark calls _scene_cds, which composites scene
-i, adds sensor noise only when it holds a berry it scores, and scores
-completion only. The loop merges the per-scene results in index order and
-truncates the completion distances to n_berries.
+A scene run has one path, and each fact is put together once: _perceive
+gives one Perception per completion mode, a PerceivedBerry per extracted
+berry with its fate from _completed; _plan gives a Plan, and _trial the
+TrialResult. run_pipeline, plan_scene and plan_and_run read those records.
+Every benchmark builds scene i of a seed from its index alone (_generated),
+runs one per-scene function over the indices (_scene_trials, or _scene_cds,
+which adds sensor noise only to a scene it scores) and merges in order.
 """
 
 from __future__ import annotations
@@ -39,6 +30,7 @@ import numpy as np
 from .chamfer import chamfer_metric_mm
 from .completion import IcpParams, complete_cloud
 from .errors import (
+    BerrypickError,
     ContractError,
     GeometryError,
     InputError,
@@ -48,10 +40,13 @@ from .errors import (
     RegistrationError,
     SceneGenerationError,
 )
-from .occupancy import ObstacleSet, build_obstacles, build_occupancy
+from .occupancy import ObstacleSet, OccupancyGrid, build_obstacles, build_occupancy
 from .planning import (
     Candidate,
+    ExecutionOutcome,
+    GraspPose,
     RobotState,
+    Trajectory,
     estimate_grasp,
     plan_trajectory,
     select_target,
@@ -89,6 +84,17 @@ from .types import (
 
 
 class FailureReason(str, enum.Enum):
+    """Why a trial's grasp did not land; _trial assigns each one.
+
+    NO_RIPE: no detected berry (a mask with pixels) is ripe.
+    REGISTRATION_FAILURE: ripe berries were detected but none reached a
+        plannable cloud, each refused by completion or empty after
+        filtering. So it also labels a no_completion trial, which registers
+        nothing, whose ripe berries all gave empty clouds.
+    INFEASIBLE_PATH: no grasp could be posed, or A* found no path.
+    MISSED_GRASP: the path ran and ended over 1 cm from the target's center.
+    """
+
     NO_RIPE = "no_ripe"
     REGISTRATION_FAILURE = "registration_failure"
     INFEASIBLE_PATH = "infeasible_path"
@@ -189,20 +195,73 @@ def render_scene_artifacts(
 ) -> SceneArtifacts:
     rendered = render_rgbd(scene, prior, render_params, render_seed)
     truth = sample_ground_truth(scene, prior, truth_seed)
-    return SceneArtifacts(
-        scene=scene, rgb=rendered.rgb, depth=rendered.depth, masks=rendered.masks, truth=truth
-    )
+    return SceneArtifacts(scene, rendered.rgb, rendered.depth, rendered.masks, truth)
+
+
+@dataclass(frozen=True, eq=False)
+class Completed(ArrayRecord):
+    """A completed cloud and its chamfer_metric_mm against the true surface."""
+
+    cloud: PointCloud
+    cd_mm: float
+
+
+@dataclass(frozen=True)
+class Refused:
+    """A completion that raised: the exception's type and message. No
+    traceback is kept, so no frame of the registration stays alive."""
+
+    cause: type[BerrypickError]
+    message: str
+
+
+@dataclass(frozen=True, eq=False)
+class PerceivedBerry(ArrayRecord):
+    """A detected berry whose mask gave a nonempty partial cloud, with its
+    completion fate; the fate is None when perception does not complete."""
+
+    instance_id: int
+    ripeness: Ripeness
+    partial: PointCloud
+    fate: Completed | Refused | None
+
+    def candidate(self) -> Candidate:
+        """The berry on its completed cloud if it has one, else its partial."""
+        done = isinstance(self.fate, Completed)
+        return Candidate(self.instance_id, self.ripeness, self.fate.cloud if done else self.partial)
 
 
 @dataclass(frozen=True, eq=False)
 class Perception(ArrayRecord):
-    """What the perception half of a trial produced."""
+    """What the perception half of a trial produced. The planner's views of
+    the berries, and their chamfer scores, derive from the records."""
 
     detections: int
     ripe_detected: bool
-    candidates: tuple[Candidate, ...]
-    leftovers: tuple[Candidate, ...]  # uncompleted clouds; still block space
-    cd_mm: tuple[float, ...]
+    berries: tuple[PerceivedBerry, ...]
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        return tuple(b.candidate() for b in self.berries if not isinstance(b.fate, Refused))
+
+    @property
+    def leftovers(self) -> tuple[Candidate, ...]:
+        """The refused berries' partial clouds, which still block space."""
+        return tuple(b.candidate() for b in self.berries if isinstance(b.fate, Refused))
+
+    @property
+    def cd_mm(self) -> tuple[float, ...]:
+        return tuple(b.fate.cd_mm for b in self.berries if isinstance(b.fate, Completed))
+
+
+@dataclass(frozen=True, eq=False)
+class Plan(ArrayRecord):
+    """What _plan produced; the trajectory is empty when A* found no path."""
+
+    target_id: int
+    grasp: GraspPose
+    grid: OccupancyGrid
+    trajectory: Trajectory
 
 
 # median_filter's window; its radius is the margin a crop needs to filter
@@ -210,12 +269,8 @@ class Perception(ArrayRecord):
 _MEDIAN_WINDOW = 5
 
 
-def extract_partials(
-    depth: DepthImage,
-    intrinsics: CameraIntrinsics,
-    masks: list[InstanceMask],
-    cfg: PipelineConfig,
-) -> list[tuple[InstanceMask, PointCloud]]:
+def extract_partials(depth: DepthImage, intrinsics: CameraIntrinsics, masks: list[InstanceMask],
+                     cfg: PipelineConfig) -> list[tuple[InstanceMask, PointCloud]]:
     """Each mask's denoised partial cloud: median filter, mask extraction,
     back-projection of the mask's own pixels, voxel downsampling and outlier
     removal.
@@ -264,14 +319,15 @@ def extract_partials(
 
 
 def _completed(cloud: PointCloud, instance_id: int, truth: GroundTruth, cfg: PipelineConfig,
-               prior: StrawberryPrior) -> tuple[PointCloud, float] | None:
-    """The completed cloud and its chamfer_metric_mm against the berry's true
-    surface, or None when completion fails."""
+               prior: StrawberryPrior) -> Completed | Refused:
+    """A berry's completion fate: its completed cloud, scored against its
+    true surface, or the refusal when completion raises."""
     try:
         completed = complete_cloud(cloud, prior, cfg.icp)
-    except (InsufficientDataError, RegistrationError):
-        return None
-    return completed.cloud, chamfer_metric_mm(completed.cloud, truth.instance(instance_id).surface)
+    except (InsufficientDataError, RegistrationError) as exc:
+        return Refused(type(exc), str(exc))
+    cd = chamfer_metric_mm(completed.cloud, truth.instance(instance_id).surface)
+    return Completed(completed.cloud, cd)
 
 
 def _perceive(artifacts: SceneArtifacts, cfg: PipelineConfig, prior: StrawberryPrior,
@@ -280,43 +336,27 @@ def _perceive(artifacts: SceneArtifacts, cfg: PipelineConfig, prior: StrawberryP
 
     The scene is detected and its partial clouds extracted once, with cfg's
     perception settings. With no ripe berry in view perception stops there,
-    before any filtering. Completion keeps a berry that fails to complete as
-    a leftover, which still blocks space; without completion the partials
-    are planned on as-is.
+    before any filtering. A completing mode records each berry's fate;
+    without completion the partials are planned on as they are.
     """
     detections = [m for m in artifacts.masks if m.pixel_count() > 0]
     if not any(m.ripeness is Ripeness.RIPE for m in detections):
-        return dict.fromkeys(modes, Perception(len(detections), False, (), (), ()))
-    partials = [
-        (m, c)
-        for m, c in extract_partials(artifacts.depth, artifacts.scene.intrinsics, detections, cfg)
-        if len(c)
-    ]
-    perceptions = {}
-    for mode in dict.fromkeys(modes):
-        if not mode:
-            candidates = tuple(Candidate(m.instance_id, m.ripeness, c) for m, c in partials)
-            perceptions[mode] = Perception(len(detections), True, candidates, (), ())
-            continue
-        completed: list[Candidate] = []
-        leftovers: list[Candidate] = []
-        cds: list[float] = []
-        for mask, cloud in partials:
-            done = _completed(cloud, mask.instance_id, artifacts.truth, cfg, prior)
-            if done is None:
-                leftovers.append(Candidate(mask.instance_id, mask.ripeness, cloud))
-            else:
-                completed.append(Candidate(mask.instance_id, mask.ripeness, done[0]))
-                cds.append(done[1])
-        perceptions[mode] = Perception(
-            len(detections), True, tuple(completed), tuple(leftovers), tuple(cds)
-        )
-    return perceptions
+        return dict.fromkeys(modes, Perception(len(detections), False, ()))
+    extracted = extract_partials(artifacts.depth, artifacts.scene.intrinsics, detections, cfg)
+    partials = [(m, c) for m, c in extracted if len(c)]
+    return {
+        mode: Perception(len(detections), True, tuple(
+            PerceivedBerry(m.instance_id, m.ripeness, c,
+                           _completed(c, m.instance_id, artifacts.truth, cfg, prior) if mode else None)
+            for m, c in partials
+        ))
+        for mode in dict.fromkeys(modes)
+    }
 
 
-def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior: StrawberryPrior):
-    """Target selection through A*: the target id, grasp, occupancy grid and
-    trajectory.
+def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState,
+          prior: StrawberryPrior) -> Plan:
+    """Target selection through A*.
 
     Raises NoRipeTargetError when no ripe berry was detected or none reached
     a plannable cloud, and GeometryError when no grasp can be posed. An
@@ -324,80 +364,61 @@ def _plan(perception: Perception, cfg: PipelineConfig, state: RobotState, prior:
     """
     if not perception.ripe_detected:
         raise NoRipeTargetError("no ripe berry detected in the scene")
-    target_id = select_target(perception.candidates, state.p_ee)
-    target = next(c for c in perception.candidates if c.instance_id == target_id)
+    candidates = perception.candidates
+    target_id = select_target(candidates, state.p_ee)
+    target = next(c for c in candidates if c.instance_id == target_id)
     grasp = estimate_grasp(target.cloud, state, prior.width_m)
     if cfg.use_obstacles:
-        obstacles = build_obstacles(
-            list(perception.candidates) + list(perception.leftovers), target_id
-        )
+        obstacles = build_obstacles(candidates + perception.leftovers, target_id)
     else:
         obstacles = ObstacleSet(points=PointCloud.empty())
-    grid = build_occupancy(
-        obstacles,
-        resolution=cfg.grid_resolution,
-        inflation=cfg.inflation,
-        include_points=[state.p_ee, grasp.grasp_point, grasp.pregrasp_point],
-    )
-    return target_id, grasp, grid, plan_trajectory(grasp, grid, state)
+    include = [state.p_ee, grasp.grasp_point, grasp.pregrasp_point]
+    grid = build_occupancy(obstacles, cfg.grid_resolution, cfg.inflation, include)
+    return Plan(target_id, grasp, grid, plan_trajectory(grasp, grid, state))
 
 
-def _trial(perception: Perception, scene_id: int, reason: FailureReason | None,
-           outcome=None) -> TrialResult:
-    return TrialResult(
-        scene_id=scene_id,
-        detections=perception.detections,
-        hit_ids=frozenset() if outcome is None else outcome.hits,
-        cd_mm=perception.cd_mm,
-        failure_reason=reason,
-    )
+def _trial(perception: Perception, scene_id: int, refusal: BerrypickError | None = None,
+           outcome: ExecutionOutcome | None = None) -> TrialResult:
+    """The trial of a scene that _plan refused with `refusal`, or whose path
+    ran to `outcome` (None when no path ran): the one place a FailureReason
+    is assigned, from where the trial stopped (see FailureReason)."""
+    if isinstance(refusal, NoRipeTargetError):
+        ripe = perception.ripe_detected
+        reason = FailureReason.REGISTRATION_FAILURE if ripe else FailureReason.NO_RIPE
+    elif outcome is None:
+        reason = FailureReason.INFEASIBLE_PATH
+    else:
+        reason = None if outcome.success else FailureReason.MISSED_GRASP
+    hits = frozenset() if outcome is None else outcome.hits
+    return TrialResult(scene_id, perception.detections, hits, perception.cd_mm, reason)
 
 
-def _execute(artifacts: SceneArtifacts, perception: Perception, planned, state: RobotState,
+def _execute(artifacts: SceneArtifacts, perception: Perception, plan: Plan, state: RobotState,
              scene_id: int) -> TrialResult:
-    """The trial of a scene planned by _plan: the path is checked against the
-    grid it was planned on, then executed against ground truth."""
-    target_id, _, grid, trajectory = planned
-    if not trajectory.feasible:
-        return _trial(perception, scene_id, FailureReason.INFEASIBLE_PATH)
-
-    cells = grid.cells_of(trajectory.waypoints[1:-1])  # independent post-hoc check
-    if grid.occupied[cells[:, 0], cells[:, 1], cells[:, 2]].any():
-        raise ContractError("planned trajectory crosses an occupied cell")
-
-    outcome = simulate_execution(trajectory, artifacts.truth, target_id, state)
-    reason = None if outcome.success else FailureReason.MISSED_GRASP
-    return _trial(perception, scene_id, reason, outcome)
+    """The trial of a scene planned by _plan: a feasible path is checked
+    against the grid it was planned on, then executed against ground truth."""
+    outcome = None
+    if plan.trajectory.feasible:
+        cells = plan.grid.cells_of(plan.trajectory.waypoints[1:-1])  # independent post-hoc check
+        if plan.grid.occupied[cells[:, 0], cells[:, 1], cells[:, 2]].any():
+            raise ContractError("planned trajectory crosses an occupied cell")
+        outcome = simulate_execution(plan.trajectory, artifacts.truth, plan.target_id, state)
+    return _trial(perception, scene_id, outcome=outcome)
 
 
-def _finish_trial(
-    artifacts: SceneArtifacts,
-    perception: Perception,
-    cfg: PipelineConfig,
-    prior: StrawberryPrior,
-    scene_id: int,
-) -> TrialResult:
+def _finish_trial(artifacts: SceneArtifacts, perception: Perception, cfg: PipelineConfig,
+                  prior: StrawberryPrior, scene_id: int) -> TrialResult:
     """Planning and execution, given a finished perception stage."""
     state = cfg.robot_state()
     try:
-        planned = _plan(perception, cfg, state, prior)
-    except NoRipeTargetError:
-        # ripe berries were detected but none survived to a plannable cloud
-        reason = FailureReason.REGISTRATION_FAILURE
-        return _trial(perception, scene_id,
-                      reason if perception.ripe_detected else FailureReason.NO_RIPE)
-    except GeometryError:
-        return _trial(perception, scene_id, FailureReason.INFEASIBLE_PATH)
-    return _execute(artifacts, perception, planned, state, scene_id)
+        plan = _plan(perception, cfg, state, prior)
+    except (NoRipeTargetError, GeometryError) as exc:
+        return _trial(perception, scene_id, refusal=exc)
+    return _execute(artifacts, perception, plan, state, scene_id)
 
 
-def _trials(
-    artifacts: SceneArtifacts,
-    variants: dict[str, PipelineConfig],
-    cfg: PipelineConfig,
-    prior: StrawberryPrior,
-    scene_id: int,
-) -> dict[str, TrialResult]:
+def _trials(artifacts: SceneArtifacts, variants: dict[str, PipelineConfig], cfg: PipelineConfig,
+            prior: StrawberryPrior, scene_id: int) -> dict[str, TrialResult]:
     """Each variant's trial of one scene. The scene is perceived once with
     cfg's perception settings, and each completion mode is computed once
     and shared by the variants that use it."""
@@ -419,18 +440,17 @@ def run_pipeline(
     return _trials(artifacts, {"trial": cfg}, cfg, prior, scene_id)["trial"]
 
 
-def _report(perception: Perception, planned) -> dict:
-    target_id, grasp, grid, trajectory = planned
+def _report(perception: Perception, plan: Plan) -> dict:
     return {
-        "target_id": target_id,
+        "target_id": plan.target_id,
         "grasp": {
-            "grasp_point": grasp.grasp_point.tolist(),
-            "approach_dir": grasp.approach_dir.tolist(),
-            "pregrasp_offset": grasp.pregrasp_offset,
+            "grasp_point": plan.grasp.grasp_point.tolist(),
+            "approach_dir": plan.grasp.approach_dir.tolist(),
+            "pregrasp_offset": plan.grasp.pregrasp_offset,
         },
-        "feasible": trajectory.feasible,
-        "waypoints": trajectory.waypoints.tolist(),
-        "occupied_cells": grid.occupied_count,
+        "feasible": plan.trajectory.feasible,
+        "waypoints": plan.trajectory.waypoints.tolist(),
+        "occupied_cells": plan.grid.occupied_count,
         "detections": perception.detections,
         "cd_mm": list(perception.cd_mm),
     }
@@ -447,9 +467,7 @@ def plan_scene(
     Raises NoRipeTargetError when no ripe berry is detected or completable;
     an infeasible path is not an error, just feasible=false in the result.
     """
-    prior = prior or StrawberryPrior.builtin()
-    perception = _perceive(artifacts, cfg, prior, [cfg.use_completion])[cfg.use_completion]
-    return _report(perception, _plan(perception, cfg, cfg.robot_state(), prior))
+    return _report(*_perceived_plan(artifacts, cfg, prior))
 
 
 def plan_and_run(
@@ -459,11 +477,15 @@ def plan_and_run(
 ) -> tuple[dict, TrialResult]:
     """plan_scene's report and run_pipeline's trial of one scene, from one
     perception and one plan. Raises where plan_scene raises."""
+    perception, plan = _perceived_plan(artifacts, cfg, prior)
+    return _report(perception, plan), _execute(artifacts, perception, plan, cfg.robot_state(), 0)
+
+
+def _perceived_plan(artifacts: SceneArtifacts, cfg: PipelineConfig,
+                    prior: StrawberryPrior | None) -> tuple[Perception, Plan]:
     prior = prior or StrawberryPrior.builtin()
-    state = cfg.robot_state()
     perception = _perceive(artifacts, cfg, prior, [cfg.use_completion])[cfg.use_completion]
-    planned = _plan(perception, cfg, state, prior)
-    return _report(perception, planned), _execute(artifacts, perception, planned, state, 0)
+    return perception, _plan(perception, cfg, cfg.robot_state(), prior)
 
 
 def _generated(template: SceneConfig, seed, index: int, prior: StrawberryPrior):
@@ -489,15 +511,9 @@ def _scene_trials(template: SceneConfig, seed, render_params: RenderParams,
     return _trials(artifacts, variants, cfg, prior, index)
 
 
-def _run_variants(
-    template: SceneConfig,
-    n_scenes: int,
-    variants: dict[str, PipelineConfig],
-    cfg: PipelineConfig,
-    seed,
-    render_params: RenderParams,
-    prior: StrawberryPrior | None,
-) -> dict[str, list[TrialResult]]:
+def _run_variants(template: SceneConfig, n_scenes: int, variants: dict[str, PipelineConfig],
+                  cfg: PipelineConfig, seed, render_params: RenderParams,
+                  prior: StrawberryPrior | None) -> dict[str, list[TrialResult]]:
     """Each variant's trials over the same n_scenes scenes, in scene order."""
     if n_scenes < 1:
         raise ParameterError("n_scenes must be at least 1")
@@ -556,11 +572,9 @@ def _scene_cds(template: SceneConfig, seed, render_params: RenderParams,
         return []
     depth = _corrupt(clean, render_params, render_ss)
     truth = sample_ground_truth(scene, prior, truth_ss)
-    cds = []
-    for mask, cloud in extract_partials(depth, scene.intrinsics, eligible, cfg):
-        done = _completed(cloud, mask.instance_id, truth, cfg, prior)
-        cds.append(float("inf") if done is None else done[1])
-    return cds
+    fates = [_completed(cloud, mask.instance_id, truth, cfg, prior)
+             for mask, cloud in extract_partials(depth, scene.intrinsics, eligible, cfg)]
+    return [f.cd_mm if isinstance(f, Completed) else float("inf") for f in fates]
 
 
 def run_completion_benchmark(

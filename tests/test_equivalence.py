@@ -76,7 +76,7 @@ from berrypick import (
     simulate_execution,
     voxel_downsample,
 )
-from berrypick.pipeline import _completed, _generated, extract_partials
+from berrypick.pipeline import Completed, _completed, _generated, extract_partials
 from berrypick.planning import _segment_distances
 from berrypick import prior as prior_module
 from berrypick.errors import GeometryError, ParameterError
@@ -608,10 +608,10 @@ def test_voxel_grouping_edge_cases_match_unique_rows(min_points):
     assert len(voxel_downsample(together, params)) == 1
 
 
-def reference_occupancy(obstacles, resolution, inflation, include_points=None, bounds=None):
+def reference_occupancy(obstacles, resolution, inflation, include_points=None):
     """The occupancy build_occupancy made by querying every cell of the
     obstacles' inflated bounding box; the grid extent is build_occupancy's."""
-    extent = build_occupancy(obstacles, resolution, inflation, include_points, bounds)
+    extent = build_occupancy(obstacles, resolution, inflation, include_points)
     pts, lo, dims = obstacles.points.xyz, extent.origin, np.asarray(extent.dims)
     occupied = np.zeros(extent.dims, dtype=bool)
     cells = np.clip(np.floor((pts - lo) / resolution).astype(int), 0, dims - 1)
@@ -646,10 +646,10 @@ _EDGE_RATIOS = sorted({abs(k + s * math.sqrt(3.0) / 2.0) for k in _LATTICE for s
     nudge=st.sampled_from([-1, 0, 1]),
     placement=st.sampled_from(["free", "faces", "corners", "centers"]),
     shells=st.integers(0, 2),
-    pinned=st.booleans(),
+    boxed=st.booleans(),
 )
 def test_occupancy_near_cells_match_whole_box_query(
-    prior, seed, n, ratio, nudge, placement, shells, pinned
+    prior, seed, n, ratio, nudge, placement, shells, boxed
 ):
     rng = np.random.default_rng(seed)
     resolution = 0.005
@@ -670,17 +670,14 @@ def test_occupancy_near_cells_match_whole_box_query(
         xyz = np.round(xyz / resolution) * resolution
     elif placement == "centers":  # cell distances fall on the lattice
         xyz = (np.floor(xyz / resolution) + 0.5) * resolution
-    bounds = None
-    if pinned:  # a grid given by bounds, some points on its faces
-        bounds = (xyz.min(axis=0) - rng.uniform(0.0, 0.01, 3),
-                  xyz.max(axis=0) + rng.uniform(0.0, 0.01, 3))
-        xyz[0] = bounds[0]
-        xyz[-1] = bounds[1]
+    extra = [[0.0, 0.0, 0.05]]
+    if boxed:  # a grid sized by two include points just beyond the cloud's box
+        extra = [xyz.min(axis=0) - rng.uniform(0.0, 0.01, 3),
+                 xyz.max(axis=0) + rng.uniform(0.0, 0.01, 3)]
     obstacles = ObstacleSet(points=PointCloud(xyz=xyz))
-    extra = [[0.0, 0.0, 0.05]] if not pinned else None
-    grid = build_occupancy(obstacles, resolution, inflation, extra, bounds)
+    grid = build_occupancy(obstacles, resolution, inflation, extra)
     assert np.array_equal(
-        grid.occupied, reference_occupancy(obstacles, resolution, inflation, extra, bounds)
+        grid.occupied, reference_occupancy(obstacles, resolution, inflation, extra)
     )
 
 
@@ -690,16 +687,20 @@ def test_occupancy_margin_holds_on_the_sure_in_edge(resolution):
     # has d = sqrt(3) resolution, and its center lies exactly d + sqrt(3)/2
     # resolution from the point. With the inflation on that edge, whether the
     # cell is in falls to float rounding, which only the margin absorbs.
+    # The include point q sizes the grid: its origin is q less the pad that
+    # build_occupancy adds, computed here with the same float operations.
     rng = np.random.default_rng(7)
     inflation = float(1.5 * math.sqrt(3.0) * resolution)
     for _ in range(60):
-        lo = np.round(rng.uniform(-20.0, 20.0, 3)) * resolution + rng.choice([0.0, 0.3, 1.3])
-        point = lo + rng.integers(3, 6, 3) * resolution
+        q = np.round(rng.uniform(-20.0, 20.0, 3)) * resolution + rng.choice([0.0, 0.3, 1.3])
+        origin = q - (inflation + 2 * resolution)
+        point = origin + rng.integers(5, 8, 3) * resolution  # past q on every axis
         obstacles = ObstacleSet(points=PointCloud(xyz=point[None]))
-        bounds = (lo, lo + 10 * resolution)
-        grid = build_occupancy(obstacles, resolution, inflation, bounds=bounds)
+        box = [q, q + 10 * resolution]
+        grid = build_occupancy(obstacles, resolution, inflation, box)
+        assert np.array_equal(grid.origin, origin)
         assert np.array_equal(
-            grid.occupied, reference_occupancy(obstacles, resolution, inflation, bounds=bounds)
+            grid.occupied, reference_occupancy(obstacles, resolution, inflation, box)
         )
 
 
@@ -1457,7 +1458,7 @@ def reference_completion_benchmark(template, n_berries, cfg, seed, render_params
         truth = sample_ground_truth(scene, prior, truth_ss)
         for mask, cloud in extract_partials(depth, scene.intrinsics, eligible, cfg):
             done = _completed(cloud, mask.instance_id, truth, cfg, prior)
-            cds.append(float("inf") if done is None else done[1])
+            cds.append(done.cd_mm if isinstance(done, Completed) else float("inf"))
     return cds
 
 

@@ -96,6 +96,15 @@ def test_ply_colour_properties_are_read_and_ignored(tmp_path):
     assert np.array_equal(loaded.xyz, [[0.5, -0.25, 0.125], [1.0, 2.0, 3.0]])
 
 
+def test_ply_header_comments_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "commented.ply"
+    path.write_text(
+        "ply\nformat ascii 1.0\ncomment made by hand\n\nelement vertex 1\n"
+        "property double x\nproperty double y\nproperty double z\nend_header\n1 2 3\n"
+    )
+    assert np.array_equal(read_ply(str(path)).xyz, [[1.0, 2.0, 3.0]])
+
+
 def test_ply_empty_cloud(tmp_path):
     path = str(tmp_path / "empty.ply")
     write_ply(path, PointCloud.empty())
@@ -107,6 +116,8 @@ def test_ply_empty_cloud(tmp_path):
     [
         "solid not_a_ply\n",
         "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n",
+        "ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n"
+        "end_header\n3 0 1 2\n",
         "ply\nformat ascii 1.0\nelement vertex 2\n"
         "property double x\nproperty double y\nproperty double z\nend_header\n0 0 0\n",
         "ply\nformat ascii 1.0\nelement vertex 1\n"

@@ -37,40 +37,45 @@ def _brute_occupancy(points, lo, dims, resolution, inflation):
 
 
 def _grid_from(points, inflation, resolution=0.004, margin=0.02):
+    """A grid sized by two include points `margin` beyond the points' box."""
     pts = np.asarray(points, dtype=float)
-    lo = pts.min(axis=0) - margin
-    hi = pts.max(axis=0) + margin
+    box = [pts.min(axis=0) - margin, pts.max(axis=0) + margin]
     obstacles = ObstacleSet(points=PointCloud(xyz=pts))
-    return build_occupancy(
-        obstacles, resolution=resolution, inflation=inflation, bounds=(lo, hi)
-    )
+    return build_occupancy(obstacles, resolution=resolution, inflation=inflation,
+                           include_points=box)
 
 
 # ---------------------------------------------------------------- hand cases
 
 
 def test_occupancy_zero_inflation_marks_only_containing_cells():
+    # the grid's origin is the include point less the pad of 2 cells, so the
+    # obstacle sits inside cell (3, 3, 3) of a 6 x 6 x 6 grid
     grid = build_occupancy(
         ObstacleSet(points=PointCloud(xyz=np.array([[0.011, 0.012, 0.013]]))),
         resolution=0.01,
         inflation=0.0,
-        bounds=(np.zeros(3), np.full(3, 0.04)),
+        include_points=[[0.0, 0.0, 0.0], [0.02, 0.02, 0.02]],
     )
-    assert grid.dims == (4, 4, 4)
+    assert grid.dims == (6, 6, 6)
     assert grid.occupied_count == 1
-    assert grid.occupied[1, 1, 1]
+    assert grid.occupied[3, 3, 3]
 
 
 def test_occupancy_inflation_reaches_corner_neighbors():
-    # a point on the shared corner of eight cells, centers sqrt(3)*5mm away
+    # dyadic sizes keep every coordinate exact: the pad of 0.25 + 2 * 0.25 m
+    # puts the origin at -0.75, so the point (1, 1, 1) sits on the shared
+    # corner of eight cells, whose centers lie sqrt(3) * 0.125 m from it;
+    # the next cells' centers lie sqrt(11) * 0.125 m away, beyond 0.25 m
     grid = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=np.array([[0.01, 0.01, 0.01]]))),
-        resolution=0.01,
-        inflation=0.009,
-        bounds=(np.zeros(3), np.full(3, 0.04)),
+        ObstacleSet(points=PointCloud(xyz=np.array([[1.0, 1.0, 1.0]]))),
+        resolution=0.25,
+        inflation=0.25,
+        include_points=[[0.0, 0.0, 0.0]],
     )
+    assert grid.origin.tolist() == [-0.75, -0.75, -0.75]
     assert grid.occupied_count == 8
-    assert grid.occupied[:2, :2, :2].all()
+    assert grid.occupied[6:8, 6:8, 6:8].all()
 
 
 # ---------------------------------------------------------------- oracle
@@ -90,13 +95,15 @@ def test_occupancy_matches_brute_force(seed):
 def test_occupancy_monotone_in_obstacle_points():
     rng = np.random.default_rng(4)
     points = rng.uniform(0.0, 0.05, size=(40, 3))
-    lo, hi = points.min(axis=0) - 0.02, points.max(axis=0) + 0.02
+    # include points beyond every obstacle give both grids one extent
+    box = [points.min(axis=0) - 0.02, points.max(axis=0) + 0.02]
     full = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=points)), inflation=0.008, bounds=(lo, hi)
+        ObstacleSet(points=PointCloud(xyz=points)), inflation=0.008, include_points=box
     )
     part = build_occupancy(
-        ObstacleSet(points=PointCloud(xyz=points[:15])), inflation=0.008, bounds=(lo, hi)
+        ObstacleSet(points=PointCloud(xyz=points[:15])), inflation=0.008, include_points=box
     )
+    assert np.array_equal(part.origin, full.origin) and part.dims == full.dims
     assert not (part.occupied & ~full.occupied).any()
 
 
@@ -115,12 +122,6 @@ def test_include_points_widen_without_occupying():
     assert grid.occupied_count == tight.occupied_count
     with pytest.raises(ParameterError):
         tight.cells_of(far)
-
-
-def test_explicit_bounds_reject_outside_points():
-    obstacles = ObstacleSet(points=PointCloud(xyz=np.array([[0.1, 0.0, 0.0]])))
-    with pytest.raises(ParameterError):
-        build_occupancy(obstacles, bounds=(np.zeros(3), np.full(3, 0.05)))
 
 
 def test_empty_obstacles_need_include_points():
@@ -209,11 +210,11 @@ def test_build_obstacles_unions_everything_but_the_target():
         for i in range(3)
     ]
     obstacles = build_obstacles(candidates, target_id=1)
-    assert len(obstacles) == 8
+    assert len(obstacles.points) == 8
     assert set(np.unique(obstacles.points.xyz)) == {0.0, 2.0}
 
 
 def test_build_obstacles_with_only_the_target_is_empty():
     only = [SimpleNamespace(instance_id=0, cloud=PointCloud(xyz=np.zeros((4, 3))))]
     obstacles = build_obstacles(only, target_id=0)
-    assert len(obstacles) == 0
+    assert len(obstacles.points) == 0

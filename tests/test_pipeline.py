@@ -11,7 +11,6 @@ import pytest
 from conftest import CLUTTERED, SINGLE_BERRY, ablation_variants
 
 from berrypick import (
-    Candidate,
     ContractError,
     FailureReason,
     GeometryError,
@@ -43,7 +42,16 @@ from berrypick import (
     run_pipeline,
     superellipsoid_mesh,
 )
-from berrypick.pipeline import Perception, _execute, _finish_trial, _generated, _scene_trials
+from berrypick.pipeline import (
+    Completed,
+    PerceivedBerry,
+    Perception,
+    Plan,
+    _execute,
+    _finish_trial,
+    _generated,
+    _scene_trials,
+)
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +168,12 @@ def test_plan_scene_reports_the_plan(success_artifacts, prior):
 
 
 def _planned_through(*waypoints):
-    """A _plan result whose feasible trajectory visits these waypoints, on a
+    """A Plan whose feasible trajectory visits these waypoints, on a
     1 m grid of 4 x 4 x 4 cells whose only occupied cell is (2, 2, 2)."""
     occupied = np.zeros((4, 4, 4), dtype=bool)
     occupied[2, 2, 2] = True
     grid = OccupancyGrid(origin=np.zeros(3), resolution=1.0, occupied=occupied)
-    return 0, None, grid, Trajectory(waypoints=np.array(waypoints, dtype=float))
+    return Plan(0, None, grid, Trajectory(waypoints=np.array(waypoints, dtype=float)))
 
 
 @pytest.mark.parametrize(
@@ -189,10 +197,10 @@ def test_a_target_straight_above_the_gripper_is_an_infeasible_path(prior):
     raises GeometryError, and the trial ends as an infeasible path."""
     cfg = PipelineConfig()
     above = np.array(cfg.p_ee) + np.array([0.0, -0.1, 0.0])  # the camera's y points down
-    target = Candidate(instance_id=4, ripeness=Ripeness.RIPE,
-                       cloud=PointCloud(xyz=above + np.zeros((8, 3))))
-    perception = Perception(detections=1, ripe_detected=True, candidates=(target,),
-                            leftovers=(), cd_mm=(0.7,))
+    cloud = PointCloud(xyz=above + np.zeros((8, 3)))
+    target = PerceivedBerry(instance_id=4, ripeness=Ripeness.RIPE, partial=cloud,
+                            fate=Completed(cloud=cloud, cd_mm=0.7))
+    perception = Perception(detections=1, ripe_detected=True, berries=(target,))
     # the scene's artifacts are read only once a path is planned
     trial = _finish_trial(None, perception, cfg, prior, scene_id=3)
     assert trial == TrialResult(scene_id=3, detections=1, hit_ids=frozenset(), cd_mm=(0.7,),

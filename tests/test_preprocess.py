@@ -61,6 +61,8 @@ def test_median_rejects_even_window():
         median_filter(depth, window=4)
     with pytest.raises(ParameterError):
         median_filter(depth, window=1)
+    with pytest.raises(ParameterError, match=r"^where shape \(4, 5\) and depth shape \(4, 4\) differ$"):
+        median_filter(depth, where=np.ones((4, 5), dtype=bool))
 
 
 @given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([3, 5]))

@@ -64,11 +64,13 @@ def test_builtin_is_centered_and_symmetric(prior):
     assert v.max(axis=0) == pytest.approx(-v.min(axis=0), abs=1e-12)
 
 
-def test_mesh_rejects_degenerate_parameters():
+def test_mesh_rejects_degenerate_parameters(prior):
     with pytest.raises(ParameterError):
         superellipsoid_mesh(0.0, 0.01, 0.01)
     with pytest.raises(ParameterError):
         superellipsoid_mesh(0.01, 0.01, 0.01, stacks=2)
+    with pytest.raises(ParameterError, match="^sample count must be positive$"):
+        prior.sample_surface(0, np.random.default_rng(0))
 
 
 def test_surface_samples_lie_on_the_surface(prior):
@@ -231,8 +233,12 @@ def test_from_obj_rejects_empty_file(tmp_path):
           [1e308, -1e308, -1e308]], None, "prior surface area must be finite and positive"),
         ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 4]],
          "prior face indices must lie in 0..3"),
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], None, "prior needs (V,3) vertices and (F,3) faces"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1], [0, 2]],
+         "prior needs (V,3) vertices and (F,3) faces"),
     ],
-    ids=["nan-vertex", "zero-area", "overflowing-area", "face-index-past-end"],
+    ids=["nan-vertex", "zero-area", "overflowing-area", "face-index-past-end",
+         "2-column-vertices", "2-column-faces"],
 )
 @pytest.mark.filterwarnings("error")
 def test_prior_refuses_a_mesh_it_cannot_sample(vertices, faces, message):

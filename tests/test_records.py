@@ -12,23 +12,32 @@ from conftest import CLUTTERED
 
 from berrypick import (
     CameraIntrinsics,
+    DepthImage,
+    InputError,
     OccupancyGrid,
+    OutlierParams,
+    ParameterError,
     PipelineConfig,
+    PointCloud,
+    Pose,
     RenderParams,
+    VoxelParams,
     build_obstacles,
     complete_cloud,
     generate_scene,
     render_rgbd,
     render_scene_artifacts,
+    rotation_about_axis,
+    rotation_aligning,
 )
 from berrypick.pipeline import _perceive, _plan, extract_partials
-from berrypick.types import RgbImage
+from berrypick.types import RgbImage, check_like
 
 
 RECORDS = [
     "DepthImage", "RgbImage", "PointCloud", "InstanceMask", "Pose",
     "RenderResult", "GroundTruthInstance", "GroundTruth",
-    "SceneArtifacts", "Perception",
+    "SceneArtifacts", "Perception", "PerceivedBerry", "Completed", "Plan",
     "RobotState", "Candidate", "GraspPose", "Trajectory",
     "IcpResult", "CompletionResult",
     "ObstacleSet", "OccupancyGrid",
@@ -47,7 +56,7 @@ def records(prior) -> dict:
     cfg = PipelineConfig()
     perception = _perceive(artifacts, cfg, prior, [True])[True]
     state = cfg.robot_state()
-    target_id, grasp, grid, trajectory = _plan(perception, cfg, state, prior)
+    plan = _plan(perception, cfg, state, prior)
     mask = next(m for m in artifacts.masks if m.pixel_count())
     ((_, partial),) = extract_partials(artifacts.depth, scene.intrinsics, [mask], cfg)
     completed = complete_cloud(partial, prior)
@@ -55,10 +64,10 @@ def records(prior) -> dict:
     found = [
         artifacts.depth, artifacts.rgb, partial, mask, scene.berries[0].pose,
         render_rgbd(scene, prior, RenderParams(), 0), truth.instances[0], truth,
-        artifacts, perception,
-        state, perception.candidates[0], grasp, trajectory,
+        artifacts, perception, perception.berries[0], perception.berries[0].fate, plan,
+        state, perception.candidates[0], plan.grasp, plan.trajectory,
         completed.icp, completed,
-        build_obstacles(perception.candidates, target_id), grid,
+        build_obstacles(perception.candidates, plan.target_id), plan.grid,
         scene.berries[0], scene.occluders[0], scene,
         prior,
     ]
@@ -92,6 +101,39 @@ def test_a_record_compares_by_value_and_is_unhashable(records, name):
     with pytest.raises(TypeError):
         hash(x)
     assert (x == object()) is False and (x != object()) is True
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: check_like({"ripeness": 1}, {"ripeness": "ripe"}, "scene"), InputError,
+         "scene.ripeness must be a string, got 1"),
+        (lambda: CameraIntrinsics(fx=np.nan), ParameterError, "camera intrinsics must be finite"),
+        (lambda: CameraIntrinsics(cx=640.0).validate_for(640, 480), ParameterError,
+         r"principal point \(640.0, 239.5\) outside 640x480 image"),
+        (lambda: DepthImage(values=np.zeros(4, dtype=np.uint16)), ParameterError,
+         r"depth image must be 2-D \(H, W\)"),
+        (lambda: PointCloud.empty().centroid(), ParameterError, "centroid of empty cloud"),
+        (lambda: VoxelParams(min_points=0), ParameterError, "min_points must be >= 1"),
+        (lambda: OutlierParams(k_neighbors=0), ParameterError, "k_neighbors must be >= 1"),
+        (lambda: Pose(rotation=np.eye(2)), ParameterError,
+         "pose needs a 3x3 rotation and a 3-vector translation"),
+        (lambda: Pose(rotation=np.diag([1.0, 1.0, -1.0])), ParameterError,
+         r"rotation must be proper \(det \+1\)"),
+        (lambda: rotation_about_axis(np.zeros(3), 1.0), ParameterError,
+         "rotation axis must be nonzero"),
+        (lambda: rotation_aligning(np.zeros(3), np.ones(3)), ParameterError,
+         "cannot align zero-length directions"),
+    ],
+    ids=["string-field", "intrinsics-nan", "principal-point", "depth-1-d", "empty-centroid",
+         "voxel-min-points", "outlier-neighbors", "pose-shape", "pose-improper",
+         "zero-axis", "zero-direction"],
+)
+def test_a_malformed_argument_is_refused(make, error, message):
+    """Each record and helper of berrypick.types refuses a malformed argument
+    with one named error."""
+    with pytest.raises(error, match="^" + message + "$"):
+        make()
 
 
 @pytest.mark.parametrize("record", [PipelineConfig(), CameraIntrinsics(), RenderParams()])

@@ -118,6 +118,12 @@ def test_generate_raises_when_overpacked(prior):
         _generate(config, prior)
 
 
+def test_generate_raises_for_occluders_with_no_berry(prior):
+    config = SceneConfig(n_ripe=0, n_unripe=0, n_occluders=1)
+    with pytest.raises(SceneGenerationError, match="^occluders need at least one berry"):
+        _generate(config, prior)
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         SceneConfig(n_ripe=-1)
@@ -139,6 +145,30 @@ def test_config_validation():
     ):
         with pytest.raises(ParameterError):
             SceneConfig(**bad)
+
+
+_LEAF = dict(center=[0.0, 0.0, 0.3], normal=[0.0, 0.0, 1.0], semi_major=0.02, semi_minor=0.01)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BerryInstance(0, Pose(np.eye(3), [np.nan, 0.0, 0.3]), Ripeness.RIPE),
+         "berry translation must be finite"),
+        (lambda: Occluder(**{**_LEAF, "center": [0.0, np.inf, 0.3]}),
+         "occluder center and normal must be finite"),
+        (lambda: Occluder(**{**_LEAF, "normal": [np.nan, 0.0, 1.0]}),
+         "occluder center and normal must be finite"),
+        (lambda: Occluder(**{**_LEAF, "semi_minor": np.nan}), "occluder semi-axes must be finite"),
+        (lambda: Occluder(**{**_LEAF, "semi_major": 0.0}), "occluder semi-axes must be positive"),
+        (lambda: Occluder(**_LEAF, roll_rad=np.inf), "occluder roll must be finite"),
+    ],
+    ids=["berry-translation", "occluder-center", "occluder-normal", "semi-axis-nan",
+         "semi-axis-zero", "roll"],
+)
+def test_scene_objects_refuse_malformed_values(make, message):
+    with pytest.raises(ParameterError, match="^" + message + "$"):
+        make()
 
 
 @pytest.mark.parametrize(

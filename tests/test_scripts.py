@@ -5,7 +5,9 @@ one `error:` line on malformed arguments, as the CLI does."""
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,3 +175,30 @@ def test_peak_memory_credits_the_whole_rise_to_known_phases(monkeypatch, capsys,
     assert total == pytest.approx(doc["peak_mb"] - doc["start_mb"], abs=0.01)
     assert all(op in (None, 0, 1) for phase in doc["phases"].values() for op in phase["ops"])
     assert (io_formats.save_artifacts, io_formats.load_artifacts, pipeline.plan_scene) == originals
+
+
+def test_line_reach_reports_the_lines_a_test_file_leaves_unrun():
+    """Over the chamfer tests alone, chamfer.py's only unrun lines are those
+    of chamfer_figures, which the CLI's eval-cd calls; other files leave
+    lines unrun, so the script exits 1 and names them. It runs as its own
+    process, so berrypick is first imported under its tracer."""
+    from berrypick import chamfer
+
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_reach.py"), "-q", "-p", "no:cacheprovider",
+         "tests/test_chamfer.py"],
+        cwd=SCRIPTS.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["pytest"] == 0
+    assert set(doc["files"]) == {p.name for p in (SCRIPTS.parent / "src" / "berrypick").glob("*.py")}
+    source, first = inspect.getsourcelines(chamfer.chamfer_figures)
+    unrun = doc["files"]["chamfer.py"]["unrun"]
+    assert unrun and all(first < n < first + len(source) for n in unrun)
+    assert doc["files"]["errors.py"]["unrun"] == []
+    assert "chamfer.py:%d" % unrun[0] in doc["unlisted"]
+    spec = importlib.util.spec_from_file_location("line_reach", SCRIPTS / "line_reach.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.ALLOWED and not set(script.ALLOWED) & set(doc["unlisted"])
