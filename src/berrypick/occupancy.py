@@ -104,8 +104,8 @@ def build_occupancy(
         raise ParameterError("inflation must be nonnegative")
 
     pts = obstacles.points.xyz
-    extra = () if include_points is None else (np.asarray(include_points, np.float64).reshape(-1, 3),)
-    anchor = np.concatenate([pts, *extra])
+    extra = np.empty((0, 3)) if include_points is None else include_points
+    anchor = np.concatenate([pts, np.atleast_2d(np.asarray(extra, dtype=np.float64))])
     if not len(anchor):
         raise ParameterError("cannot size a grid with no obstacles and no points")
 

@@ -3,6 +3,7 @@ and strict config parsing."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -11,6 +12,7 @@ import pytest
 from conftest import CLUTTERED, SINGLE_BERRY, ablation_variants
 
 from berrypick import (
+    Candidate,
     ContractError,
     FailureReason,
     GeometryError,
@@ -33,6 +35,7 @@ from berrypick import (
     Trajectory,
     TrialResult,
     VoxelParams,
+    complete_cloud,
     pipeline,
     plan_scene,
     render_scene_artifacts,
@@ -47,9 +50,11 @@ from berrypick.pipeline import (
     PerceivedBerry,
     Perception,
     Plan,
+    Refused,
     _execute,
     _finish_trial,
     _generated,
+    _perceive,
     _scene_trials,
 )
 
@@ -301,6 +306,38 @@ def test_completion_benchmark_raises_when_no_berry_meets_the_floor(prior):
     message = "only 0 of 1 berries met the 100% visibility floor within the scene budget"
     with pytest.raises(SceneGenerationError, match=message):
         run_completion_benchmark(SINGLE_BERRY, 1, min_visibility=1.0, prior=prior)
+
+
+def test_perception_keeps_each_berry_with_its_completion_fate(prior):
+    """Scene 0 of seed 7 has a berry that completion refuses. Both modes keep
+    the same partial clouds; the refused berry's partial is a leftover, with
+    the error complete_cloud raises, and every other berry is a candidate on
+    its completed cloud, scored by cd_mm in berry order."""
+    cfg = PipelineConfig()
+    scene, render_ss, truth_ss = _generated(CLUTTERED, 7, 0, prior)
+    artifacts = render_scene_artifacts(scene, prior, RenderParams(2.0, 0.05), render_ss, truth_ss)
+    completing, plain = _perceive(artifacts, cfg, prior, [True, False]).values()
+    assert [(b.instance_id, b.partial) for b in completing.berries] == [
+        (b.instance_id, b.partial) for b in plain.berries
+    ]
+    refused = [b for b in completing.berries if isinstance(b.fate, Refused)]
+    completed = [b for b in completing.berries if isinstance(b.fate, Completed)]
+    assert [b.instance_id for b in refused] == [2] and len(completed) == 3
+    for berry in refused:
+        with pytest.raises(berry.fate.cause, match=f"^{re.escape(berry.fate.message)}$"):
+            complete_cloud(berry.partial, prior, cfg.icp)
+    assert completing.leftovers == tuple(
+        Candidate(b.instance_id, b.ripeness, b.partial) for b in refused
+    )
+    assert completing.candidates == tuple(
+        Candidate(b.instance_id, b.ripeness, b.fate.cloud) for b in completed
+    )
+    assert completing.cd_mm == tuple(b.fate.cd_mm for b in completed)
+    assert all(b.fate is None for b in plain.berries)
+    assert plain.candidates == tuple(
+        Candidate(b.instance_id, b.ripeness, b.partial) for b in plain.berries
+    )
+    assert plain.leftovers == () and plain.cd_mm == ()
 
 
 def test_no_completion_variant_skips_completion(prior):
