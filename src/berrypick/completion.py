@@ -110,12 +110,26 @@ _RESTART_ROTATIONS = (
 )
 
 
+def _plane_rows(source: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The (n, 6) point-to-plane system [source x normal, normal]. The cross
+    product is taken element-wise, with the multiplies and subtracts of
+    np.cross in its order, so it is bit-identical without np.cross's
+    moveaxis wrappers."""
+    (s0, s1, s2), (n0, n1, n2) = source.T, normals.T
+    a = np.empty((len(source), 6))
+    np.subtract(s1 * n2, s2 * n1, out=a[:, 0])
+    np.subtract(s2 * n0, s0 * n2, out=a[:, 1])
+    np.subtract(s0 * n1, s1 * n0, out=a[:, 2])
+    a[:, 3:] = normals
+    return a
+
+
 def _point_to_plane_step(
     source: np.ndarray, target: np.ndarray, target_normals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares rigid (R, t) moving source onto the tangent planes of its
     matched target points, via the usual small-angle linearization."""
-    a = np.concatenate([np.cross(source, target_normals), target_normals], axis=1)
+    a = _plane_rows(source, target_normals)
     b = np.einsum("ij,ij->i", target - source, target_normals)
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     omega, t = x[:3], x[3:]
@@ -165,8 +179,8 @@ def _icp_single(
             if stalled >= 3:
                 break
 
-        matched = surface[idx[inlier]]
-        delta_r, delta_t = _point_to_plane_step(q[inlier], matched, normals[idx[inlier]])
+        near = idx[inlier]
+        delta_r, delta_t = _point_to_plane_step(q[inlier], surface[near], normals[near])
         # refined pose maps canonical -> camera through the inverse update
         rotation = rotation @ delta_r.T
         translation = translation - rotation @ delta_t

@@ -319,8 +319,8 @@ def load_artifacts(scene_dir: str) -> SceneArtifacts:
         raise InputError(f"{truth_path} holds {len(payload)} bytes, but scene.json's {n} "
                          f"berries take {24 * SURFACE_POINTS * n}")
     xyz = _native(np.frombuffer(payload, dtype="<f8")).reshape(n, SURFACE_POINTS, 3)
-    bad = np.flatnonzero(~np.isfinite(xyz.reshape(-1, 3)).all(axis=1))
-    if bad.size:
+    if not np.isfinite(xyz).all():
+        bad = np.flatnonzero(~np.isfinite(xyz.reshape(-1, 3)).all(axis=1))
         raise InputError(f"{truth_path}: non-finite coordinate in row {bad[0]}")
     truth = GroundTruth.of(scene, [PointCloud(xyz=surface) for surface in xyz])
 

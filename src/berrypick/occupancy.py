@@ -161,8 +161,11 @@ def build_occupancy(
             sub = np.argwhere(doubt) + [s.start for s in box]
             # A nearest distance does not depend on the tree's layout, so the
             # tree is built the quick way. Cells beyond inflation read inf,
-            # without a full search.
-            tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+            # without a full search. A doubt cell lies about inflation from
+            # its nearest point, so each query visits many nodes; 64-point
+            # leaves (scipy's default is 16) make a quarter as many. Of 16,
+            # 32, 64 and 128, 64 built and queried fastest.
+            tree = cKDTree(pts, leafsize=64, balanced_tree=False, compact_nodes=False)
             dist, _ = tree.query(
                 lo + (sub + 0.5) * resolution,
                 distance_upper_bound=np.nextafter(inflation, np.inf),

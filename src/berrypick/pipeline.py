@@ -279,8 +279,12 @@ def extract_partials(depth: DepthImage, intrinsics: CameraIntrinsics, masks: lis
     the filter radius, and computes the masked pixels only: extraction
     zeroes every other pixel. Every masked pixel's window lies inside that
     box or meets the image edge, where the box replicates the same edge
-    pixels, and projection keeps row-major pixel order, so each cloud equals
-    the one a whole-frame pass would give.
+    pixels. Each mask is then lifted from its own crop of the filtered box,
+    with the crop's frame offset as the projection origin: a crop's
+    row-major pixels are the mask's pixels in box order, so each cloud
+    equals the one a whole-frame pass would give. An empty crop is held at
+    (0, 0), which may lie outside the box, but its zero-length slices are
+    empty wherever they start, so it lifts an empty window.
 
     Raises ParameterError when a mask's frame differs from the depth image.
     """
@@ -299,20 +303,18 @@ def extract_partials(depth: DepthImage, intrinsics: CameraIntrinsics, masks: lis
     v0, v1 = max(top - r, 0), min(bottom + r, depth.height)
     u0, u1 = max(left - r, 0), min(right + r, depth.width)
 
-    def in_box(mask: InstanceMask) -> np.ndarray:
-        placed = np.zeros((v1 - v0, u1 - u0), dtype=bool)
+    def in_box(mask: InstanceMask) -> tuple[slice, slice]:
         (row, col), (h, w) = mask.offset, mask.crop.shape
-        placed[row - v0 : row - v0 + h, col - u0 : col - u0 + w] = mask.crop
-        return placed
+        return slice(row - v0, row - v0 + h), slice(col - u0, col - u0 + w)
 
-    windows = [in_box(mask) for mask in masks]
-    filtered = median_filter(
-        DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW, where=np.logical_or.reduce(windows)
-    )
-    origin = (int(u0), int(v0))
+    where = np.zeros((v1 - v0, u1 - u0), dtype=bool)
+    for mask in masks:
+        where[in_box(mask)] |= mask.crop
+    filtered = median_filter(DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW, where=where)
     partials = []
-    for mask, window in zip(masks, windows):
-        lifted = project_point_cloud(extract_masked(filtered, window), intrinsics, origin)
+    for mask in masks:
+        own = DepthImage(filtered.values[in_box(mask)])
+        lifted = project_point_cloud(extract_masked(own, mask.crop), intrinsics, mask.offset[::-1])
         partial = voxel_downsample(lifted, cfg.voxel)
         partials.append((mask, remove_outliers(partial, cfg.outliers)))
     return partials

@@ -203,3 +203,17 @@ def test_restarts_beyond_four_repeat_nothing(prior, monkeypatch):
     eight = icp_refine(noisy, prior, init, IcpParams(restart_count=8))
     assert len(calls) == 4
     assert eight == four
+
+
+@pytest.mark.parametrize("rows", [1, 3, 200])
+def test_plane_rows_cross_is_np_cross_bit_for_bit(rows):
+    """The point-to-plane system's element-wise cross product equals
+    np.cross byte for byte, on magnitudes from 1e-300 to 1e150 and signs
+    mixed, so no product or difference is rounded differently."""
+    rng = np.random.Generator(np.random.Philox(rows))
+    scale = 10.0 ** rng.integers(-300, 150, (2, rows, 3))
+    source, normals = rng.uniform(-1.0, 1.0, (2, rows, 3)) * scale
+    a = completion._plane_rows(source, normals)
+    assert a.shape == (rows, 6) and a.dtype == np.float64
+    assert a[:, :3].tobytes() == np.cross(source, normals).tobytes()
+    assert a[:, 3:].tobytes() == normals.tobytes()

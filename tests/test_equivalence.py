@@ -514,6 +514,41 @@ def test_cropped_partials_equal_whole_frame_when_masks_touch_borders(seed, side)
         _assert_same_cloud(a, b)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_crop_local_partials_with_overlapping_edge_and_empty_masks(seed):
+    """Masks held as tight crops at offsets: two overlapping irregular masks,
+    two touching the bottom and right edges, and a zero-pixel mask, whose
+    empty crop sits at (0, 0), outside the others' union box."""
+    rng = np.random.default_rng(seed)
+    h, w = 40, 52
+    depth = rng.integers(350, 356, (h, w)).astype(np.uint16)  # several pixels per voxel
+    depth[rng.random((h, w)) < 0.15] = 0  # dropout holes take part in the median
+
+    def mask(instance_id, v0, v1, u0, u1):
+        crop = rng.random((v1 - v0, u1 - u0)) < 0.8
+        return InstanceMask(crop=crop, offset=(v0, u0), shape=(h, w),
+                            instance_id=instance_id, ripeness=Ripeness.RIPE)
+
+    masks = [
+        mask(1, 8, 22, 10, 30),
+        mask(2, 15, 30, 22, 40),  # overlaps mask 1's box
+        mask(3, 0, 0, 0, 0),
+        mask(4, h - 6, h, 14, 26),  # touches the bottom edge
+        mask(5, 20, 34, w - 7, w),  # touches the right edge
+    ]
+    assert masks[2].crop.shape == (0, 0) and masks[2].offset == (0, 0)
+    k = CameraIntrinsics(fx=60.0, fy=60.0, cx=25.5, cy=19.5)
+    cfg = PipelineConfig(
+        voxel=VoxelParams(voxel_size=0.01, min_points=1), outliers=OutlierParams(k_neighbors=4)
+    )
+    fast = extract_partials(DepthImage(values=depth), k, masks, cfg)
+    slow = reference_partials(DepthImage(values=depth), k, masks, cfg)
+    assert [m.instance_id for m, _ in fast] == [1, 2, 3, 4, 5]
+    assert len(fast[2][1]) == 0 and all(len(c) for i, (_, c) in enumerate(fast) if i != 2)
+    for (_, a), (_, b) in zip(fast, slow):
+        _assert_same_cloud(a, b)
+
+
 def test_partials_of_empty_masks_are_empty():
     shape = (10, 12)
     masks = [InstanceMask(crop=np.zeros(shape, bool), instance_id=1, ripeness=Ripeness.RIPE)]

@@ -927,10 +927,10 @@ def _surface_file(edit):
     return corrupt
 
 
-def _poke(value):
+def _poke(value, at=4):
     def edit(raw):
         xyz = np.frombuffer(raw, dtype="<f8").copy()
-        xyz[4] = value
+        xyz[at] = value
         return xyz.tobytes()
     return edit
 
@@ -958,9 +958,11 @@ _NO_SURFACE_FILE = "scene artifacts missing ground_truth.f64 in {dir}"
          f"{24 * _POINTS}"),
         (_surface_file(_poke(float("nan"))), "{f64}: non-finite coordinate in row 1"),
         (_surface_file(_poke(-float("inf"))), "{f64}: non-finite coordinate in row 1"),
+        (_surface_file(_poke(float("nan"), at=3 * (SURFACE_POINTS + 7) + 2)),
+         f"{{f64}}: non-finite coordinate in row {SURFACE_POINTS + 7}"),
     ],
     ids=["old-list-form", "number", "null", "bad-alphabet", "bad-padding", "whitespace",
-         "empty", "short-row", "partial-row", "nan", "infinity"],
+         "empty", "short-row", "partial-row", "nan", "infinity", "nan-second-berry"],
 )
 def test_ground_truth_malformed_surface(tmp_path, corrupt, message):
     """A directory whose truth is only in an older ground_truth.json, in any
