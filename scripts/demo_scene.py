@@ -68,9 +68,7 @@ def _run() -> int:
     print(f"feasible: {plan['feasible']}, waypoints: {len(plan['waypoints'])}")
     if plan["cd_mm"]:
         print("completion error (mm): " + ", ".join(f"{cd:.2f}" for cd in plan["cd_mm"]))
-    verdict = "success" if trial.success else (
-        trial.failure_reason.value if trial.failure_reason else "failure"
-    )
+    verdict = "success" if trial.success else trial.failure_reason.value
     print(f"simulated execution: {verdict}, brushed {len(trial.hit_ids)} other berries")
     return 0
 

@@ -29,8 +29,9 @@ _EARLY_ACCEPT_MM = 1.0
 
 @dataclass(frozen=True)
 class IcpParams:
-    """Millimeter-denominated knobs; geometry math runs in meters.
-    restart_count beyond 4 adds nothing: there are four distinct restarts."""
+    """convergence_tol and max_correspondence_dist are in millimeters;
+    geometry math runs in meters. restart_count beyond 4 adds nothing:
+    there are four distinct restarts."""
 
     max_iterations: int = 40
     convergence_tol: float = 0.01

@@ -4,9 +4,8 @@ Rendering casts one ray per pixel against every triangle of every object. For
 a triangle fully in front of the camera this reduces to a screen-space
 point-in-triangle test on the projected vertices plus a ray-plane
 intersection, so the implementation below is exact ray casting, not an
-approximate rasterizer. Each triangle tests pixels of its clipped screen
-bounding box with edge functions (Pineda 1988), on each row only those
-between the row's crossings of its edges, and each object's
+approximate rasterizer. Each triangle tests every pixel of its clipped
+screen bounding box with edge functions (Pineda 1988), and each object's
 depth comes back as a crop: the union of its triangles' boxes plus that
 box's corner. The crops are composited in object order over the union of
 their boxes, into one window of nearest depths and one of winning object
@@ -52,8 +51,6 @@ RIPE_COLOR = (204, 30, 48)
 UNRIPE_COLOR = (120, 186, 66)
 LEAF_COLOR = (26, 77, 41)
 
-_TINY = np.finfo(np.float64).tiny  # the smallest normal double
-_NARROW = 8  # widest face box, in columns, that rasterize tests whole
 _DRAW_CHUNK = 2**15  # sensor-noise draws _corrupt holds at once
 
 
@@ -94,43 +91,6 @@ def _stream(seedseq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seedseq))
 
 
-def _row_spans(corner_u, corner_v, du, dv, row_terms, row_face, u0, u1, v0, v1):
-    """The first and last column rasterize tests on each (face, row).
-
-    Rounded, a face's edge test is still monotone in u, so on a row it holds
-    up to (dv > 0) or from (dv < 0) the crossing c = pu + row_term / dv; on a
-    flat edge (dv = +0.0) c is +inf, -inf or nan as row_term is >, < or = 0,
-    and fmin/fmax skip the nan. Where every |pu| and |du| / |dv| times the
-    face's farthest box row from pv stays below 2**45, and no dv is
-    subnormal, the tested threshold lies within 1/16 pixel of the computed c,
-    so the span between the crossings, widened by one pixel, keeps every
-    pixel that passes. A face with a worse conditioned crossing tests its
-    whole box, and so does a face at most _NARROW columns wide, where the
-    widened span saves less than finding it costs.
-    """
-    lo, hi = u0[row_face], u1[row_face]
-    wide = np.flatnonzero(u1 - u0 >= _NARROW)
-    if not len(wide):
-        return lo, hi
-    cu, cv, wu, wv = corner_u[:, wide], corner_v[:, wide], du[:, wide], dv[:, wide]
-    far = np.maximum(np.abs(v0[wide] - cv), np.abs(v1[wide] - cv))
-    cut = np.zeros(len(u0), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        well = (np.abs(cu) + np.abs(wu) / np.abs(wv) * far < 2.0**45) & (np.abs(wv) >= _TINY)
-        cut[wide] = ((wv == 0) | well).all(axis=0)
-        rows = np.flatnonzero(cut[row_face])
-        face = row_face[rows]
-        d = dv.take(face, axis=1) + 0.0  # -0.0 + 0.0 is +0.0
-        c = corner_u.take(face, axis=1) + row_terms.take(rows, axis=1) / d
-        right = d >= 0
-        cut_hi = np.fmin.reduce(np.where(right, np.floor(c), np.nan), axis=0)
-        cut_lo = np.fmax.reduce(np.where(right, np.nan, np.ceil(c)), axis=0)
-    first = np.fmax(lo[rows], cut_lo - 1)
-    lo[rows] = first
-    hi[rows] = np.maximum(np.fmin(hi[rows], cut_hi + 1), first - 1)
-    return lo, hi
-
-
 def rasterize(
     vertices: np.ndarray,
     faces: np.ndarray,
@@ -148,11 +108,10 @@ def rasterize(
     (front-facing and edge-on faces); with 0 every face is cast. The box is
     the union of the kept faces' clipped pixel boxes. A mesh with no face on
     screen gives a (0, 0) array. All faces are processed in one flattened
-    batch: every row of a face's screen bounding box contributes the pixels
-    of its span (see _row_spans) to a single candidate list, candidates
-    failing the in-triangle test or behind the camera are masked out, and
-    surviving ray-plane depths are scattered into the box with a running
-    minimum.
+    batch: every pixel of each face's screen bounding box joins a single
+    candidate list, candidates failing the in-triangle test or behind the
+    camera are masked out, and surviving ray-plane depths are scattered
+    into the box with a running minimum.
     """
     v = np.asarray(vertices, dtype=np.float64)
     f = np.asarray(faces, dtype=np.int64)
@@ -214,13 +173,12 @@ def rasterize(
     row_terms = du.take(row_face, axis=1) * (gv - corner_v.take(row_face, axis=1))
     col_terms = dv.take(col_face, axis=1) * (gu - corner_u.take(col_face, axis=1))
 
-    lo, hi = _row_spans(corner_u, corner_v, du, dv, row_terms, row_face, u0, u1, v0, v1)
-    span = hi - lo + 1  # candidates per row
+    span = wbox[row_face]  # candidates per row
     row_start = np.cumsum(span) - span
     n_cand = int(span.sum())
-    # a candidate's index into gu: its face's first column, plus its row's
-    # first column, plus its place in the row
-    cand_col = np.repeat((col_start - u0)[row_face] + lo - row_start, span) + np.arange(n_cand)
+    # a candidate's index into gu: its face's first column plus its place
+    # in the row
+    cand_col = np.repeat(col_start[row_face] - row_start, span) + np.arange(n_cand)
     inside = np.ones(n_cand, dtype=bool)
     for row_term, col_term in zip(row_terms, col_terms):
         inside &= np.repeat(row_term, span) - col_term[cand_col] >= 0

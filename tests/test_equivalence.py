@@ -7,7 +7,7 @@ np.unique rows, distance-transform occupancy with a queried doubt band
 against a query of every cell of the inflated box, the per-mesh crop
 renderer against a full-frame depth stack composited with argmin, the
 front-face, live-span renderer against the all-face, full-frame renderer it
-replaced, the row-span rasterizer against the box rasterizer it replaced,
+replaced, each mesh's depth crop against a per-pixel full-frame buffer,
 the one-surface ground-truth draw against the three-surface draw it
 replaced, the prior's guide-table face lookup, edge-code mesh checks
 and numpy mesh faces against searchsorted, np.unique rows and the face
@@ -33,7 +33,7 @@ from conftest import (
     free_cell_graph,
     posed_berry,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.sparse.csgraph import dijkstra
@@ -79,7 +79,7 @@ from berrypick import (
 from berrypick.pipeline import Completed, _completed, _generated, extract_partials
 from berrypick.planning import _segment_distances
 from berrypick import prior as prior_module
-from berrypick.errors import GeometryError, ParameterError
+from berrypick.errors import ParameterError
 from berrypick.prior import (
     _check_watertight,
     _guide_table,
@@ -878,8 +878,10 @@ def test_superellipsoid_faces_match_the_loop(stacks, slices):
 # ---------------------------------------------------------------- render
 
 
-def reference_rasterize(vertices, faces, k, width, height):
-    """Full-frame depth buffer of one mesh, every candidate gathered per pixel."""
+def reference_rasterize(vertices, faces, k, width, height, winding=0):
+    """Full-frame depth buffer of one mesh, every candidate gathered per pixel.
+    With winding +1 or -1 only the faces whose doubled area, signed by the
+    winding, is below 1e-9 are cast, as in rasterize."""
     v = np.asarray(vertices, dtype=np.float64)
     f = np.asarray(faces, dtype=np.int64)
     depth = np.full((height, width), np.inf)
@@ -896,6 +898,8 @@ def reference_rasterize(vertices, faces, k, width, height):
         pu[:, 2] - pu[:, 0]
     )
     keep = (wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12)
+    if winding:
+        keep &= winding * area2 < 1e-9
     if not keep.any():
         return depth
     tri = v[f[keep]]
@@ -1192,102 +1196,6 @@ def test_culled_render_matches_reference_near_edges_and_near_plane(
     _assert_renders_like_reference(scene, prior, (RenderParams(2.0, 0.05),), 0)
 
 
-def box_rasterize(
-    vertices: np.ndarray,
-    faces: np.ndarray,
-    k: CameraIntrinsics,
-    width: int,
-    height: int,
-    winding: int = 0,
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """rasterize as it was before row spans: every face tests every pixel of
-    its clipped box, row by row."""
-    v = np.asarray(vertices, dtype=np.float64)
-    f = np.asarray(faces, dtype=np.int64)
-    if not np.isfinite(v).all():
-        raise GeometryError("mesh has non-finite vertices")
-    if (v[:, 2] <= 1e-6).any():
-        raise GeometryError("mesh extends behind the camera")
-
-    z = v[:, 2]
-    pu = (k.fx * v[:, 0] / z + k.cx)[f]  # (F, 3) screen coordinates per face corner
-    pv = (k.fy * v[:, 1] / z + k.cy)[f]
-    # area2 = fx fy / (z0 z1 z2) * (n . p0) with n the face's right-hand
-    # normal, so it is positive exactly where that normal points away
-    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pv[:, 1] - pv[:, 0]) * (
-        pu[:, 2] - pu[:, 0]
-    )
-    if winding:
-        front = winding * area2 < 1e-9
-        f, pu, pv, area2 = f[front], pu[front], pv[front], area2[front]
-
-    # clip in float so the int64 cast is always defined; a box clipped to
-    # nothing stays empty (u1 < u0)
-    u0 = np.clip(np.ceil(pu.min(axis=1)), 0, width).astype(np.int64)
-    u1 = np.clip(np.floor(pu.max(axis=1)), -1, width - 1).astype(np.int64)
-    v0 = np.clip(np.ceil(pv.min(axis=1)), 0, height).astype(np.int64)
-    v1 = np.clip(np.floor(pv.max(axis=1)), -1, height - 1).astype(np.int64)
-    wbox = u1 - u0 + 1
-    hbox = v1 - v0 + 1
-    keep = np.flatnonzero((wbox > 0) & (hbox > 0) & (np.abs(area2) > 1e-12))
-    if not len(keep):
-        return np.full((0, 0), np.inf), (0, 0)
-
-    pu, pv = pu[keep], pv[keep]
-    u0, v0, u1, v1 = u0[keep], v0[keep], u1[keep], v1[keep]
-    wbox, hbox = wbox[keep], hbox[keep]
-    sign = np.where(area2[keep] > 0, 1.0, -1.0)
-    row0, col0 = int(v0.min()), int(u0.min())
-    depth = np.full((int(v1.max()) - row0 + 1, int(u1.max()) - col0 + 1), np.inf)
-
-    # Each face's box as rows and columns: gv holds the pixel row of every
-    # (face, row), gu the pixel column of every (face, column). A candidate
-    # pixel pairs a row with each column of the same face, row by row.
-    n_faces = len(keep)
-    row_face = np.repeat(np.arange(n_faces), hbox)
-    col_face = np.repeat(np.arange(n_faces), wbox)
-    col_start = np.cumsum(wbox) - wbox
-    gv = v0[row_face] + np.arange(len(row_face)) - np.repeat(np.cumsum(hbox) - hbox, hbox)
-    gu = u0[col_face] + np.arange(len(col_face)) - np.repeat(col_start, wbox)
-    gv, gu = gv.astype(np.float64), gu.astype(np.float64)
-    span = wbox[row_face]  # candidates per row
-    row_start = np.cumsum(span) - span
-    n_cand = int(span.sum())
-    cand_col = np.repeat(col_start[row_face] - row_start, span) + np.arange(n_cand)
-
-    # Edge function du * (v - pv) - dv * (u - pu): its first product depends
-    # only on the row and its second only on the column, so each is computed
-    # once and gathered per candidate, the same float operations as per pixel.
-    # Negating a clockwise face's differences negates the edge function
-    # exactly, so the inside test is a plain >= 0.
-    inside = np.ones(n_cand, dtype=bool)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        du = sign * (pu[:, b] - pu[:, a])
-        dv = sign * (pv[:, b] - pv[:, a])
-        row_term = du[row_face] * (gv - pv[row_face, a])
-        col_term = dv[col_face] * (gu - pu[col_face, a])
-        inside &= np.repeat(row_term, span) - col_term[cand_col] >= 0
-    idx = np.flatnonzero(inside)
-    if not len(idx):
-        return depth, (row0, col0)
-
-    cand_row = np.repeat(np.arange(len(row_face)), span)[idx]
-    face = row_face[cand_row]
-    gu, gv = gu[cand_col[idx]], gv[cand_row]
-    tri = v[f[keep]]
-    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    # pixel ray (du, dv, 1): the intersection parameter equals z-depth
-    denom = n[face, 0] * (gu - k.cx) / k.fx + n[face, 1] * (gv - k.cy) / k.fy + n[face, 2]
-    plane = np.einsum("ij,ij->i", n, tri[:, 0])[face]
-    safe = np.abs(denom) > 1e-15
-    t = np.where(safe, plane / np.where(safe, denom, 1.0), np.inf)
-    hit = safe & (t > 1e-6)
-    if hit.any():
-        cell = (gv[hit] - row0) * depth.shape[1] + (gu[hit] - col0)
-        np.minimum.at(depth.reshape(-1), cell.astype(np.int64), t[hit])
-    return depth, (row0, col0)
-
-
 _UNIT = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)  # depth 2**k projects exactly
 
 
@@ -1329,22 +1237,33 @@ def _screen_triangle(draw):
     return rows
 
 
+def _assert_rasterizes_like_reference(vertices, faces, k, width, height, winding=0):
+    """rasterize's crop is the reference frame cut at the returned origin,
+    and the frame has no depth outside it."""
+    crop, (r0, c0) = rasterize(vertices, faces, k, width, height, winding)
+    frame = reference_rasterize(vertices, faces, k, width, height, winding)
+    window = (slice(r0, r0 + crop.shape[0]), slice(c0, c0 + crop.shape[1]))
+    assert np.array_equal(crop, frame[window])
+    frame[window] = np.inf
+    assert np.isinf(frame).all()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(triangles=st.lists(_screen_triangle(), min_size=1, max_size=4),
        winding=st.sampled_from([0, 1, -1]))
-def test_row_span_rasterize_matches_box_rasterize_on_triangles(triangles, winding):
+@example(triangles=[[(0.0, 0.0, 0.25), (0.0, 0.25, 0.25), (0.25, 0.0, 0.25)]], winding=0)
+def test_rasterize_matches_reference_on_triangles(triangles, winding):
+    """Derandomized draws seldom put a pixel center exactly on an edge, so
+    the explicit example's three covered centers all lie on its edges."""
     vertices = np.array([corner for tri in triangles for corner in tri])
     faces = np.arange(len(vertices)).reshape(-1, 3)
-    crop, origin = rasterize(vertices, faces, _UNIT, 64, 48, winding)
-    expected, expected_origin = box_rasterize(vertices, faces, _UNIT, 64, 48, winding)
-    assert origin == expected_origin
-    assert np.array_equal(crop, expected)
+    _assert_rasterizes_like_reference(vertices, faces, _UNIT, 64, 48, winding)
 
 
-def test_row_span_rasterize_matches_box_rasterize_on_nudged_lattice_triangles():
-    """Corners on whole or third pixels, each coordinate one ulp off: about
-    one triangle in a hundred has a pixel that passes the edge tests a hair
-    beyond its computed crossing, which the span's one-pixel margin keeps."""
+def test_rasterize_matches_reference_on_nudged_lattice_triangles():
+    """Corners on whole or third pixels, each coordinate one ulp off, so
+    edges pass within a hair of pixel centers and the edge tests decide
+    them on their last bits."""
     rng = np.random.default_rng(2025)
     faces = np.array([[0, 1, 2]])
     for _ in range(1000):
@@ -1353,10 +1272,7 @@ def test_row_span_rasterize_matches_box_rasterize_on_nudged_lattice_triangles():
         corners = np.nextafter(corners, corners + rng.choice([-1.0, 1.0], size=(3, 2)))
         z = rng.choice([0.25, 0.5, 1.0, 2.0], size=(3, 1))
         vertices = np.hstack([corners * z, z])
-        crop, origin = rasterize(vertices, faces, _UNIT, 64, 48)
-        expected, expected_origin = box_rasterize(vertices, faces, _UNIT, 64, 48)
-        assert origin == expected_origin
-        assert np.array_equal(crop, expected), corners.tolist()
+        _assert_rasterizes_like_reference(vertices, faces, _UNIT, 64, 48)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1365,9 +1281,7 @@ def test_row_span_rasterize_matches_box_rasterize_on_nudged_lattice_triangles():
     normal=st.tuples(*[st.floats(-1.0, 1.0)] * 2), semi_major=st.floats(0.005, 0.06),
     aspect=st.floats(0.2, 1.0), roll=st.floats(0.0, 2 * np.pi),
 )
-def test_row_span_rasterize_matches_box_rasterize_on_leaf_fans(
-    u, v, z, normal, semi_major, aspect, roll
-):
+def test_rasterize_matches_reference_on_leaf_fans(u, v, z, normal, semi_major, aspect, roll):
     """Leaf fans on the default 640 x 480 camera, whole or cut by the frame."""
     k = CameraIntrinsics()
     leaf = Occluder(center=np.array([(u - k.cx) * z / k.fx, (v - k.cy) * z / k.fy, z]),
@@ -1375,10 +1289,7 @@ def test_row_span_rasterize_matches_box_rasterize_on_leaf_fans(
                     semi_minor=aspect * semi_major, roll_rad=roll)
     vertices, faces = leaf.mesh()
     assume(vertices[:, 2].min() > 1e-6)
-    crop, origin = rasterize(vertices, faces, k, 640, 480)
-    expected, expected_origin = box_rasterize(vertices, faces, k, 640, 480)
-    assert origin == expected_origin
-    assert np.array_equal(crop, expected)
+    _assert_rasterizes_like_reference(vertices, faces, k, 640, 480)
 
 
 # ---------------------------------------------------------------- ground truth

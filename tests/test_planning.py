@@ -285,9 +285,17 @@ def test_simulate_execution_success_and_miss(prior):
     miss = Trajectory(
         waypoints=np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.33]])
     )
+    # an endpoint exactly 1 cm from the true center along x succeeds, and
+    # the next float beyond it misses
+    edge = np.array([[0.0, 0.0, 0.05], [0.01, 0.0, 0.36]])
+    beyond = edge.copy()
+    beyond[-1, 0] = np.nextafter(0.01, 1.0)
+    assert np.linalg.norm(edge[-1] - truth.instance(0).pose.translation) == 0.01
     state = RobotState()
     assert simulate_execution(good, truth, 0, state).success
     assert not simulate_execution(miss, truth, 0, state).success
+    assert simulate_execution(Trajectory(waypoints=edge), truth, 0, state).success
+    assert not simulate_execution(Trajectory(waypoints=beyond), truth, 0, state).success
 
 
 def test_simulate_execution_detects_swept_collisions(prior):
