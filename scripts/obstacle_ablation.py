@@ -60,7 +60,10 @@ def _run() -> int:
         prior=StrawberryPrior.builtin(),
     )
     elapsed = time.perf_counter() - start
-    reports = {name: compute_metrics(results) for name, results in runs.items()}
+    if args.out:
+        reports = emit_ablation_report(runs, args.out)
+    else:
+        reports = {name: compute_metrics(results) for name, results in runs.items()}
 
     print(f"{args.n} scenes x 3 variants in {elapsed:.1f} s")
     header = f"{'variant':<16}{'rho_a':>8}{'rho_s':>8}{'rho_s/a':>9}{'rho_h':>8}"
@@ -76,7 +79,6 @@ def _run() -> int:
     print(f"rho_s/rho_a gap over no_completion: {gap:+.1f} pp")
 
     if args.out:
-        emit_ablation_report(reports, runs, args.out)
         print(f"reports written under {args.out}")
     return 0
 

@@ -129,8 +129,7 @@ def _cmd_bench(args) -> int:
     params = _render_params(args)
     if args.ablation:
         runs = run_ablation(template, args.n, cfg, args.seed, params)
-        reports = {name: compute_metrics(results) for name, results in runs.items()}
-        emit_ablation_report(reports, runs, args.out)
+        reports = emit_ablation_report(runs, args.out)
         summary = {name: reports[name].to_json() for name in reports}
     else:
         results = run_benchmark(template, args.n, cfg, args.seed, params)

@@ -55,12 +55,8 @@ def _write_parts(path: str, parts) -> None:
         raise StorageError(f"failed writing {path}: {exc}") from exc
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    _write_parts(path, [data])
-
-
 def _write_text(path: str, text: str) -> None:
-    _write_bytes(path, text.encode("utf-8"))
+    _write_parts(path, [text.encode("utf-8")])
 
 
 def _read_bytes(path: str) -> bytearray:
@@ -119,7 +115,7 @@ def write_ply(path: str, cloud: PointCloud) -> None:
     lines += [f"property double {axis}" for axis in "xyz"]
     lines.append("end_header")
     lines += [" ".join(repr(float(v)) for v in row) for row in cloud.xyz]
-    _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    _write_parts(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 
 def read_ply(path: str) -> PointCloud:

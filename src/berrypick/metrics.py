@@ -142,12 +142,15 @@ def emit_report(
     return paths
 
 
-def emit_ablation_report(reports: dict[str, MetricsReport], runs: dict, out_dir: str) -> None:
-    """One report directory per variant under out_dir, plus a root report of
-    the full variant compared with no_obstacles as its baseline."""
+def emit_ablation_report(runs: dict, out_dir: str) -> dict[str, MetricsReport]:
+    """Each variant's report: one report directory per variant under
+    out_dir, plus a root report of the full variant compared with
+    no_obstacles as its baseline."""
+    reports = {name: compute_metrics(results) for name, results in runs.items()}
     for name, results in runs.items():
         emit_report(reports[name], results, os.path.join(out_dir, name))
     emit_report(reports["full"], runs["full"], out_dir, baseline=reports["no_obstacles"])
+    return reports
 
 
 def comparison_csv(report: MetricsReport, baseline: MetricsReport) -> str:

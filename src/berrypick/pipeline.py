@@ -275,46 +275,35 @@ def extract_partials(depth: DepthImage, intrinsics: CameraIntrinsics, masks: lis
     back-projection of the mask's own pixels, voxel downsampling and outlier
     removal.
 
-    The filter reads the union bounding box of the masks' crops, grown by
-    the filter radius, and computes the masked pixels only: extraction
-    zeroes every other pixel. Every masked pixel's window lies inside that
-    box or meets the image edge, where the box replicates the same edge
-    pixels. Each mask is then lifted from its own crop of the filtered box,
-    with the crop's frame offset as the projection origin: a crop's
-    row-major pixels are the mask's pixels in box order, so each cloud
-    equals the one a whole-frame pass would give. An empty crop is held at
-    (0, 0), which may lie outside the box, but its zero-length slices are
-    empty wherever they start, so it lifts an empty window.
+    Each mask is filtered at its own pixels only, in its crop grown by the
+    filter radius and cut at the frame edge; every other pixel reads 0.
+    Every masked pixel's window lies inside the grown crop or meets the
+    frame edge, where the grown crop replicates the same edge pixels. The
+    crop is lifted with its frame offset as the projection origin: its
+    row-major pixels are the mask's pixels in frame order, so each cloud
+    equals the one a whole-frame pass would give.
 
     Raises ParameterError when a mask's frame differs from the depth image.
     """
+    r = _MEDIAN_WINDOW // 2
+    partials = []
     for mask in masks:
         if mask.shape != depth.values.shape:
             raise ParameterError(
                 f"mask of instance {mask.instance_id} has frame shape {mask.shape}, "
                 f"but the depth image has {depth.values.shape}"
             )
-    boxes = [(*m.offset, *np.add(m.offset, m.crop.shape)) for m in masks if m.crop.size]
-    if not boxes:
-        return [(mask, PointCloud.empty()) for mask in masks]
-    top, left = np.min(boxes, axis=0)[:2]
-    bottom, right = np.max(boxes, axis=0)[2:]
-    r = _MEDIAN_WINDOW // 2
-    v0, v1 = max(top - r, 0), min(bottom + r, depth.height)
-    u0, u1 = max(left - r, 0), min(right + r, depth.width)
-
-    def in_box(mask: InstanceMask) -> tuple[slice, slice]:
         (row, col), (h, w) = mask.offset, mask.crop.shape
-        return slice(row - v0, row - v0 + h), slice(col - u0, col - u0 + w)
-
-    where = np.zeros((v1 - v0, u1 - u0), dtype=bool)
-    for mask in masks:
-        where[in_box(mask)] |= mask.crop
-    filtered = median_filter(DepthImage(depth.values[v0:v1, u0:u1]), _MEDIAN_WINDOW, where=where)
-    partials = []
-    for mask in masks:
-        own = DepthImage(filtered.values[in_box(mask)])
-        lifted = project_point_cloud(extract_masked(own, mask.crop), intrinsics, mask.offset[::-1])
+        top, left = max(row - r, 0), max(col - r, 0)
+        grown = depth.values[top:row + h + r, left:col + w + r]
+        own = slice(row - top, row - top + h), slice(col - left, col - left + w)
+        where = np.zeros(grown.shape, dtype=bool)
+        where[own] = mask.crop
+        filtered = median_filter(DepthImage(grown), _MEDIAN_WINDOW, where=where)
+        # the filter already zeroed the unmasked pixels; extract_masked stays
+        # the stage that perfbench traces as mask extraction
+        crop = DepthImage(filtered.values[own])
+        lifted = project_point_cloud(extract_masked(crop, mask.crop), intrinsics, mask.offset[::-1])
         partial = voxel_downsample(lifted, cfg.voxel)
         partials.append((mask, remove_outliers(partial, cfg.outliers)))
     return partials

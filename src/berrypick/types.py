@@ -369,10 +369,6 @@ class Pose(ArrayRecord):
     def apply(self, xyz: np.ndarray) -> np.ndarray:
         return np.asarray(xyz) @ self.rotation.T + self.translation
 
-    def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rotation=rt, translation=-rt @ self.translation)
-
     def to_json(self) -> dict:
         return {"rotation": self.rotation.tolist(), "translation": self.translation.tolist()}
 

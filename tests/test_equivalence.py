@@ -518,7 +518,7 @@ def test_cropped_partials_equal_whole_frame_when_masks_touch_borders(seed, side)
 def test_crop_local_partials_with_overlapping_edge_and_empty_masks(seed):
     """Masks held as tight crops at offsets: two overlapping irregular masks,
     two touching the bottom and right edges, and a zero-pixel mask, whose
-    empty crop sits at (0, 0), outside the others' union box."""
+    empty crop sits at (0, 0), away from every other mask."""
     rng = np.random.default_rng(seed)
     h, w = 40, 52
     depth = rng.integers(350, 356, (h, w)).astype(np.uint16)  # several pixels per voxel
@@ -935,7 +935,8 @@ def reference_rasterize(vertices, faces, k, width, height, winding=0):
 
 
 def reference_render(scene, prior, params, seed):
-    """Stack every mesh's full-frame buffer, then min and argmin over the stack."""
+    """Stack every mesh's full-frame buffer, then min and argmin over the
+    stack; reference_corrupt adds the noise."""
     h, w = scene.height, scene.width
     meshes = [
         (b.pose.apply(prior.vertices), prior.faces,
@@ -960,15 +961,7 @@ def reference_render(scene, prior, params, seed):
             solo = int(np.isfinite(buffers[i]).sum())
             visibility[berry.instance_id] = float(bits.sum()) / solo if solo else 0.0
         clean_mm[valid] = np.clip(np.rint(nearest[valid] * 1000.0), 0, 65535).astype(np.uint16)
-    noise_ss, drop_ss = _as_seedseq(seed).spawn(2)
-    noisy = clean_mm.astype(np.float64)
-    live = clean_mm > 0
-    if params.noise_sigma_mm > 0:
-        noisy[live] += _stream(noise_ss).normal(0.0, params.noise_sigma_mm, size=(h, w))[live]
-    noisy = np.clip(np.rint(noisy), 0, 65535).astype(np.uint16)
-    if params.dropout_rate > 0:
-        noisy[(_stream(drop_ss).random((h, w)) < params.dropout_rate) & live] = 0
-    return rgb, noisy, clean_mm, masks, visibility
+    return rgb, reference_corrupt(clean_mm, params, seed), clean_mm, masks, visibility
 
 
 def _leaf(center, semi_major=0.02):

@@ -78,15 +78,17 @@ def test_clear_scene_succeeds(success_artifacts, prior):
 
 def test_a_mask_of_another_frame_size_is_refused(success_artifacts, prior):
     """A mask must cover the depth image's frame; plan_scene and run_pipeline
-    refuse one that does not, naming the berry and both shapes."""
+    refuse one that does not, naming the berry and both shapes, also when a
+    valid mask comes before it."""
     (mask,) = success_artifacts.masks
     narrow = InstanceMask(crop=mask.bits[:, :-1], instance_id=mask.instance_id,
                           ripeness=mask.ripeness)
-    artifacts = replace(success_artifacts, masks=(narrow,))
     message = r"mask of instance 0 has frame shape \(480, 639\), but the depth image has \(480, 640\)"
-    for run in (plan_scene, run_pipeline):
-        with pytest.raises(ParameterError, match=message):
-            run(artifacts, PipelineConfig(), prior)
+    for masks in ((narrow,), (mask, narrow)):
+        artifacts = replace(success_artifacts, masks=masks)
+        for run in (plan_scene, run_pipeline):
+            with pytest.raises(ParameterError, match=message):
+                run(artifacts, PipelineConfig(), prior)
 
 
 def test_no_ripe_scene_fails_before_planning(no_ripe_scene, prior):

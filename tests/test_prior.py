@@ -157,7 +157,7 @@ def test_sample_ground_truth_applies_pose(prior):
     surface = prior.sample_ground_truth(pose, rng)
     assert len(surface) == SURFACE_POINTS
     assert surface.centroid() == pytest.approx(pose.translation, abs=0.002)
-    back = pose.inverse().apply(surface.xyz)
+    back = (surface.xyz - pose.translation) @ pose.rotation
     assert surface_distance_m(prior, back).max() < 0.0015
 
 
